@@ -56,7 +56,6 @@ from .mean import (
     MeanEstimate,
     SlabSystem,
     SolveResult,
-    SolverConfig,
     build_direction_set,
     estimate_mean,
     fit_marginal,
@@ -99,7 +98,6 @@ __all__ = [
     "SlabSystem",
     "SmallBallReport",
     "SolveResult",
-    "SolverConfig",
     "SortedSample",
     "SpectrumSpec",
     "TrialTable",

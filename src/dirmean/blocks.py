@@ -27,6 +27,27 @@ class SizingError(ValueError):
         self.minimal_n = minimal_n
 
 
+class NonFiniteRowError(ValueError):
+    """An input row that feeds the block sums holds NaN or inf."""
+
+    def __init__(self, row: int):
+        super().__init__(f"input row {row} (0-based) is not finite")
+        self.row = row
+
+
+def nonfinite_error(rows: np.ndarray, used: np.ndarray) -> ValueError:
+    """The error for a block matrix with a non-finite entry.
+
+    NaN and inf propagate into the block sums, so callers check the
+    (blocks, d) matrix and scan ``rows[used]``, the rows that fed it, only
+    on failure.  Finite rows whose sums overflow get a plain ValueError.
+    """
+    bad = used[~np.isfinite(rows[used]).all(axis=1)]
+    if bad.size == 0:
+        return ValueError("block sums overflow: input values are too large")
+    return NonFiniteRowError(int(bad.min()))
+
+
 @dataclass(frozen=True)
 class BlockPlan:
     """Block geometry: n blocks of size m, with trim count per side."""

@@ -25,15 +25,12 @@ class PipelineConfig:
     c_blocks: float = 8.0       # block-count multiplier: n >= c_blocks * log(e/delta)
     C_prime: float = 1.0        # slab width constant
 
-    # slab system / solver
+    # slab system and probe-and-refine loop
     directions: int | None = None   # direction budget; None -> max(8 d, 256)
     refine_rounds: int = 3
     refine_probes: int = 512
     refine_tol: float = 0.1
     refine_append: int = 64         # worst probes appended per refinement round
-    solver_max_iter: int = 5000
-    solver_tol: float = 1e-8
-    solver_polish_sweeps: int = 60
 
     # baselines
     mom_blocks: int | None = None   # None -> ceil(8 * log(1/delta))

@@ -6,10 +6,12 @@ final estimator is a point v minimizing the worst slab violation
 
     g(v) = max_i ( |c_i - <v, u_i>| - w_i ),
 
-a piecewise-linear convex minimax program over a finite direction set,
-solved by a subgradient method with an exact coordinate line-search polish.
-A probe-and-refine loop bounds the finite-direction surrogate gap
-empirically and reports it instead of hiding it.
+a piecewise-linear convex minimax program over a finite direction set.
+Minimizing the slack max(g, 0) is a linear program in d + 1 variables,
+solved with HiGHS by cutting planes from a cheap warm start, with a
+certified optimality gap.  A probe-and-refine loop bounds the
+finite-direction surrogate gap empirically and reports it instead of
+hiding it.
 """
 
 from __future__ import annotations
@@ -19,13 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockPlan, block_averages, plan_blocks
+from .blocks import (
+    BlockPlan,
+    NonFiniteRowError,
+    SizingError,
+    block_averages,
+    nonfinite_error,
+    plan_blocks,
+)
 from .config import PipelineConfig
 from .distributions import _check_unit, as_rows
 from .rng import stream
 from .variance import VarianceEstimator, fit_variance, psi_profile
 
 DUPLICATE_DOT = 1.0 - 1e-12  # |cos| above this counts as the same direction
+TOL = 1e-8  # certified solver gap, relative to 1 + the LP lower bound
 
 
 @dataclass(frozen=True)
@@ -47,11 +57,17 @@ class MarginalMeanEstimator:
 
 
 def fit_marginal(ds, delta: float, config: PipelineConfig | None = None) -> MarginalMeanEstimator:
-    """Build the block-average matrix used by the marginal mean estimates."""
+    """Build the block-average matrix used by the marginal mean estimates.
+
+    Raises NonFiniteRowError naming the first NaN or inf row that reaches
+    the blocks.
+    """
     config = config or PipelineConfig()
     rows = as_rows(ds)
     plan = plan_blocks(rows.shape[0], delta, config.theta_mean, "mean", config)
     y = block_averages(rows, plan.m)[: plan.n]
+    if not np.isfinite(y).all():
+        raise nonfinite_error(rows, np.arange(plan.used))
     return MarginalMeanEstimator(Y=y, m=plan.m, theta=config.theta_mean, plan=plan)
 
 
@@ -136,22 +152,6 @@ class SlabSystem:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    max_iter: int = 5000
-    tol: float = 1e-8
-    polish_sweeps: int = 60
-    stall_window: int = 200
-
-    @classmethod
-    def from_pipeline(cls, config: PipelineConfig) -> "SolverConfig":
-        return cls(
-            max_iter=config.solver_max_iter,
-            tol=config.solver_tol,
-            polish_sweeps=config.solver_polish_sweeps,
-        )
-
-
-@dataclass(frozen=True)
 class SolveResult:
     v_star: np.ndarray
     rho_star: float
@@ -161,84 +161,29 @@ class SolveResult:
     final_gap: float
 
 
-def _golden_min(phi, lo: float, hi: float, iters: int = 90) -> float:
-    """Golden-section minimizer of a convex function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = phi(x1), phi(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = phi(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = phi(x2)
-    return 0.5 * (a + b)
+def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveResult:
+    """Minimize the slab slack max(g(v), 0) with a certified optimality gap.
 
+    The warm start is ``v_init``, else the least-squares assembly of the
+    centers.  Any point inside every slab already achieves the minimal
+    slack zero, so a feasible warm start is returned at once with
+    ``iterations = 0``.  Otherwise the linear program
 
-def _coordinate_polish(
-    u: np.ndarray, c: np.ndarray, w: np.ndarray, v: np.ndarray, g: float, sweeps: int
-) -> tuple[np.ndarray, float, float]:
-    """Cyclic exact line search along coordinates; returns (v, g, last gain).
+        min t  s.t.  |r_i - <u_i, x>| <= w_i + t,  t >= 0,  r = c - U v_warm
 
-    Runs only while the worst violation is positive: once the point is
-    inside every slab the slack max(g, 0) is already minimal and further
-    descent would only drift the point away from the warm start.
+    in the displacement x = v - v_warm is solved with HiGHS by cutting
+    planes: each round (one ``iterations`` step) adds to the active set the
+    worst <= 2 (d + 1) slabs that violate the current restricted optimum
+    ``lower``, and the loop stops once g(v) <= lower + TOL (1 + lower).
+    Directions that no active slab constrains stay at the warm start.
+
+    The restricted optimum bounds the full one from below, so ``final_gap =
+    rho_star - lower`` is a certified gap; ``converged`` means every round
+    solved (HiGHS status 0) and the gap is within TOL (1 + lower).  A
+    failed round returns the best point so far flagged non-converged
+    instead of raising.  ``rho_star`` is re-evaluated at the returned point,
+    so it replays through :meth:`SlabSystem.max_violation`.
     """
-    v = v.copy()
-    r = c - u @ v
-    last_gain = 0.0
-    for _ in range(sweeps):
-        if g <= 0.0:
-            break
-        g_before = g
-        for j in range(v.size):
-            b = u[:, j]
-            bmax = np.max(np.abs(b))
-            if bmax < 1e-300:
-                continue
-            # any minimizer of max(|r - t b| - w) lies within this radius
-            radius = (np.max(np.abs(r)) + np.max(w) + 1.0) / bmax
-
-            def phi(t, b=b):
-                return np.max(np.abs(r - t * b) - w)
-
-            t_star = _golden_min(phi, -radius, radius)
-            g_new = phi(t_star)
-            if g_new < g:
-                v[j] += t_star
-                r = r - t_star * b
-                g = float(g_new)
-            if g <= 0.0:
-                break
-        last_gain = g_before - g
-        if last_gain <= 1e-15 * (1.0 + abs(g)):
-            break
-    return v, g, last_gain
-
-
-def solve_center(
-    slabs: SlabSystem,
-    solver: SolverConfig | None = None,
-    v_init: np.ndarray | None = None,
-) -> SolveResult:
-    """Approximately minimize the slab slack max(g(v), 0).
-
-    Subgradient descent (step R0/sqrt(t) from the initial objective scale
-    R0, best-iterate tracking) followed by a coordinate-descent polish.
-    Any point inside every slab already achieves the minimal slack zero,
-    so descent stops as soon as the iterate is feasible; on infeasible
-    systems g is driven to its minimum.  The returned objective value is
-    re-evaluated from scratch at the final point, so ``rho_star =
-    max(g, 0)`` is a replayable certificate.  A solve that exhausts its
-    budget returns the best iterate flagged non-converged instead of
-    raising.
-    """
-    solver = solver or SolverConfig()
     u, c, w = slabs.directions, slabs.centers, slabs.widths
     m, d = u.shape
     if m < 1:
@@ -248,52 +193,59 @@ def solve_center(
 
     if v_init is None:
         # least-squares assembly of the centers; exact on consistent systems
-        v = np.linalg.lstsq(u, c, rcond=None)[0]
+        v_warm = np.linalg.lstsq(u, c, rcond=None)[0]
     else:
-        v = np.asarray(v_init, dtype=float).reshape(d).copy()
+        v_warm = np.asarray(v_init, dtype=float).reshape(d).copy()
+    r = c - u @ v_warm
+    viol = np.abs(r) - w
+    v_best, g_best = v_warm, float(np.max(viol))
+    lower, status, rounds = 0.0, 0, 0
+    if g_best > 0.0:
+        from scipy.optimize import linprog
 
-    gram = u @ u.T
-    r = c - u @ v
-    g = float(np.max(np.abs(r) - w))
-    v_best, g_best = v.copy(), g
-
-    r0 = max(g, 0.0)
-    iterations = 0
-    converged = g_best <= 0.0
-    if r0 > 0.0:
-        last_best_iter = 0
-        for t in range(1, solver.max_iter + 1):
-            iterations = t
-            i_star = int(np.argmax(np.abs(r) - w))
-            s = 1.0 if r[i_star] >= 0 else -1.0
-            step = r0 / math.sqrt(t)
-            v += step * s * u[i_star]
-            r -= step * s * gram[:, i_star]
-            if t % 512 == 0:
-                r = c - u @ v  # refresh against float drift
-            g = float(np.max(np.abs(r) - w))
-            if g < g_best - solver.tol * (1.0 + abs(g_best)):
-                g_best, v_best = g, v.copy()
-                last_best_iter = t
-            elif g < g_best:
-                g_best, v_best = g, v.copy()
-            if g_best <= 0.0:
-                converged = True
+        cost = np.zeros(d + 1)
+        cost[-1] = 1.0
+        bounds = [(None, None)] * d + [(0.0, None)]
+        active = np.zeros(m, dtype=bool)
+        while True:
+            cand = np.flatnonzero(~active & (viol > lower))
+            if cand.size == 0:
+                break  # only the LP's own tolerance is left to close
+            active[cand[np.argsort(-viol[cand], kind="stable")[: 2 * (d + 1)]]] = True
+            ua, ra, wa = u[active], r[active], w[active]
+            ones = np.ones((ua.shape[0], 1))
+            res = linprog(
+                cost,
+                A_ub=np.block([[-ua, -ones], [ua, -ones]]),
+                b_ub=np.concatenate([wa - ra, wa + ra]),
+                bounds=bounds,
+                method="highs",
+            )
+            rounds += 1
+            status = res.status
+            if status != 0:
                 break
-            if t - last_best_iter >= solver.stall_window:
-                converged = True
+            lower = float(res.fun)
+            v = v_warm + res.x[:d]
+            viol = np.abs(c - u @ v) - w
+            g = float(np.max(viol))
+            if g < g_best:
+                v_best, g_best = v, g
+            if g_best <= lower + TOL * (1.0 + lower):
                 break
-
-    v_best, g_best, final_gap = _coordinate_polish(u, c, w, v_best, g_best, solver.polish_sweeps)
 
     g_final = slabs.max_violation(v_best)
+    rho_star = max(g_final, 0.0)
+    # v_best is feasible for the restricted LP at t = rho_star, so the
+    # restricted optimum is at most rho_star whatever HiGHS rounded to
+    lower = min(lower, rho_star)
     return SolveResult(
         v_star=v_best,
-        rho_star=max(g_final, 0.0),
+        rho_star=rho_star,
         g_value=g_final,
-        iterations=iterations,
-        converged=converged or g_final <= 0.0,
-        final_gap=final_gap,
+        iterations=rounds,
+        converged=status == 0 and rho_star - lower <= TOL * (1.0 + lower),
+        final_gap=rho_star - lower,
     )
 
 
@@ -328,10 +280,13 @@ def build_direction_set(
     """Canonical basis + leading block-eigenvectors + random unit fill.
 
     Rows are unit vectors, deduplicated up to sign within angular tolerance
-    1e-6 (the slab modulus makes u and -u equivalent).
+    1e-6 (the slab modulus makes u and -u equivalent).  In one dimension
+    e1 is the only such direction, so the set is [[1.0]] whatever the budget.
     """
     if budget < 2 * d:
         raise ValueError(f"direction budget {budget} must be at least 2 d = {2 * d}")
+    if d == 1:
+        return np.ones((1, 1))
     kept: list[np.ndarray] = [np.eye(d)[i] for i in range(d)]
 
     def is_new(v: np.ndarray) -> bool:
@@ -398,6 +353,11 @@ def estimate_mean(
     direction set are intersected by the minimax solver; fresh probe
     directions then estimate the surrogate gap and the worst violators are
     appended and re-solved, up to ``config.refine_rounds`` times.
+
+    ``iterations`` sums the LP rounds of every solve (0: each warm start
+    was feasible); ``converged`` and ``final_gap`` are those of the last
+    solve (see :func:`solve_center`).  A SizingError names the total row
+    count to supply, and a NonFiniteRowError the first NaN or inf row.
     """
     config = config or PipelineConfig()
     rows = as_rows(ds)
@@ -407,8 +367,20 @@ def estimate_mean(
         raise ValueError("need at least 9 rows")
     d = rows.shape[1]
 
-    marg_est = fit_marginal(rows[:n], delta, config)
-    var_est = fit_variance(rows[n : 3 * n], config)
+    offset = 0  # first row of the sub-sample being fitted
+    try:
+        marg_est = fit_marginal(rows[:n], delta, config)
+        offset = n
+        var_est = fit_variance(rows[n : 3 * n], config)
+    except SizingError as exc:
+        # the mean plan counts rows of the first third and the variance plan
+        # pair differences of the other two: one per three input rows either way
+        stage = "variance" if offset else "mean"
+        raise SizingError(
+            f"{n_obs} rows are too few for the {stage} stage of estimate_mean", 3 * exc.minimal_n
+        ) from None
+    except NonFiniteRowError as exc:
+        raise NonFiniteRowError(offset + exc.row) from None
 
     budget = config.directions if config.directions is not None else max(8 * d, 256)
     directions = build_direction_set(d, budget, seed, var_est)
@@ -416,9 +388,8 @@ def estimate_mean(
     widths = slab_width_profile(var_est, directions, delta, config.C_prime, n)
     slabs = SlabSystem(directions, centers, widths, delta=delta, c_prime=config.C_prime)
 
-    solver_cfg = SolverConfig.from_pipeline(config)
     v_init = centers[:d].copy()  # canonical directions come first in the set
-    result = solve_center(slabs, solver_cfg, v_init=v_init)
+    result = solve_center(slabs, v_init=v_init)
 
     iterations = result.iterations
     rounds_used = 0
@@ -437,7 +408,7 @@ def estimate_mean(
         worst = np.argsort(viol)[::-1]
         worst = worst[viol[worst] > 0][: config.refine_append]
         slabs = slabs.extended(probes[worst], p_centers[worst], p_widths[worst])
-        result = solve_center(slabs, solver_cfg, v_init=result.v_star)
+        result = solve_center(slabs, v_init=result.v_star)
         iterations += result.iterations
 
     return MeanEstimate(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPlan, block_averages, pair_differences, plan_blocks
+from .blocks import BlockPlan, block_averages, nonfinite_error, pair_differences, plan_blocks
 from .config import PipelineConfig
 from .distributions import SpectrumSpec, _check_unit, as_rows
 
@@ -41,7 +41,11 @@ class VarianceEstimator:
 
 
 def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
-    """pair differences -> block plan -> block averages."""
+    """pair differences -> block plan -> block averages.
+
+    Raises NonFiniteRowError naming the first NaN or inf row that reaches
+    the blocks.
+    """
     config = config or PipelineConfig()
     rows = as_rows(ds)
     if rows.shape[0] < 2:
@@ -49,6 +53,9 @@ def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
     diffs = pair_differences(rows)
     plan = plan_blocks(diffs.shape[0], None, config.theta_var, "variance", config)
     z = block_averages(diffs, plan.m)[: plan.n]
+    if not np.isfinite(z).all():
+        half = diffs.shape[0]
+        raise nonfinite_error(rows, np.r_[0 : plan.used, half : half + plan.used])
     return VarianceEstimator(Z=z, theta=config.theta_var, trim_mode=config.trim_mode, plan=plan)
 
 

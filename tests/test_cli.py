@@ -86,6 +86,19 @@ class TestEstimateCommand:
         doc = json.loads((out / "estimate.json").read_text())
         assert abs(doc["mu_hat"][0] - 1.0) < 0.3 and abs(doc["mu_hat"][1] - 2.0) < 0.3
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_exits_1(self, tmp_path, capsys, value):
+        rows = np.random.default_rng(2).standard_normal((1800, 2))
+        rows[1500, 0] = value
+        data = tmp_path / "data.csv"
+        write_dataset_csv(rows, str(data))
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": GAUSS_2D, "delta": 0.05, "config": TINY_CONFIG,
+        })
+        code = main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ERROR 1: input row 1500 ")
+
     def test_missing_config_exits_1(self, capsys):
         assert main(["estimate"]) == 1
         assert "ERROR 1:" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from dirmean import (
     slab_width,
     solve_center,
 )
-from dirmean.mean import SolverConfig
+from dirmean.mean import TOL
 
 SMALL_CFG = PipelineConfig(gamma=1.0, theta_var=0.125, directions=None, refine_probes=64)
 
@@ -61,6 +61,24 @@ class TestFitMarginal:
         with pytest.raises(SizingError) as err:
             fit_marginal(np.zeros((20, 2)), 0.01)
         assert err.value.minimal_n == 48
+        # estimate_mean names the total: 5000 pair differences need 15 000 rows
+        with pytest.raises(SizingError) as err:
+            estimate_mean(np.zeros((3000, 2)), 0.01)
+        assert err.value.minimal_n == 15000
+        assert "minimal usable row count: 15000" in str(err.value)
+        estimate_mean(np.zeros((15000, 2)), 0.01)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, value):
+        rows = np.random.default_rng(0).standard_normal((200, 2))
+        rows[37, 1] = value
+        with pytest.raises(ValueError, match="input row 37 "):
+            fit_marginal(rows, 0.05)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_block_sums_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            fit_marginal(np.full((200, 2), 1e308), 0.05)
 
 
 class TestNuHat:
@@ -213,12 +231,54 @@ class TestSolveCenter:
         res = solve_center(bigger, v_init=base.v_star)
         assert res.rho_star >= base.rho_star - 1e-9
 
-    def test_budget_exhaustion_flags_not_raises(self):
+    def test_infeasible_random_systems_match_dense_lp(self):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            d = int(rng.integers(1, 21))
+            m = int(rng.integers(d + 1, 401))
+            u = rng.standard_normal((m, d))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            widths = rng.uniform(0.0, 0.5, m) * (rng.random(m) < 0.7)
+            slabs = SlabSystem(u, rng.standard_normal(m), widths, delta=0.1, c_prime=1.0)
+            res = solve_center(slabs)
+            ones = np.ones((m, 1))
+            dense = linprog(
+                np.r_[np.zeros(d), 1.0],
+                A_ub=np.block([[-u, -ones], [u, -ones]]),
+                b_ub=np.r_[widths - slabs.centers, widths + slabs.centers],
+                bounds=[(None, None)] * (d + 1),
+                method="highs",
+            )
+            assert dense.status == 0 and dense.fun > 0.0
+            assert res.converged and res.iterations >= 1
+            assert res.rho_star == pytest.approx(dense.fun, rel=1e-9)
+            assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
+            assert slabs.max_violation(res.v_star) == res.rho_star
+
+    def test_feasible_warm_start_returned_at_once(self):
+        slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.5, 0.5], delta=0.1, c_prime=1.0)
+        v_init = np.array([1.2, 1.9])
+        res = solve_center(slabs, v_init=v_init)
+        assert res.iterations == 0 and res.converged
+        assert res.rho_star == 0.0 and res.final_gap == 0.0
+        assert np.array_equal(res.v_star, v_init)
+
+    def test_lp_failure_flags_not_raises(self, monkeypatch):
+        import scipy.optimize
+
+        def failing_linprog(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=4, x=None, fun=None, message="numerical difficulties")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
         slabs = SlabSystem(
             np.array([[1.0], [1.0]]), centers=[0.0, 2.0], widths=[0.0, 0.0], delta=0.1, c_prime=1.0
         )
-        res = solve_center(slabs, SolverConfig(max_iter=3, polish_sweeps=0, stall_window=10**9))
-        assert np.isfinite(res.rho_star)
+        res = solve_center(slabs, v_init=np.array([0.5]))
+        assert not res.converged
+        assert np.isfinite(res.rho_star) and res.rho_star == pytest.approx(1.5)
+        assert slabs.max_violation(res.v_star) == res.rho_star
 
 
 class TestEstimateMean:
@@ -276,6 +336,20 @@ class TestEstimateMean:
             "block_plan_var",
         ):
             assert key in doc
+
+    def test_one_dimensional_data(self):
+        rows = np.random.default_rng(15).standard_normal((15000, 1)) + 2.0
+        est = estimate_mean(rows, 0.01, seed=8)
+        assert est.mu_hat.shape == (1,) and np.isfinite(est.mu_hat[0])
+        assert abs(est.mu_hat[0] - 2.0) < 0.1
+
+    @pytest.mark.parametrize("row, value", [(123, np.nan), (9001, np.inf), (14999, -np.inf)])
+    def test_rejects_non_finite_rows(self, row, value):
+        # rows 0..4999 feed the marginal means, 5000..14999 the variances
+        rows = np.random.default_rng(16).standard_normal((15000, 3))
+        rows[row, 2] = value
+        with pytest.raises(ValueError, match=f"input row {row} "):
+            estimate_mean(rows, 0.01, seed=9)
 
     def test_accuracy_at_moderate_scale(self):
         gt = gaussian_gt([1.0, 1.0], mean=[2.0, -1.0])
