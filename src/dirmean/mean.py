@@ -36,6 +36,7 @@ from .variance import VarianceEstimator, fit_variance, psi_profile
 
 DUPLICATE_DOT = 1.0 - 1e-12  # |cos| above this counts as the same direction
 TOL = 1e-8  # certified solver gap, relative to 1 + the LP lower bound
+_DEDUPE_CHUNK = 256  # candidate rows screened per product in build_direction_set
 
 
 @dataclass(frozen=True)
@@ -249,29 +250,42 @@ def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveRe
     )
 
 
-def _power_iteration_directions(z: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Top eigenvector directions of the second-moment matrix of ``z``."""
-    n, d = z.shape
-    s = z.T @ z / n
-    out = []
-    rng = stream(seed, "power-iteration")
-    for _ in range(count):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(128):
-            v = s @ v
-            norm = np.linalg.norm(v)
-            if norm < 1e-300:
-                break
-            v /= norm
-        if np.linalg.norm(v) < 0.5:
-            continue
-        lead = np.argmax(np.abs(v))
-        if v[lead] < 0:
-            v = -v
-        out.append(v)
-        s = s - (v @ s @ v) * np.outer(v, v)  # deflate
-    return np.array(out) if out else np.empty((0, d))
+def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
+    """Top ``count`` eigenvectors of Z^T Z / n as rows, largest-|coordinate| positive.
+
+    Z is scaled by its largest entry first, which leaves the eigenvectors as
+    they are and keeps the Gram matrix from overflowing.  Z = 0 has none.
+    """
+    scale = np.abs(z).max()
+    if scale == 0.0:
+        return np.empty((0, z.shape[1]))
+    zs = z / scale
+    top = np.linalg.eigh(zs.T @ zs)[1][:, ::-1][:, :count].T  # eigh sorts ascending
+    lead = top[np.arange(count), np.abs(top).argmax(axis=1)]
+    return top * np.sign(lead)[:, np.newaxis]
+
+
+def _keep_new(out: np.ndarray, count: int, cand: np.ndarray) -> int:
+    """Append the new rows of ``cand`` to ``out[:count]``; return the new count.
+
+    Sequential rule: in order, a candidate is kept while ``out`` has room and
+    its |cos| with every row kept before it is below DUPLICATE_DOT.  Applied
+    per chunk: one product against the kept rows, one Gram product inside the
+    chunk, and the rare near-duplicates inside the chunk resolved in order.
+    """
+    budget = out.shape[0]
+    for start in range(0, cand.shape[0], _DEDUPE_CHUNK):
+        if count == budget:
+            break
+        c = cand[start : start + _DEDUPE_CHUNK]
+        keep = np.abs(c @ out[:count].T).max(axis=1) < DUPLICATE_DOT
+        clash = np.tril(np.abs(c @ c.T) >= DUPLICATE_DOT, -1)
+        for i in np.flatnonzero(clash.any(axis=1)):
+            keep[i] &= not (clash[i] & keep).any()  # rows before i are settled
+        new = c[keep][: budget - count]
+        out[count : count + new.shape[0]] = new
+        count += new.shape[0]
+    return count
 
 
 def build_direction_set(
@@ -279,32 +293,27 @@ def build_direction_set(
 ) -> np.ndarray:
     """Canonical basis + leading block-eigenvectors + random unit fill.
 
-    Rows are unit vectors, deduplicated up to sign within angular tolerance
-    1e-6 (the slab modulus makes u and -u equivalent).  In one dimension
-    e1 is the only such direction, so the set is [[1.0]] whatever the budget.
+    Rows are unit vectors: after e1..ed, the top min(d, 8) eigenvectors of
+    the variance blocks' second moment, then batches of the rows still
+    missing from the seed's "direction-fill" stream.  A candidate is dropped
+    when |cos| with a row already kept is at least DUPLICATE_DOT = 1 - 1e-12,
+    an angle of about 1.41e-6 rad to that row or its negation (the slab
+    modulus makes u and -u equivalent).  In one dimension e1 is the only
+    such direction, so the set is [[1.0]] whatever the budget.
     """
     if budget < 2 * d:
         raise ValueError(f"direction budget {budget} must be at least 2 d = {2 * d}")
     if d == 1:
         return np.ones((1, 1))
-    kept: list[np.ndarray] = [np.eye(d)[i] for i in range(d)]
-
-    def is_new(v: np.ndarray) -> bool:
-        block = np.array(kept)
-        return np.max(np.abs(block @ v)) < DUPLICATE_DOT
-
+    out = np.empty((budget, d))
+    out[:d] = np.eye(d)
+    count = d
     if var_est is not None:
-        for v in _power_iteration_directions(var_est.Z, min(d, 8), seed):
-            if is_new(v):
-                kept.append(v)
+        count = _keep_new(out, count, _eigendirections(var_est.Z, min(d, 8)))
     rng = stream(seed, "direction-fill")
-    while len(kept) < budget:
-        batch = rng.standard_normal((budget - len(kept), d))
-        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        for v in batch:
-            if len(kept) < budget and is_new(v):
-                kept.append(v)
-    return np.array(kept)
+    while count < budget:
+        count = _keep_new(out, count, _random_unit_rows(rng, budget - count, d))
+    return out
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from dirmean import (
     slab_width,
     solve_center,
 )
-from dirmean.mean import TOL
+from dirmean.mean import DUPLICATE_DOT, TOL, _keep_new
+from dirmean.rng import stream
+from naive_oracles import oracle_direction_fill, oracle_keep_new
 
 SMALL_CFG = PipelineConfig(gamma=1.0, theta_var=0.125, directions=None, refine_probes=64)
 
@@ -178,6 +180,55 @@ class TestDirectionSet:
         # the top eigendirection of the blocks is close to e1
         gram = np.abs(dirs @ np.eye(3)[0])
         assert np.sort(gram)[-2] > 0.99  # e1 itself plus the learned direction
+
+    @pytest.mark.parametrize(
+        "d, budget, seed",
+        [(2, 4096, 0), (2, 8192, 1), (3, 2048, 5), (10, 256, 7), (50, 400, 9), (200, 1600, 1)],
+    )
+    def test_fill_matches_sequential_oracle(self, d, budget, seed):
+        # (2, 4096, 0) and (2, 8192, 1) reject candidates that are near-duplicates
+        # of kept rows; (2, 8192, 1) also has near-duplicate pairs inside one chunk
+        ref = oracle_direction_fill(np.eye(d), budget, stream(seed, "direction-fill"), DUPLICATE_DOT)
+        assert np.array_equal(build_direction_set(d, budget, seed), ref)
+
+    @pytest.mark.parametrize("budget", [4, 5, 8])
+    def test_near_duplicates_inside_one_chunk(self, budget):
+        v = np.array([0.6, -0.48, 0.64])
+        v /= np.linalg.norm(v)
+        w = v + 1e-14 * np.eye(3)[0]
+        w /= np.linalg.norm(w)
+        a = np.array([np.cos(1e-6), np.sin(1e-6), 0.0])  # too close to e1
+        b = np.array([np.cos(2e-6), np.sin(2e-6), 0.0])  # close to a only, which is dropped
+        cand = np.array([v, -v, w, a, b])
+        out = np.empty((budget, 3))
+        out[:3] = np.eye(3)
+        count = _keep_new(out, 3, cand)
+        ref = np.empty((budget, 3))
+        ref[:3] = np.eye(3)
+        assert count == oracle_keep_new(ref, 3, cand, DUPLICATE_DOT) == min(budget, 5)
+        assert np.array_equal(out[:count], ref[:count])
+        assert np.array_equal(out[3:count], np.array([v, b])[: count - 3])
+
+    @pytest.mark.parametrize("d", [3, 12])
+    def test_learned_directions_are_block_eigenvectors(self, d):
+        gt = gaussian_gt(np.geomspace(10.0, 0.1, d), rotation_seed=d)
+        var_est = fit_variance(sample_dataset(gt, 2 * 10**4, 8))
+        z = var_est.Z
+        k = min(d, 8)
+        dirs = build_direction_set(d, 4 * d, seed=4, var_est=var_est)
+        vecs = np.linalg.eigh(z.T @ z / z.shape[0])[1][:, ::-1][:, :k].T
+        learned = dirs[d : d + k]
+        assert np.all(np.abs(np.sum(learned * vecs, axis=1)) > 1 - 1e-10)
+        assert np.all(learned[np.arange(k), np.abs(learned).argmax(axis=1)] > 0)
+        # only min(d, 8) are learned; the random fill follows them
+        ref = oracle_direction_fill(dirs[: d + k], 4 * d, stream(4, "direction-fill"), DUPLICATE_DOT)
+        assert np.array_equal(dirs, ref)
+
+    def test_constant_data_adds_no_learned_direction(self):
+        var_est = fit_variance(np.ones((10**4, 3)))
+        assert not var_est.Z.any()
+        dirs = build_direction_set(3, 12, seed=6, var_est=var_est)
+        assert np.array_equal(dirs, build_direction_set(3, 12, seed=6))
 
 
 class TestSolveCenter:
@@ -350,6 +401,26 @@ class TestEstimateMean:
         rows[row, 2] = value
         with pytest.raises(ValueError, match=f"input row {row} "):
             estimate_mean(rows, 0.01, seed=9)
+
+    def test_constant_rows_of_ones(self):
+        est = estimate_mean(np.ones((15000, 3)), 0.01, seed=10)
+        assert np.allclose(est.mu_hat, np.ones(3), atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_rows_still_estimate(self):
+        # the block second moment is scaled before its Gram matrix is formed,
+        # so entries near 1e150 (squares near 1e300) do not overflow it
+        rows = np.random.default_rng(17).standard_normal((15000, 3)) * 1e150
+        est = estimate_mean(rows, 0.01, seed=11)
+        assert np.all(np.isfinite(est.mu_hat)) and np.linalg.norm(est.mu_hat) < 1e150
+
+    def test_overflowing_rows_raise_value_error(self):
+        # squared projections overflow in the slab widths: a clear ValueError,
+        # not a LinAlgError from the eigendirections
+        rows = np.random.default_rng(17).standard_normal((15000, 3)) * 1e155
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="slab centers and widths must be finite"):
+                estimate_mean(rows, 0.01, seed=11)
 
     def test_accuracy_at_moderate_scale(self):
         gt = gaussian_gt([1.0, 1.0], mean=[2.0, -1.0])
