@@ -8,10 +8,11 @@ final estimator is a point v minimizing the worst slab violation
 
 a piecewise-linear convex minimax program over a finite direction set.
 Minimizing the slack max(g, 0) is a linear program in d + 1 variables,
-solved with HiGHS by cutting planes from a cheap warm start, with a
-certified optimality gap.  A probe-and-refine loop bounds the
-finite-direction surrogate gap empirically and reports it instead of
-hiding it.
+solved by cutting planes from a cheap warm start, with a certified
+optimality gap: each round adds the rows of the worst violated slabs to
+one HiGHS model and resumes from its basis.  A probe-and-refine loop
+bounds the finite-direction surrogate gap empirically and reports it
+instead of hiding it.
 """
 
 from __future__ import annotations
@@ -162,6 +163,48 @@ class SolveResult:
     final_gap: float
 
 
+def _slab_lp(d: int):
+    """One HiGHS model of  min t  over x in R^d free and t >= 0, grown by rounds.
+
+    Returns ``lp_round(u, r, w)``: it adds the rows <u_i, x> - t <= w_i + r_i
+    and <u_i, x> + t >= r_i - w_i, re-solves by dual simplex from the last
+    basis, and returns the optimal (x, t), or None when HiGHS does not report
+    the model optimal.  The only code that knows scipy's bundled binding
+    (private API, ``scipy.optimize._highspy._core``; see pyproject.toml).
+    """
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
+
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    highs.addVars(d + 1, np.r_[np.full(d, -kHighsInf), 0.0], np.full(d + 1, kHighsInf))
+    highs.changeColsCost(1, np.array([d], dtype=np.int32), np.array([1.0]))
+
+    def lp_round(u: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+        k = u.shape[0]
+        t_col = np.r_[-np.ones(k), np.ones(k)][:, np.newaxis]
+        block = np.hstack([np.vstack([u, u]), t_col])
+        rows, cols = np.nonzero(block)
+        inf = np.full(k, kHighsInf)
+        added = highs.addRows(
+            2 * k,
+            np.r_[-inf, r - w],
+            np.r_[w + r, inf],
+            rows.size,
+            np.searchsorted(rows, np.arange(2 * k)).astype(np.int32),
+            cols.astype(np.int32),
+            block[rows, cols],
+        )
+        if added == HighsStatus.kError:
+            return None
+        highs.run()
+        if highs.getModelStatus() != HighsModelStatus.kOptimal:
+            return None
+        return np.array(highs.getSolution().col_value)
+
+    return lp_round
+
+
 def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveResult:
     """Minimize the slab slack max(g(v), 0) with a certified optimality gap.
 
@@ -172,15 +215,16 @@ def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveRe
 
         min t  s.t.  |r_i - <u_i, x>| <= w_i + t,  t >= 0,  r = c - U v_warm
 
-    in the displacement x = v - v_warm is solved with HiGHS by cutting
-    planes: each round (one ``iterations`` step) adds to the active set the
+    in the displacement x = v - v_warm is solved by cutting planes in one
+    HiGHS model: each round (one ``iterations`` step) adds the rows of the
     worst <= 2 (d + 1) slabs that violate the current restricted optimum
-    ``lower``, and the loop stops once g(v) <= lower + TOL (1 + lower).
-    Directions that no active slab constrains stay at the warm start.
+    ``lower`` and resumes dual simplex from the previous round's basis, and
+    the loop stops once g(v) <= lower + TOL (1 + lower).  Directions that no
+    active slab constrains stay at the warm start.
 
     The restricted optimum bounds the full one from below, so ``final_gap =
-    rho_star - lower`` is a certified gap; ``converged`` means every round
-    solved (HiGHS status 0) and the gap is within TOL (1 + lower).  A
+    rho_star - lower`` is a certified gap; ``converged`` means HiGHS reported
+    every round optimal and the gap is within TOL (1 + lower).  A
     failed round returns the best point so far flagged non-converged
     instead of raising.  ``rho_star`` is re-evaluated at the returned point,
     so it replays through :meth:`SlabSystem.max_violation`.
@@ -200,34 +244,23 @@ def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveRe
     r = c - u @ v_warm
     viol = np.abs(r) - w
     v_best, g_best = v_warm, float(np.max(viol))
-    lower, status, rounds = 0.0, 0, 0
+    lower, optimal, rounds = 0.0, True, 0
     if g_best > 0.0:
-        from scipy.optimize import linprog
-
-        cost = np.zeros(d + 1)
-        cost[-1] = 1.0
-        bounds = [(None, None)] * d + [(0.0, None)]
+        lp_round = _slab_lp(d)
         active = np.zeros(m, dtype=bool)
         while True:
             cand = np.flatnonzero(~active & (viol > lower))
             if cand.size == 0:
                 break  # only the LP's own tolerance is left to close
-            active[cand[np.argsort(-viol[cand], kind="stable")[: 2 * (d + 1)]]] = True
-            ua, ra, wa = u[active], r[active], w[active]
-            ones = np.ones((ua.shape[0], 1))
-            res = linprog(
-                cost,
-                A_ub=np.block([[-ua, -ones], [ua, -ones]]),
-                b_ub=np.concatenate([wa - ra, wa + ra]),
-                bounds=bounds,
-                method="highs",
-            )
+            new = cand[np.argsort(-viol[cand], kind="stable")[: 2 * (d + 1)]]
+            active[new] = True
+            sol = lp_round(u[new], r[new], w[new])
             rounds += 1
-            status = res.status
-            if status != 0:
+            if sol is None:
+                optimal = False
                 break
-            lower = float(res.fun)
-            v = v_warm + res.x[:d]
+            lower = float(sol[d])
+            v = v_warm + sol[:d]
             viol = np.abs(c - u @ v) - w
             g = float(np.max(viol))
             if g < g_best:
@@ -245,7 +278,7 @@ def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveRe
         rho_star=rho_star,
         g_value=g_final,
         iterations=rounds,
-        converged=status == 0 and rho_star - lower <= TOL * (1.0 + lower),
+        converged=optimal and rho_star - lower <= TOL * (1.0 + lower),
         final_gap=rho_star - lower,
     )
 

@@ -89,18 +89,26 @@ def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
 
     Identical values to the per-direction path: dropping either member of a
     tied pair leaves the retained sum unchanged, so value ties need no
-    index bookkeeping here.
+    index bookkeeping here.  Raises ValueError when the squared projections
+    overflow (input rows near the square root of the float range).
     """
     proj = est.Z @ np.asarray(directions, dtype=float).T  # (n, M)
     n = proj.shape[0]
     k = est.trim_per_side
-    sq = proj**2
-    if est.trim_mode == "absolute":
-        kept = np.partition(sq, n - k - 1, axis=0)[: n - k] if k > 0 else sq
-    else:
-        order = np.sort(proj, axis=0)
-        kept = order[: n - k] ** 2 if k > 0 else sq
-    return kept.sum(axis=0) / (2.0 * n)
+    with np.errstate(over="ignore"):  # checked once, on the (M,) result
+        sq = proj**2
+        if est.trim_mode == "absolute":
+            kept = np.partition(sq, n - k - 1, axis=0)[: n - k] if k > 0 else sq
+        else:
+            order = np.sort(proj, axis=0)
+            kept = order[: n - k] ** 2 if k > 0 else sq
+        out = kept.sum(axis=0) / (2.0 * n)
+    if not np.isfinite(out).all():
+        raise ValueError(
+            "variance stage: the squared projections of the variance blocks overflow; "
+            "rescale the input rows"
+        )
+    return out
 
 
 def critical_level(spectrum: SpectrumSpec, n: int, c0: float) -> float:

@@ -21,11 +21,58 @@ from dirmean import (
     slab_width,
     solve_center,
 )
+import dirmean.mean as mean_module
 from dirmean.mean import DUPLICATE_DOT, TOL, _keep_new
 from dirmean.rng import stream
 from naive_oracles import oracle_direction_fill, oracle_keep_new
 
 SMALL_CFG = PipelineConfig(gamma=1.0, theta_var=0.125, directions=None, refine_probes=64)
+
+
+def random_infeasible_system(rng, d, m):
+    u = rng.standard_normal((m, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    widths = rng.uniform(0.0, 0.5, m) * (rng.random(m) < 0.7)
+    return SlabSystem(u, rng.standard_normal(m), widths, delta=0.1, c_prime=1.0)
+
+
+def dense_lp_optimum(slabs):
+    """min t s.t. |c_i - <u_i, v>| <= w_i + t over all slabs at once: the oracle."""
+    from scipy.optimize import linprog
+
+    u, c, w = slabs.directions, slabs.centers, slabs.widths
+    m, d = u.shape
+    ones = np.ones((m, 1))
+    res = linprog(
+        np.r_[np.zeros(d), 1.0],
+        A_ub=np.block([[-u, -ones], [u, -ones]]),
+        b_ub=np.r_[w - c, w + c],
+        bounds=[(None, None)] * (d + 1),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def failing_after(good_rounds, solutions):
+    """A stand-in for ``_slab_lp`` whose rounds fail after ``good_rounds``.
+
+    The solutions of the good rounds are appended to ``solutions``.
+    """
+    real_slab_lp = mean_module._slab_lp
+
+    def slab_lp(d):
+        lp_round = real_slab_lp(d)
+
+        def flaky_round(u, r, w):
+            if len(solutions) == good_rounds:
+                return None
+            solutions.append(lp_round(u, r, w))
+            return solutions[-1]
+
+        return flaky_round
+
+    return slab_lp
 
 
 def gaussian_gt(eigs, mean=None, rotation_seed=None):
@@ -283,30 +330,30 @@ class TestSolveCenter:
         assert res.rho_star >= base.rho_star - 1e-9
 
     def test_infeasible_random_systems_match_dense_lp(self):
-        from scipy.optimize import linprog
-
         rng = np.random.default_rng(8)
         for _ in range(60):
             d = int(rng.integers(1, 21))
             m = int(rng.integers(d + 1, 401))
-            u = rng.standard_normal((m, d))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            widths = rng.uniform(0.0, 0.5, m) * (rng.random(m) < 0.7)
-            slabs = SlabSystem(u, rng.standard_normal(m), widths, delta=0.1, c_prime=1.0)
+            slabs = random_infeasible_system(rng, d, m)
             res = solve_center(slabs)
-            ones = np.ones((m, 1))
-            dense = linprog(
-                np.r_[np.zeros(d), 1.0],
-                A_ub=np.block([[-u, -ones], [u, -ones]]),
-                b_ub=np.r_[widths - slabs.centers, widths + slabs.centers],
-                bounds=[(None, None)] * (d + 1),
-                method="highs",
-            )
-            assert dense.status == 0 and dense.fun > 0.0
+            dense = dense_lp_optimum(slabs)
+            assert dense > 0.0
             assert res.converged and res.iterations >= 1
-            assert res.rho_star == pytest.approx(dense.fun, rel=1e-9)
+            assert res.rho_star == pytest.approx(dense, rel=1e-9)
             assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
             assert slabs.max_violation(res.v_star) == res.rho_star
+
+    def test_benchmark_shape_matches_dense_lp_and_repeats(self):
+        # the shape of the infeasible benchmark systems: d = 50, ~500 slabs,
+        # several rounds that each resume the one model from its basis
+        slabs = random_infeasible_system(np.random.default_rng(3), 50, 500)
+        res = solve_center(slabs)
+        assert res.converged and res.iterations >= 3
+        assert res.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-9)
+        assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
+        again = solve_center(slabs)
+        assert again.v_star.tobytes() == res.v_star.tobytes()
+        assert again.iterations == res.iterations
 
     def test_feasible_warm_start_returned_at_once(self):
         slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.5, 0.5], delta=0.1, c_prime=1.0)
@@ -317,19 +364,80 @@ class TestSolveCenter:
         assert np.array_equal(res.v_star, v_init)
 
     def test_lp_failure_flags_not_raises(self, monkeypatch):
-        import scipy.optimize
-
-        def failing_linprog(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(status=4, x=None, fun=None, message="numerical difficulties")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        monkeypatch.setattr(mean_module, "_slab_lp", failing_after(0, []))
         slabs = SlabSystem(
             np.array([[1.0], [1.0]]), centers=[0.0, 2.0], widths=[0.0, 0.0], delta=0.1, c_prime=1.0
         )
         res = solve_center(slabs, v_init=np.array([0.5]))
-        assert not res.converged
+        assert not res.converged and res.iterations == 1
         assert np.isfinite(res.rho_star) and res.rho_star == pytest.approx(1.5)
         assert slabs.max_violation(res.v_star) == res.rho_star
+
+    def test_failure_flags_even_a_gap_within_tolerance(self, monkeypatch):
+        # the warm start is 5e-10 from the optimum 1e-9, inside TOL, but no
+        # round certified it
+        monkeypatch.setattr(mean_module, "_slab_lp", failing_after(0, []))
+        slabs = SlabSystem(
+            np.array([[1.0], [1.0]]), centers=[0.0, 2e-9], widths=[0.0, 0.0], delta=0.1, c_prime=1.0
+        )
+        res = solve_center(slabs, v_init=np.array([0.5e-9]))
+        assert not res.converged and res.rho_star == pytest.approx(1.5e-9)
+
+    def test_stopped_highs_solve_reported_as_failure(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        class IterationLimited(_core._Highs):
+            def run(self):
+                self.setOptionValue("simplex_iteration_limit", 0)
+                return super().run()
+
+        slab_args = (np.array([[1.0], [1.0]]), np.array([-0.5, 1.5]), np.zeros(2))
+        assert np.allclose(mean_module._slab_lp(1)(*slab_args), [0.5, 1.0])
+        monkeypatch.setattr(_core, "_Highs", IterationLimited)
+        assert mean_module._slab_lp(1)(*slab_args) is None
+
+    def test_failure_in_a_later_round_returns_the_round_one_point(self, monkeypatch):
+        slabs = random_infeasible_system(np.random.default_rng(3), 50, 500)
+        assert solve_center(slabs).iterations >= 2
+        solutions = []
+        monkeypatch.setattr(mean_module, "_slab_lp", failing_after(1, solutions))
+        res = solve_center(slabs)
+        assert not res.converged and res.iterations == 2
+        warm = np.linalg.lstsq(slabs.directions, slabs.centers, rcond=None)[0]
+        assert np.array_equal(res.v_star, warm + solutions[0][:50])
+        assert res.rho_star < slabs.max_violation(warm)
+        assert slabs.max_violation(res.v_star) == res.rho_star
+
+
+class TestHighsBinding:
+    def test_private_binding_names_exist(self):
+        # solve_center's LP runs through scipy's bundled HiGHS binding, which
+        # is private API: a scipy that moves these names must fail here
+        floor = "scipy >= 1.17 (pyproject.toml)"
+        try:
+            from scipy.optimize._highspy._core import (
+                HighsModelStatus,
+                HighsStatus,
+                _Highs,
+                kHighsInf,
+            )
+        except ImportError as exc:
+            pytest.fail(f"scipy.optimize._highspy._core moved ({exc}); dirmean needs {floor}")
+        needed = [
+            (_Highs, name)
+            for name in (
+                "setOptionValue",
+                "addVars",
+                "changeColsCost",
+                "addRows",
+                "run",
+                "getModelStatus",
+                "getSolution",
+            )
+        ] + [(HighsModelStatus, "kOptimal"), (HighsStatus, "kError")]
+        missing = [name for owner, name in needed if not hasattr(owner, name)]
+        assert not missing, f"HiGHS binding lacks {missing}; dirmean needs {floor}"
+        assert isinstance(kHighsInf, float)
 
 
 class TestEstimateMean:
@@ -414,12 +522,13 @@ class TestEstimateMean:
         est = estimate_mean(rows, 0.01, seed=11)
         assert np.all(np.isfinite(est.mu_hat)) and np.linalg.norm(est.mu_hat) < 1e150
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_rows_raise_value_error(self):
-        # squared projections overflow in the slab widths: a clear ValueError,
-        # not a LinAlgError from the eigendirections
+        # squared projections overflow in the slab widths: a ValueError naming
+        # the variance stage, not a numpy overflow warning or a LinAlgError
         rows = np.random.default_rng(17).standard_normal((15000, 3)) * 1e155
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="slab centers and widths must be finite"):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="variance stage: the squared projections"):
                 estimate_mean(rows, 0.01, seed=11)
 
     def test_accuracy_at_moderate_scale(self):
