@@ -9,7 +9,14 @@ optimal one-dimensional rate sigma(u) sqrt(log(1/delta) / N) plus a global
 spectral-tail term.
 """
 
-from .blocks import BlockPlan, SizingError, block_averages, pair_differences, plan_blocks
+from .blocks import (
+    BlockPlan,
+    SizingError,
+    block_averages,
+    pair_block_averages,
+    pair_differences,
+    plan_blocks,
+)
 from .config import PipelineConfig
 from .diagnostics import (
     RatioConditionReport,
@@ -124,6 +131,7 @@ __all__ = [
     "marginal_tail_prob",
     "nu_hat",
     "nu_hat_profile",
+    "pair_block_averages",
     "pair_differences",
     "per_direction_quantiles",
     "plan_blocks",

@@ -17,6 +17,7 @@ from .config import PipelineConfig
 from .distributions import as_rows
 
 PLAN_PURPOSES = ("variance", "mean")
+_CHUNK_BYTES = 1 << 20  # pair-difference buffer of pair_block_averages
 
 
 class SizingError(ValueError):
@@ -72,16 +73,28 @@ class BlockPlan:
         }
 
 
+def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if rows.shape[0] % 2 != 0:
+        raise ValueError("pair differencing needs an even row count")
+    half = rows.shape[0] // 2
+    return rows[:half], rows[half:]
+
+
+def _block_count(n_rows: int, m: int) -> int:
+    if m < 1:
+        raise ValueError("block size must be >= 1")
+    if n_rows < m:
+        raise ValueError(f"block size m = {m} exceeds row count {n_rows}")
+    return n_rows // m
+
+
 def pair_differences(ds) -> np.ndarray:
     """Row i of the output is row_i - row_{N+i} of the 2N input rows.
 
     The output is mean zero with twice the covariance of one observation.
     """
-    rows = as_rows(ds)
-    if rows.shape[0] % 2 != 0:
-        raise ValueError("pair differencing needs an even row count")
-    half = rows.shape[0] // 2
-    return rows[:half] - rows[half:]
+    first, second = _halves(as_rows(ds))
+    return first - second
 
 
 def block_averages(ds, m: int) -> np.ndarray:
@@ -91,14 +104,39 @@ def block_averages(ds, m: int) -> np.ndarray:
     """
     rows = as_rows(ds)
     n_rows, d = rows.shape
-    if m < 1:
-        raise ValueError("block size must be >= 1")
-    n = n_rows // m
-    if n < 1:
-        raise ValueError(f"block size m = {m} exceeds row count {n_rows}")
+    n = _block_count(n_rows, m)
     if m == 1:
         return rows[: n * m].copy()
     return rows[: n * m].reshape(n, m, d).sum(axis=1) / math.sqrt(m)
+
+
+def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
+    """``block_averages(pair_differences(ds), m)[:n]`` without the difference matrix.
+
+    The paired rows are subtracted into one reused buffer of about
+    ``_CHUNK_BYTES`` (never less than one block), a chunk of whole blocks
+    at a time, and each block is summed by the same numpy reduction as in
+    :func:`block_averages`, so the output has the same bytes.  Only the
+    first ``n`` blocks (default: every full block) are formed.
+    """
+    first, second = _halves(as_rows(ds))
+    half, d = first.shape
+    count = _block_count(half, m)
+    n = count if n is None else n
+    if not 1 <= n <= count:
+        raise ValueError(f"{n} blocks of size m = {m} do not fit in {half} pairs")
+    out = np.empty((n, d))
+    if m == 1:
+        return np.subtract(first[:n], second[:n], out=out)
+    per_chunk = max(1, _CHUNK_BYTES // (out.itemsize * m * max(d, 1)))
+    buf = np.empty((min(per_chunk, n) * m, d))
+    for lo in range(0, n, per_chunk):
+        hi = min(lo + per_chunk, n)
+        rows = slice(lo * m, hi * m)
+        diff = np.subtract(first[rows], second[rows], out=buf[: (hi - lo) * m])
+        diff.reshape(hi - lo, m, d).sum(axis=1, out=out[lo:hi])
+    out /= math.sqrt(m)
+    return out
 
 
 def _trim_modulus(theta: float) -> int:

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .blocks import SizingError, block_averages, pair_differences
+from .blocks import SizingError, pair_block_averages
 from .config import PipelineConfig
 from .diagnostics import (
     check_ratio_conditions,
@@ -199,7 +199,7 @@ def _cmd_diagnose(args) -> int:
         n_pairs = int(un_doc.get("n_pairs", n))
         block_m = int(un_doc.get("block_m", 1))
         ds = sample_dataset(gt, 2 * n_pairs, derive_seed(seed, "diagnose-uniform"))
-        z = block_averages(pair_differences(ds), block_m)
+        z = pair_block_averages(ds, block_m)
         rep = check_uniform_ratios(
             z,
             gt,

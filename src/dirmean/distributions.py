@@ -197,7 +197,7 @@ class Dataset:
     spec: DistributionSpec | None = None
 
     def __post_init__(self):
-        self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        self.rows = as_rows(self.rows)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -208,10 +208,15 @@ class Dataset:
 
 
 def as_rows(data) -> np.ndarray:
-    """Accept a Dataset or a bare (N, d) array and return the row matrix."""
+    """Accept a Dataset or a bare (N, d) array and return the row matrix.
+
+    The rows are C-contiguous float64 (only other layouts are copied), so
+    the kernels' summation order, and hence every result, does not depend
+    on the input's memory layout.
+    """
     if isinstance(data, Dataset):
         return data.rows
-    return np.atleast_2d(np.asarray(data, dtype=float))
+    return np.atleast_2d(np.ascontiguousarray(data, dtype=float))
 
 
 def _check_unit(u: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPlan, block_averages, nonfinite_error, pair_differences, plan_blocks
+from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks
 from .config import PipelineConfig
 from .distributions import SpectrumSpec, _check_unit, as_rows
 
@@ -41,7 +41,7 @@ class VarianceEstimator:
 
 
 def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
-    """pair differences -> block plan -> block averages.
+    """Block averages of the pair differences, formed block by block.
 
     Raises NonFiniteRowError naming the first NaN or inf row that reaches
     the blocks.
@@ -50,19 +50,12 @@ def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
     rows = as_rows(ds)
     if rows.shape[0] < 2:
         raise ValueError("need at least two rows")
-    diffs = pair_differences(rows)
-    plan = plan_blocks(diffs.shape[0], None, config.theta_var, "variance", config)
-    z = block_averages(diffs, plan.m)[: plan.n]
+    half = rows.shape[0] // 2
+    plan = plan_blocks(half, None, config.theta_var, "variance", config)
+    z = pair_block_averages(rows, plan.m, plan.n)
     if not np.isfinite(z).all():
-        half = diffs.shape[0]
         raise nonfinite_error(rows, np.r_[0 : plan.used, half : half + plan.used])
     return VarianceEstimator(Z=z, theta=config.theta_var, trim_mode=config.trim_mode, plan=plan)
-
-
-def _drop_order(values: np.ndarray, key: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest under ``key``, ties broken by block index."""
-    order = np.lexsort((np.arange(values.size), -key))
-    return order[:k]
 
 
 def psi(est: VarianceEstimator, u) -> float:
@@ -74,35 +67,31 @@ def psi(est: VarianceEstimator, u) -> float:
     pair-difference doubling).
     """
     u = _check_unit(u)
-    p = est.Z @ u
-    n = p.size
-    k = est.trim_per_side
-    key = np.abs(p) if est.trim_mode == "absolute" else p
-    dropped = _drop_order(p, key, k)
-    keep = np.ones(n, dtype=bool)
-    keep[dropped] = False
-    return float(np.sum(p[keep] ** 2) / (2.0 * n))
+    return float(psi_profile(est, u[np.newaxis, :])[0])
 
 
 def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
     """Vectorized :func:`psi` over the rows of ``directions``.
 
-    Identical values to the per-direction path: dropping either member of a
-    tied pair leaves the retained sum unchanged, so value ties need no
-    index bookkeeping here.  Raises ValueError when the squared projections
-    overflow (input rows near the square root of the float range).
+    The (blocks, directions) projection is squared and trimmed in place,
+    so it is the only working array.  Dropping either member of a tied
+    pair leaves the retained sum unchanged, so value ties need no index
+    bookkeeping.  Raises ValueError when the squared projections overflow
+    (input rows near the square root of the float range).
     """
     proj = est.Z @ np.asarray(directions, dtype=float).T  # (n, M)
     n = proj.shape[0]
     k = est.trim_per_side
     with np.errstate(over="ignore"):  # checked once, on the (M,) result
-        sq = proj**2
         if est.trim_mode == "absolute":
-            kept = np.partition(sq, n - k - 1, axis=0)[: n - k] if k > 0 else sq
+            np.square(proj, out=proj)
+            if k > 0:
+                proj.partition(n - k - 1, axis=0)  # the k largest squares last
         else:
-            order = np.sort(proj, axis=0)
-            kept = order[: n - k] ** 2 if k > 0 else sq
-        out = kept.sum(axis=0) / (2.0 * n)
+            if k > 0:
+                proj.sort(axis=0)  # the k largest signed projections last
+            np.square(proj, out=proj)
+        out = proj[: n - k].sum(axis=0) / (2.0 * n)
     if not np.isfinite(out).all():
         raise ValueError(
             "variance stage: the squared projections of the variance blocks overflow; "

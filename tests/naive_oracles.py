@@ -76,3 +76,13 @@ def oracle_direction_fill(initial_rows, budget, rng, dup_dot):
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
         n = oracle_keep_new(kept, n, batch, dup_dot)
     return kept
+
+
+def oracle_pair_block_averages(rows, m, n):
+    """The first ``n`` variance blocks of size ``m`` by the plain composition:
+    the whole pair-difference matrix, reshaped, summed over each block and
+    divided by sqrt(m)."""
+    rows = np.asarray(rows, dtype=float)
+    half = rows.shape[0] // 2
+    diffs = rows[:half] - rows[half:]
+    return diffs[: n * m].reshape(n, m, diffs.shape[1]).sum(axis=1) / np.sqrt(m)

@@ -5,6 +5,7 @@ from dirmean import (
     PipelineConfig,
     SizingError,
     block_averages,
+    pair_block_averages,
     pair_differences,
     plan_blocks,
 )
@@ -64,6 +65,33 @@ class TestBlockAverages:
         assert abs(z.mean(axis=0)).max() < 5 * np.sqrt(2.0 / z.shape[0])
         emp = np.cov(z.T, bias=True)
         assert np.max(np.abs(emp - 2.0 * np.eye(2))) < 5 * 2.0 * np.sqrt(2.0 / z.shape[0])
+
+
+class TestPairBlockAverages:
+    def test_default_count_is_every_full_block(self):
+        rows = np.random.default_rng(3).standard_normal((2 * 107, 3))
+        for m in (1, 2, 5, 107):
+            expected = block_averages(pair_differences(rows), m)
+            assert np.array_equal(pair_block_averages(rows, m), expected)
+
+    def test_first_n_blocks_only(self):
+        rows = np.random.default_rng(4).standard_normal((2 * 100, 2))
+        z = pair_block_averages(rows, 7, 4)
+        assert np.array_equal(z, block_averages(pair_differences(rows), 7)[:4])
+
+    def test_rejects_odd_count(self):
+        with pytest.raises(ValueError, match="even row count"):
+            pair_block_averages(np.ones((7, 2)), 1)
+
+    def test_rejects_bad_block_geometry(self):
+        rows = np.ones((20, 2))
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            pair_block_averages(rows, 0)
+        with pytest.raises(ValueError, match="exceeds row count"):
+            pair_block_averages(rows, 11)
+        for n in (0, 4):
+            with pytest.raises(ValueError, match="do not fit"):
+                pair_block_averages(rows, 3, n)
 
 
 class TestPlanBlocks:

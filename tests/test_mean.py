@@ -531,6 +531,23 @@ class TestEstimateMean:
             with pytest.raises(ValueError, match="variance stage: the squared projections"):
                 estimate_mean(rows, 0.01, seed=11)
 
+    def test_result_independent_of_memory_layout(self):
+        # the kernels see C-contiguous rows whatever the input layout, so the
+        # block sums, and every field of the estimate, keep their bytes
+        rows = np.random.default_rng(18).standard_t(3, size=(15000, 3))
+        wide = np.zeros((15000, 6))
+        wide[:, ::2] = rows
+        ref = estimate_mean(rows, 0.01, seed=12)
+        ref_z = fit_variance(rows[5000:]).Z
+        for other in (np.asfortranarray(rows), wide[:, ::2]):
+            assert fit_variance(other[5000:]).Z.tobytes() == ref_z.tobytes()
+            for data in (other, Dataset(other)):
+                est = estimate_mean(data, 0.01, seed=12)
+                assert est.mu_hat.tobytes() == ref.mu_hat.tobytes()
+                assert (est.rho_star, est.iterations) == (ref.rho_star, ref.iterations)
+                assert est.slabs.centers.tobytes() == ref.slabs.centers.tobytes()
+                assert est.slabs.widths.tobytes() == ref.slabs.widths.tobytes()
+
     def test_accuracy_at_moderate_scale(self):
         gt = gaussian_gt([1.0, 1.0], mean=[2.0, -1.0])
         est = estimate_mean(sample_dataset(gt, 3 * 10**4, 14), 0.01, seed=7)

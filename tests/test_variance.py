@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dirmean.blocks as blocks_module
 from dirmean import (
     PipelineConfig,
     SpectrumSpec,
@@ -15,6 +18,7 @@ from dirmean import (
     sample_dataset,
 )
 from dirmean.distributions import DistributionSpec
+from naive_oracles import oracle_pair_block_averages
 
 
 def make_estimator(projection_rows, theta, trim_mode):
@@ -95,6 +99,142 @@ class TestPsiInvariants:
         rows = np.tile(np.array([1.0, 2.0]), (400, 1))
         est = fit_variance(rows, PipelineConfig(gamma=1.0, theta_var=0.02))
         assert psi(est, [1.0, 0.0]) == 0.0
+
+
+class TestPsiProfileKernel:
+    """psi_profile squares and trims its projection in place; the values must
+    be those of the copy-based composition, bit for bit."""
+
+    def _est(self, trim_mode, n=1000, d=7, seed=0):
+        z = np.random.default_rng(seed).standard_t(3, size=(n, d))
+        plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(gamma=1.0))
+        return VarianceEstimator(Z=z, theta=0.02, trim_mode=trim_mode, plan=plan)
+
+    def _dirs(self, count, d, seed=1):
+        dirs = np.random.default_rng(seed).standard_normal((count, d))
+        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def test_absolute_matches_copy_based_partition(self):
+        est = self._est("absolute")
+        dirs = self._dirs(64, 7)
+        proj = est.Z @ dirs.T
+        n, k = proj.shape[0], est.trim_per_side
+        expected = np.partition(proj**2, n - k - 1, axis=0)[: n - k].sum(0) / (2 * n)
+        assert np.array_equal(psi_profile(est, dirs), expected)
+
+    def test_signed_matches_copy_based_sort(self):
+        est = self._est("signed")
+        dirs = self._dirs(64, 7)
+        proj = est.Z @ dirs.T
+        n, k = proj.shape[0], est.trim_per_side
+        expected = (np.sort(proj, axis=0)[: n - k] ** 2).sum(0) / (2 * n)
+        assert np.array_equal(psi_profile(est, dirs), expected)
+
+    def test_single_direction_is_the_profile_row(self):
+        for mode in ("absolute", "signed"):
+            est = self._est(mode)
+            u = self._dirs(1, 7)[0]
+            assert psi(est, u) == psi_profile(est, u[np.newaxis])[0]
+
+    def test_caller_arrays_untouched(self):
+        est = self._est("absolute")
+        dirs = self._dirs(16, 7)
+        z, d0 = est.Z.copy(), dirs.copy()
+        psi_profile(est, dirs)
+        assert np.array_equal(est.Z, z) and np.array_equal(dirs, d0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_psi_overflow_raises_variance_stage_error(self):
+        # the single-direction path shares the guarded kernel: no numpy
+        # overflow warning, no inf
+        rows = np.random.default_rng(17).standard_normal((10000, 3)) * 1e155
+        est = fit_variance(rows)
+        with pytest.raises(ValueError, match="variance stage: the squared projections"):
+            psi(est, [1.0, 0.0, 0.0])
+
+
+class TestFitVarianceBlocks:
+    """fit_variance forms Z chunk by chunk from the paired rows; it must
+    equal the plain difference-matrix composition exactly."""
+
+    @staticmethod
+    def _rows(d, m, n_blocks, seed, extra=7):
+        rng = np.random.default_rng(seed)
+        half = n_blocks * m + extra  # extra pairs are discarded by the plan
+        return rng.standard_t(3, size=(2 * half, d)) * np.geomspace(1.0, 1e-3, d)
+
+    @staticmethod
+    def _config(m):
+        # block size m0 = ceil(c1 / gamma^2) = m, 50 blocks per trim modulus
+        return PipelineConfig(gamma=1.0, c1=float(m))
+
+    def _check(self, rows, config, m, n):
+        est = fit_variance(rows, config)
+        assert (est.plan.m, est.plan.n) == (m, n)
+        assert np.array_equal(est.Z, oracle_pair_block_averages(rows, m, n))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 50, 200])
+    @pytest.mark.parametrize("m", [1, 2, 100])
+    def test_matches_oracle(self, d, m):
+        # at d = 50 and 200 with m = 100 the 50 blocks span several chunks
+        # of the real buffer and the last one is partly filled
+        self._check(self._rows(d, m, 50, seed=d * 1000 + m), self._config(m), m, 50)
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("m", [2, 100])
+    def test_partly_filled_last_chunk(self, d, m, monkeypatch):
+        # 3 blocks per chunk: 100 blocks are 33 full chunks and one of 1 block
+        monkeypatch.setattr(blocks_module, "_CHUNK_BYTES", 3 * 8 * m * d)
+        self._check(self._rows(d, m, 100, seed=d + m), self._config(m), m, 100)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_block_larger_than_tiny_buffer(self, d, monkeypatch):
+        monkeypatch.setattr(blocks_module, "_CHUNK_BYTES", 8)
+        self._check(self._rows(d, 100, 50, seed=d), self._config(100), 100, 50)
+
+    def test_block_larger_than_chunk_buffer(self):
+        # one 1000 x 200 block is 1.6 MB, over the 1 MiB buffer: one block
+        # per chunk, in a buffer of exactly one block
+        m, d = 1000, 200
+        assert 8 * m * d > blocks_module._CHUNK_BYTES
+        rows = self._rows(d, m, 4, seed=3, extra=0)
+        config = PipelineConfig(gamma=1.0, c1=float(m), theta_var=0.25)
+        self._check(rows, config, m, 4)
+
+    def test_rejects_odd_row_count(self):
+        with pytest.raises(ValueError, match="even row count"):
+            fit_variance(np.ones((10001, 2)))
+
+
+class TestWorkingMemory:
+    """Neither variance kernel holds more than one working matrix."""
+
+    def test_fit_variance_forms_no_difference_matrix(self):
+        rows = np.random.default_rng(0).standard_normal((200_000, 50))
+        diff_matrix_bytes = 100_000 * 50 * 8
+        tracemalloc.start()
+        try:
+            fit_variance(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < diff_matrix_bytes / 4
+
+    @pytest.mark.parametrize("trim_mode", ["absolute", "signed"])
+    def test_psi_profile_holds_one_projection(self, trim_mode):
+        n, d, count = 1000, 50, 512
+        rng = np.random.default_rng(1)
+        plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(gamma=1.0))
+        est = VarianceEstimator(Z=rng.standard_normal((n, d)), theta=0.02, trim_mode=trim_mode, plan=plan)
+        dirs = rng.standard_normal((count, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            psi_profile(est, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * count * 8
 
 
 class TestCriticalLevel:
