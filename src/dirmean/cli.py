@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -72,7 +73,12 @@ def write_dataset_csv(rows: np.ndarray, path: str) -> None:
 
 
 def read_dataset_csv(path: str) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    if rows.size == 0:
+        raise UsageError(f"data file {path} holds no rows")
+    return rows
 
 
 def _load_config_doc(path: str | None) -> dict:

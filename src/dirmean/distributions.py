@@ -28,10 +28,10 @@ gaussian-with-point-contamination (fraction, offset)
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special, stats
 
 from .rng import stream
 
@@ -243,13 +243,13 @@ def _student_radial_scale(nu: float) -> float:
 
 
 def student_kappa(nu: float, q: float) -> float:
-    """Lq/L2 ratio of a t_nu marginal, by numerical quadrature of |t|^q."""
+    """Lq/L2 ratio of a t_nu marginal, from the closed form E|T|^q =
+    nu^(q/2) Gamma((q+1)/2) Gamma((nu-q)/2) / (sqrt(pi) Gamma(nu/2)) and E T^2 = nu / (nu-2)."""
     if not (2.0 < q < nu):
         raise ValueError("need 2 < q < nu for a finite moment ratio")
-    dens = stats.t(nu).pdf
-    mom, _ = integrate.quad(lambda t: 2.0 * t**q * dens(t), 0.0, np.inf, limit=200)
-    l2 = np.sqrt(nu / (nu - 2.0))
-    return mom ** (1.0 / q) / l2
+    lg = math.lgamma
+    log_mom = q / 2.0 * math.log(nu) + lg((q + 1.0) / 2.0) + lg((nu - q) / 2.0) - lg(0.5) - lg(nu / 2.0)
+    return math.exp(log_mom / q) * math.sqrt((nu - 2.0) / nu)
 
 
 def _lognormal_radius_coeff(d: int, shape: float) -> float:
@@ -263,10 +263,10 @@ def _lognormal_kappa(d: int, shape: float, q: float) -> float:
         return np.exp(p**2 * shape**2 / 2.0)
 
     def sphere_moment(p: float) -> float:
-        # E|U1|^p for U uniform on S^(d-1); U1^2 ~ Beta(1/2, (d-1)/2)
-        if d == 1:
-            return 1.0
-        return special.beta((p + 1) / 2.0, (d - 1) / 2.0) / special.beta(0.5, (d - 1) / 2.0)
+        # E|U1|^p for U uniform on S^(d-1); U1^2 ~ Beta(1/2, (d-1)/2), so it is
+        # B((p+1)/2, (d-1)/2) / B(1/2, (d-1)/2), exactly 1 at d = 1
+        lg = math.lgamma
+        return math.exp((lg((p + 1) / 2.0) - lg((p + d) / 2.0)) + (lg(d / 2.0) - lg(0.5)))
 
     mq = radius_moment(q) * sphere_moment(q)
     m2 = radius_moment(2.0) * sphere_moment(2.0)
@@ -309,7 +309,7 @@ def make_ground_truth(spec: DistributionSpec) -> GroundTruth:
     """Realize covariance factor, kappa and moment order for a spec.
 
     gaussian: q = 4, kappa = 3**(1/4) (closed form).
-    student(nu): q = (nu + 2) / 2 with kappa from the quadrature oracle.
+    student(nu): q = (nu + 2) / 2 with kappa from the closed-form t moments.
     lognormal: q = 4, kappa from the closed-form radial/sphere moments.
     contaminated: q = 4, kappa = probe-set supremum (direction dependent).
     """
@@ -417,23 +417,14 @@ def tail_eigensum(gt: GroundTruth, k: int) -> float:
 def marginal_tail_prob(gt: GroundTruth, u, t: float) -> float:
     """P{<X - mu, u> > t} from the closed-form marginal law.
 
-    Available for the gaussian and student families only; other families
-    raise :class:`NoAnalyticOracleError` (callers may fall back to Monte
-    Carlo).
+    The survival function of :func:`marginal_oracle`, so available for the
+    gaussian and student families only; other families raise
+    :class:`NoAnalyticOracleError` (callers may fall back to Monte Carlo).
     """
-    u = _check_unit(u)
-    sig = directional_sigma(gt, u)
-    fam = gt.spec.family
-    if fam == "gaussian":
-        if sig == 0.0:
-            return 0.0 if t >= 0 else 1.0
-        return float(stats.norm.sf(t / sig))
-    if fam == "elliptical-student":
-        if sig == 0.0:
-            return 0.0 if t >= 0 else 1.0
-        nu = float(gt.spec.dof)
-        return float(stats.t.sf(t / (sig * _student_radial_scale(nu)), nu))
-    raise NoAnalyticOracleError(f"no analytic marginal law for family {fam!r}")
+    law = marginal_oracle(gt, u)
+    if law.kwds["scale"] == 0.0:  # a point mass at 0; scipy gives NaN at scale 0
+        return 0.0 if t >= 0 else 1.0
+    return float(law.sf(t))
 
 
 def marginal_oracle(gt: GroundTruth, u, scale: float = 1.0):
@@ -441,8 +432,10 @@ def marginal_oracle(gt: GroundTruth, u, scale: float = 1.0):
 
     ``scale`` rescales the law (e.g. sqrt(2) for pairwise differences of
     gaussian data).  Raises :class:`NoAnalyticOracleError` for families
-    without a closed-form marginal.
+    without a closed-form marginal.  The only map from a family to a scipy law.
     """
+    from scipy import stats  # not loaded with the package
+
     u = _check_unit(u)
     sig = directional_sigma(gt, u) * scale
     fam = gt.spec.family

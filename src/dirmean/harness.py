@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .config import PipelineConfig
 from .distributions import (
@@ -393,6 +392,8 @@ def empirical_mean_lower_bound(
     assuming the direction term holds with constant C in the top
     eigendirections.
     """
+    from scipy import stats  # chi.ppf only; not loaded with the package
+
     if isinstance(spec, DistributionSpec):
         if spec.family != "gaussian":
             raise ValueError("lower-bound experiment is defined for gaussian data only")

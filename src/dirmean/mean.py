@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize._highspy import _core  # for _slab_lp; eager, so no solve pays the import
 
 from .blocks import (
     BlockPlan,
@@ -172,12 +173,10 @@ def _slab_lp(d: int):
     the model optimal.  The only code that knows scipy's bundled binding
     (private API, ``scipy.optimize._highspy._core``; see pyproject.toml).
     """
-    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
-
-    highs = _Highs()
+    highs = _core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
-    highs.addVars(d + 1, np.r_[np.full(d, -kHighsInf), 0.0], np.full(d + 1, kHighsInf))
+    highs.addVars(d + 1, np.r_[np.full(d, -_core.kHighsInf), 0.0], np.full(d + 1, _core.kHighsInf))
     highs.changeColsCost(1, np.array([d], dtype=np.int32), np.array([1.0]))
 
     def lp_round(u: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray | None:
@@ -185,7 +184,7 @@ def _slab_lp(d: int):
         t_col = np.r_[-np.ones(k), np.ones(k)][:, np.newaxis]
         block = np.hstack([np.vstack([u, u]), t_col])
         rows, cols = np.nonzero(block)
-        inf = np.full(k, kHighsInf)
+        inf = np.full(k, _core.kHighsInf)
         added = highs.addRows(
             2 * k,
             np.r_[-inf, r - w],
@@ -195,10 +194,10 @@ def _slab_lp(d: int):
             cols.astype(np.int32),
             block[rows, cols],
         )
-        if added == HighsStatus.kError:
+        if added == _core.HighsStatus.kError:
             return None
         highs.run()
-        if highs.getModelStatus() != HighsModelStatus.kOptimal:
+        if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
             return None
         return np.array(highs.getSolution().col_value)
 
@@ -405,8 +404,6 @@ def estimate_mean(
     rows = as_rows(ds)
     n_obs = rows.shape[0]
     n = n_obs // 3
-    if n < 3:
-        raise ValueError("need at least 9 rows")
     d = rows.shape[1]
 
     offset = 0  # first row of the sub-sample being fitted

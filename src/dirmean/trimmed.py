@@ -6,9 +6,9 @@ k = round(theta * N) largest and k smallest values are discarded.  Ties are
 broken by original index with the smaller index treated as the larger value,
 so all operations are deterministic on data with repeats.
 
-Interior sums are accumulated with ``math.fsum`` (exact compensated
-summation) in ascending original-index order, so results are reproducible
-across runs and platforms.
+Interior sums are accumulated with ``math.fsum``, which is correctly
+rounded: the result does not depend on the order of the terms, so it is
+reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -90,14 +90,10 @@ def trim_sets(values, theta: float, k: int | None = None) -> TrimPlan:
     )
 
 
-def _interior_sum(values: np.ndarray, plan: TrimPlan, transform=None) -> float:
-    dropped = plan.upper_indices | plan.lower_indices
-    terms = (
-        (transform(v) if transform is not None else v)
-        for i, v in enumerate(values)
-        if i not in dropped
-    )
-    return math.fsum(terms)
+def _interior(values: np.ndarray, plan: TrimPlan) -> list[float]:
+    keep = np.ones(values.size, dtype=bool)
+    keep[list(plan.upper_indices | plan.lower_indices)] = False
+    return values[keep].tolist()  # Python floats: |v| ** p is C pow, not numpy's
 
 
 def trimmed_mean(values, theta: float, normalization: str = "full", k: int | None = None) -> float:
@@ -111,7 +107,7 @@ def trimmed_mean(values, theta: float, normalization: str = "full", k: int | Non
         raise ValueError(f"normalization must be one of {MEAN_NORMALIZATIONS}")
     values = np.asarray(values, dtype=float).reshape(-1)
     plan = trim_sets(values, theta, k=k)
-    total = _interior_sum(values, plan)
+    total = math.fsum(_interior(values, plan))
     divisor = values.size if normalization == "full" else values.size - 2 * plan.k
     return total / divisor
 
@@ -122,7 +118,7 @@ def trimmed_abs_moment(values, p: float, theta: float, k: int | None = None) -> 
         raise ValueError("need p >= 1")
     values = np.asarray(values, dtype=float).reshape(-1)
     plan = trim_sets(values, theta, k=k)
-    return _interior_sum(values, plan, transform=lambda v: abs(v) ** p) / values.size
+    return math.fsum(abs(v) ** p for v in _interior(values, plan)) / values.size
 
 
 def empirical_quantile_hat(values, theta: float) -> tuple[float, float]:

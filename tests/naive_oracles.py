@@ -5,6 +5,7 @@ sharing no code with the library paths they check.
 """
 
 import numpy as np
+from scipy import integrate, special, stats
 
 
 def oracle_trim(values, theta):
@@ -86,3 +87,23 @@ def oracle_pair_block_averages(rows, m, n):
     half = rows.shape[0] // 2
     diffs = rows[:half] - rows[half:]
     return diffs[: n * m].reshape(n, m, diffs.shape[1]).sum(axis=1) / np.sqrt(m)
+
+
+def oracle_student_kappa(nu, q):
+    """Lq/L2 ratio of a t_nu marginal by numerical quadrature of |t|^q
+    against the scipy t density."""
+    dens = stats.t(nu).pdf
+    mom, _ = integrate.quad(lambda t: 2.0 * t**q * dens(t), 0.0, np.inf, limit=200)
+    return mom ** (1.0 / q) / np.sqrt(nu / (nu - 2.0))
+
+
+def oracle_lognormal_kappa(d, shape, q):
+    """Lq/L2 ratio of c R U1 (R lognormal(0, shape), U uniform on S^(d-1)),
+    with E|U1|^p = B((p+1)/2, (d-1)/2) / B(1/2, (d-1)/2) from scipy's beta."""
+    def moment(p):
+        radial = np.exp(p**2 * shape**2 / 2.0)
+        if d == 1:
+            return radial
+        return radial * special.beta((p + 1) / 2.0, (d - 1) / 2.0) / special.beta(0.5, (d - 1) / 2.0)
+
+    return moment(q) ** (1.0 / q) / np.sqrt(moment(2.0))

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,24 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith("ERROR 2:")
         assert "minimal usable row count" in err
+
+
+    def test_tiny_data_file_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_dataset_csv(np.ones((8, 2)), str(data))
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "delta": 0.01})
+        assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("ERROR 2: 8 rows are too few for the mean stage")
+
+    def test_empty_data_file_exits_1_with_one_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("")
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "delta": 0.01})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == f"ERROR 1: data file {data} holds no rows\n"
 
 
 class TestSimulateCommand:

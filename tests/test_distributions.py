@@ -13,8 +13,11 @@ from dirmean import (
     make_ground_truth as _mgt,
     sample_dataset,
     sample_marginal,
+    student_kappa,
     tail_eigensum,
 )
+from dirmean.distributions import _lognormal_kappa
+from naive_oracles import oracle_lognormal_kappa, oracle_student_kappa
 
 KAPPA_GAUSSIAN = 1.3160740129524924  # (E g^4)^(1/4) / (E g^2)^(1/2) = 3^(1/4)
 
@@ -263,6 +266,47 @@ class TestMarginalTailProb:
         t = 1.7
         expected = stats.t.sf(t / (2.0 * np.sqrt(3.0 / 5.0)), 5.0)
         assert marginal_tail_prob(gt, [1.0], t) == pytest.approx(expected, rel=1e-12)
+
+
+class TestClosedForms:
+    """The gamma-function moments and scipy laws against independent references."""
+
+    @pytest.mark.parametrize("nu", [2.5, 3.0, 4.0, 5.0, 7.5, 10.0, 30.0])
+    def test_student_kappa_matches_quadrature(self, nu):
+        q = (nu + 2.0) / 2.0
+        assert student_kappa(nu, q) == pytest.approx(oracle_student_kappa(nu, q), rel=1e-12, abs=0)
+
+    def test_student_kappa_exact_at_nu_4(self):
+        # E|T_4|^3 = 8 and E T_4^2 = 2, so kappa = 2 / sqrt(2)
+        assert student_kappa(4.0, 3.0) == np.sqrt(2.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 50, 200])
+    @pytest.mark.parametrize("shape", [0.25, 0.5, 1.0])
+    def test_lognormal_kappa_matches_beta_ratio(self, d, shape):
+        expected = oracle_lognormal_kappa(d, shape, 4.0)
+        assert _lognormal_kappa(d, shape, 4.0) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_tail_prob_is_the_scipy_law_bit_for_bit(self):
+        # e3 has sigma(u) = 0: a point mass at 0, the limit of both laws
+        eigs = [3.0, 0.5, 0.0]
+        rng = np.random.default_rng(7)
+        dirs = rng.standard_normal((6, 3))
+        dirs = [*(dirs / np.linalg.norm(dirs, axis=1, keepdims=True)), np.array([0.0, 0.0, 1.0])]
+        ts = [-4.0, -1.3, -1e-9, 0.0, 1e-9, 0.7, 2.5, 40.0]
+        for spec in [gaussian_spec(eigs), *(student_spec(eigs, nu=nu) for nu in (2.5, 5.0, 30.0))]:
+            gt = make_ground_truth(spec)
+            assert directional_sigma(gt, dirs[-1]) == 0.0
+            for u in dirs:
+                sig = directional_sigma(gt, u)
+                for t in ts:
+                    if sig == 0.0:
+                        expected = 0.0 if t >= 0 else 1.0
+                    elif spec.dof is None:
+                        expected = stats.norm.sf(t / sig)
+                    else:
+                        nu = spec.dof
+                        expected = stats.t.sf(t / (sig * np.sqrt((nu - 2.0) / nu)), nu)
+                    assert marginal_tail_prob(gt, u, t) == expected, (spec.family, spec.dof, u, t)
 
 
 class TestJitter:

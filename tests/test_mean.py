@@ -502,6 +502,13 @@ class TestEstimateMean:
         assert est.mu_hat.shape == (1,) and np.isfinite(est.mu_hat[0])
         assert abs(est.mu_hat[0] - 2.0) < 0.1
 
+    @pytest.mark.parametrize("n_rows", [0, 2, 8])
+    def test_tiny_inputs_raise_the_mean_stage_sizing_error(self, n_rows):
+        # the same error as any other too-small input: 48 mean blocks need 144 rows
+        with pytest.raises(SizingError, match="mean stage") as err:
+            estimate_mean(np.zeros((n_rows, 3)), 0.01)
+        assert err.value.minimal_n == 144
+
     @pytest.mark.parametrize("row, value", [(123, np.nan), (9001, np.inf), (14999, -np.inf)])
     def test_rejects_non_finite_rows(self, row, value):
         # rows 0..4999 feed the marginal means, 5000..14999 the variances
