@@ -45,6 +45,11 @@ class PipelineConfig:
             v = getattr(self, name)
             if not (0.0 < v < 0.5):
                 raise ValueError(f"{name} must lie in (0, 1/2)")
+        for name, least in (("refine_rounds", 0), ("refine_probes", 1), ("refine_append", 1), ("refine_tol", 0)):
+            if not getattr(self, name) >= least:  # also false for NaN
+                raise ValueError(f"{name} must be at least {least}")
+        if self.mom_blocks is not None and not self.mom_blocks >= 1:
+            raise ValueError("mom_blocks must be None or at least 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

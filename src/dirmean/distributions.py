@@ -368,33 +368,33 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
     d = gt.dim
     rng = stream(seed, "sample", spec.family)
 
+    # one (n, d) draw, scaled in place: the same products and sums, in the
+    # same order, as the out-of-place formulas
     if spec.family == "gaussian-with-point-contamination":
         n_cont = int(np.floor(spec.contamination_fraction * n))
         positions = rng.permutation(n)[:n_cont]
-        g = rng.standard_normal((n, d))
-        rows = gt._component_center + g @ gt._component_factor.T
+        rows = rng.standard_normal((n, d)) @ gt._component_factor.T
+        rows += gt._component_center
         rows[positions] = gt._point_value
         return Dataset(rows, seed=seed, spec=spec)
 
-    if spec.family == "gaussian":
-        w = rng.standard_normal((n, d))
-    elif spec.family == "elliptical-student":
+    w = rng.standard_normal((n, d))
+    if spec.family == "elliptical-student":
         nu = float(spec.dof)
-        g = rng.standard_normal((n, d))
         s = rng.chisquare(nu, size=n)
-        w = g * np.sqrt((nu - 2.0) / s)[:, np.newaxis]
-    else:  # elliptical-lognormal
+        w *= np.sqrt((nu - 2.0) / s)[:, np.newaxis]
+    elif spec.family == "elliptical-lognormal":
         shape = float(spec.shape)
-        g = rng.standard_normal((n, d))
-        u = g / np.linalg.norm(g, axis=1, keepdims=True)
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
         r = np.exp(shape * rng.standard_normal(n))
-        w = _lognormal_radius_coeff(d, shape) * r[:, np.newaxis] * u
+        w *= (_lognormal_radius_coeff(d, shape) * r)[:, np.newaxis]
 
     if spec.spectrum.rotation_seed is None:
-        rows = gt.mu + w * np.sqrt(np.asarray(spec.spectrum.eigenvalues))
+        w *= np.sqrt(np.asarray(spec.spectrum.eigenvalues))
     else:
-        rows = gt.mu + w @ gt.factor_T.T
-    return Dataset(rows, seed=seed, spec=spec)
+        w = w @ gt.factor_T.T
+    w += gt.mu
+    return Dataset(w, seed=seed, spec=spec)
 
 
 def directional_sigma(gt: GroundTruth, u) -> float:

@@ -188,7 +188,9 @@ def _run_single_trial(sc: Scenario, gt: GroundTruth, probes: np.ndarray, t: int)
         elif est_name == "empirical-mean":
             mu_hat = baseline_empirical_mean(ds)
         else:
-            k_blocks = sc.config.mom_blocks or max(1, math.ceil(8.0 * math.log(1.0 / sc.delta)))
+            k_blocks = sc.config.mom_blocks
+            if k_blocks is None:
+                k_blocks = max(1, math.ceil(8.0 * math.log(1.0 / sc.delta)))
             mu_hat = baseline_median_of_means(ds, k_blocks)
         out[est_name] = probes @ (mu_hat - gt.mu)
     return out

@@ -38,7 +38,12 @@ from .variance import VarianceEstimator, fit_variance, psi_profile
 
 DUPLICATE_DOT = 1.0 - 1e-12  # |cos| above this counts as the same direction
 TOL = 1e-8  # certified solver gap, relative to 1 + the LP lower bound
-_DEDUPE_CHUNK = 256  # candidate rows screened per product in build_direction_set
+# Unit rows with |cos| >= DUPLICATE_DOT lie within sqrt(2 (1 - DUPLICATE_DOT))
+# ~ 1.42e-6 of each other (up to sign), so their |projections| on any unit
+# vector differ by at most that; _SCREEN is about 7 times the bound, which
+# leaves room for rounding in the norms and dots.
+_SCREEN = 1e-5
+_PAIR_BATCH = 256  # key-screened pairs whose exact |cos| is taken per product
 
 
 @dataclass(frozen=True)
@@ -298,26 +303,62 @@ def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
 
 
 def _keep_new(out: np.ndarray, count: int, cand: np.ndarray) -> int:
-    """Append the new rows of ``cand`` to ``out[:count]``; return the new count.
+    """Append the new unit rows of ``cand`` to ``out[:count]``; return the new count.
 
     Sequential rule: in order, a candidate is kept while ``out`` has room and
     its |cos| with every row kept before it is below DUPLICATE_DOT.  Applied
-    per chunk: one product against the kept rows, one Gram product inside the
-    chunk, and the rare near-duplicates inside the chunk resolved in order.
+    through one sorted key, |row . r| for a fixed generic unit vector r: a
+    near-duplicate pair has keys within _SCREEN, so only pairs whose keys lie
+    that close get the exact |cos| test, in batches, so memory stays
+    O((count + len(cand)) d) however many keys coincide.  The rare candidates
+    in a clash are then resolved in row order against the rows kept before
+    them.
     """
-    budget = out.shape[0]
-    for start in range(0, cand.shape[0], _DEDUPE_CHUNK):
-        if count == budget:
+    budget, d = out.shape
+    k = cand.shape[0]
+    r = np.cos(np.arange(1.0, d + 1.0))  # no RNG draw; no two canonical rows share a key
+    r /= np.linalg.norm(r)
+    keys = np.abs(np.concatenate([out[:count] @ r, cand @ r]))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+
+    def rows(idx: np.ndarray) -> np.ndarray:  # rows by index into out[:count] + cand
+        got = np.empty((idx.size, d))
+        old = idx < count
+        got[old] = out[idx[old]]
+        got[~old] = cand[idx[~old] - count]
+        return got
+
+    # open: a candidate with no clash found yet.  A pair s apart in key order
+    # within _SCREEN has every pair between its ends within _SCREEN too, so
+    # once no such pair has an open end, no pair further apart can have one.
+    open_ = np.arange(count + k) >= count
+    for s in range(1, count + k):
+        near = np.flatnonzero(sorted_keys[s:] - sorted_keys[:-s] <= _SCREEN)
+        i, j = order[near], order[near + s]
+        test = open_[i] | open_[j]
+        if not test.any():
             break
-        c = cand[start : start + _DEDUPE_CHUNK]
-        keep = np.abs(c @ out[:count].T).max(axis=1) < DUPLICATE_DOT
-        clash = np.tril(np.abs(c @ c.T) >= DUPLICATE_DOT, -1)
-        for i in np.flatnonzero(clash.any(axis=1)):
-            keep[i] &= not (clash[i] & keep).any()  # rows before i are settled
-        new = c[keep][: budget - count]
-        out[count : count + new.shape[0]] = new
-        count += new.shape[0]
-    return count
+        i, j = i[test], j[test]
+        for b in range(0, i.size, _PAIR_BATCH):
+            ib, jb = i[b : b + _PAIR_BATCH], j[b : b + _PAIR_BATCH]
+            dup = np.abs(np.einsum("ij,ij->i", rows(ib), rows(jb))) >= DUPLICATE_DOT
+            open_[ib[dup]] = open_[jb[dup]] = False
+
+    keep = open_[count:]
+    clashed = np.flatnonzero(~keep) + count  # ascending: row order
+    if clashed.size:
+        alive = np.arange(count + k) < count  # kept rows and the clashed candidates kept so far
+        lo = np.searchsorted(sorted_keys, keys[clashed] - _SCREEN, "left")
+        hi = np.searchsorted(sorted_keys, keys[clashed] + _SCREEN, "right")
+        for c, a, b in zip(clashed, lo, hi):
+            near = order[a:b]
+            near = near[alive[near]]
+            if not near.size or np.abs(rows(near) @ cand[c - count]).max() < DUPLICATE_DOT:
+                keep[c - count] = alive[c] = True
+    new = (cand if keep.all() else cand[keep])[: budget - count]
+    out[count : count + new.shape[0]] = new
+    return count + new.shape[0]
 
 
 def build_direction_set(

@@ -79,6 +79,41 @@ def oracle_direction_fill(initial_rows, budget, rng, dup_dot):
     return kept
 
 
+def oracle_sample_rows(gt, n, seed):
+    """The rows of ``sample_dataset(gt, n, seed)`` by the out-of-place formulas:
+    each scaling and the shift build a fresh (n, d) array, in the same order
+    of products and sums."""
+    from dirmean.distributions import _lognormal_radius_coeff
+    from dirmean.rng import stream
+
+    spec = gt.spec
+    d = gt.dim
+    rng = stream(seed, "sample", spec.family)
+    if spec.family == "gaussian-with-point-contamination":
+        n_cont = int(np.floor(spec.contamination_fraction * n))
+        positions = rng.permutation(n)[:n_cont]
+        g = rng.standard_normal((n, d))
+        rows = gt._component_center + g @ gt._component_factor.T
+        rows[positions] = gt._point_value
+        return rows
+    if spec.family == "gaussian":
+        w = rng.standard_normal((n, d))
+    elif spec.family == "elliptical-student":
+        nu = float(spec.dof)
+        g = rng.standard_normal((n, d))
+        s = rng.chisquare(nu, size=n)
+        w = g * np.sqrt((nu - 2.0) / s)[:, np.newaxis]
+    else:
+        shape = float(spec.shape)
+        g = rng.standard_normal((n, d))
+        u = g / np.linalg.norm(g, axis=1, keepdims=True)
+        r = np.exp(shape * rng.standard_normal(n))
+        w = _lognormal_radius_coeff(d, shape) * r[:, np.newaxis] * u
+    if spec.spectrum.rotation_seed is None:
+        return gt.mu + w * np.sqrt(np.asarray(spec.spectrum.eigenvalues))
+    return gt.mu + w @ gt.factor_T.T
+
+
 def oracle_pair_block_averages(rows, m, n):
     """The first ``n`` variance blocks of size ``m`` by the plain composition:
     the whole pair-difference matrix, reshaped, summed over each block and

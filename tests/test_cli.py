@@ -121,6 +121,14 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("ERROR 2: 8 rows are too few for the mean stage")
 
+    def test_invalid_config_field_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05,
+            "config": dict(TINY_CONFIG, refine_probes=0),
+        })
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "ERROR 1: refine_probes must be at least 1\n"
+
     def test_empty_data_file_exits_1_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("")

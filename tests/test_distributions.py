@@ -17,7 +17,7 @@ from dirmean import (
     tail_eigensum,
 )
 from dirmean.distributions import _lognormal_kappa
-from naive_oracles import oracle_lognormal_kappa, oracle_student_kappa
+from naive_oracles import oracle_lognormal_kappa, oracle_sample_rows, oracle_student_kappa
 
 KAPPA_GAUSSIAN = 1.3160740129524924  # (E g^4)^(1/4) / (E g^2)^(1/2) = 3^(1/4)
 
@@ -135,6 +135,29 @@ class TestSampling:
         assert np.array_equal(a.rows, b.rows)
         c = sample_dataset(gt, 4, seed=8)
         assert not np.array_equal(a.rows, c.rows)
+
+    @pytest.mark.parametrize("rotation_seed", [None, 4])
+    @pytest.mark.parametrize(
+        "family, extra",
+        [
+            ("gaussian", {}),
+            ("elliptical-student", {"dof": 3.0}),
+            ("elliptical-student", {"dof": 7.5}),
+            ("elliptical-lognormal", {"shape": 0.5}),
+            (
+                "gaussian-with-point-contamination",
+                {"contamination_fraction": 0.1, "contamination_offset": (3.0, 0.0, -1.0)},
+            ),
+        ],
+    )
+    def test_rows_match_out_of_place_oracle(self, family, extra, rotation_seed):
+        # the in-place scaling performs the oracle's products and sums exactly
+        spec = DistributionSpec(
+            family, SpectrumSpec((4.0, 1.0, 0.25), rotation_seed), mean=(1.5, -2.0, 0.25), **extra
+        )
+        gt = make_ground_truth(spec)
+        for n in (1, 7, 1000):
+            assert np.array_equal(sample_dataset(gt, n, seed=9).rows, oracle_sample_rows(gt, n, 9))
 
     def test_law_of_large_numbers_covariance(self):
         gt = make_ground_truth(gaussian_spec([1.0, 0.5], rotation_seed=3))

@@ -1,5 +1,10 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirmean import (
     Dataset,
@@ -278,6 +283,82 @@ class TestDirectionSet:
         assert np.array_equal(dirs, build_direction_set(3, 12, seed=6))
 
 
+def rotated_toward(base, rng, angle):
+    """``base`` turned by ``angle`` rad toward a random direction orthogonal to it."""
+    p = rng.standard_normal(base.size)
+    p -= (p @ base) * base
+    p /= np.linalg.norm(p)
+    return np.cos(angle) * base + np.sin(angle) * p
+
+
+def keep_new_and_oracle(kept, budget, cand):
+    """Run ``_keep_new`` and the sequential oracle from the same kept rows."""
+    out = np.empty((budget, kept.shape[1]))
+    out[: len(kept)] = kept
+    ref = out.copy()
+    count = _keep_new(out, len(kept), cand)
+    ref_count = oracle_keep_new(ref, len(kept), cand, DUPLICATE_DOT)
+    return out[:count], ref[:ref_count]
+
+
+class TestKeepNewScreen:
+    @pytest.mark.parametrize("d", [3, 200, 2000])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("gap, duplicate", [(0.9e-12, True), (1.1e-12, False)])
+    def test_threshold_pairs(self, d, sign, gap, duplicate):
+        # |cos| = 1 - gap: just above DUPLICATE_DOT (0.9e-12) or just below it
+        rng = np.random.default_rng(d)
+        kept = rng.standard_normal((4, d))
+        kept /= np.linalg.norm(kept, axis=1, keepdims=True)
+        x = sign * rotated_toward(kept[2], rng, np.arccos(1.0 - gap))
+        assert (abs(x @ kept[2]) >= DUPLICATE_DOT) == duplicate
+        got, ref = keep_new_and_oracle(kept, 8, x[np.newaxis, :])
+        assert np.array_equal(got, ref)
+        assert len(got) == (4 if duplicate else 5)
+
+    @pytest.mark.parametrize("d", [2, 3, 200])
+    def test_negated_canonical_row_rejected(self, d):
+        cand = np.vstack([-np.eye(d)[d // 2], np.eye(d)[0]])
+        got, ref = keep_new_and_oracle(np.eye(d), 2 * d, cand)
+        assert np.array_equal(got, np.eye(d)) and np.array_equal(ref, np.eye(d))
+
+    def test_identical_candidates_keep_one_in_bounded_memory(self):
+        d, k = 200, 2000
+        v = np.random.default_rng(1).standard_normal(d)
+        v /= np.linalg.norm(v)
+        cand = np.tile(v, (k, 1))
+        out = np.empty((d + k, d))
+        out[:d] = np.eye(d)
+        tracemalloc.start()
+        start = time.perf_counter()
+        count = _keep_new(out, d, cand)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert count == d + 1 and np.array_equal(out[d], v)
+        # every pair of the 2000 shares a key; gathering all their rows would take gigabytes
+        assert peak < out.nbytes
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("d", [2, 5, 50])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_clusters_match_oracle(self, d, seed):
+        # rows turned 1e-7 to 1e-5 rad from a few base rows (or their
+        # negations) straddle the ~1.41e-6 rad duplicate angle
+        rng = np.random.default_rng(100 * d + seed)
+        bases = rng.standard_normal((3, d))
+        bases /= np.linalg.norm(bases, axis=1, keepdims=True)
+        cand = np.array([
+            rng.choice([-1.0, 1.0]) * rotated_toward(bases[rng.integers(3)], rng, 10 ** rng.uniform(-7, -5))
+            for _ in range(60)
+        ])
+        kept = np.vstack([np.eye(d), bases[:1]])
+        for budget in (len(kept) + 4, len(kept) + 60):
+            got, ref = keep_new_and_oracle(kept, budget, cand)
+            assert np.array_equal(got, ref)
+        assert len(ref) < len(kept) + 60  # the clusters hold near-duplicates
+
+
 class TestSolveCenter:
     def test_two_orthogonal_slabs(self):
         slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.0, 0.0], delta=0.1, c_prime=1.0)
@@ -407,6 +488,30 @@ class TestSolveCenter:
         assert np.array_equal(res.v_star, warm + solutions[0][:50])
         assert res.rho_star < slabs.max_violation(warm)
         assert slabs.max_violation(res.v_star) == res.rho_star
+
+
+class TestSolveCenterProperties:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_replayable_and_optimal(self, data):
+        # low dimensions, repeated and negated directions, zero-width slabs
+        d = data.draw(st.sampled_from([1, 2]))
+        m = data.draw(st.integers(1, 12))
+        if d == 1:
+            dirs = np.ones((m, 1))
+        else:
+            angles = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.2, 2.5]), min_size=m, max_size=m)))
+            dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+        floats = st.floats(-5.0, 5.0, allow_nan=False)
+        centers = np.array(data.draw(st.lists(floats, min_size=m, max_size=m)))
+        widths = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 1.0]), min_size=m, max_size=m)))
+        slabs = SlabSystem(dirs * signs[:, np.newaxis], centers, widths, delta=0.1, c_prime=1.0)
+        res = solve_center(slabs)
+        assert res.rho_star == max(slabs.max_violation(res.v_star), 0.0)
+        optimum = max(dense_lp_optimum(slabs), 0.0)
+        if res.converged:
+            assert res.rho_star <= optimum + TOL * (1.0 + optimum)
 
 
 class TestHighsBinding:
