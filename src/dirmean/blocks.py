@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .distributions import as_rows
+from .trimmed import trim_count
 
 PLAN_PURPOSES = ("variance", "mean")
 _CHUNK_BYTES = 1 << 20  # pair-difference buffer of pair_block_averages
@@ -203,6 +204,6 @@ def plan_blocks(
         used=used,
         discarded=n_rows - used,
         theta=theta,
-        trim_per_side=round(theta * n),
+        trim_per_side=trim_count(theta, n),
         purpose=purpose,
     )

@@ -103,7 +103,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="64-bit master seed")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--threads", type=int, default=None, help="worker threads")
-    sub.add_argument("--format", default="json", choices=("json", "csv"), help="report format")
 
 
 def _resolve_threads(args) -> int:
@@ -139,7 +138,7 @@ def _cmd_estimate(args) -> int:
 
     est = estimate_mean(ds, delta, config, seed=derive_seed(seed, "estimate"))
     out = _ensure_outdir(args.out)
-    write_report(est, os.path.join(out, "estimate.json"), args.format)
+    write_report(est, os.path.join(out, "estimate.json"), "json")
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ constants instead of trusting these values.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 
@@ -17,8 +18,6 @@ class PipelineConfig:
     gamma: float = 0.1          # small-ball level; block size m0 = ceil(c1 / gamma^2)
     c1: float = 1.0             # block-size constant
     theta_var: float = 0.02     # trim fraction for the variance blocks
-    trim_mode: str = "absolute"  # 'absolute' or 'signed' trimming of projections
-    c0: float = 1.0             # critical-level constant
 
     # marginal-mean estimator
     theta_mean: float = 0.125   # trim fraction for the mean blocks (1/8)
@@ -36,9 +35,13 @@ class PipelineConfig:
     mom_blocks: int | None = None   # None -> ceil(8 * log(1/delta))
 
     def __post_init__(self):
-        if self.trim_mode not in ("absolute", "signed"):
-            raise ValueError("trim_mode must be 'absolute' or 'signed'")
-        for name in ("gamma", "c1", "c0", "c_blocks", "C_prime"):
+        for name in ("directions", "refine_rounds", "refine_probes", "refine_append", "mom_blocks"):
+            v = getattr(self, name)
+            if v is None and name in ("directions", "mom_blocks"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        for name in ("gamma", "c1", "c_blocks", "C_prime"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("theta_var", "theta_mean"):

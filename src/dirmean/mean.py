@@ -48,11 +48,9 @@ _PAIR_BATCH = 256  # key-screened pairs whose exact |cos| is taken per product
 
 @dataclass(frozen=True)
 class MarginalMeanEstimator:
-    """Block averages of raw observations plus trimming configuration."""
+    """Block averages of raw observations plus the plan that sized and trims them."""
 
     Y: np.ndarray
-    m: int
-    theta: float
     plan: BlockPlan
 
     @property
@@ -76,7 +74,7 @@ def fit_marginal(ds, delta: float, config: PipelineConfig | None = None) -> Marg
     y = block_averages(rows, plan.m)[: plan.n]
     if not np.isfinite(y).all():
         raise nonfinite_error(rows, np.arange(plan.used))
-    return MarginalMeanEstimator(Y=y, m=plan.m, theta=config.theta_mean, plan=plan)
+    return MarginalMeanEstimator(Y=y, plan=plan)
 
 
 def nu_hat(est: MarginalMeanEstimator, u) -> float:
@@ -95,7 +93,7 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     n = proj.shape[0]
     k = est.plan.trim_per_side
     interior = np.sort(proj, axis=0)[k : n - k]
-    return interior.sum(axis=0) / (math.sqrt(est.m) * (n - 2 * k))
+    return interior.sum(axis=0) / (math.sqrt(est.plan.m) * (n - 2 * k))
 
 
 def slab_width(var_est: VarianceEstimator, u, delta: float, c_prime: float, n_samples: int) -> float:

@@ -57,19 +57,8 @@ def trim_count(theta: float, n: int) -> int:
     return int(math.floor(theta * n + 0.5))
 
 
-def _validate_k(k: int, n: int) -> None:
-    if k < 1:
-        raise ValueError(f"trim count k = {k} must be >= 1")
-    if 2 * k >= n:
-        raise ValueError(f"trim count k = {k} too large: need 2k < N = {n}")
-
-
-def trim_sets(values, theta: float, k: int | None = None) -> TrimPlan:
-    """Compute the trim plan for fraction ``theta``.
-
-    ``k`` overrides the rounded count when given (``k = 0`` is the
-    degenerate no-trim plan; otherwise 1 <= k and 2k < N are enforced).
-    """
+def _trim_k(values, theta: float, k: int | None) -> tuple[np.ndarray, int]:
+    """The sample as a flat float array, and its trim count checked as :func:`trim_sets` states."""
     values = np.asarray(values, dtype=float).reshape(-1)
     n = values.size
     if n == 0:
@@ -78,22 +67,40 @@ def trim_sets(values, theta: float, k: int | None = None) -> TrimPlan:
         if not (0.0 < theta < 0.5):
             raise ValueError("theta must lie in (0, 1/2)")
         k = trim_count(theta, n)
-        _validate_k(k, n)
-    elif k != 0:
-        _validate_k(k, n)
-    srt = rearrange_desc(values)
+    elif k == 0:
+        return values, 0
+    if k < 1:
+        raise ValueError(f"trim count k = {k} must be >= 1")
+    if 2 * k >= n:
+        raise ValueError(f"trim count k = {k} too large: need 2k < N = {n}")
+    return values, k
+
+
+def trim_sets(values, theta: float, k: int | None = None) -> TrimPlan:
+    """Compute the trim plan for fraction ``theta``.
+
+    ``k`` overrides the rounded count when given (``k = 0`` is the
+    degenerate no-trim plan; otherwise 1 <= k and 2k < N are enforced).
+    """
+    values, k = _trim_k(values, theta, k)
+    perm = rearrange_desc(values).perm.tolist()
     return TrimPlan(
         theta=theta,
         k=k,
-        upper_indices=frozenset(int(i) for i in srt.perm[:k]),
-        lower_indices=frozenset(int(i) for i in srt.perm[n - k:] if k > 0),
+        upper_indices=frozenset(perm[:k]),
+        lower_indices=frozenset(perm[values.size - k :]),
     )
 
 
-def _interior(values: np.ndarray, plan: TrimPlan) -> list[float]:
-    keep = np.ones(values.size, dtype=bool)
-    keep[list(plan.upper_indices | plan.lower_indices)] = False
-    return values[keep].tolist()  # Python floats: |v| ** p is C pow, not numpy's
+def _sorted_desc(values, theta: float, k: int | None) -> tuple[np.ndarray, int]:
+    """``rearrange_desc(values).values_desc`` and the checked trim count.
+
+    The stable sort of ``-values`` orders tied values (0.0 and -0.0 among
+    them) by the tie rule, so ``[k : N - k]`` of the result holds exactly
+    the values that ``trim_sets`` leaves in the interior.
+    """
+    values, k = _trim_k(values, theta, k)
+    return -np.sort(-values, kind="stable"), k
 
 
 def trimmed_mean(values, theta: float, normalization: str = "full", k: int | None = None) -> float:
@@ -105,20 +112,18 @@ def trimmed_mean(values, theta: float, normalization: str = "full", k: int | Non
     """
     if normalization not in MEAN_NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {MEAN_NORMALIZATIONS}")
-    values = np.asarray(values, dtype=float).reshape(-1)
-    plan = trim_sets(values, theta, k=k)
-    total = math.fsum(_interior(values, plan))
-    divisor = values.size if normalization == "full" else values.size - 2 * plan.k
-    return total / divisor
+    desc, k = _sorted_desc(values, theta, k)
+    n = desc.size
+    return math.fsum(desc[k : n - k].tolist()) / (n if normalization == "full" else n - 2 * k)
 
 
 def trimmed_abs_moment(values, p: float, theta: float, k: int | None = None) -> float:
     """(1/N) * sum of |value|^p over the interior (divisor always N)."""
     if p < 1:
         raise ValueError("need p >= 1")
-    values = np.asarray(values, dtype=float).reshape(-1)
-    plan = trim_sets(values, theta, k=k)
-    return math.fsum(abs(v) ** p for v in _interior(values, plan)) / values.size
+    desc, k = _sorted_desc(values, theta, k)
+    interior = desc[k : desc.size - k].tolist()  # Python floats: |v| ** p is C pow, not numpy's
+    return math.fsum(abs(v) ** p for v in interior) / desc.size
 
 
 def empirical_quantile_hat(values, theta: float) -> tuple[float, float]:
@@ -127,9 +132,5 @@ def empirical_quantile_hat(values, theta: float) -> tuple[float, float]:
     The upper value is the k-th largest sample point and the lower value the
     k-th smallest (its mirror image), with k = round(theta * N).
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    plan = trim_sets(values, theta)
-    srt = rearrange_desc(values)
-    q_plus = float(srt.values_desc[plan.k - 1])
-    q_minus = float(srt.values_desc[values.size - plan.k])
-    return q_plus, q_minus
+    desc, k = _sorted_desc(values, theta, None)
+    return float(desc[k - 1]), float(desc[desc.size - k])

@@ -20,11 +20,9 @@ from .distributions import SpectrumSpec, _check_unit, as_rows
 
 @dataclass(frozen=True)
 class VarianceEstimator:
-    """Blocked pair-difference matrix plus its trimming configuration."""
+    """Blocked pair-difference matrix plus the plan that sized and trims it."""
 
     Z: np.ndarray
-    theta: float
-    trim_mode: str
     plan: BlockPlan
 
     @property
@@ -55,16 +53,15 @@ def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
     z = pair_block_averages(rows, plan.m, plan.n)
     if not np.isfinite(z).all():
         raise nonfinite_error(rows, np.r_[0 : plan.used, half : half + plan.used])
-    return VarianceEstimator(Z=z, theta=config.theta_var, trim_mode=config.trim_mode, plan=plan)
+    return VarianceEstimator(Z=z, plan=plan)
 
 
 def psi(est: VarianceEstimator, u) -> float:
     """Trimmed directional second moment for one unit direction.
 
-    Projects the blocks on u, removes the trim_per_side most extreme
-    projections ('absolute' mode: largest |p|; 'signed' mode: largest p),
-    and returns the mean of the surviving squares divided by two (the
-    pair-difference doubling).
+    Projects the blocks on u, removes the trim_per_side projections of
+    largest |p|, and returns the mean of the surviving squares divided by
+    two (the pair-difference doubling).
     """
     u = _check_unit(u)
     return float(psi_profile(est, u[np.newaxis, :])[0])
@@ -83,14 +80,9 @@ def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
     n = proj.shape[0]
     k = est.trim_per_side
     with np.errstate(over="ignore"):  # checked once, on the (M,) result
-        if est.trim_mode == "absolute":
-            np.square(proj, out=proj)
-            if k > 0:
-                proj.partition(n - k - 1, axis=0)  # the k largest squares last
-        else:
-            if k > 0:
-                proj.sort(axis=0)  # the k largest signed projections last
-            np.square(proj, out=proj)
+        np.square(proj, out=proj)
+        if k > 0:
+            proj.partition(n - k - 1, axis=0)  # the k largest squares last
         out = proj[: n - k].sum(axis=0) / (2.0 * n)
     if not np.isfinite(out).all():
         raise ValueError(

@@ -129,6 +129,17 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "ERROR 1: refine_probes must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "field, value", [("refine_probes", 64.5), ("directions", 300.5), ("refine_rounds", 1.5)]
+    )
+    def test_non_integer_config_field_exits_1_naming_it(self, tmp_path, capsys, field, value):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05,
+            "config": dict(TINY_CONFIG, **{field: value}),
+        })
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: {field} must be an integer, got {value}\n"
+
     def test_empty_data_file_exits_1_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("")
@@ -206,3 +217,8 @@ class TestLowerboundCommand:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "ERROR 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "diagnose", "lowerbound"])
+    def test_no_format_flag(self, command, capsys):
+        assert main([command, "--format", "json"]) == 1
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dirmean import PipelineConfig
@@ -17,6 +18,15 @@ class TestRefineAndBaselineFields:
             ("refine_tol", math.nan),
             ("mom_blocks", 0),
             ("mom_blocks", -3),
+            ("directions", 300.5),
+            ("directions", True),
+            ("refine_rounds", 1.5),
+            ("refine_rounds", 2.0),
+            ("refine_probes", 64.5),
+            ("refine_probes", True),
+            ("refine_append", 2.5),
+            ("mom_blocks", 2.5),
+            ("mom_blocks", False),
         ],
     )
     def test_rejected_with_field_name(self, field, value):
@@ -25,7 +35,15 @@ class TestRefineAndBaselineFields:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("refine_rounds", 0), ("refine_probes", 1), ("refine_append", 1), ("refine_tol", 0.0), ("mom_blocks", 1)],
+        [
+            ("refine_rounds", 0),
+            ("refine_probes", 1),
+            ("refine_append", 1),
+            ("refine_tol", 0.0),
+            ("mom_blocks", 1),
+            ("directions", 300),
+            ("refine_probes", np.int64(64)),
+        ],
     )
     def test_smallest_valid_values_accepted(self, field, value):
         assert getattr(PipelineConfig(**{field: value}), field) == value
@@ -36,3 +54,8 @@ class TestRefineAndBaselineFields:
     def test_from_dict_validates(self):
         with pytest.raises(ValueError, match="refine_probes"):
             PipelineConfig.from_dict({"refine_probes": 0})
+
+    @pytest.mark.parametrize("key, value", [("trim_mode", "absolute"), ("c0", 1.0)])
+    def test_removed_keys_are_unknown(self, key, value):
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            PipelineConfig.from_dict({key: value})

@@ -141,7 +141,7 @@ class TestNuHat:
         y = np.array([[10.0], [0.0], [-10.0]])
         plan = plan_blocks(12, 0.5, 1.0 / 3.0, "mean", PipelineConfig(c_blocks=0.5, theta_mean=1 / 3))
         assert plan.n == 3 and plan.m == 4
-        est = MarginalMeanEstimator(Y=y, m=4, theta=1.0 / 3.0, plan=plan)
+        est = MarginalMeanEstimator(Y=y, plan=plan)
         assert nu_hat(est, [1.0]) == 0.0
 
     def test_odd_in_direction(self):
@@ -664,3 +664,42 @@ class TestEstimateMean:
         gt = gaussian_gt([1.0, 1.0], mean=[2.0, -1.0])
         est = estimate_mean(sample_dataset(gt, 3 * 10**4, 14), 0.01, seed=7)
         assert np.linalg.norm(est.mu_hat - gt.mu) < 0.1
+
+
+class TestEstimateMeanProperties:
+    # with gamma = 1 the variance plan needs 50 pairs (3N >= 150) and the
+    # mean plan 48 blocks at delta = 0.01 (3N >= 144): 3N in [144, 150) is
+    # a variance-stage SizingError
+    CONFIG = PipelineConfig(gamma=1.0)
+
+    @staticmethod
+    def _rows(kind, n_rows, d, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n_rows, d))
+        if kind == "constant":
+            rows = np.tile(rows[0], (n_rows, 1))
+        elif kind == "duplicated-third":
+            # the last third repeats the second: every pair difference is
+            # zero, so every slab has zero width
+            third = n_rows // 3
+            rows[2 * third : 3 * third] = rows[third : 2 * third]
+        elif kind == "integer":
+            rows = rng.integers(-3, 4, size=(n_rows, d)).astype(float)
+        elif kind == "zero-column":
+            rows[:, -1] = 0.0
+        return rows
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_result_or_value_error(self, data):
+        d = data.draw(st.sampled_from([1, 2]))
+        kind = data.draw(st.sampled_from(["gaussian", "constant", "duplicated-third", "integer", "zero-column"]))
+        n_rows = data.draw(st.integers(144, 600))
+        delta = data.draw(st.sampled_from([0.01, 0.1]))
+        rows = self._rows(kind, n_rows, d, data.draw(st.integers(0, 2**32 - 1)))
+        try:
+            est = estimate_mean(rows, delta, self.CONFIG, seed=data.draw(st.integers(0, 100)))
+        except ValueError:
+            return
+        assert np.all(np.isfinite(est.mu_hat))
+        assert est.rho_star == max(est.slabs.max_violation(est.mu_hat), 0.0)

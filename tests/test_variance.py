@@ -21,39 +21,35 @@ from dirmean.distributions import DistributionSpec
 from naive_oracles import oracle_pair_block_averages
 
 
-def make_estimator(projection_rows, theta, trim_mode):
+def make_estimator(projection_rows, theta):
     """Estimator with d=1 blocks equal to the given projections."""
     z = np.asarray(projection_rows, dtype=float)[:, np.newaxis]
     plan = plan_blocks(z.shape[0], None, theta, "variance", PipelineConfig(gamma=1.0, theta_var=theta))
-    return VarianceEstimator(Z=z, theta=theta, trim_mode=trim_mode, plan=plan)
+    return VarianceEstimator(Z=z, plan=plan)
 
 
 class TestPsiExamples:
     def test_absolute_mode_with_tie(self):
-        est = make_estimator([2.0, -2.0, 1.0, -1.0], 0.25, "absolute")
+        est = make_estimator([2.0, -2.0, 1.0, -1.0], 0.25)
         # |p| ties at 2; the smaller block index is dropped
         assert psi(est, [1.0]) == pytest.approx(0.75)
 
-    def test_signed_mode(self):
-        est = make_estimator([2.0, -2.0, 1.0, -1.0], 0.25, "signed")
-        assert psi(est, [1.0]) == pytest.approx(0.75)
-
     def test_zero_blocks(self):
-        est = make_estimator([0.0, 0.0, 0.0, 0.0], 0.25, "absolute")
+        est = make_estimator([0.0, 0.0, 0.0, 0.0], 0.25)
         assert psi(est, [1.0]) == 0.0
 
     def test_rejects_non_unit(self):
-        est = make_estimator([1.0, 2.0, 3.0, 4.0], 0.25, "absolute")
+        est = make_estimator([1.0, 2.0, 3.0, 4.0], 0.25)
         with pytest.raises(ValueError):
             psi(est, [2.0])
 
 
 class TestPsiInvariants:
-    def _fit(self, seed=0, trim_mode="absolute"):
+    def _fit(self, seed=0):
         spec = DistributionSpec("gaussian", SpectrumSpec((2.0, 1.0, 0.5)), mean=(0.0,) * 3)
         gt = make_ground_truth(spec)
         ds = sample_dataset(gt, 2 * 10**4, seed)
-        return fit_variance(ds, PipelineConfig(trim_mode=trim_mode))
+        return fit_variance(ds)
 
     def test_direction_sign_symmetry_absolute(self):
         est = self._fit()
@@ -67,7 +63,7 @@ class TestPsiInvariants:
         est = self._fit()
         rng = np.random.default_rng(2)
         perm = rng.permutation(est.n_blocks)
-        shuffled = VarianceEstimator(est.Z[perm], est.theta, est.trim_mode, est.plan)
+        shuffled = VarianceEstimator(est.Z[perm], est.plan)
         u = np.array([0.6, 0.0, 0.8])
         assert psi(est, u) == pytest.approx(psi(shuffled, u), rel=1e-12)
 
@@ -81,14 +77,13 @@ class TestPsiInvariants:
             assert psi(est, u) <= untrimmed + 1e-15
 
     def test_single_direction_matches_profile(self):
-        for mode in ("absolute", "signed"):
-            est = self._fit(trim_mode=mode)
-            rng = np.random.default_rng(4)
-            dirs = rng.standard_normal((32, 3))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            prof = psi_profile(est, dirs)
-            singles = np.array([psi(est, u) for u in dirs])
-            assert np.allclose(prof, singles, rtol=1e-12, atol=1e-15)
+        est = self._fit()
+        rng = np.random.default_rng(4)
+        dirs = rng.standard_normal((32, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        prof = psi_profile(est, dirs)
+        singles = np.array([psi(est, u) for u in dirs])
+        assert np.allclose(prof, singles, rtol=1e-12, atol=1e-15)
 
     def test_deterministic(self):
         a = self._fit(seed=5)
@@ -105,39 +100,30 @@ class TestPsiProfileKernel:
     """psi_profile squares and trims its projection in place; the values must
     be those of the copy-based composition, bit for bit."""
 
-    def _est(self, trim_mode, n=1000, d=7, seed=0):
+    def _est(self, n=1000, d=7, seed=0):
         z = np.random.default_rng(seed).standard_t(3, size=(n, d))
         plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(gamma=1.0))
-        return VarianceEstimator(Z=z, theta=0.02, trim_mode=trim_mode, plan=plan)
+        return VarianceEstimator(Z=z, plan=plan)
 
     def _dirs(self, count, d, seed=1):
         dirs = np.random.default_rng(seed).standard_normal((count, d))
         return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
     def test_absolute_matches_copy_based_partition(self):
-        est = self._est("absolute")
+        est = self._est()
         dirs = self._dirs(64, 7)
         proj = est.Z @ dirs.T
         n, k = proj.shape[0], est.trim_per_side
         expected = np.partition(proj**2, n - k - 1, axis=0)[: n - k].sum(0) / (2 * n)
         assert np.array_equal(psi_profile(est, dirs), expected)
 
-    def test_signed_matches_copy_based_sort(self):
-        est = self._est("signed")
-        dirs = self._dirs(64, 7)
-        proj = est.Z @ dirs.T
-        n, k = proj.shape[0], est.trim_per_side
-        expected = (np.sort(proj, axis=0)[: n - k] ** 2).sum(0) / (2 * n)
-        assert np.array_equal(psi_profile(est, dirs), expected)
-
     def test_single_direction_is_the_profile_row(self):
-        for mode in ("absolute", "signed"):
-            est = self._est(mode)
-            u = self._dirs(1, 7)[0]
-            assert psi(est, u) == psi_profile(est, u[np.newaxis])[0]
+        est = self._est()
+        u = self._dirs(1, 7)[0]
+        assert psi(est, u) == psi_profile(est, u[np.newaxis])[0]
 
     def test_caller_arrays_untouched(self):
-        est = self._est("absolute")
+        est = self._est()
         dirs = self._dirs(16, 7)
         z, d0 = est.Z.copy(), dirs.copy()
         psi_profile(est, dirs)
@@ -220,12 +206,11 @@ class TestWorkingMemory:
             tracemalloc.stop()
         assert peak < diff_matrix_bytes / 4
 
-    @pytest.mark.parametrize("trim_mode", ["absolute", "signed"])
-    def test_psi_profile_holds_one_projection(self, trim_mode):
+    def test_psi_profile_holds_one_projection(self):
         n, d, count = 1000, 50, 512
         rng = np.random.default_rng(1)
         plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(gamma=1.0))
-        est = VarianceEstimator(Z=rng.standard_normal((n, d)), theta=0.02, trim_mode=trim_mode, plan=plan)
+        est = VarianceEstimator(Z=rng.standard_normal((n, d)), plan=plan)
         dirs = rng.standard_normal((count, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         tracemalloc.start()
