@@ -7,6 +7,8 @@ simultaneously over directions whose variance is above the critical scale
 set by the covariance spectrum.
 """
 
+import dataclasses
+
 import numpy as np
 
 import dirmean as dm
@@ -19,7 +21,7 @@ gt = dm.make_ground_truth(spec)
 ds = dm.sample_dataset(gt, 4 * 10**4, seed=1)
 est = dm.fit_variance(ds)
 print("=== block geometry ===")
-print(f"  {est.plan.to_dict()}")
+print(f"  {dataclasses.asdict(est.plan)}")
 
 print()
 print("=== sandwich along the principal axes ===")

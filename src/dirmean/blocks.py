@@ -62,17 +62,6 @@ class BlockPlan:
     trim_per_side: int
     purpose: str
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "used": self.used,
-            "discarded": self.discarded,
-            "theta": self.theta,
-            "trim_per_side": self.trim_per_side,
-            "purpose": self.purpose,
-        }
-
 
 def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if rows.shape[0] % 2 != 0:

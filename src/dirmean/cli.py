@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .blocks import SizingError, pair_block_averages
-from .config import PipelineConfig
+from .config import PipelineConfig, require_int
 from .diagnostics import (
     check_ratio_conditions,
     check_uniform_ratios,
@@ -124,7 +124,7 @@ def _cmd_estimate(args) -> int:
     spec = DistributionSpec.from_json_dict(doc["distribution"])
     delta = float(doc.get("delta", 0.01))
     config = PipelineConfig.from_dict(doc.get("config"))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
 
     if getattr(args, "data", None):
         rows = read_dataset_csv(args.data)
@@ -134,7 +134,7 @@ def _cmd_estimate(args) -> int:
         if n_total is None:
             raise UsageError("estimate config needs 'n_total' when no --data is given")
         gt = make_ground_truth(spec)
-        ds = sample_dataset(gt, int(n_total), derive_seed(seed, "estimate-data"))
+        ds = sample_dataset(gt, require_int("n_total", n_total), derive_seed(seed, "estimate-data"))
 
     est = estimate_mean(ds, delta, config, seed=derive_seed(seed, "estimate"))
     out = _ensure_outdir(args.out)
@@ -144,22 +144,16 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     doc = _load_config_doc(args.config)
-    sc = Scenario.from_json_dict(doc)
     if args.seed is not None:
-        sc = Scenario.from_json_dict({**doc, "seed": args.seed})
+        doc = {**doc, "seed": args.seed}
+    sc = Scenario.from_json_dict(doc)
     table = run_trials(sc, threads=_resolve_threads(args))
-    summary = per_direction_quantiles(table, sc.delta)
-    doc = {"scenario": sc.to_json_dict(), "summary": summary.to_json_dict()}
-    if "dirmean" in sc.estimators:
-        # echo the block geometry the estimator used, for auditability
-        from .blocks import plan_blocks
-
-        n = sc.n_total // 3
-        doc["block_plan_mean"] = plan_blocks(n, sc.delta, sc.config.theta_mean, "mean", sc.config).to_dict()
-        doc["block_plan_var"] = plan_blocks(n, None, sc.config.theta_var, "variance", sc.config).to_dict()
+    summary = {"scenario": sc, "summary": per_direction_quantiles(table, sc.delta)}
+    if table.block_plans is not None:  # the block geometry dirmean used, for auditability
+        summary["block_plan_mean"], summary["block_plan_var"] = table.block_plans
     out = _ensure_outdir(args.out)
     write_report(table, os.path.join(out, "trials.csv"), "csv")
-    write_report(doc, os.path.join(out, "summary.json"), "json")
+    write_report(summary, os.path.join(out, "summary.json"), "json")
     return EXIT_OK
 
 
@@ -169,8 +163,8 @@ def _cmd_diagnose(args) -> int:
         raise UsageError("diagnose config needs a 'distribution' entry")
     spec = DistributionSpec.from_json_dict(doc["distribution"])
     gt = make_ground_truth(spec)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    n = int(doc.get("n", 10000))
+    seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
+    n = require_int("n", doc.get("n", 10000))
     delta_param = float(doc.get("delta_param", 0.005))
     theta = float(doc.get("theta", 7 * delta_param))
     out = _ensure_outdir(args.out)
@@ -184,7 +178,7 @@ def _cmd_diagnose(args) -> int:
     ratio_rep = check_ratio_conditions(sample, oracle, delta_param, theta)
     sandwich_ok = quantile_sandwich_check(sample, oracle, theta, delta_param)
     write_report(
-        {"ratio_conditions": ratio_rep.to_json_dict(), "quantile_sandwich": bool(sandwich_ok)},
+        {"ratio_conditions": ratio_rep, "quantile_sandwich": sandwich_ok},
         os.path.join(out, "ratio_conditions.json"),
         "json",
     )
@@ -192,17 +186,17 @@ def _cmd_diagnose(args) -> int:
     sb_doc = doc.get("small_ball", {})
     sb = small_ball_check(
         gt,
-        m=int(sb_doc.get("m", 400)),
+        m=require_int("small_ball.m", sb_doc.get("m", 400)),
         gamma=float(sb_doc.get("gamma", 0.05)),
-        trials=int(sb_doc.get("trials", 20000)),
+        trials=require_int("small_ball.trials", sb_doc.get("trials", 20000)),
         seed=derive_seed(seed, "diagnose-smallball"),
     )
     write_report(sb, os.path.join(out, "small_ball.json"), "json")
 
     if spec.family == "gaussian":
         un_doc = doc.get("uniform", {})
-        n_pairs = int(un_doc.get("n_pairs", n))
-        block_m = int(un_doc.get("block_m", 1))
+        n_pairs = require_int("uniform.n_pairs", un_doc.get("n_pairs", n))
+        block_m = require_int("uniform.block_m", un_doc.get("block_m", 1))
         ds = sample_dataset(gt, 2 * n_pairs, derive_seed(seed, "diagnose-uniform"))
         z = pair_block_averages(ds, block_m)
         rep = check_uniform_ratios(
@@ -210,7 +204,7 @@ def _cmd_diagnose(args) -> int:
             gt,
             delta_param,
             r=float(un_doc.get("r", 0.0)),
-            n_dirs=int(un_doc.get("n_dirs", 50)),
+            n_dirs=require_int("uniform.n_dirs", un_doc.get("n_dirs", 50)),
             seed=derive_seed(seed, "diagnose-dirs"),
         )
         write_report(rep, os.path.join(out, "uniform_ratios.json"), "json")
@@ -226,13 +220,13 @@ def _cmd_lowerbound(args) -> int:
         spec = DistributionSpec.from_json_dict(doc["distribution"])
     else:
         raise UsageError("lowerbound config needs 'eigenvalues' or a gaussian 'distribution'")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
     rep = empirical_mean_lower_bound(
         spec,
-        n_samples=int(doc.get("n_samples", 10000)),
+        n_samples=require_int("n_samples", doc.get("n_samples", 10000)),
         delta=float(doc.get("delta", 0.01)),
         c_assumed=float(doc.get("C", 1.0)),
-        trials=int(doc.get("trials", 500)),
+        trials=require_int("trials", doc.get("trials", 500)),
         seed=derive_seed(seed, "lowerbound"),
     )
     out = _ensure_outdir(args.out)

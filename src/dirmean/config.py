@@ -12,6 +12,14 @@ import numbers
 from dataclasses import dataclass
 
 
+def require_int(name: str, value):
+    """``value`` when it is an integer (numpy integers too, bool not); else a
+    ValueError naming ``name``, so a float is never silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     # directional-variance estimator
@@ -37,10 +45,8 @@ class PipelineConfig:
     def __post_init__(self):
         for name in ("directions", "refine_rounds", "refine_probes", "refine_append", "mom_blocks"):
             v = getattr(self, name)
-            if v is None and name in ("directions", "mom_blocks"):
-                continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v is not None or name not in ("directions", "mom_blocks"):
+                require_int(name, v)
         for name in ("gamma", "c1", "c_blocks", "C_prime"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

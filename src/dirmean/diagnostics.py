@@ -43,17 +43,6 @@ class RatioConditionReport:
     eta: float
     holds: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tail_ratio_worst": float(self.tail_ratio_worst),
-            "interval_excess_worst": float(self.interval_excess_worst),
-            "balanced_ok": bool(self.balanced_ok),
-            "delta": float(self.delta),
-            "theta": float(self.theta),
-            "eta": float(self.eta),
-            "holds": bool(self.holds),
-        }
-
 
 def interval_excess_sup(sample: np.ndarray, cdf) -> float:
     """Exact sup over all intervals of P_N{I} - 1.5 P{I}.
@@ -268,22 +257,6 @@ class SmallBallReport:
     small_ball_L: float
     sigma: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": int(self.m),
-            "gamma": float(self.gamma),
-            "trials": int(self.trials),
-            "sign_prob_pos": float(self.sign_prob_pos),
-            "sign_prob_neg": float(self.sign_prob_neg),
-            "alpha": float(self.alpha),
-            "xi": float(self.xi),
-            "truncated_ratio": float(self.truncated_ratio),
-            "lq_l2_ratio": float(self.lq_l2_ratio),
-            "lq_l2_bound": float(self.lq_l2_bound),
-            "small_ball_L": float(self.small_ball_L),
-            "sigma": float(self.sigma),
-        }
-
 
 def small_ball_alpha(xi: float, kappa: float, q: float) -> float:
     """Quantile level alpha = (xi / kappa^2)^(q / (q - 2))."""
@@ -353,12 +326,12 @@ def small_ball_check(
 
     return SmallBallReport(
         m=m,
-        gamma=gamma,
+        gamma=float(gamma),
         trials=trials,
         sign_prob_pos=float(np.mean(z >= 0.0)),
         sign_prob_neg=float(np.mean(z <= 0.0)),
         alpha=alpha,
-        xi=xi,
+        xi=float(xi),
         truncated_ratio=truncated_ratio,
         lq_l2_ratio=lq_l2_ratio,
         lq_l2_bound=lq_l2_bound,

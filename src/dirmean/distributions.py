@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import stream
+from .rng import random_unit_rows, stream
 
 FAMILIES = (
     "gaussian",
@@ -294,8 +294,7 @@ def _contaminated_kappa(spec: DistributionSpec, sigma_base: np.ndarray, n_probes
     frac = spec.contamination_fraction
     rng = stream(0, "contaminated-kappa-probes")
     probes = [np.eye(d)[i] for i in range(d)]
-    extra = rng.standard_normal((max(n_probes - d, 0), d))
-    probes.extend(extra / np.linalg.norm(extra, axis=1, keepdims=True))
+    probes.extend(random_unit_rows(rng, max(n_probes - d, 0), d))
     worst = 1.0
     for u in probes:
         s2 = float(u @ sigma_base @ u)

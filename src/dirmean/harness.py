@@ -14,15 +14,18 @@ identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PipelineConfig
+from .blocks import BlockPlan
+from .config import PipelineConfig, require_int
 from .distributions import (
     DistributionSpec,
     GroundTruth,
@@ -34,7 +37,7 @@ from .distributions import (
     tail_eigensum,
 )
 from .mean import estimate_mean
-from .rng import derive_seed, stream
+from .rng import derive_seed, random_unit_rows, stream
 
 ESTIMATORS = ("dirmean", "empirical-mean", "median-of-means")
 
@@ -72,13 +75,23 @@ class Scenario:
     config: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
+        for name in ("n_total", "trials", "seed"):
+            require_int(name, getattr(self, name))
+        if self.n_total < 3:
+            # the bound terms divide by N = n_total // 3
+            raise ValueError(f"n_total must be at least 3, got {self.n_total}")
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        delta = self.delta
+        if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")  # NaN fails the range too
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        if self.probes is not None and self.probes < self.distribution.dim:
-            raise ValueError("probe count must be at least the dimension")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"estimators must not repeat, got {list(self.estimators)}")
+        if self.probes is not None and require_int("probes", self.probes) < self.distribution.dim:
+            raise ValueError(f"probes must be at least the dimension {self.distribution.dim}, got {self.probes}")
 
     @property
     def n_probes(self) -> int:
@@ -100,12 +113,12 @@ class Scenario:
     def from_json_dict(cls, doc: dict) -> "Scenario":
         return cls(
             distribution=DistributionSpec.from_json_dict(doc["distribution"]),
-            n_total=int(doc["n_total"]),
-            delta=float(doc["delta"]),
-            trials=int(doc["trials"]),
+            n_total=doc["n_total"],
+            delta=doc["delta"],
+            trials=doc["trials"],
             estimators=tuple(doc.get("estimators", ("dirmean", "empirical-mean"))),
             probes=doc.get("probes"),
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
             config=PipelineConfig.from_dict(doc.get("config")),
         )
 
@@ -124,47 +137,44 @@ TRIAL_CSV_COLUMNS = [
 
 @dataclass
 class TrialTable:
-    """Per-trial, per-direction signed error records."""
+    """Signed errors per (trial, estimator, probe direction) with the bound terms.
+
+    ``errors[t, e, j]`` is the error of estimator ``scenario.estimators[e]``
+    in trial t along ``directions[j]``.  The direction term and the sigma(u)
+    it scales are per direction; the two spectral tail terms are constants.
+    ``block_plans`` holds the (mean, variance) plans of the first dirmean
+    trial, or None when dirmean is not run.
+    """
 
     scenario: Scenario
     directions: np.ndarray
-    trial: np.ndarray
-    estimator: list[str]
-    dir_index: np.ndarray
-    error: np.ndarray
+    errors: np.ndarray
     sigma_u: np.ndarray
     weak_term: np.ndarray
-    strong_term_k1: np.ndarray
-    strong_term_k2: np.ndarray
+    strong_term_k1: float
+    strong_term_k2: float
     k1: int
     k2: int
+    block_plans: tuple[BlockPlan, BlockPlan] | None = None
 
     def __len__(self) -> int:
-        return self.error.size
+        return self.errors.size
 
     @property
     def csv_columns(self) -> list[str]:
         return list(TRIAL_CSV_COLUMNS)
 
     def csv_rows(self):
-        for i in range(len(self)):
-            yield [
-                int(self.trial[i]),
-                self.estimator[i],
-                int(self.dir_index[i]),
-                float(self.error[i]),
-                float(self.sigma_u[i]),
-                float(self.weak_term[i]),
-                float(self.strong_term_k1[i]),
-                float(self.strong_term_k2[i]),
-            ]
+        strong = [float(self.strong_term_k1), float(self.strong_term_k2)]
+        per_dir = [[float(s), float(w)] for s, w in zip(self.sigma_u, self.weak_term)]
+        for t, per_est in enumerate(self.errors):
+            for est_name, errs in zip(self.scenario.estimators, per_est):
+                for j, err in enumerate(errs.tolist()):
+                    yield [t, est_name, j, err, *per_dir[j], *strong]
 
     def select(self, estimator: str) -> np.ndarray:
         """Errors of one estimator as a (trials, probes) matrix."""
-        mask = np.array([e == estimator for e in self.estimator])
-        n_dirs = self.directions.shape[0]
-        errs = self.error[mask]
-        return errs.reshape(-1, n_dirs)
+        return self.errors[:, self.scenario.estimators.index(estimator)]
 
 
 def probe_directions(d: int, count: int, seed: int) -> np.ndarray:
@@ -172,19 +182,22 @@ def probe_directions(d: int, count: int, seed: int) -> np.ndarray:
     canon = np.vstack([np.eye(d), -np.eye(d)])[:count]
     if canon.shape[0] >= count:
         return canon
-    rng = stream(seed, "probe-directions")
-    extra = rng.standard_normal((count - canon.shape[0], d))
-    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    extra = random_unit_rows(stream(seed, "probe-directions"), count - canon.shape[0], d)
     return np.vstack([canon, extra])
 
 
-def _run_single_trial(sc: Scenario, gt: GroundTruth, probes: np.ndarray, t: int) -> dict[str, np.ndarray]:
+def _run_single_trial(
+    sc: Scenario, gt: GroundTruth, probes: np.ndarray, t: int
+) -> tuple[np.ndarray, tuple[BlockPlan, BlockPlan] | None]:
+    """(estimators, probes) errors of trial t, and dirmean's block plans if it ran."""
     ds = sample_dataset(gt, sc.n_total, derive_seed(sc.seed, "trial-data", t))
-    out: dict[str, np.ndarray] = {}
-    for est_name in sc.estimators:
+    errors = np.empty((len(sc.estimators), probes.shape[0]))
+    plans = None
+    for e, est_name in enumerate(sc.estimators):
         if est_name == "dirmean":
             est = estimate_mean(ds, sc.delta, sc.config, seed=derive_seed(sc.seed, "trial-est", t))
             mu_hat = est.mu_hat
+            plans = (est.block_plan_mean, est.block_plan_var)  # not est: its slabs are large
         elif est_name == "empirical-mean":
             mu_hat = baseline_empirical_mean(ds)
         else:
@@ -192,8 +205,8 @@ def _run_single_trial(sc: Scenario, gt: GroundTruth, probes: np.ndarray, t: int)
             if k_blocks is None:
                 k_blocks = max(1, math.ceil(8.0 * math.log(1.0 / sc.delta)))
             mu_hat = baseline_median_of_means(ds, k_blocks)
-        out[est_name] = probes @ (mu_hat - gt.mu)
-    return out
+        errors[e] = probes @ (mu_hat - gt.mu)
+    return errors, plans
 
 
 def run_trials(sc: Scenario, threads: int = 1) -> TrialTable:
@@ -205,7 +218,6 @@ def run_trials(sc: Scenario, threads: int = 1) -> TrialTable:
     """
     gt = make_ground_truth(sc.distribution)
     probes = probe_directions(gt.dim, sc.n_probes, sc.seed)
-    n_dirs = probes.shape[0]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -218,46 +230,17 @@ def run_trials(sc: Scenario, threads: int = 1) -> TrialTable:
     k1 = math.ceil(math.log(1.0 / sc.delta))
     k2 = math.ceil(4.0 * math.log(1.0 / sc.delta))
     sigma_u = np.array([directional_sigma(gt, u) for u in probes])
-    weak = sigma_u * log_term
-    strong1 = math.sqrt(tail_eigensum(gt, min(k1, gt.dim)) / n_bound)
-    strong2 = math.sqrt(tail_eigensum(gt, min(k2, gt.dim)) / n_bound)
-
-    n_rows = sc.trials * len(sc.estimators) * n_dirs
-    trial_col = np.empty(n_rows, dtype=int)
-    est_col: list[str] = []
-    dir_col = np.empty(n_rows, dtype=int)
-    err_col = np.empty(n_rows)
-    sig_col = np.empty(n_rows)
-    weak_col = np.empty(n_rows)
-    s1_col = np.empty(n_rows)
-    s2_col = np.empty(n_rows)
-    i = 0
-    for t, per_est in enumerate(results):
-        for est_name in sc.estimators:
-            errs = per_est[est_name]
-            sl = slice(i, i + n_dirs)
-            trial_col[sl] = t
-            est_col.extend([est_name] * n_dirs)
-            dir_col[sl] = np.arange(n_dirs)
-            err_col[sl] = errs
-            sig_col[sl] = sigma_u
-            weak_col[sl] = weak
-            s1_col[sl] = strong1
-            s2_col[sl] = strong2
-            i += n_dirs
     return TrialTable(
         scenario=sc,
         directions=probes,
-        trial=trial_col,
-        estimator=est_col,
-        dir_index=dir_col,
-        error=err_col,
-        sigma_u=sig_col,
-        weak_term=weak_col,
-        strong_term_k1=s1_col,
-        strong_term_k2=s2_col,
+        errors=np.stack([errors for errors, _ in results]),
+        sigma_u=sigma_u,
+        weak_term=sigma_u * log_term,
+        strong_term_k1=math.sqrt(tail_eigensum(gt, min(k1, gt.dim)) / n_bound),
+        strong_term_k2=math.sqrt(tail_eigensum(gt, min(k2, gt.dim)) / n_bound),
         k1=k1,
         k2=k2,
+        block_plans=results[0][1],
     )
 
 
@@ -269,14 +252,6 @@ class PerDirectionSummary:
     rows: list[dict]
     fitted_constants: dict[str, dict[str, float]]
     quantile_flagged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "quantile_flagged": self.quantile_flagged,
-            "fitted_constants": self.fitted_constants,
-            "rows": self.rows,
-        }
 
 
 def per_direction_quantiles(table: TrialTable, delta: float) -> PerDirectionSummary:
@@ -295,20 +270,14 @@ def per_direction_quantiles(table: TrialTable, delta: float) -> PerDirectionSumm
     flagged = n_trials * delta < 1.0
     rows: list[dict] = []
     fitted: dict[str, dict[str, float]] = {}
-    estimators = list(dict.fromkeys(table.estimator))
-    n_dirs = table.directions.shape[0]
-    for est_name in estimators:
-        errs = table.select(est_name)  # (trials, n_dirs)
+    for est_name in sc.estimators:
+        errs = table.select(est_name)  # (trials, probes)
         if flagged:
             q = errs.max(axis=0)
         else:
             order = np.sort(errs, axis=0)
             idx = min(n_trials - 1, math.ceil((1.0 - delta) * n_trials) - 1)
             q = order[idx]
-        sig = table.sigma_u[:n_dirs]
-        weak = table.weak_term[:n_dirs]
-        s1 = table.strong_term_k1[:n_dirs]
-        s2 = table.strong_term_k2[:n_dirs]
 
         def _ratio(denominator: np.ndarray) -> np.ndarray:
             out = np.zeros_like(q)
@@ -317,15 +286,15 @@ def per_direction_quantiles(table: TrialTable, delta: float) -> PerDirectionSumm
             out[~ok & (q > 0)] = np.inf  # degenerate bound with positive error
             return out
 
-        ratio1 = _ratio(weak + s1)
-        ratio2 = _ratio(weak + s2)
-        for j in range(n_dirs):
+        ratio1 = _ratio(table.weak_term + table.strong_term_k1)
+        ratio2 = _ratio(table.weak_term + table.strong_term_k2)
+        for j in range(q.size):
             rows.append(
                 {
                     "estimator": est_name,
                     "dir_index": j,
                     "quantile": float(q[j]),
-                    "sigma_u": float(sig[j]),
+                    "sigma_u": float(table.sigma_u[j]),
                     "ratio_k1": float(ratio1[j]),
                     "ratio_k2": float(ratio2[j]),
                 }
@@ -362,26 +331,8 @@ class LowerBoundReport:
     tail_sum: float
     strong_term_proxy: float
     strong_term_bound: float
-    top_stats: np.ndarray = field(repr=False, default=None)
+    top_stats: np.ndarray = field(repr=False, default=None)  # repr=False: left out of the JSON report
     complement_stats: np.ndarray = field(repr=False, default=None)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k0": float(self.k0),
-            "k": int(self.k),
-            "n_samples": int(self.n_samples),
-            "delta": float(self.delta),
-            "c_assumed": float(self.c_assumed),
-            "trials": int(self.trials),
-            "top_quantile": float(self.top_quantile),
-            "top_chi_oracle": float(self.top_chi_oracle),
-            "concentration_floor": float(self.concentration_floor),
-            "complement_quantile": float(self.complement_quantile),
-            "complement_sampled_quantile": float(self.complement_sampled_quantile),
-            "tail_sum": float(self.tail_sum),
-            "strong_term_proxy": float(self.strong_term_proxy),
-            "strong_term_bound": float(self.strong_term_bound),
-        }
 
 
 def empirical_mean_lower_bound(
@@ -396,6 +347,11 @@ def empirical_mean_lower_bound(
     """
     from scipy import stats  # chi.ppf only; not loaded with the package
 
+    for name, value in (("n_samples", n_samples), ("trials", trials)):
+        if require_int(name, value) < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if isinstance(spec, DistributionSpec):
         if spec.family != "gaussian":
             raise ValueError("lower-bound experiment is defined for gaussian data only")
@@ -416,8 +372,7 @@ def empirical_mean_lower_bound(
     top_stats = np.linalg.norm(g[:, :k], axis=1)
     if k < d:
         complement = np.sqrt((g[:, k:] ** 2 * lam[k:]).sum(axis=1))
-        v = rng.standard_normal((n_sampled_dirs, d - k))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v = random_unit_rows(rng, n_sampled_dirs, d - k)
         y_comp = g[:, k:] * np.sqrt(lam[k:])
         sampled = np.max(y_comp @ v.T, axis=1)
     else:
@@ -433,7 +388,7 @@ def empirical_mean_lower_bound(
         k=k,
         n_samples=n_samples,
         delta=delta,
-        c_assumed=c_assumed,
+        c_assumed=float(c_assumed),
         trials=trials,
         top_quantile=top_q,
         top_chi_oracle=float(stats.chi.ppf(level, k)) if k > 0 else 0.0,
@@ -452,7 +407,21 @@ def empirical_mean_lower_bound(
 # canonical report writing
 # ---------------------------------------------------------------------------
 
+def _is_record(obj) -> bool:
+    return dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+
+
 def _jsonable(obj):
+    """Plain JSON values for a report.
+
+    An object with its own ``to_json_dict`` (the Scenario and DistributionSpec
+    round-trips, RatioReport) is written by it; any other dataclass as its
+    fields, leaving out those declared ``field(repr=False)`` (bulk arrays).
+    """
+    if hasattr(obj, "to_json_dict"):
+        return _jsonable(obj.to_json_dict())
+    if _is_record(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -477,18 +446,14 @@ def _csv_cell(v) -> str:
 def write_report(report, path: str, format: str = "json") -> None:
     """Write a report canonically; identical reports give identical bytes.
 
-    JSON: sorted keys, two-space indent, shortest round-trip floats.
-    CSV: the report's declared column order (objects exposing
-    ``csv_columns`` / ``csv_rows``).
+    JSON (a dict or a dataclass, see :func:`_jsonable`): sorted keys,
+    two-space indent, shortest round-trip floats.  CSV: the report's
+    declared column order (objects exposing ``csv_columns`` / ``csv_rows``).
     """
     if format == "json":
-        if hasattr(report, "to_json_dict"):
-            doc = report.to_json_dict()
-        elif isinstance(report, dict):
-            doc = report
-        else:
+        if not (isinstance(report, dict) or _is_record(report)):
             raise ValueError(f"cannot serialize {type(report).__name__} to json")
-        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     elif format == "csv":
         if not hasattr(report, "csv_rows"):
             raise ValueError(f"{type(report).__name__} has no csv representation")

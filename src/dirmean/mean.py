@@ -33,7 +33,7 @@ from .blocks import (
 )
 from .config import PipelineConfig
 from .distributions import _check_unit, as_rows
-from .rng import stream
+from .rng import random_unit_rows, stream
 from .variance import VarianceEstimator, fit_variance, psi_profile
 
 DUPLICATE_DOT = 1.0 - 1e-12  # |cos| above this counts as the same direction
@@ -52,14 +52,6 @@ class MarginalMeanEstimator:
 
     Y: np.ndarray
     plan: BlockPlan
-
-    @property
-    def n_blocks(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.Y.shape[1]
 
 
 def fit_marginal(ds, delta: float, config: PipelineConfig | None = None) -> MarginalMeanEstimator:
@@ -137,10 +129,6 @@ class SlabSystem:
     @property
     def n_slabs(self) -> int:
         return self.directions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
 
     def max_violation(self, v: np.ndarray) -> float:
         """Worst slab violation g(v); the replayable certificate."""
@@ -383,7 +371,7 @@ def build_direction_set(
         count = _keep_new(out, count, _eigendirections(var_est.Z, min(d, 8)))
     rng = stream(seed, "direction-fill")
     while count < budget:
-        count = _keep_new(out, count, _random_unit_rows(rng, budget - count, d))
+        count = _keep_new(out, count, random_unit_rows(rng, budget - count, d))
     return out
 
 
@@ -401,26 +389,7 @@ class MeanEstimate:
     directions_used: int
     block_plan_mean: BlockPlan
     block_plan_var: BlockPlan
-    slabs: SlabSystem = field(repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu_hat": [float(x) for x in self.mu_hat],
-            "rho_star": float(self.rho_star),
-            "iterations": int(self.iterations),
-            "final_gap": float(self.final_gap),
-            "refinement_rounds": int(self.refinement_rounds),
-            "probe_violation": None if self.probe_violation is None else float(self.probe_violation),
-            "converged": bool(self.converged),
-            "directions_used": int(self.directions_used),
-            "block_plan_mean": self.block_plan_mean.to_dict(),
-            "block_plan_var": self.block_plan_var.to_dict(),
-        }
-
-
-def _random_unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
-    g = rng.standard_normal((count, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    slabs: SlabSystem = field(repr=False)  # left out of the JSON report
 
 
 def estimate_mean(
@@ -474,7 +443,7 @@ def estimate_mean(
     probe_violation = None
     rng = stream(seed, "refine-probes")
     for _ in range(config.refine_rounds):
-        probes = _random_unit_rows(rng, config.refine_probes, d)
+        probes = random_unit_rows(rng, config.refine_probes, d)
         p_centers = nu_hat_profile(marg_est, probes)
         p_widths = slab_width_profile(var_est, probes, delta, config.C_prime, n)
         viol = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star

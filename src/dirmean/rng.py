@@ -53,3 +53,10 @@ def derive_seed(seed: int, *labels) -> int:
         for w in _label_words(lab):
             h.update(w.to_bytes(4, "little"))
     return int.from_bytes(h.digest()[:8], "little") >> 1
+
+
+def random_unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` uniform unit vectors of R^d as rows: gaussian draws over their norms."""
+    g = rng.standard_normal((count, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g

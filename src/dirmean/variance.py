@@ -29,14 +29,6 @@ class VarianceEstimator:
     def n_blocks(self) -> int:
         return self.Z.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.Z.shape[1]
-
-    @property
-    def trim_per_side(self) -> int:
-        return self.plan.trim_per_side
-
 
 def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
     """Block averages of the pair differences, formed block by block.
@@ -78,7 +70,7 @@ def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
     """
     proj = est.Z @ np.asarray(directions, dtype=float).T  # (n, M)
     n = proj.shape[0]
-    k = est.trim_per_side
+    k = est.plan.trim_per_side
     with np.errstate(over="ignore"):  # checked once, on the (M,) result
         np.square(proj, out=proj)
         if k > 0:

@@ -142,3 +142,162 @@ def oracle_lognormal_kappa(d, shape, q):
         return radial * special.beta((p + 1) / 2.0, (d - 1) / 2.0) / special.beta(0.5, (d - 1) / 2.0)
 
     return moment(q) ** (1.0 / q) / np.sqrt(moment(2.0))
+
+
+# ---------------------------------------------------------------------------
+# report serializers: the hand-written methods the generic dataclass dump
+# replaced, one field at a time with its cast
+# ---------------------------------------------------------------------------
+
+def oracle_block_plan_dict(plan):
+    return {
+        "m": plan.m,
+        "n": plan.n,
+        "used": plan.used,
+        "discarded": plan.discarded,
+        "theta": plan.theta,
+        "trim_per_side": plan.trim_per_side,
+        "purpose": plan.purpose,
+    }
+
+
+def oracle_mean_estimate_dict(est):
+    return {
+        "mu_hat": [float(x) for x in est.mu_hat],
+        "rho_star": float(est.rho_star),
+        "iterations": int(est.iterations),
+        "final_gap": float(est.final_gap),
+        "refinement_rounds": int(est.refinement_rounds),
+        "probe_violation": None if est.probe_violation is None else float(est.probe_violation),
+        "converged": bool(est.converged),
+        "directions_used": int(est.directions_used),
+        "block_plan_mean": oracle_block_plan_dict(est.block_plan_mean),
+        "block_plan_var": oracle_block_plan_dict(est.block_plan_var),
+    }
+
+
+def oracle_ratio_condition_dict(rep):
+    return {
+        "tail_ratio_worst": float(rep.tail_ratio_worst),
+        "interval_excess_worst": float(rep.interval_excess_worst),
+        "balanced_ok": bool(rep.balanced_ok),
+        "delta": float(rep.delta),
+        "theta": float(rep.theta),
+        "eta": float(rep.eta),
+        "holds": bool(rep.holds),
+    }
+
+
+def oracle_small_ball_dict(rep):
+    return {
+        "m": int(rep.m),
+        "gamma": float(rep.gamma),
+        "trials": int(rep.trials),
+        "sign_prob_pos": float(rep.sign_prob_pos),
+        "sign_prob_neg": float(rep.sign_prob_neg),
+        "alpha": float(rep.alpha),
+        "xi": float(rep.xi),
+        "truncated_ratio": float(rep.truncated_ratio),
+        "lq_l2_ratio": float(rep.lq_l2_ratio),
+        "lq_l2_bound": float(rep.lq_l2_bound),
+        "small_ball_L": float(rep.small_ball_L),
+        "sigma": float(rep.sigma),
+    }
+
+
+def oracle_lower_bound_dict(rep):
+    return {
+        "k0": float(rep.k0),
+        "k": int(rep.k),
+        "n_samples": int(rep.n_samples),
+        "delta": float(rep.delta),
+        "c_assumed": float(rep.c_assumed),
+        "trials": int(rep.trials),
+        "top_quantile": float(rep.top_quantile),
+        "top_chi_oracle": float(rep.top_chi_oracle),
+        "concentration_floor": float(rep.concentration_floor),
+        "complement_quantile": float(rep.complement_quantile),
+        "complement_sampled_quantile": float(rep.complement_sampled_quantile),
+        "tail_sum": float(rep.tail_sum),
+        "strong_term_proxy": float(rep.strong_term_proxy),
+        "strong_term_bound": float(rep.strong_term_bound),
+    }
+
+
+def oracle_per_direction_summary_dict(summary):
+    return {
+        "delta": summary.delta,
+        "quantile_flagged": summary.quantile_flagged,
+        "fitted_constants": summary.fitted_constants,
+        "rows": summary.rows,
+    }
+
+
+def oracle_trial_rows(sc):
+    """The rows of ``trials.csv`` for a scenario, run serially trial by trial
+    and laid out by filling eight row-long columns, each per-direction term
+    copied into every (trial, estimator) row."""
+    import math
+
+    from dirmean import (
+        baseline_empirical_mean,
+        baseline_median_of_means,
+        directional_sigma,
+        estimate_mean,
+        make_ground_truth,
+        probe_directions,
+        sample_dataset,
+        tail_eigensum,
+    )
+    from dirmean.rng import derive_seed
+
+    gt = make_ground_truth(sc.distribution)
+    probes = probe_directions(gt.dim, sc.n_probes, sc.seed)
+    n_dirs = probes.shape[0]
+    results = []
+    for t in range(sc.trials):
+        ds = sample_dataset(gt, sc.n_total, derive_seed(sc.seed, "trial-data", t))
+        per_est = {}
+        for name in sc.estimators:
+            if name == "dirmean":
+                mu_hat = estimate_mean(ds, sc.delta, sc.config, seed=derive_seed(sc.seed, "trial-est", t)).mu_hat
+            elif name == "empirical-mean":
+                mu_hat = baseline_empirical_mean(ds)
+            else:
+                k_blocks = sc.config.mom_blocks or max(1, math.ceil(8.0 * math.log(1.0 / sc.delta)))
+                mu_hat = baseline_median_of_means(ds, k_blocks)
+            per_est[name] = probes @ (mu_hat - gt.mu)
+        results.append(per_est)
+
+    n_bound = sc.n_total // 3
+    log_term = math.sqrt(math.log(1.0 / sc.delta) / n_bound)
+    k1 = math.ceil(math.log(1.0 / sc.delta))
+    k2 = math.ceil(4.0 * math.log(1.0 / sc.delta))
+    sigma_u = np.array([directional_sigma(gt, u) for u in probes])
+    weak = sigma_u * log_term
+    strong1 = math.sqrt(tail_eigensum(gt, min(k1, gt.dim)) / n_bound)
+    strong2 = math.sqrt(tail_eigensum(gt, min(k2, gt.dim)) / n_bound)
+
+    n_rows = sc.trials * len(sc.estimators) * n_dirs
+    trial_col = np.empty(n_rows, dtype=int)
+    est_col = []
+    dir_col = np.empty(n_rows, dtype=int)
+    err_col, sig_col, weak_col, s1_col, s2_col = (np.empty(n_rows) for _ in range(5))
+    i = 0
+    for t, per_est in enumerate(results):
+        for name in sc.estimators:
+            sl = slice(i, i + n_dirs)
+            trial_col[sl] = t
+            est_col.extend([name] * n_dirs)
+            dir_col[sl] = np.arange(n_dirs)
+            err_col[sl] = per_est[name]
+            sig_col[sl] = sigma_u
+            weak_col[sl] = weak
+            s1_col[sl] = strong1
+            s2_col[sl] = strong2
+            i += n_dirs
+    return [
+        [int(trial_col[i]), est_col[i], int(dir_col[i]), float(err_col[i]), float(sig_col[i]),
+         float(weak_col[i]), float(s1_col[i]), float(s2_col[i])]
+        for i in range(n_rows)
+    ]

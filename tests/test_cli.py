@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -19,6 +20,9 @@ GAUSS_2D = {
 
 # small but feasible: variance third of 3N=1800 gives 600 pairs >= 4 * 125
 TINY_CONFIG = {"gamma": 1.0, "c1": 1.0, "theta_var": 0.25, "theta_mean": 0.125, "refine_probes": 64}
+
+
+BASELINES = ["empirical-mean", "median-of-means"]  # no dirmean, whose planner checks delta itself
 
 
 def write_json(path, doc):
@@ -140,6 +144,13 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"ERROR 1: {field} must be an integer, got {value}\n"
 
+    @pytest.mark.parametrize("field, value", [("n_total", 1800.5), ("seed", 1.5), ("n_total", True)])
+    def test_non_integer_document_field_exits_1_naming_it(self, tmp_path, capsys, field, value):
+        doc = {"distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": TINY_CONFIG}
+        cfg = write_json(tmp_path / "cfg.json", dict(doc, **{field: value}))
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: {field} must be an integer, got {value}\n"
+
     def test_empty_data_file_exits_1_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("")
@@ -183,6 +194,54 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "ERROR 1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"delta": 0, "estimators": BASELINES}, "delta"),
+            ({"delta": 2.0, "estimators": BASELINES}, "delta"),
+            ({"delta": float("nan"), "estimators": BASELINES}, "delta"),
+            ({"delta": True, "estimators": BASELINES}, "delta"),
+            ({"probes": 4.5, "estimators": BASELINES}, "probes"),
+            ({"probes": 1}, "probes"),
+            ({"n_total": 3000.9}, "n_total"),
+            ({"n_total": 2, "estimators": BASELINES}, "n_total"),
+            ({"trials": 2.7}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"trials": 0}, "trials"),
+            ({"seed": 1.5}, "seed"),
+            ({"estimators": ["empirical-mean", "dirmean", "empirical-mean"]}, "estimators"),
+        ],
+    )
+    def test_malformed_scenario_exits_1_naming_the_field(self, tmp_path, capsys, overrides, field):
+        cfg = write_json(tmp_path / "sc.json", scenario_doc(**overrides))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 1: ") and err.count("\n") == 1
+        assert field in err
+        assert not (tmp_path / "o").exists()
+
+    def test_summary_echoes_the_estimators_plans(self, tmp_path):
+        from dirmean import DistributionSpec, PipelineConfig, derive_seed, estimate_mean, make_ground_truth, sample_dataset
+
+        doc = scenario_doc(trials=2)
+        cfg = write_json(tmp_path / "sc.json", doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--seed", "8", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        gt = make_ground_truth(DistributionSpec.from_json_dict(doc["distribution"]))
+        ds = sample_dataset(gt, doc["n_total"], derive_seed(8, "trial-data", 0))
+        est = estimate_mean(ds, doc["delta"], PipelineConfig.from_dict(TINY_CONFIG), seed=derive_seed(8, "trial-est", 0))
+        assert summary["block_plan_mean"] == dataclasses.asdict(est.block_plan_mean)
+        assert summary["block_plan_var"] == dataclasses.asdict(est.block_plan_var)
+        assert summary["scenario"]["seed"] == 8
+
+    def test_no_plans_without_dirmean(self, tmp_path):
+        cfg = write_json(tmp_path / "sc.json", scenario_doc(trials=2, estimators=["empirical-mean"]))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"scenario", "summary"}
+
 
 class TestDiagnoseCommand:
     def test_writes_reports(self, tmp_path):
@@ -203,6 +262,25 @@ class TestDiagnoseCommand:
         assert "ratio_conditions" in doc and "quantile_sandwich" in doc
 
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"n": 2000.5}, "n"),
+            ({"seed": 2.5}, "seed"),
+            ({"small_ball": {"m": 16.5}}, "small_ball.m"),
+            ({"small_ball": {"trials": 5000.5}}, "small_ball.trials"),
+            ({"uniform": {"n_pairs": 100.5}}, "uniform.n_pairs"),
+            ({"uniform": {"block_m": 1.5}}, "uniform.block_m"),
+            ({"uniform": {"n_dirs": 5.5}}, "uniform.n_dirs"),
+        ],
+    )
+    def test_non_integer_field_exits_1_naming_it(self, tmp_path, capsys, overrides, field):
+        cfg = write_json(tmp_path / "d.json", {"distribution": GAUSS_2D, "n": 2000, **overrides})
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR 1: {field} must be an integer, got ") and err.count("\n") == 1
+
+
 class TestLowerboundCommand:
     def test_writes_report(self, tmp_path):
         cfg = write_json(tmp_path / "lb.json", {
@@ -213,6 +291,24 @@ class TestLowerboundCommand:
         assert main(["lowerbound", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
         doc = json.loads((out / "lowerbound.json").read_text())
         assert doc["k0"] > 1.0 and doc["trials"] == 300
+
+    @pytest.mark.parametrize("field, value", [("n_samples", 1000.5), ("trials", 300.5), ("seed", 9.5)])
+    def test_non_integer_field_exits_1_naming_it(self, tmp_path, capsys, field, value):
+        doc = {"eigenvalues": [1.0, 0.5], "n_samples": 1000, "trials": 300}
+        cfg = write_json(tmp_path / "lb.json", dict(doc, **{field: value}))
+        assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: {field} must be an integer, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("n_samples", 0, "be at least 1, got 0"), ("trials", 0, "be at least 1, got 0"),
+         ("delta", 0.0, "lie in (0, 1), got 0.0"), ("delta", 1.5, "lie in (0, 1), got 1.5")],
+    )
+    def test_out_of_range_field_exits_1_naming_it(self, tmp_path, capsys, field, value, message):
+        doc = {"eigenvalues": [1.0, 0.5], "n_samples": 1000, "trials": 300}
+        cfg = write_json(tmp_path / "lb.json", dict(doc, **{field: value}))
+        assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: {field} must {message}\n"
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -17,6 +17,7 @@ from dirmean import (
     run_trials,
     write_report,
 )
+from dirmean.rng import stream
 
 
 def gaussian_scenario(**kwargs):
@@ -80,7 +81,7 @@ class TestRunTrials:
         spec = DistributionSpec("gaussian", SpectrumSpec((0.0, 0.0)), mean=(1.0, 2.0))
         sc = gaussian_scenario(distribution=spec)
         table = run_trials(sc)
-        assert np.allclose(table.error, 0.0, atol=1e-12)
+        assert np.allclose(table.errors, 0.0, atol=1e-12)
 
     def test_deterministic_bytes(self, tmp_path):
         sc = gaussian_scenario()
@@ -95,7 +96,7 @@ class TestRunTrials:
         sc = gaussian_scenario(trials=6)
         serial = run_trials(sc, threads=1)
         parallel = run_trials(sc, threads=4)
-        assert np.array_equal(serial.error, parallel.error)
+        assert np.array_equal(serial.errors, parallel.errors)
 
     def test_probe_set_layout(self):
         probes = probe_directions(3, 8, seed=0)
@@ -103,6 +104,11 @@ class TestRunTrials:
         assert np.array_equal(probes[:3], np.eye(3))
         assert np.array_equal(probes[3:6], -np.eye(3))
         assert np.allclose(np.linalg.norm(probes, axis=1), 1.0, atol=1e-12)
+
+    def test_probe_fill_is_normalized_gaussian_rows(self):
+        # the shared sampler divides in place; the bytes equal the out-of-place formula
+        g = stream(5, "probe-directions").standard_normal((4, 3))
+        assert np.array_equal(probe_directions(3, 10, seed=5)[6:], g / np.linalg.norm(g, axis=1, keepdims=True))
 
     def test_empirical_mean_errors_match_gaussian_law(self):
         # exact sampling law: errors along unit directions are N(0, 1/rows)
@@ -121,6 +127,32 @@ class TestRunTrials:
         for j in range(errs.shape[1]):
             p = stats.kstest(errs[:, j] / scale, "norm").pvalue
             assert p > 0.01
+
+
+class TestScenarioChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_total", 300.0),
+            ("n_total", 2),
+            ("trials", 2.5),
+            ("trials", False),
+            ("probes", 4.5),
+            ("seed", 0.5),
+            ("delta", 0.0),
+            ("delta", 1.0),
+            ("delta", math.nan),
+            ("delta", "0.1"),
+            ("estimators", ("empirical-mean", "empirical-mean")),
+        ],
+    )
+    def test_rejected_with_field_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            gaussian_scenario(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        sc = gaussian_scenario(n_total=np.int64(300), trials=np.int64(2), delta=np.float64(0.1), probes=np.int64(4))
+        assert sc.n_probes == 4 and run_trials(sc).errors.shape == (2, 1, 4)
 
 
 class TestPerDirectionQuantiles:
@@ -180,6 +212,16 @@ class TestLowerBound:
         )
         with pytest.raises(ValueError):
             empirical_mean_lower_bound(spec, 100, 0.01, 1.0, 10, 0)
+
+    @pytest.mark.parametrize(
+        "field, args",
+        [("n_samples", (100.5, 0.05, 10)), ("n_samples", (0, 0.05, 10)), ("trials", (100, 0.05, 10.0)),
+         ("delta", (100, 1.0, 10))],
+    )
+    def test_rejects_bad_sizes_naming_the_field(self, field, args):
+        n_samples, delta, trials = args
+        with pytest.raises(ValueError, match=field):
+            empirical_mean_lower_bound(SpectrumSpec((1.0, 0.5)), n_samples, delta, 1.0, trials, 0)
 
     def test_sampled_supremum_lower_bounds_exact(self):
         rep = empirical_mean_lower_bound(

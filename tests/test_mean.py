@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 
@@ -25,6 +26,7 @@ from dirmean import (
     sample_dataset,
     slab_width,
     solve_center,
+    write_report,
 )
 import dirmean.mean as mean_module
 from dirmean.mean import DUPLICATE_DOT, TOL, _keep_new
@@ -585,10 +587,12 @@ class TestEstimateMean:
         b = estimate_mean(rows[: 3 * 10**4], 0.01, seed=5)
         assert np.array_equal(a.mu_hat, b.mu_hat)
 
-    def test_json_serialization_keys(self):
+    def test_json_serialization_keys(self, tmp_path):
         gt = gaussian_gt([1.0, 1.0])
         est = estimate_mean(sample_dataset(gt, 3 * 10**4, 13), 0.01, seed=6)
-        doc = est.to_json_dict()
+        write_report(est, str(tmp_path / "estimate.json"))
+        doc = json.loads((tmp_path / "estimate.json").read_text())
+        assert "slabs" not in doc
         for key in (
             "mu_hat",
             "rho_star",

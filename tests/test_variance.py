@@ -113,7 +113,7 @@ class TestPsiProfileKernel:
         est = self._est()
         dirs = self._dirs(64, 7)
         proj = est.Z @ dirs.T
-        n, k = proj.shape[0], est.trim_per_side
+        n, k = proj.shape[0], est.plan.trim_per_side
         expected = np.partition(proj**2, n - k - 1, axis=0)[: n - k].sum(0) / (2 * n)
         assert np.array_equal(psi_profile(est, dirs), expected)
 
