@@ -19,6 +19,7 @@ from .trimmed import trim_count
 
 PLAN_PURPOSES = ("variance", "mean")
 _CHUNK_BYTES = 1 << 20  # pair-difference buffer of pair_block_averages
+_LINE = 64  # cache-line bytes; projection rows span an odd number of lines
 
 
 class SizingError(ValueError):
@@ -87,6 +88,35 @@ def pair_differences(ds) -> np.ndarray:
     return first - second
 
 
+def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x3.sum(axis=1)`` of an (n, m, d) block stack, with the same bytes.
+
+    For d >= 2 add.reduce adds the m rows of a block in order, and einsum
+    does the same with less work per row.  At d = 1 the block axis is the
+    contiguous one and add.reduce sums it pairwise, so it stays there.
+    """
+    if x3.shape[2] == 1:
+        return x3.sum(axis=1, out=out)
+    return np.einsum("nmd->nd", x3, out=out)
+
+
+def projections(rows: np.ndarray, directions) -> np.ndarray:
+    """``rows @ directions.T`` in the first M columns of a zeroed (n, ld) buffer.
+
+    ``ld`` rounds M up so that a row spans an odd number of cache lines: at
+    M = 512 a 4 KiB row stride would map a whole column to one cache set.
+    BLAS only stores the values elsewhere, so ``[:, :M]`` has the bytes of
+    the plain product.  Callers reduce through that view (the padding is
+    zero), which keeps numpy's summation order of the plain product.
+    """
+    u = np.asarray(directions, dtype=float)
+    per_line = _LINE // u.itemsize
+    ld = (-(-u.shape[0] // per_line) | 1) * per_line
+    buf = np.zeros((rows.shape[0], ld))
+    np.matmul(rows, u.T, out=buf[:, : u.shape[0]])
+    return buf
+
+
 def block_averages(ds, m: int) -> np.ndarray:
     """(1/sqrt(m)) * sum over consecutive groups of m rows.
 
@@ -97,7 +127,7 @@ def block_averages(ds, m: int) -> np.ndarray:
     n = _block_count(n_rows, m)
     if m == 1:
         return rows[: n * m].copy()
-    return rows[: n * m].reshape(n, m, d).sum(axis=1) / math.sqrt(m)
+    return block_sums(rows[: n * m].reshape(n, m, d)) / math.sqrt(m)
 
 
 def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
@@ -105,7 +135,7 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
 
     The paired rows are subtracted into one reused buffer of about
     ``_CHUNK_BYTES`` (never less than one block), a chunk of whole blocks
-    at a time, and each block is summed by the same numpy reduction as in
+    at a time, and each block is summed by :func:`block_sums`, as in
     :func:`block_averages`, so the output has the same bytes.  Only the
     first ``n`` blocks (default: every full block) are formed.
     """
@@ -124,7 +154,7 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
         hi = min(lo + per_chunk, n)
         rows = slice(lo * m, hi * m)
         diff = np.subtract(first[rows], second[rows], out=buf[: (hi - lo) * m])
-        diff.reshape(hi - lo, m, d).sum(axis=1, out=out[lo:hi])
+        block_sums(diff.reshape(hi - lo, m, d), out=out[lo:hi])
     out /= math.sqrt(m)
     return out
 

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .blocks import SizingError, pair_block_averages
-from .config import PipelineConfig, require_int
+from .config import PipelineConfig, require_int, require_probability
 from .diagnostics import (
     check_ratio_conditions,
     check_uniform_ratios,
@@ -122,7 +122,7 @@ def _cmd_estimate(args) -> int:
     if "distribution" not in doc:
         raise UsageError("estimate config needs a 'distribution' entry")
     spec = DistributionSpec.from_json_dict(doc["distribution"])
-    delta = float(doc.get("delta", 0.01))
+    delta = require_probability("delta", doc.get("delta", 0.01))
     config = PipelineConfig.from_dict(doc.get("config"))
     seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
 
@@ -134,7 +134,7 @@ def _cmd_estimate(args) -> int:
         if n_total is None:
             raise UsageError("estimate config needs 'n_total' when no --data is given")
         gt = make_ground_truth(spec)
-        ds = sample_dataset(gt, require_int("n_total", n_total), derive_seed(seed, "estimate-data"))
+        ds = sample_dataset(gt, require_int("n_total", n_total, 1), derive_seed(seed, "estimate-data"))
 
     est = estimate_mean(ds, delta, config, seed=derive_seed(seed, "estimate"))
     out = _ensure_outdir(args.out)
@@ -164,8 +164,8 @@ def _cmd_diagnose(args) -> int:
     spec = DistributionSpec.from_json_dict(doc["distribution"])
     gt = make_ground_truth(spec)
     seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
-    n = require_int("n", doc.get("n", 10000))
-    delta_param = float(doc.get("delta_param", 0.005))
+    n = require_int("n", doc.get("n", 10000), 1)
+    delta_param = require_probability("delta_param", doc.get("delta_param", 0.005))
     theta = float(doc.get("theta", 7 * delta_param))
     out = _ensure_outdir(args.out)
 
@@ -186,17 +186,17 @@ def _cmd_diagnose(args) -> int:
     sb_doc = doc.get("small_ball", {})
     sb = small_ball_check(
         gt,
-        m=require_int("small_ball.m", sb_doc.get("m", 400)),
+        m=require_int("small_ball.m", sb_doc.get("m", 400), 1),
         gamma=float(sb_doc.get("gamma", 0.05)),
-        trials=require_int("small_ball.trials", sb_doc.get("trials", 20000)),
+        trials=require_int("small_ball.trials", sb_doc.get("trials", 20000), 1),
         seed=derive_seed(seed, "diagnose-smallball"),
     )
     write_report(sb, os.path.join(out, "small_ball.json"), "json")
 
     if spec.family == "gaussian":
         un_doc = doc.get("uniform", {})
-        n_pairs = require_int("uniform.n_pairs", un_doc.get("n_pairs", n))
-        block_m = require_int("uniform.block_m", un_doc.get("block_m", 1))
+        n_pairs = require_int("uniform.n_pairs", un_doc.get("n_pairs", n), 1)
+        block_m = require_int("uniform.block_m", un_doc.get("block_m", 1), 1)
         ds = sample_dataset(gt, 2 * n_pairs, derive_seed(seed, "diagnose-uniform"))
         z = pair_block_averages(ds, block_m)
         rep = check_uniform_ratios(
@@ -204,7 +204,7 @@ def _cmd_diagnose(args) -> int:
             gt,
             delta_param,
             r=float(un_doc.get("r", 0.0)),
-            n_dirs=require_int("uniform.n_dirs", un_doc.get("n_dirs", 50)),
+            n_dirs=require_int("uniform.n_dirs", un_doc.get("n_dirs", 50), 1),
             seed=derive_seed(seed, "diagnose-dirs"),
         )
         write_report(rep, os.path.join(out, "uniform_ratios.json"), "json")
@@ -223,10 +223,10 @@ def _cmd_lowerbound(args) -> int:
     seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
     rep = empirical_mean_lower_bound(
         spec,
-        n_samples=require_int("n_samples", doc.get("n_samples", 10000)),
-        delta=float(doc.get("delta", 0.01)),
+        n_samples=require_int("n_samples", doc.get("n_samples", 10000), 1),
+        delta=require_probability("delta", doc.get("delta", 0.01)),
         c_assumed=float(doc.get("C", 1.0)),
-        trials=require_int("trials", doc.get("trials", 500)),
+        trials=require_int("trials", doc.get("trials", 500), 1),
         seed=derive_seed(seed, "lowerbound"),
     )
     out = _ensure_outdir(args.out)

@@ -12,11 +12,22 @@ import numbers
 from dataclasses import dataclass
 
 
-def require_int(name: str, value):
-    """``value`` when it is an integer (numpy integers too, bool not); else a
-    ValueError naming ``name``, so a float is never silently truncated."""
+def require_int(name: str, value, least: int | None = None):
+    """``value`` when it is an integer (numpy integers too, bool not) of at
+    least ``least``; else a ValueError naming ``name``, so a float is never
+    silently truncated and a bad size never reaches the code it would break."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def require_probability(name: str, value):
+    """``value`` when it is a real number in (0, 1) (bool and strings not);
+    else a ValueError naming ``name``.  NaN fails the range test too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
     return value
 
 

@@ -17,15 +17,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockPlan
-from .config import PipelineConfig, require_int
+from .blocks import BlockPlan, block_sums
+from .config import PipelineConfig, require_int, require_probability
 from .distributions import (
     DistributionSpec,
     GroundTruth,
@@ -47,7 +46,7 @@ def baseline_empirical_mean(ds) -> np.ndarray:
     rows = as_rows(ds)
     if rows.shape[0] == 0:
         raise ValueError("empty dataset")
-    return rows.mean(axis=0)
+    return block_sums(rows[np.newaxis])[0] / rows.shape[0]
 
 
 def baseline_median_of_means(ds, k_blocks: int) -> np.ndarray:
@@ -57,7 +56,7 @@ def baseline_median_of_means(ds, k_blocks: int) -> np.ndarray:
     if not (1 <= k_blocks <= n):
         raise ValueError(f"k_blocks must lie in [1, {n}]")
     m = n // k_blocks
-    means = rows[: k_blocks * m].reshape(k_blocks, m, -1).mean(axis=1)
+    means = block_sums(rows[: k_blocks * m].reshape(k_blocks, m, -1)) / m
     return np.median(means, axis=0)
 
 
@@ -75,16 +74,10 @@ class Scenario:
     config: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
-        for name in ("n_total", "trials", "seed"):
-            require_int(name, getattr(self, name))
-        if self.n_total < 3:
-            # the bound terms divide by N = n_total // 3
-            raise ValueError(f"n_total must be at least 3, got {self.n_total}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        delta = self.delta
-        if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")  # NaN fails the range too
+        require_int("n_total", self.n_total, 3)  # the bound terms divide by N = n_total // 3
+        require_int("trials", self.trials, 1)
+        require_int("seed", self.seed)
+        require_probability("delta", self.delta)
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
@@ -347,11 +340,9 @@ def empirical_mean_lower_bound(
     """
     from scipy import stats  # chi.ppf only; not loaded with the package
 
-    for name, value in (("n_samples", n_samples), ("trials", trials)):
-        if require_int(name, value) < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    require_int("n_samples", n_samples, 1)
+    require_int("trials", trials, 1)
+    require_probability("delta", delta)
     if isinstance(spec, DistributionSpec):
         if spec.family != "gaussian":
             raise ValueError("lower-bound experiment is defined for gaussian data only")

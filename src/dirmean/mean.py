@@ -30,6 +30,7 @@ from .blocks import (
     block_averages,
     nonfinite_error,
     plan_blocks,
+    projections,
 )
 from .config import PipelineConfig
 from .distributions import _check_unit, as_rows
@@ -63,7 +64,7 @@ def fit_marginal(ds, delta: float, config: PipelineConfig | None = None) -> Marg
     config = config or PipelineConfig()
     rows = as_rows(ds)
     plan = plan_blocks(rows.shape[0], delta, config.theta_mean, "mean", config)
-    y = block_averages(rows, plan.m)[: plan.n]
+    y = block_averages(rows[: plan.used], plan.m)
     if not np.isfinite(y).all():
         raise nonfinite_error(rows, np.arange(plan.used))
     return MarginalMeanEstimator(Y=y, plan=plan)
@@ -79,13 +80,14 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     """Vectorized marginal mean estimates over the rows of ``directions``.
 
     Drops the trim_per_side largest and smallest signed projections per
-    direction, then rescales the interior mean by 1/sqrt(m).
+    direction, then rescales the interior mean by 1/sqrt(m).  The projections
+    are sorted in place in the (n, M) view of their padded buffer.
     """
-    proj = est.Y @ np.asarray(directions, dtype=float).T  # (n, M)
+    proj = projections(est.Y, directions)[:, : np.shape(directions)[0]]
     n = proj.shape[0]
     k = est.plan.trim_per_side
-    interior = np.sort(proj, axis=0)[k : n - k]
-    return interior.sum(axis=0) / (math.sqrt(est.plan.m) * (n - 2 * k))
+    proj.sort(axis=0)
+    return proj[k : n - k].sum(axis=0) / (math.sqrt(est.plan.m) * (n - 2 * k))
 
 
 def slab_width(var_est: VarianceEstimator, u, delta: float, c_prime: float, n_samples: int) -> float:

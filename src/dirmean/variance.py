@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks
+from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks, projections
 from .config import PipelineConfig
 from .distributions import SpectrumSpec, _check_unit, as_rows
 
@@ -62,17 +62,20 @@ def psi(est: VarianceEstimator, u) -> float:
 def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
     """Vectorized :func:`psi` over the rows of ``directions``.
 
-    The (blocks, directions) projection is squared and trimmed in place,
-    so it is the only working array.  Dropping either member of a tied
-    pair leaves the retained sum unchanged, so value ties need no index
-    bookkeeping.  Raises ValueError when the squared projections overflow
-    (input rows near the square root of the float range).
+    The padded (blocks, directions) projection buffer of
+    :func:`~dirmean.blocks.projections` is squared whole, and trimmed and
+    summed in place through its (n, M) view, so it is the only working
+    array.  Dropping either member of a tied pair leaves the retained sum
+    unchanged, so value ties need no index bookkeeping.  Raises ValueError
+    when the squared projections overflow (input rows near the square root
+    of the float range).
     """
-    proj = est.Z @ np.asarray(directions, dtype=float).T  # (n, M)
-    n = proj.shape[0]
+    buf = projections(est.Z, directions)
+    n = buf.shape[0]
+    proj = buf[:, : np.shape(directions)[0]]
     k = est.plan.trim_per_side
     with np.errstate(over="ignore"):  # checked once, on the (M,) result
-        np.square(proj, out=proj)
+        np.square(buf, out=buf)  # the contiguous buffer: squaring the view would buffer it
         if k > 0:
             proj.partition(n - k - 1, axis=0)  # the k largest squares last
         out = proj[: n - k].sum(axis=0) / (2.0 * n)

@@ -124,6 +124,35 @@ def oracle_pair_block_averages(rows, m, n):
     return diffs[: n * m].reshape(n, m, diffs.shape[1]).sum(axis=1) / np.sqrt(m)
 
 
+def oracle_empirical_mean(rows):
+    """The empirical-mean baseline as numpy's mean of the rows."""
+    return np.asarray(rows, dtype=float).mean(axis=0)
+
+
+def oracle_median_of_means(rows, k_blocks):
+    """Coordinatewise median of numpy's means of ``k_blocks`` contiguous
+    blocks of ``len(rows) // k_blocks`` rows."""
+    rows = np.asarray(rows, dtype=float)
+    m = rows.shape[0] // k_blocks
+    return np.median(rows[: k_blocks * m].reshape(k_blocks, m, -1).mean(axis=1), axis=0)
+
+
+def oracle_psi_profile(z, directions, k):
+    """Trimmed directional second moments from a partitioned copy of the
+    squared (blocks, directions) projection."""
+    proj = z @ directions.T
+    n = proj.shape[0]
+    return np.partition(proj**2, n - k - 1, axis=0)[: n - k].sum(axis=0) / (2.0 * n)
+
+
+def oracle_nu_hat_profile(y, directions, k, m):
+    """Trimmed marginal means from a sorted copy of the (blocks, directions)
+    projection."""
+    proj = y @ directions.T
+    n = proj.shape[0]
+    return np.sort(proj, axis=0)[k : n - k].sum(axis=0) / (np.sqrt(m) * (n - 2 * k))
+
+
 def oracle_student_kappa(nu, q):
     """Lq/L2 ratio of a t_nu marginal by numerical quadrature of |t|^q
     against the scipy t density."""

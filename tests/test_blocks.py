@@ -9,6 +9,7 @@ from dirmean import (
     pair_differences,
     plan_blocks,
 )
+from dirmean.blocks import block_sums, projections
 
 
 class TestPairDifferences:
@@ -161,3 +162,48 @@ class TestPlanBlocks:
     def test_rejects_unknown_purpose(self):
         with pytest.raises(ValueError):
             plan_blocks(10**4, 0.01, 0.125, "median")
+
+
+class TestBlockSums:
+    """block_sums is x3.sum(axis=1) to the bit, sign of zero included."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 50, 200])
+    @pytest.mark.parametrize("m", [1, 2, 3, 100, 2083])
+    @pytest.mark.parametrize("n", [1, 48, 1000])
+    def test_matches_add_reduce(self, d, m, n):
+        n = min(n, max(1, 2_000_000 // (m * d)))  # at most 16 MB: fewer blocks of the same shape
+        x3 = np.random.default_rng(d * m + n).standard_t(3, size=(n, m, d))
+        x3[0, :, 0] = -0.0  # a block of negative zeros sums to -0.0
+        if d > 1:
+            x3[:, :, -1] = -0.0
+        got, expected = block_sums(x3), x3.sum(axis=1)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_writes_into_out(self, d):
+        x3 = np.random.default_rng(d).standard_normal((4, 9, d))
+        out = np.full((6, d), np.nan)
+        block_sums(x3, out=out[1:5])
+        assert np.array_equal(out[1:5], x3.sum(axis=1)) and np.isnan(out[[0, 5]]).all()
+
+
+class TestProjections:
+    @pytest.mark.parametrize("count", [1, 2, 7, 256, 400, 512, 1600])
+    def test_view_is_the_plain_product(self, count):
+        rng = np.random.default_rng(count)
+        rows = rng.standard_normal((300, 13))
+        dirs = rng.standard_normal((count, 13))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        buf = projections(rows, dirs)
+        assert buf.shape[0] == 300 and buf.shape[1] >= count and buf.flags.c_contiguous
+        assert np.array_equal(buf[:, :count], rows @ dirs.T)
+        assert not buf[:, count:].any()  # zero padding
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 256, 400, 512, 1024, 1600])
+    def test_row_stride_is_an_odd_number_of_cache_lines(self, count):
+        # a 4 KiB stride (count = 512) maps a whole column to one cache set
+        buf = projections(np.ones((3, 2)), np.ones((count, 2)))
+        lines, rest = divmod(buf.strides[0], 64)
+        assert rest == 0 and lines % 2 == 1
+        assert buf.shape[1] - count < 2 * 64 // 8  # at most two lines of padding

@@ -151,6 +151,23 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"ERROR 1: {field} must be an integer, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_total", 0, "must be at least 1, got 0"),
+            ("n_total", -5, "must be at least 1, got -5"),
+            ("delta", "0.01", "must lie in (0, 1), got '0.01'"),
+            ("delta", 0, "must lie in (0, 1), got 0"),
+            ("delta", 1.5, "must lie in (0, 1), got 1.5"),
+        ],
+    )
+    def test_bad_document_value_exits_1_naming_it(self, tmp_path, capsys, field, value, message):
+        doc = {"distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": TINY_CONFIG, field: value}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: {field} {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_empty_data_file_exits_1_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("")
@@ -281,6 +298,27 @@ class TestDiagnoseCommand:
         assert err.startswith(f"ERROR 1: {field} must be an integer, got ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "overrides, field, message",
+        [
+            ({"n": 0}, "n", "must be at least 1, got 0"),
+            ({"n": -5}, "n", "must be at least 1, got -5"),
+            ({"delta_param": "0.005"}, "delta_param", "must lie in (0, 1), got '0.005'"),
+            ({"delta_param": 1.5}, "delta_param", "must lie in (0, 1), got 1.5"),
+            ({"small_ball": {"m": 0}}, "small_ball.m", "must be at least 1, got 0"),
+            ({"small_ball": {"trials": 0}}, "small_ball.trials", "must be at least 1, got 0"),
+            ({"uniform": {"n_pairs": 0}}, "uniform.n_pairs", "must be at least 1, got 0"),
+            ({"uniform": {"block_m": 0}}, "uniform.block_m", "must be at least 1, got 0"),
+            ({"uniform": {"n_dirs": 0}}, "uniform.n_dirs", "must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_value_exits_1_naming_it(self, tmp_path, capsys, overrides, field, message):
+        doc = {"distribution": GAUSS_2D, "n": 2000, "small_ball": {"m": 16, "trials": 5000}, **overrides}
+        cfg = write_json(tmp_path / "d.json", doc)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: {field} {message}\n"
+
+
 class TestLowerboundCommand:
     def test_writes_report(self, tmp_path):
         cfg = write_json(tmp_path / "lb.json", {
@@ -309,6 +347,12 @@ class TestLowerboundCommand:
         cfg = write_json(tmp_path / "lb.json", dict(doc, **{field: value}))
         assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"ERROR 1: {field} must {message}\n"
+
+    def test_string_delta_exits_1_naming_it(self, tmp_path, capsys):
+        doc = {"eigenvalues": [1.0, 0.5], "n_samples": 1000, "trials": 300, "delta": "0.01"}
+        cfg = write_json(tmp_path / "lb.json", doc)
+        assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "ERROR 1: delta must lie in (0, 1), got '0.01'\n"
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirmean import PipelineConfig
+from dirmean.config import require_int, require_probability
 
 
 class TestRefineAndBaselineFields:
@@ -59,3 +60,23 @@ class TestRefineAndBaselineFields:
     def test_removed_keys_are_unknown(self, key, value):
         with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
             PipelineConfig.from_dict({key: value})
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("value, least", [(0, 1), (-5, 1), (2, 3), (np.int64(0), 1)])
+    def test_int_below_least_names_the_field(self, value, least):
+        with pytest.raises(ValueError, match=f"^size must be at least {least}, got {value}$"):
+            require_int("size", value, least)
+
+    @pytest.mark.parametrize("value, least", [(1, 1), (3, 3), (-5, None), (np.int64(7), 1)])
+    def test_int_at_least_least_is_returned(self, value, least):
+        assert require_int("size", value, least) is value
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 2, math.nan, math.inf, True, "0.01", None])
+    def test_probability_outside_open_unit_interval_names_the_field(self, value):
+        with pytest.raises(ValueError, match="^level must lie in \\(0, 1\\), got "):
+            require_probability("level", value)
+
+    @pytest.mark.parametrize("value", [0.01, 0.5, np.float64(0.99), 5e-324])
+    def test_probability_in_range_is_returned(self, value):
+        assert require_probability("level", value) is value

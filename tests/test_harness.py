@@ -18,6 +18,7 @@ from dirmean import (
     write_report,
 )
 from dirmean.rng import stream
+from naive_oracles import oracle_empirical_mean, oracle_median_of_means
 
 
 def gaussian_scenario(**kwargs):
@@ -69,6 +70,26 @@ class TestBaselines:
         assert np.array_equal(
             baseline_median_of_means(rows, 7), baseline_median_of_means(rows, 7)
         )
+
+
+class TestBaselineKernels:
+    """Both baselines are block sums over a count; the bytes must be those of
+    numpy's mean, d = 1 (pairwise summation) included."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 50])
+    @pytest.mark.parametrize("n_rows", [1, 7, 1000, 10_001])
+    def test_empirical_mean_matches_numpy_mean(self, d, n_rows):
+        rows = np.random.default_rng(d * n_rows).standard_t(3, size=(n_rows, d))
+        rows[:, 0] = -0.0
+        got, expected = baseline_empirical_mean(rows), oracle_empirical_mean(rows)
+        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 50])
+    @pytest.mark.parametrize("n_rows, k_blocks", [(1, 1), (40, 7), (1000, 37), (10_001, 1), (10_001, 10_001)])
+    def test_median_of_means_matches_numpy_means(self, d, n_rows, k_blocks):
+        rows = np.random.default_rng(d + n_rows + k_blocks).standard_t(3, size=(n_rows, d))
+        got = baseline_median_of_means(rows, k_blocks)
+        assert np.array_equal(got, oracle_median_of_means(rows, k_blocks))
 
 
 class TestRunTrials:

@@ -15,6 +15,7 @@ from dirmean import (
     SizingError,
     SlabSystem,
     SpectrumSpec,
+    block_averages,
     build_direction_set,
     estimate_mean,
     fit_marginal,
@@ -31,7 +32,7 @@ from dirmean import (
 import dirmean.mean as mean_module
 from dirmean.mean import DUPLICATE_DOT, TOL, _keep_new
 from dirmean.rng import stream
-from naive_oracles import oracle_direction_fill, oracle_keep_new
+from naive_oracles import oracle_direction_fill, oracle_keep_new, oracle_nu_hat_profile
 
 SMALL_CFG = PipelineConfig(gamma=1.0, theta_var=0.125, directions=None, refine_probes=64)
 
@@ -135,6 +136,48 @@ class TestFitMarginal:
     def test_overflowing_block_sums_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             fit_marginal(np.full((200, 2), 1e308), 0.05)
+
+
+class TestFitMarginalBlocks:
+    def test_blocks_only_the_used_rows(self, monkeypatch):
+        # 150 rows and n = 48 blocks of m = 3: the 6 trailing rows form no block
+        rows = np.random.default_rng(3).standard_normal((150, 2))
+        seen = []
+
+        def recording(ds, m):
+            seen.append(np.shape(ds)[0])
+            return block_averages(ds, m)
+
+        monkeypatch.setattr(mean_module, "block_averages", recording)
+        est = fit_marginal(rows, 0.01)
+        assert (est.plan.n, est.plan.m, est.plan.used) == (48, 3, 144)
+        assert seen == [144]
+        assert np.array_equal(est.Y, block_averages(rows, 3)[:48])
+
+
+class TestNuHatPaddedKernel:
+    """nu_hat_profile sorts its padded projection in place; the values must be
+    those of the sorted copy, bit for bit, at the 4 KiB row of 512 directions."""
+
+    @pytest.mark.parametrize("d, count", [(50, 512), (50, 400), (50, 1), (1, 1), (1, 512)])
+    def test_matches_copy_based_oracle(self, d, count):
+        rng = np.random.default_rng(d + count)
+        y = rng.standard_t(3, size=(1000, d))
+        plan = plan_blocks(1000 * 7, 0.01, 0.125, "mean", PipelineConfig(c_blocks=178.0))
+        assert plan.n == 1000
+        est = MarginalMeanEstimator(Y=y, plan=plan)
+        dirs = rng.standard_normal((count, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        expected = oracle_nu_hat_profile(y, dirs, plan.trim_per_side, plan.m)
+        assert np.array_equal(nu_hat_profile(est, dirs), expected)
+
+    def test_caller_arrays_untouched(self):
+        rng = np.random.default_rng(4)
+        est = fit_marginal(rng.standard_normal((2000, 3)), 0.05)
+        dirs = rng.standard_normal((16, 3))
+        y, d0 = est.Y.copy(), dirs.copy()
+        nu_hat_profile(est, dirs)
+        assert np.array_equal(est.Y, y) and np.array_equal(dirs, d0)
 
 
 class TestNuHat:

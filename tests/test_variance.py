@@ -18,7 +18,7 @@ from dirmean import (
     sample_dataset,
 )
 from dirmean.distributions import DistributionSpec
-from naive_oracles import oracle_pair_block_averages
+from naive_oracles import oracle_pair_block_averages, oracle_psi_profile
 
 
 def make_estimator(projection_rows, theta):
@@ -276,3 +276,42 @@ class TestStatisticalGuarantees:
                 checks += 1
                 hits += psi(est, v) <= 10.0 * r**2
         assert hits / checks >= 0.99
+
+
+class TestPaddedProjectionKernel:
+    """At (1000 blocks, 512 directions) the projection row is 4 KiB before
+    padding; the padded kernel must give the copy-based values bit for bit
+    and hold one projection plus its padding."""
+
+    def _est(self, n=1000, d=50):
+        z = np.random.default_rng(5).standard_t(3, size=(n, d))
+        return VarianceEstimator(Z=z, plan=plan_blocks(n, None, 0.02, "variance", PipelineConfig(gamma=1.0)))
+
+    @pytest.mark.parametrize("count", [1, 2, 400, 512])
+    def test_matches_copy_based_oracle(self, count):
+        est = self._est()
+        dirs = np.random.default_rng(count).standard_normal((count, 50))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        expected = oracle_psi_profile(est.Z, dirs, est.plan.trim_per_side)
+        assert np.array_equal(psi_profile(est, dirs), expected)
+
+    def test_d1_matches_copy_based_oracle(self):
+        # one column: the retained squares are summed pairwise, as in the copy
+        z = np.random.default_rng(6).standard_t(3, size=(1000, 1))
+        est = VarianceEstimator(Z=z, plan=plan_blocks(1000, None, 0.02, "variance", PipelineConfig(gamma=1.0)))
+        dirs = np.array([[1.0], [-1.0]])
+        for u in (dirs[:1], dirs):
+            assert np.array_equal(psi_profile(est, u), oracle_psi_profile(z, u, est.plan.trim_per_side))
+
+    def test_peak_is_one_padded_projection(self):
+        n, count = 1000, 512
+        est = self._est(n)
+        dirs = np.random.default_rng(2).standard_normal((count, 50))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            psi_profile(est, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * n * count * 8
