@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -24,7 +25,7 @@ import warnings
 import numpy as np
 
 from .blocks import SizingError, pair_block_averages
-from .config import PipelineConfig, require_int, require_probability
+from .config import PipelineConfig, require_int, require_probability, require_real
 from .diagnostics import (
     check_ratio_conditions,
     check_uniform_ratios,
@@ -49,6 +50,7 @@ from .harness import (
 )
 from .mean import estimate_mean
 from .rng import derive_seed
+from .trimmed import trim_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -166,7 +168,15 @@ def _cmd_diagnose(args) -> int:
     seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
     n = require_int("n", doc.get("n", 10000), 1)
     delta_param = require_probability("delta_param", doc.get("delta_param", 0.005))
-    theta = float(doc.get("theta", 7 * delta_param))
+    theta = require_real("theta", doc.get("theta", 7 * delta_param), 0.0, 0.5)
+    if trim_count(theta, n) < 1:
+        least = max(1, math.ceil(0.5 / theta) - 1)  # within one of the smallest n; step past rounding
+        while trim_count(theta, least) < 1:
+            least += 1
+        raise UsageError(
+            f"n = {n} is too small for theta = {theta}: the trim count round(theta n) "
+            f"must be at least 1, so n must be at least {least}"
+        )
     out = _ensure_outdir(args.out)
 
     u = np.eye(gt.dim)[0]
@@ -187,7 +197,7 @@ def _cmd_diagnose(args) -> int:
     sb = small_ball_check(
         gt,
         m=require_int("small_ball.m", sb_doc.get("m", 400), 1),
-        gamma=float(sb_doc.get("gamma", 0.05)),
+        gamma=require_probability("small_ball.gamma", sb_doc.get("gamma", 0.05)),
         trials=require_int("small_ball.trials", sb_doc.get("trials", 20000), 1),
         seed=derive_seed(seed, "diagnose-smallball"),
     )
@@ -203,7 +213,7 @@ def _cmd_diagnose(args) -> int:
             z,
             gt,
             delta_param,
-            r=float(un_doc.get("r", 0.0)),
+            r=require_real("uniform.r", un_doc.get("r", 0.0)),
             n_dirs=require_int("uniform.n_dirs", un_doc.get("n_dirs", 50), 1),
             seed=derive_seed(seed, "diagnose-dirs"),
         )
@@ -225,7 +235,7 @@ def _cmd_lowerbound(args) -> int:
         spec,
         n_samples=require_int("n_samples", doc.get("n_samples", 10000), 1),
         delta=require_probability("delta", doc.get("delta", 0.01)),
-        c_assumed=float(doc.get("C", 1.0)),
+        c_assumed=require_real("C", doc.get("C", 1.0), 0.0),
         trials=require_int("trials", doc.get("trials", 500), 1),
         seed=derive_seed(seed, "lowerbound"),
     )

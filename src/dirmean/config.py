@@ -8,6 +8,7 @@ constants instead of trusting these values.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -23,12 +24,18 @@ def require_int(name: str, value, least: int | None = None):
     return value
 
 
-def require_probability(name: str, value):
-    """``value`` when it is a real number in (0, 1) (bool and strings not);
-    else a ValueError naming ``name``.  NaN fails the range test too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+def require_real(name: str, value, above: float = -math.inf, below: float = math.inf):
+    """``value`` when it is a real number (bool and strings not) in the open
+    interval (above, below); else a ValueError naming ``name``.  NaN fails
+    the range test too, and so does an infinity at the default bounds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not above < value < below:
+        raise ValueError(f"{name} must lie in ({above:g}, {below:g}), got {value!r}")
     return value
+
+
+def require_probability(name: str, value):
+    """:func:`require_real` on (0, 1)."""
+    return require_real(name, value, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

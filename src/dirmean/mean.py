@@ -9,10 +9,10 @@ final estimator is a point v minimizing the worst slab violation
 a piecewise-linear convex minimax program over a finite direction set.
 Minimizing the slack max(g, 0) is a linear program in d + 1 variables,
 solved by cutting planes from a cheap warm start, with a certified
-optimality gap: each round adds the rows of the worst violated slabs to
-one HiGHS model and resumes from its basis.  A probe-and-refine loop
-bounds the finite-direction surrogate gap empirically and reports it
-instead of hiding it.
+optimality gap: each round adds a row for the violated side of each worst
+slab to one unscaled HiGHS model and resumes from its basis.  A
+probe-and-refine loop bounds the finite-direction surrogate gap
+empirically and reports it instead of hiding it.
 """
 
 from __future__ import annotations
@@ -160,32 +160,27 @@ class SolveResult:
 def _slab_lp(d: int):
     """One HiGHS model of  min t  over x in R^d free and t >= 0, grown by rounds.
 
-    Returns ``lp_round(u, r, w)``: it adds the rows <u_i, x> - t <= w_i + r_i
-    and <u_i, x> + t >= r_i - w_i, re-solves by dual simplex from the last
-    basis, and returns the optimal (x, t), or None when HiGHS does not report
-    the model optimal.  The only code that knows scipy's bundled binding
-    (private API, ``scipy.optimize._highspy._core``; see pyproject.toml).
+    Returns ``lp_round(u, s, b)``: it adds the rows s_i <u_i, x> + t >= b_i,
+    re-solves by dual simplex from the last basis (unscaled: the rows are
+    unit directions with a coefficient of one on t), and returns the
+    optimal (x, t), or None when HiGHS does not report the model optimal.
+    The only code that knows scipy's bundled binding (private API,
+    ``scipy.optimize._highspy._core``; see pyproject.toml).
     """
     highs = _core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("simplex_scale_strategy", 0)
     highs.addVars(d + 1, np.r_[np.full(d, -_core.kHighsInf), 0.0], np.full(d + 1, _core.kHighsInf))
     highs.changeColsCost(1, np.array([d], dtype=np.int32), np.array([1.0]))
 
-    def lp_round(u: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-        k = u.shape[0]
-        t_col = np.r_[-np.ones(k), np.ones(k)][:, np.newaxis]
-        block = np.hstack([np.vstack([u, u]), t_col])
+    def lp_round(u: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+        k = s.size
+        block = np.hstack([s[:, np.newaxis] * u, np.ones((k, 1))])
         rows, cols = np.nonzero(block)
-        inf = np.full(k, _core.kHighsInf)
+        starts = np.searchsorted(rows, np.arange(k)).astype(np.int32)
         added = highs.addRows(
-            2 * k,
-            np.r_[-inf, r - w],
-            np.r_[w + r, inf],
-            rows.size,
-            np.searchsorted(rows, np.arange(2 * k)).astype(np.int32),
-            cols.astype(np.int32),
-            block[rows, cols],
+            k, b, np.full(k, _core.kHighsInf), rows.size, starts, cols.astype(np.int32), block[rows, cols]
         )
         if added == _core.HighsStatus.kError:
             return None
@@ -208,11 +203,13 @@ def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveRe
         min t  s.t.  |r_i - <u_i, x>| <= w_i + t,  t >= 0,  r = c - U v_warm
 
     in the displacement x = v - v_warm is solved by cutting planes in one
-    HiGHS model: each round (one ``iterations`` step) adds the rows of the
-    worst <= 2 (d + 1) slabs that violate the current restricted optimum
-    ``lower`` and resumes dual simplex from the previous round's basis, and
-    the loop stops once g(v) <= lower + TOL (1 + lower).  Directions that no
-    active slab constrains stay at the warm start.
+    HiGHS model: each round (one ``iterations`` step) adds, for the worst
+    <= 2 (d + 1) slabs that violate the current restricted optimum ``lower``
+    on a side not yet in the model, the row s_i <u_i, x> + t >= s_i r_i - w_i
+    of that side, s_i = sign(r_i - <u_i, x>); the other side enters only if a
+    later round violates it.  Each round resumes dual simplex from the last
+    basis, and the loop stops once g(v) <= lower + TOL (1 + lower).
+    Directions that no active row constrains stay at the warm start.
 
     The restricted optimum bounds the full one from below, so ``final_gap =
     rho_star - lower`` is a certified gap; ``converged`` means HiGHS reported
@@ -233,27 +230,30 @@ def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveRe
         v_warm = np.linalg.lstsq(u, c, rcond=None)[0]
     else:
         v_warm = np.asarray(v_init, dtype=float).reshape(d).copy()
-    r = c - u @ v_warm
+    r = res = c - u @ v_warm
     viol = np.abs(r) - w
     v_best, g_best = v_warm, float(np.max(viol))
     lower, optimal, rounds = 0.0, True, 0
     if g_best > 0.0:
         lp_round = _slab_lp(d)
-        active = np.zeros(m, dtype=bool)
+        active = np.zeros((2, m), dtype=bool)  # sides s = +1 and s = -1 in the model
         while True:
-            cand = np.flatnonzero(~active & (viol > lower))
+            below = res < 0.0  # the side each slab violates at the current point
+            cand = np.flatnonzero(~np.where(below, active[1], active[0]) & (viol > lower))
             if cand.size == 0:
                 break  # only the LP's own tolerance is left to close
             new = cand[np.argsort(-viol[cand], kind="stable")[: 2 * (d + 1)]]
-            active[new] = True
-            sol = lp_round(u[new], r[new], w[new])
+            active[below[new].astype(int), new] = True
+            s = np.where(below[new], -1.0, 1.0)
+            sol = lp_round(u[new], s, s * r[new] - w[new])
             rounds += 1
             if sol is None:
                 optimal = False
                 break
             lower = float(sol[d])
             v = v_warm + sol[:d]
-            viol = np.abs(c - u @ v) - w
+            res = c - u @ v
+            viol = np.abs(res) - w
             g = float(np.max(viol))
             if g < g_best:
                 v_best, g_best = v, g

@@ -310,6 +310,11 @@ class TestDiagnoseCommand:
             ({"uniform": {"n_pairs": 0}}, "uniform.n_pairs", "must be at least 1, got 0"),
             ({"uniform": {"block_m": 0}}, "uniform.block_m", "must be at least 1, got 0"),
             ({"uniform": {"n_dirs": 0}}, "uniform.n_dirs", "must be at least 1, got 0"),
+            ({"theta": "0.035"}, "theta", "must lie in (0, 0.5), got '0.035'"),
+            ({"theta": 0.5}, "theta", "must lie in (0, 0.5), got 0.5"),
+            ({"small_ball": {"m": 16, "trials": 5000, "gamma": "0.05"}}, "small_ball.gamma",
+             "must lie in (0, 1), got '0.05'"),
+            ({"uniform": {"r": "0.0"}}, "uniform.r", "must lie in (-inf, inf), got '0.0'"),
         ],
     )
     def test_bad_value_exits_1_naming_it(self, tmp_path, capsys, overrides, field, message):
@@ -317,6 +322,25 @@ class TestDiagnoseCommand:
         cfg = write_json(tmp_path / "d.json", doc)
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"ERROR 1: {field} {message}\n"
+
+    def test_n_too_small_to_trim_names_the_least_n(self, tmp_path, capsys):
+        # at the default theta = 7 * 0.005 = 0.035, round(theta n) >= 1 first holds at n = 15
+        doc = {"distribution": GAUSS_2D, "small_ball": {"m": 4, "trials": 500}, "uniform": {"n_dirs": 3}}
+        cfg = write_json(tmp_path / "d.json", dict(doc, n=14))
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "ERROR 1: n = 14 is too small for theta = 0.035: the trim count round(theta n) "
+            "must be at least 1, so n must be at least 15\n"
+        )
+        cfg = write_json(tmp_path / "d.json", dict(doc, n=15))
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("theta, least", [(0.05, 10), (0.1, 5), (0.3, 2), (0.001, 500)])
+    def test_least_n_is_the_first_that_trims(self, tmp_path, capsys, theta, least):
+        doc = {"distribution": GAUSS_2D, "theta": theta, "delta_param": 1e-4, "n": least - 1}
+        cfg = write_json(tmp_path / "d.json", doc)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(f"so n must be at least {least}\n")
 
 
 class TestLowerboundCommand:
@@ -340,7 +364,8 @@ class TestLowerboundCommand:
     @pytest.mark.parametrize(
         "field, value, message",
         [("n_samples", 0, "be at least 1, got 0"), ("trials", 0, "be at least 1, got 0"),
-         ("delta", 0.0, "lie in (0, 1), got 0.0"), ("delta", 1.5, "lie in (0, 1), got 1.5")],
+         ("delta", 0.0, "lie in (0, 1), got 0.0"), ("delta", 1.5, "lie in (0, 1), got 1.5"),
+         ("C", "1.0", "lie in (0, inf), got '1.0'"), ("C", 0.0, "lie in (0, inf), got 0.0")],
     )
     def test_out_of_range_field_exits_1_naming_it(self, tmp_path, capsys, field, value, message):
         doc = {"eigenvalues": [1.0, 0.5], "n_samples": 1000, "trials": 300}

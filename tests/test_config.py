@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dirmean import PipelineConfig
-from dirmean.config import require_int, require_probability
+from dirmean.config import require_int, require_probability, require_real
 
 
 class TestRefineAndBaselineFields:
@@ -80,3 +80,16 @@ class TestFieldChecks:
     @pytest.mark.parametrize("value", [0.01, 0.5, np.float64(0.99), 5e-324])
     def test_probability_in_range_is_returned(self, value):
         assert require_probability("level", value) is value
+
+    @pytest.mark.parametrize(
+        "value, above, below",
+        [(math.inf, -math.inf, math.inf), (math.nan, -math.inf, math.inf), ("1.0", -math.inf, math.inf),
+         (False, -math.inf, math.inf), (0.0, 0.0, math.inf), (0.5, 0.0, 0.5), (np.float64(-1.0), 0.0, 0.5)],
+    )
+    def test_real_outside_open_interval_names_the_field(self, value, above, below):
+        with pytest.raises(ValueError, match=f"^r must lie in \\({above:g}, {below:g}\\), got "):
+            require_real("r", value, above, below)
+
+    @pytest.mark.parametrize("value", [0, -3.5, 1e308, np.float64(0.25), np.int64(2)])
+    def test_finite_real_is_returned(self, value):
+        assert require_real("r", value) is value

@@ -72,10 +72,10 @@ def failing_after(good_rounds, solutions):
     def slab_lp(d):
         lp_round = real_slab_lp(d)
 
-        def flaky_round(u, r, w):
+        def flaky_round(u, s, b):
             if len(solutions) == good_rounds:
                 return None
-            solutions.append(lp_round(u, r, w))
+            solutions.append(lp_round(u, s, b))
             return solutions[-1]
 
         return flaky_round
@@ -517,7 +517,8 @@ class TestSolveCenter:
                 self.setOptionValue("simplex_iteration_limit", 0)
                 return super().run()
 
-        slab_args = (np.array([[1.0], [1.0]]), np.array([-0.5, 1.5]), np.zeros(2))
+        # the violated sides at x = 0 of |-0.5 - x| <= t and |1.5 - x| <= t
+        slab_args = (np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]), np.array([0.5, 1.5]))
         assert np.allclose(mean_module._slab_lp(1)(*slab_args), [0.5, 1.0])
         monkeypatch.setattr(_core, "_Highs", IterationLimited)
         assert mean_module._slab_lp(1)(*slab_args) is None
@@ -533,6 +534,64 @@ class TestSolveCenter:
         assert np.array_equal(res.v_star, warm + solutions[0][:50])
         assert res.rho_star < slabs.max_violation(warm)
         assert slabs.max_violation(res.v_star) == res.rho_star
+
+
+class TestOneSidedCuts:
+    @staticmethod
+    def recorded_rounds(monkeypatch):
+        """Record each round's (u, s, b) and the row count of each HiGHS addRows call."""
+        from scipy.optimize._highspy import _core
+
+        rounds, added = [], []
+
+        class RowCounting(_core._Highs):
+            def addRows(self, num_new_row, *args):
+                added.append(num_new_row)
+                return super().addRows(num_new_row, *args)
+
+        real_slab_lp = mean_module._slab_lp
+
+        def slab_lp(d):
+            lp_round = real_slab_lp(d)
+
+            def recording_round(u, s, b):
+                rounds.append((u.copy(), s.copy(), b.copy()))
+                return lp_round(u, s, b)
+
+            return recording_round
+
+        monkeypatch.setattr(_core, "_Highs", RowCounting)
+        monkeypatch.setattr(mean_module, "_slab_lp", slab_lp)
+        return rounds, added
+
+    def test_overshot_slab_gets_its_other_side_later(self, monkeypatch):
+        # slabs [-5, -4], [0, 1] and [0, 24] on the line; the warm start 8/3
+        # lies above the first two, so round 1 adds only their upper sides and
+        # its optimum x = -4 overshoots below [0, 1], whose lower side round 2
+        # adds; the optimum is then x = -2 at slack 2
+        rounds, _ = self.recorded_rounds(monkeypatch)
+        slabs = SlabSystem(np.ones((3, 1)), [-4.5, 0.5, 12.0], [0.5, 0.5, 12.0], delta=0.1, c_prime=1.0)
+        res = solve_center(slabs)
+        assert res.converged and res.iterations == 2
+        assert [list(sides) for _, sides, _ in rounds] == [[-1.0, -1.0], [1.0, 1.0]]
+        assert res.v_star[0] == pytest.approx(-2.0, abs=1e-12)
+        assert res.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-12)
+        assert slabs.max_violation(res.v_star) == res.rho_star
+
+    def test_one_row_per_new_slab_side_and_bounded_rounds(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            d = int(rng.integers(1, 11))
+            slabs = random_infeasible_system(rng, d, int(rng.integers(d + 1, 201)))
+            rounds, added = self.recorded_rounds(monkeypatch)
+            res = solve_center(slabs)
+            assert res.converged and 1 <= res.iterations <= 2 * slabs.n_slabs
+            assert added == [len(sides) for _, sides, _ in rounds]
+            assert len(added) == res.iterations
+            assert all(1 <= k <= 2 * (d + 1) for k in added)
+            # a row is its coefficients and bound; no slab side enters twice
+            rows = np.vstack([np.column_stack([sides[:, np.newaxis] * u, b]) for u, sides, b in rounds])
+            assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 class TestSolveCenterProperties:
@@ -588,6 +647,12 @@ class TestHighsBinding:
         missing = [name for owner, name in needed if not hasattr(owner, name)]
         assert not missing, f"HiGHS binding lacks {missing}; dirmean needs {floor}"
         assert isinstance(kHighsInf, float)
+
+    def test_unscaled_simplex_option_exists(self):
+        # _slab_lp turns scaling off; a renamed option would be ignored silently
+        from scipy.optimize._highspy._core import HighsStatus, _Highs
+
+        assert _Highs().setOptionValue("simplex_scale_strategy", 0) == HighsStatus.kOk
 
 
 class TestEstimateMean:
