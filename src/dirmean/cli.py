@@ -168,7 +168,24 @@ def _cmd_diagnose(args) -> int:
     seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
     n = require_int("n", doc.get("n", 10000), 1)
     delta_param = require_probability("delta_param", doc.get("delta_param", 0.005))
-    theta = require_real("theta", doc.get("theta", 7 * delta_param), 0.0, 0.5)
+    if "theta" in doc:
+        theta = require_real("theta", doc["theta"], 0.0, 0.5)
+    else:
+        theta = 7 * delta_param
+    # quantile_sandwich_check's levels 2 theta + 8 delta_param and (2 theta - 8 delta_param) / 3
+    # must lie in (0, 1); checked before any sampling
+    if not (7 * delta_param <= theta and 2 * theta + 8 * delta_param < 1):
+        if "theta" in doc:
+            usable = (
+                f"at most theta / 7 = {theta / 7} and below (1 - 2 theta) / 8 = {(1 - 2 * theta) / 8} "
+                f"for theta = {theta}"
+            )
+        else:
+            usable = "below 1/22 (~0.04545) at the default theta = 7 delta_param"
+        raise UsageError(
+            f"delta_param = {delta_param} is too large: the quantile sandwich needs theta >= 7 delta_param "
+            f"and 2 theta + 8 delta_param < 1, so delta_param must be {usable}"
+        )
     if trim_count(theta, n) < 1:
         least = max(1, math.ceil(0.5 / theta) - 1)  # within one of the smallest n; step past rounding
         while trim_count(theta, least) < 1:

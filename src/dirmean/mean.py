@@ -17,11 +17,15 @@ empirically and reports it instead of hiding it.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.optimize._highspy import _core  # for _slab_lp; eager, so no solve pays the import
+import scipy
 
 from .blocks import (
     BlockPlan,
@@ -45,6 +49,45 @@ TOL = 1e-8  # certified solver gap, relative to 1 + the LP lower bound
 # leaves room for rounding in the norms and dots.
 _SCREEN = 1e-5
 _PAIR_BATCH = 256  # key-screened pairs whose exact |cos| is taken per product
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_extension(name: str, directory: str):
+    """The compiled module ``name`` from ``directory``, registered in
+    ``sys.modules`` under ``name`` (an entry already there is returned).
+
+    Loads the one file, without running the ``__init__`` of its parent
+    packages, so the package loads scipy's HiGHS binding without the rest
+    of ``scipy.optimize``.  A later ``import scipy.optimize`` finds the
+    module registered and reuses it, so both share one ``_Highs`` class
+    (the one a test monkeypatches).
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(
+            f"no extension module {name} in {directory}; dirmean needs scipy >= 1.17 (pyproject.toml)"
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# for _slab_lp; eager, so no solve pays the import
+_core = _load_extension(_HIGHS_CORE, os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-d finite array, bit for bit, by one sort.
+
+    np.median imports numpy.ma on first use, which would land inside the
+    first estimate.
+    """
+    s = np.sort(x)
+    h = s.size // 2
+    return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)
 
 
 @dataclass(frozen=True)
@@ -450,7 +493,7 @@ def estimate_mean(
         p_widths = slab_width_profile(var_est, probes, delta, config.C_prime, n)
         viol = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
         probe_violation = float(np.max(viol))
-        scale = result.rho_star + float(np.median(slabs.widths))
+        scale = result.rho_star + _median(slabs.widths)
         if probe_violation <= config.refine_tol * scale:
             break
         rounds_used += 1

@@ -335,6 +335,36 @@ class TestDiagnoseCommand:
         cfg = write_json(tmp_path / "d.json", dict(doc, n=15))
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("delta_param", [0.1, 0.05])
+    def test_delta_param_too_large_for_default_theta_exits_1(self, tmp_path, capsys, delta_param):
+        # the default theta = 7 delta_param leaves the sandwich levels usable
+        # only for delta_param < 1/22; neither value may reach the sampling
+        doc = {"distribution": GAUSS_2D, "n": 2000, "delta_param": delta_param}
+        cfg = write_json(tmp_path / "d.json", doc)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR 1: delta_param = {delta_param} is too large: the quantile sandwich needs "
+            "theta >= 7 delta_param and 2 theta + 8 delta_param < 1, so delta_param must be "
+            "below 1/22 (~0.04545) at the default theta = 7 delta_param\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_delta_param_too_large_for_set_theta_names_both(self, tmp_path, capsys):
+        doc = {"distribution": GAUSS_2D, "n": 2000, "delta_param": 0.01, "theta": 0.05}
+        cfg = write_json(tmp_path / "d.json", doc)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "ERROR 1: delta_param = 0.01 is too large: the quantile sandwich needs "
+            "theta >= 7 delta_param and 2 theta + 8 delta_param < 1, so delta_param must be "
+            f"at most theta / 7 = {0.05 / 7} and below (1 - 2 theta) / 8 = {0.9 / 8} for theta = 0.05\n"
+        )
+
+    def test_delta_param_just_below_one_22nd_runs(self, tmp_path):
+        doc = {"distribution": GAUSS_2D, "n": 2000, "delta_param": 0.0454,
+               "small_ball": {"m": 4, "trials": 500}, "uniform": {"n_dirs": 3}}
+        cfg = write_json(tmp_path / "d.json", doc)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("theta, least", [(0.05, 10), (0.1, 5), (0.3, 2), (0.001, 500)])
     def test_least_n_is_the_first_that_trims(self, tmp_path, capsys, theta, least):
         doc = {"distribution": GAUSS_2D, "theta": theta, "delta_param": 1e-4, "n": least - 1}

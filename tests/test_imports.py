@@ -1,8 +1,11 @@
-"""Import hygiene: estimating and simulating load no scipy.stats or scipy.integrate.
+"""Import hygiene: estimating and simulating load no scipy.stats,
+scipy.integrate or scipy.optimize.
 
-Only HiGHS (scipy.optimize) is loaded with the package; the scipy laws are
-imported by the oracle and lower-bound code that returns them.  Run in a
-fresh interpreter, since the test process itself has loaded scipy.stats.
+The package loads scipy's compiled HiGHS binding as one extension module,
+without running ``scipy/optimize/__init__.py``; the scipy laws are imported
+by the oracle and lower-bound code that returns them.  Run in fresh
+interpreters, since the test process itself has loaded scipy.stats and
+scipy.optimize.
 """
 
 import json
@@ -23,9 +26,37 @@ config = dirmean.PipelineConfig.from_dict(json.load(open(cfg))["config"])
 rows = np.random.default_rng(1).standard_normal((1800, 2))
 est = dirmean.estimate_mean(rows, 0.05, config)
 assert est.iterations == 0, "the warm start should be feasible"
+loaded = ["numpy.ma"] if "numpy.ma" in sys.modules else []  # np.median imports it on first use
+# no point lies in both [-1, 0] and [2, 3]: HiGHS has to run
+slabs = dirmean.SlabSystem(np.ones((2, 1)), [-0.5, 2.5], [0.5, 0.5], delta=0.1, c_prime=1.0)
+res = dirmean.solve_center(slabs)
+assert res.iterations >= 1 and res.converged and abs(res.rho_star - 1.0) < 1e-12, res
 assert main(["simulate", "--config", cfg, "--out", out]) == 0
-print(json.dumps([name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]))
+loaded += [name for name in ("scipy.stats", "scipy.integrate", "scipy.optimize") if name in sys.modules]
+print(json.dumps(loaded))
 """
+
+# the binding dirmean loaded and the one scipy.optimize uses must be one module
+IDENTITY_SCRIPT = """
+import sys
+first = sys.argv[1]
+if first == "dirmean":
+    import dirmean.mean
+    from scipy.optimize import linprog
+else:
+    from scipy.optimize import linprog
+    import dirmean.mean
+res = linprog([1.0, 1.0], A_ub=[[-1.0, -2.0]], b_ub=[-2.0], method="highs")
+assert res.status == 0 and abs(res.fun - 1.0) < 1e-12, res
+assert sys.modules["scipy.optimize._highspy._core"] is dirmean.mean._core
+slabs = dirmean.SlabSystem([[1.0], [1.0]], [-0.5, 2.5], [0.5, 0.5], delta=0.1, c_prime=1.0)
+assert dirmean.solve_center(slabs).iterations >= 1
+"""
+
+
+def run_fresh(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env, timeout=300)
 
 
 def test_estimate_and_simulate_load_no_scipy_stats(tmp_path):
@@ -49,11 +80,13 @@ def test_estimate_and_simulate_load_no_scipy_stats(tmp_path):
     }
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(cfg), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_fresh(SCRIPT, str(cfg), str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_binding_is_shared_with_scipy_optimize_in_either_import_order():
+    for first in ("dirmean", "scipy.optimize"):
+        proc = run_fresh(IDENTITY_SCRIPT, first)
+        assert proc.returncode == 0, f"{first} imported first:\n{proc.stderr}"

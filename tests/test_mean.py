@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import tracemalloc
 
@@ -653,6 +654,29 @@ class TestHighsBinding:
         from scipy.optimize._highspy._core import HighsStatus, _Highs
 
         assert _Highs().setOptionValue("simplex_scale_strategy", 0) == HighsStatus.kOk
+
+    def test_missing_extension_names_the_directory_and_floor(self, tmp_path, monkeypatch):
+        # find_spec returns None for an empty directory: the loader must say
+        # where it looked, not fail on None
+        monkeypatch.delitem(sys.modules, mean_module._HIGHS_CORE)
+        with pytest.raises(ImportError) as info:
+            mean_module._load_extension(mean_module._HIGHS_CORE, str(tmp_path))
+        assert str(tmp_path) in str(info.value) and "scipy >= 1.17 (pyproject.toml)" in str(info.value)
+        assert mean_module._HIGHS_CORE not in sys.modules
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 3, 400, 401, 522])
+    @pytest.mark.parametrize("kind", ["ties", "mixed-scale"])
+    def test_equals_np_median_bit_for_bit(self, size, kind):
+        rng = np.random.default_rng(size)
+        if kind == "ties":
+            x = rng.integers(0, 4, size) * 0.1  # few distinct values, so the middle pair often ties
+        else:
+            x = rng.exponential(size=size) * 10.0 ** rng.uniform(-12, 12, size)
+        got = mean_module._median(x)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.median(x).tobytes()
 
 
 class TestEstimateMean:
