@@ -242,7 +242,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_lowerbound(args) -> int:
     doc = _load_config_doc(args.config)
     if "eigenvalues" in doc:
-        spec = tuple(float(v) for v in doc["eigenvalues"])
+        spec = doc["eigenvalues"]
     elif "distribution" in doc:
         spec = DistributionSpec.from_json_dict(doc["distribution"])
     else:

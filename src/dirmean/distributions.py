@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import random_unit_rows, stream
+from .config import require_int, require_real
+from .rng import random_unit_rows, row_norms, stream
 
 FAMILIES = (
     "gaussian",
@@ -49,6 +50,14 @@ class NoAnalyticOracleError(ValueError):
     """Raised when a closed-form marginal law is requested but unavailable."""
 
 
+def _real_entries(name: str, values) -> tuple[float, ...]:
+    """The entries of a sequence (or of a scalar, as one entry) as floats;
+    a ValueError names the first, as ``name[i]``, that is not a finite real
+    number (strings included)."""
+    entries = values if np.ndim(values) else [values]
+    return tuple(float(require_real(f"{name}[{i}]", v)) for i, v in enumerate(entries))
+
+
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Covariance spectrum: eigenvalues in nonincreasing order plus rotation.
@@ -61,7 +70,9 @@ class SpectrumSpec:
     rotation_seed: int | None = None
 
     def __post_init__(self):
-        lam = tuple(float(v) for v in self.eigenvalues)
+        lam = _real_entries("eigenvalues", self.eigenvalues)
+        if self.rotation_seed is not None:
+            require_int("rotation_seed", self.rotation_seed)
         if len(lam) < 1:
             raise ValueError("spectrum needs at least one eigenvalue")
         if any(v < 0 for v in lam):
@@ -90,23 +101,23 @@ class DistributionSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        mean = tuple(float(v) for v in np.atleast_1d(np.asarray(self.mean, dtype=float)))
+        mean = _real_entries("mean", self.mean)
         if len(mean) != self.spectrum.dim:
             raise ValueError("mean length must match spectrum dimension")
         object.__setattr__(self, "mean", mean)
         if self.family == "elliptical-student":
-            if self.dof is None or self.dof <= 2:
+            if self.dof is None or require_real("dof", self.dof) <= 2:
                 raise ValueError("student family requires dof > 2 (finite covariance)")
         if self.family == "elliptical-lognormal":
-            if self.shape is None or self.shape <= 0:
+            if self.shape is None or require_real("shape", self.shape) <= 0:
                 raise ValueError("lognormal family requires shape > 0")
         if self.family == "gaussian-with-point-contamination":
             frac = self.contamination_fraction
-            if frac is None or not (0.0 <= frac < 0.5):
+            if frac is None or not (0.0 <= require_real("contamination.fraction", frac) < 0.5):
                 raise ValueError("contamination fraction must lie in [0, 1/2)")
             if self.contamination_offset is None:
                 raise ValueError("contamination offset required")
-            off = tuple(float(v) for v in np.atleast_1d(np.asarray(self.contamination_offset, dtype=float)))
+            off = _real_entries("contamination.offset", self.contamination_offset)
             if len(off) != self.spectrum.dim:
                 raise ValueError("offset length must match dimension")
             object.__setattr__(self, "contamination_offset", off)
@@ -384,7 +395,7 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
         w *= np.sqrt((nu - 2.0) / s)[:, np.newaxis]
     elif spec.family == "elliptical-lognormal":
         shape = float(spec.shape)
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        w /= row_norms(w)
         r = np.exp(shape * rng.standard_normal(n))
         w *= (_lognormal_radius_coeff(d, shape) * r)[:, np.newaxis]
 
@@ -468,7 +479,7 @@ def sample_marginal(gt: GroundTruth, u, n: int, seed: int) -> np.ndarray:
         shape = float(spec.shape)
         # <W, u> = c R U1; sample U1 as G1/||G||
         g = rng.standard_normal((n, d))
-        u1 = g[:, 0] / np.linalg.norm(g, axis=1)
+        u1 = g[:, 0] / row_norms(g)[:, 0]
         r = np.exp(shape * rng.standard_normal(n))
         return sig * _lognormal_radius_coeff(d, shape) * r * u1
     # contaminated: mixture of a gaussian and a point mass along u

@@ -35,7 +35,7 @@ from .distributions import (
     sample_dataset,
     tail_eigensum,
 )
-from .mean import estimate_mean
+from .mean import _median, estimate_mean
 from .rng import derive_seed, random_unit_rows, stream
 
 ESTIMATORS = ("dirmean", "empirical-mean", "median-of-means")
@@ -57,7 +57,7 @@ def baseline_median_of_means(ds, k_blocks: int) -> np.ndarray:
         raise ValueError(f"k_blocks must lie in [1, {n}]")
     m = n // k_blocks
     means = block_sums(rows[: k_blocks * m].reshape(k_blocks, m, -1)) / m
-    return np.median(means, axis=0)
+    return _median(means)
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,8 @@ def empirical_mean_lower_bound(
 ) -> LowerBoundReport:
     """Measure how large the spectral tail term of the empirical mean must be.
 
-    ``spec`` is a SpectrumSpec (or a gaussian DistributionSpec).  The
+    ``spec`` is a SpectrumSpec, its eigenvalues, or a gaussian
+    DistributionSpec.  The
     subspace rank k0 = 1 + (2 C + sqrt(2))^2 log(1/delta) follows from
     assuming the direction term holds with constant C in the top
     eigendirections.
@@ -350,7 +351,7 @@ def empirical_mean_lower_bound(
     elif isinstance(spec, SpectrumSpec):
         spectrum = spec
     else:
-        spectrum = SpectrumSpec(tuple(np.asarray(spec, dtype=float)))
+        spectrum = SpectrumSpec(spec)
     lam = np.asarray(spectrum.eigenvalues, dtype=float)
     d = lam.size
 

@@ -38,7 +38,7 @@ from .blocks import (
 )
 from .config import PipelineConfig
 from .distributions import _check_unit, as_rows
-from .rng import random_unit_rows, stream
+from .rng import random_unit_rows, row_norms, stream
 from .variance import VarianceEstimator, fit_variance, psi_profile
 
 DUPLICATE_DOT = 1.0 - 1e-12  # |cos| above this counts as the same direction
@@ -79,15 +79,23 @@ def _load_extension(name: str, directory: str):
 _core = _load_extension(_HIGHS_CORE, os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
 
 
-def _median(x: np.ndarray) -> float:
-    """``np.median`` of a 1-d finite array, bit for bit, by one sort.
+def _median(a: np.ndarray):
+    """``np.median(a, axis=0)`` bit for bit: a float for 1-d ``a``, else an array.
 
     np.median imports numpy.ma on first use, which would land inside the
-    first estimate.
+    first estimate or baseline.  This repeats its steps: the same partition
+    (at the middle index or indices, and at -1 so a NaN lands last), the
+    mean of the middle as a sum from 0.0 (so -0.0 comes out as 0.0), and
+    the last entry wherever that is NaN.
     """
-    s = np.sort(x)
-    h = s.size // 2
-    return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)
+    n = a.shape[0]
+    h = n // 2
+    part = np.partition(a, [h, -1] if n % 2 else [h - 1, h, -1], axis=0)
+    mid = 0.0 + part[h] if n % 2 else (0.0 + part[h - 1] + part[h]) / 2
+    last = part[-1]
+    if a.ndim == 1:
+        return float(last if np.isnan(last) else mid)
+    return np.where(np.isnan(last), last, mid)
 
 
 @dataclass(frozen=True)
@@ -160,8 +168,7 @@ class SlabSystem:
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        norms = np.linalg.norm(u, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if np.any(np.abs(row_norms(u) - 1.0) > 1e-12):
             raise ValueError("all slab directions must be unit vectors")
         if np.any(np.asarray(self.widths) < 0):
             raise ValueError("slab widths must be nonnegative")
@@ -343,7 +350,8 @@ def _keep_new(out: np.ndarray, count: int, cand: np.ndarray) -> int:
     that close get the exact |cos| test, in batches, so memory stays
     O((count + len(cand)) d) however many keys coincide.  The rare candidates
     in a clash are then resolved in row order against the rows kept before
-    them.
+    them.  ``cand`` may be the view ``out[count:]``: then, when every
+    candidate is kept, the rows are already in place.
     """
     budget, d = out.shape
     k = cand.shape[0]
@@ -415,8 +423,8 @@ def build_direction_set(
     if var_est is not None:
         count = _keep_new(out, count, _eigendirections(var_est.Z, min(d, 8)))
     rng = stream(seed, "direction-fill")
-    while count < budget:
-        count = _keep_new(out, count, random_unit_rows(rng, budget - count, d))
+    while count < budget:  # each batch is drawn straight into the free rows
+        count = _keep_new(out, count, random_unit_rows(rng, budget - count, d, out=out[count:]))
     return out
 
 

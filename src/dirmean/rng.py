@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+_NORM_CHUNK_BYTES = 1 << 19  # bytes of squared rows per pass of row_norms
+
 
 def _label_words(label) -> tuple[int, ...]:
     """Map one label (int or str) to a pair of stable 32-bit words."""
@@ -55,8 +57,33 @@ def derive_seed(seed: int, *labels) -> int:
     return int.from_bytes(h.digest()[:8], "little") >> 1
 
 
-def random_unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
-    """``count`` uniform unit vectors of R^d as rows: gaussian draws over their norms."""
-    g = rng.standard_normal((count, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1, keepdims=True)`` of a 2-d float64 array,
+    bit for bit, squaring at most ``_NORM_CHUNK_BYTES`` of rows at a time.
+
+    Each row's squares are summed by the same contiguous reduction as in
+    ``np.linalg.norm``, so the chunking changes no bit; it only keeps a
+    full-size square of ``x`` from being allocated.
+    """
+    n, d = x.shape
+    step = max(1, _NORM_CHUNK_BYTES // (8 * max(d, 1)))
+    sq = np.empty((min(step, n), d))
+    out = np.empty((n, 1))
+    for a in range(0, n, step):
+        part = x[a : a + step]
+        np.multiply(part, part, out=sq[: part.shape[0]])
+        np.add.reduce(sq[: part.shape[0]], axis=1, out=out[a : a + step, 0])
+    return np.sqrt(out, out=out)
+
+
+def random_unit_rows(
+    rng: np.random.Generator, count: int, d: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``count`` uniform unit vectors of R^d as rows: gaussian draws over their norms.
+
+    ``out``, a C-contiguous (count, d) float array, receives the rows and is
+    returned; the stream is the same either way.
+    """
+    g = rng.standard_normal((count, d), out=out)
+    g /= row_norms(g)
     return g

@@ -373,6 +373,70 @@ class TestDiagnoseCommand:
         assert capsys.readouterr().err.endswith(f"so n must be at least {least}\n")
 
 
+NAN, INF = float("nan"), float("inf")
+STUDENT_2D = dict(GAUSS_2D, family="elliptical-student", dof=5.0)
+LOGNORMAL_2D = dict(GAUSS_2D, family="elliptical-lognormal", shape=0.5)
+CONTAMINATED_2D = dict(GAUSS_2D, family="gaussian-with-point-contamination",
+                       contamination={"fraction": 0.1, "offset": [1.0, 1.0]})
+
+# a distribution entry that is not a finite real number, and the field the error must name
+BAD_DISTRIBUTIONS = {
+    "eigenvalue-nan": (dict(GAUSS_2D, eigenvalues=[1.0, NAN]), "eigenvalues[1]", NAN),
+    "eigenvalue-nan-string": (dict(GAUSS_2D, eigenvalues=[1.0, "nan"]), "eigenvalues[1]", "nan"),
+    "eigenvalue-inf": (dict(GAUSS_2D, eigenvalues=[INF, 0.5]), "eigenvalues[0]", INF),
+    "eigenvalue-strings": (dict(GAUSS_2D, eigenvalues=["1.0", "0.5"]), "eigenvalues[0]", "1.0"),
+    "mean-nan": (dict(GAUSS_2D, mean=[0.0, NAN]), "mean[1]", NAN),
+    "mean-inf": (dict(GAUSS_2D, mean=[-INF, 0.0]), "mean[0]", -INF),
+    "dof-nan": (dict(STUDENT_2D, dof=NAN), "dof", NAN),
+    "dof-string": (dict(STUDENT_2D, dof="5"), "dof", "5"),
+    "shape-nan": (dict(LOGNORMAL_2D, shape=NAN), "shape", NAN),
+    "offset-nan": (dict(CONTAMINATED_2D, contamination={"fraction": 0.1, "offset": [1.0, NAN]}),
+                   "contamination.offset[1]", NAN),
+}
+
+
+def assert_names_the_field(capsys, field, value):
+    assert capsys.readouterr().err == f"ERROR 1: {field} must lie in (-inf, inf), got {value!r}\n"
+
+
+class TestDistributionFields:
+    @pytest.mark.parametrize("case", list(BAD_DISTRIBUTIONS))
+    def test_estimate_exits_1_naming_the_field(self, tmp_path, capsys, case):
+        dist, field, value = BAD_DISTRIBUTIONS[case]
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": dist, "n_total": 1800, "delta": 0.05})
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_names_the_field(capsys, field, value)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", list(BAD_DISTRIBUTIONS))
+    def test_simulate_exits_1_naming_the_field(self, tmp_path, capsys, case):
+        dist, field, value = BAD_DISTRIBUTIONS[case]
+        cfg = write_json(tmp_path / "sc.json", scenario_doc(distribution=dist))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_names_the_field(capsys, field, value)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True])
+    def test_non_integer_rotation_seed_exits_1_naming_it(self, tmp_path, capsys, seed):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": dict(GAUSS_2D, rotation_seed=seed), "n_total": 1800, "delta": 0.05,
+        })
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: rotation_seed must be an integer, got {seed!r}\n"
+
+    @pytest.mark.parametrize(
+        "eigenvalues, field, value",
+        [([1.0, NAN], "eigenvalues[1]", NAN), ([1.0, "nan"], "eigenvalues[1]", "nan"),
+         ([INF, 0.5], "eigenvalues[0]", INF), (["1.0", "0.5"], "eigenvalues[0]", "1.0")],
+    )
+    def test_lowerbound_eigenvalues_exit_1_naming_the_entry(self, tmp_path, capsys, eigenvalues, field, value):
+        doc = {"eigenvalues": eigenvalues, "n_samples": 1000, "trials": 300}
+        cfg = write_json(tmp_path / "lb.json", doc)
+        assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_names_the_field(capsys, field, value)
+        assert not (tmp_path / "o").exists()
+
+
 class TestLowerboundCommand:
     def test_writes_report(self, tmp_path):
         cfg = write_json(tmp_path / "lb.json", {

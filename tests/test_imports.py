@@ -1,5 +1,6 @@
 """Import hygiene: estimating and simulating load no scipy.stats,
-scipy.integrate or scipy.optimize.
+scipy.integrate or scipy.optimize, and no numpy.ma (which np.median
+imports on first use).
 
 The package loads scipy's compiled HiGHS binding as one extension module,
 without running ``scipy/optimize/__init__.py``; the scipy laws are imported
@@ -26,13 +27,13 @@ config = dirmean.PipelineConfig.from_dict(json.load(open(cfg))["config"])
 rows = np.random.default_rng(1).standard_normal((1800, 2))
 est = dirmean.estimate_mean(rows, 0.05, config)
 assert est.iterations == 0, "the warm start should be feasible"
-loaded = ["numpy.ma"] if "numpy.ma" in sys.modules else []  # np.median imports it on first use
+loaded = ["numpy.ma after estimate_mean"] if "numpy.ma" in sys.modules else []
 # no point lies in both [-1, 0] and [2, 3]: HiGHS has to run
 slabs = dirmean.SlabSystem(np.ones((2, 1)), [-0.5, 2.5], [0.5, 0.5], delta=0.1, c_prime=1.0)
 res = dirmean.solve_center(slabs)
 assert res.iterations >= 1 and res.converged and abs(res.rho_star - 1.0) < 1e-12, res
 assert main(["simulate", "--config", cfg, "--out", out]) == 0
-loaded += [name for name in ("scipy.stats", "scipy.integrate", "scipy.optimize") if name in sys.modules]
+loaded += [name for name in ("numpy.ma", "scipy.stats", "scipy.integrate", "scipy.optimize") if name in sys.modules]
 print(json.dumps(loaded))
 """
 

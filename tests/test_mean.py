@@ -32,7 +32,7 @@ from dirmean import (
 )
 import dirmean.mean as mean_module
 from dirmean.mean import DUPLICATE_DOT, TOL, _keep_new
-from dirmean.rng import stream
+from dirmean.rng import random_unit_rows, stream
 from naive_oracles import oracle_direction_fill, oracle_keep_new, oracle_nu_hat_profile
 
 SMALL_CFG = PipelineConfig(gamma=1.0, theta_var=0.125, directions=None, refine_probes=64)
@@ -404,6 +404,51 @@ class TestKeepNewScreen:
             assert np.array_equal(got, ref)
         assert len(ref) < len(kept) + 60  # the clusters hold near-duplicates
 
+    @pytest.mark.parametrize("d", [3, 200])
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_candidates_in_the_tail_of_out(self, d, duplicate):
+        # build_direction_set draws each batch into out[count:] and passes that view
+        rng = np.random.default_rng(d)
+        count, k = d + 1, 12
+        out = np.empty((count + k, d))
+        out[:d] = np.eye(d)
+        out[d] = random_unit_rows(rng, 1, d)[0]
+        cand = random_unit_rows(rng, k, d)
+        if duplicate:
+            cand[4] = -rotated_toward(out[d], rng, 1e-7)  # near-duplicate of a kept row
+            cand[9] = rotated_toward(cand[2], rng, 1e-7)  # and of an earlier candidate
+        ref = out.copy()
+        ref_count = oracle_keep_new(ref, count, cand.copy(), DUPLICATE_DOT)
+        out[count:] = cand
+        got = _keep_new(out, count, out[count:])
+        assert got == ref_count == count + k - (2 if duplicate else 0)
+        assert np.array_equal(out[:got], ref[:ref_count])
+
+
+class TestDirectionSetMemory:
+    """The fill is drawn in place and no full-size square is made (d = 200, 1600 rows)."""
+
+    def test_build_direction_set_peak(self):
+        gt = gaussian_gt(np.geomspace(1.0, 1e-3, 200))
+        var_est = fit_variance(sample_dataset(gt, 2 * 10**4, 3))
+        build_direction_set(200, 1600, 1, var_est)  # warm: first-call allocations stay out
+        tracemalloc.start()
+        dirs = build_direction_set(200, 1600, 1, var_est)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the result (2.56 MB) plus small buffers; a fresh fill and its
+        # square would add 2 x 2.23 MB
+        assert peak < dirs.nbytes + 1.5e6
+
+    def test_slab_system_validation_peak(self):
+        u = random_unit_rows(np.random.default_rng(2), 1600, 200)
+        c, w = np.zeros(1600), np.ones(1600)
+        tracemalloc.start()
+        SlabSystem(u, c, w, delta=0.01, c_prime=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 0.4 * u.nbytes  # the full square of u would be u.nbytes
+
 
 class TestSolveCenter:
     def test_two_orthogonal_slabs(self):
@@ -677,6 +722,28 @@ class TestMedian:
         got = mean_module._median(x)
         assert isinstance(got, float)
         assert np.float64(got).tobytes() == np.median(x).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 10, 48])
+    def test_columns_equal_np_median_axis_0(self, k):
+        # the median-of-means baseline: k block means by d coordinates
+        rng = np.random.default_rng(k)
+        cols = [
+            rng.standard_normal(k),  # distinct
+            rng.integers(0, 3, k) * 0.5,  # ties
+            np.full(k, -0.0),  # np.median gives +0.0 here
+            rng.choice([-0.0, 0.0], k),
+            np.where(np.arange(k) == k // 2, np.nan, rng.standard_normal(k)),  # a NaN column
+            rng.choice([-1.0, -0.0, 0.0, 1.0, np.inf, -np.inf], k),
+        ]
+        means = np.column_stack(cols)
+        with np.errstate(invalid="ignore"):  # inf - inf in the middle pair
+            ref = np.median(means, axis=0)
+            got = mean_module._median(means)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(ref)) and np.isnan(got[4])
+        for col in means.T:  # and each column as a 1-d array
+            with np.errstate(invalid="ignore"):
+                assert np.float64(mean_module._median(col)).tobytes() == np.median(col).tobytes()
 
 
 class TestEstimateMean:

@@ -1,0 +1,66 @@
+import numpy as np
+import pytest
+
+from dirmean.rng import _NORM_CHUNK_BYTES, random_unit_rows, row_norms, stream
+
+
+def chunk_rows(d):
+    """Rows that row_norms squares per pass at width d."""
+    return max(1, _NORM_CHUNK_BYTES // (8 * d))
+
+
+# row counts around one pass of row_norms, and the d = 200 direction fill
+ROW_COUNTS = {
+    "0": lambda chunk: 0,
+    "1": lambda chunk: 1,
+    "chunk-1": lambda chunk: chunk - 1,
+    "chunk": lambda chunk: chunk,
+    "chunk+1": lambda chunk: chunk + 1,
+    "1392": lambda chunk: 1392,
+}
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("d", [1, 2, 10, 200])
+    @pytest.mark.parametrize("rows", list(ROW_COUNTS))
+    def test_equals_np_linalg_norm(self, d, rows):
+        n = ROW_COUNTS[rows](chunk_rows(d))
+        rng = np.random.default_rng(1000 * d + n)
+        # scales far apart, so a changed summation order would show in the bits
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-100, 100, (n, 1))
+        x[: n // 3] *= 10.0 ** rng.uniform(-20, 20, (n // 3, d))
+        got = row_norms(x)
+        assert got.shape == (n, 1)
+        assert np.array_equal(got, np.linalg.norm(x, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 200])
+    def test_zero_rows_and_negative_zeros(self, d):
+        n = chunk_rows(d) + 3
+        x = np.random.default_rng(d).standard_normal((n, d))
+        x[0] = 0.0
+        x[1] = -0.0
+        x[2, ::2] = -0.0
+        x[-1] = -0.0
+        got = row_norms(x)
+        ref = np.linalg.norm(x, axis=1, keepdims=True)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+        assert got[0, 0] == got[1, 0] == got[-1, 0] == 0.0
+
+    def test_strided_view(self):
+        x = np.random.default_rng(3).standard_normal((2 * chunk_rows(50) + 1, 100))[:, ::2]
+        assert np.array_equal(row_norms(x), np.linalg.norm(x, axis=1, keepdims=True))
+
+
+class TestRandomUnitRowsOut:
+    @pytest.mark.parametrize("count, d", [(1, 1), (5, 3), (1392, 200)])
+    def test_draws_into_a_view_like_a_fresh_array(self, count, d):
+        fresh_rng, view_rng = stream(7, "t"), stream(7, "t")
+        fresh = random_unit_rows(fresh_rng, count, d)
+        buf = np.full((count + 4, d), np.nan)
+        view = buf[4:]
+        got = random_unit_rows(view_rng, count, d, out=view)
+        assert got is view
+        assert np.array_equal(buf[4:], fresh)
+        assert np.isnan(buf[:4]).all()  # the rows before the view are left alone
+        # both streams stand at the same place afterwards
+        assert np.array_equal(fresh_rng.standard_normal(8), view_rng.standard_normal(8))
