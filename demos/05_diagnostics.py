@@ -44,7 +44,7 @@ print("=== uniform ratio margins over sampled directions ===")
 spec = dm.DistributionSpec("gaussian", dm.SpectrumSpec((2.0, 1.0, 0.5)), mean=(0.0,) * 3)
 gt = dm.make_ground_truth(spec)
 ds = dm.sample_dataset(gt, 2 * 5000, seed=9)
-z = dm.block_averages(dm.pair_differences(ds), 1)
+z = dm.pair_block_averages(ds, 1)
 ratio_rep = dm.check_uniform_ratios(z, gt, 0.02, r=0.0, n_dirs=50, seed=10)
 print(f"  pass fraction over 50 directions: {ratio_rep.pass_fraction:.2f}")
 print(f"  worst tail margin {ratio_rep.tail_margins.max():+.4f}, "

@@ -14,7 +14,6 @@ from .blocks import (
     SizingError,
     block_averages,
     pair_block_averages,
-    pair_differences,
     plan_blocks,
 )
 from .config import PipelineConfig
@@ -132,7 +131,6 @@ __all__ = [
     "nu_hat",
     "nu_hat_profile",
     "pair_block_averages",
-    "pair_differences",
     "per_direction_quantiles",
     "plan_blocks",
     "probe_directions",

@@ -79,15 +79,6 @@ def _block_count(n_rows: int, m: int) -> int:
     return n_rows // m
 
 
-def pair_differences(ds) -> np.ndarray:
-    """Row i of the output is row_i - row_{N+i} of the 2N input rows.
-
-    The output is mean zero with twice the covariance of one observation.
-    """
-    first, second = _halves(as_rows(ds))
-    return first - second
-
-
 def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x3.sum(axis=1)`` of an (n, m, d) block stack, with the same bytes.
 
@@ -131,7 +122,10 @@ def block_averages(ds, m: int) -> np.ndarray:
 
 
 def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
-    """``block_averages(pair_differences(ds), m)[:n]`` without the difference matrix.
+    """``block_averages(differences, m)[:n]`` without the difference matrix.
+
+    Row i of the differences is row_i - row_{N+i} of the 2N input rows: mean
+    zero, with twice the covariance of one observation.
 
     The paired rows are subtracted into one reused buffer of about
     ``_CHUNK_BYTES`` (never less than one block), a chunk of whole blocks

@@ -495,9 +495,10 @@ def sample_marginal(gt: GroundTruth, u, n: int, seed: int) -> np.ndarray:
 def jitter(ds: Dataset, scale: float, seed: int) -> Dataset:
     """Add i.i.d. uniform(-scale, scale) noise per entry (ties breaker).
 
-    ``scale = 0`` returns the rows unchanged bit for bit.
+    ``scale = 0`` returns the rows unchanged bit for bit.  A ``scale`` that
+    is not a finite real number is a ValueError naming it.
     """
-    if scale < 0:
+    if require_real("scale", scale) < 0:
         raise ValueError("scale must be nonnegative")
     if scale == 0.0:
         return Dataset(ds.rows.copy(), seed=ds.seed, spec=ds.spec)

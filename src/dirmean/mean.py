@@ -12,7 +12,9 @@ solved by cutting planes from a cheap warm start, with a certified
 optimality gap: each round adds a row for the violated side of each worst
 slab to one unscaled HiGHS model and resumes from its basis.  A
 probe-and-refine loop bounds the finite-direction surrogate gap
-empirically and reports it instead of hiding it.
+empirically and reports it instead of hiding it.  Its re-solves keep the
+estimate's one model: the rows that are not binding are deleted first,
+and dual simplex resumes from the optimal basis that is left.
 """
 
 from __future__ import annotations
@@ -214,7 +216,11 @@ def _slab_lp(d: int):
     re-solves by dual simplex from the last basis (unscaled: the rows are
     unit directions with a coefficient of one on t), and returns the
     optimal (x, t), or None when HiGHS does not report the model optimal.
-    The only code that knows scipy's bundled binding (private API,
+    ``lp_round.prune()`` deletes the rows that are basic, i.e. not binding,
+    in the last optimal basis and returns the mask of the rows it kept, in
+    model order; what is left of the basis stays optimal, so the next round
+    resumes from it.  At most d + 1 rows are nonbasic, so at most d + 1 are
+    kept.  The only code that knows scipy's bundled binding (private API,
     ``scipy.optimize._highspy._core``; see pyproject.toml).
     """
     highs = _core._Highs()
@@ -239,10 +245,39 @@ def _slab_lp(d: int):
             return None
         return np.array(highs.getSolution().col_value)
 
+    def prune() -> np.ndarray:
+        basic = _core.HighsBasisStatus.kBasic
+        keep = np.array([status != basic for status in highs.getBasis().row_status], dtype=bool)
+        drop = np.flatnonzero(~keep).astype(np.int32)
+        highs.deleteRows(drop.size, drop)
+        return keep
+
+    lp_round.prune = prune
     return lp_round
 
 
-def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveResult:
+@dataclass
+class _CutState:
+    """The cutting-plane LP of one estimate, carried from solve to solve.
+
+    ``lp`` is the ``_slab_lp`` model, None until a solve builds one and
+    after a round fails (the next solve then starts cold).  Its rows are
+    in the displacement x = v - ``origin``, the first solve's warm start,
+    so they stay valid as slabs are appended.  Column j of ``rows`` is the
+    (side, slab) of model row j, side 0 for s = +1 and 1 for s = -1;
+    ``point`` is the last restricted optimum and ``lower`` its slack.
+    """
+
+    lp: object = None
+    origin: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    point: np.ndarray | None = None
+    lower: float = 0.0
+
+
+def solve_center(
+    slabs: SlabSystem, v_init: np.ndarray | None = None, state: _CutState | None = None
+) -> SolveResult:
     """Minimize the slab slack max(g(v), 0) with a certified optimality gap.
 
     The warm start is ``v_init``, else the least-squares assembly of the
@@ -261,12 +296,20 @@ def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveRe
     basis, and the loop stops once g(v) <= lower + TOL (1 + lower).
     Directions that no active row constrains stay at the warm start.
 
+    ``state`` (internal: :func:`estimate_mean` passes one per estimate)
+    keeps the model for the next call on the same slabs with more appended.
+    That call first deletes the model's non-binding rows (Topkis 1970) and
+    resumes from the last restricted optimum and its basis, with x still
+    measured from the first warm start; ``v_init`` then only competes as
+    the best point.  Within one call rows are only added.
+
     The restricted optimum bounds the full one from below, so ``final_gap =
     rho_star - lower`` is a certified gap; ``converged`` means HiGHS reported
     every round optimal and the gap is within TOL (1 + lower).  A
     failed round returns the best point so far flagged non-converged
-    instead of raising.  ``rho_star`` is re-evaluated at the returned point,
-    so it replays through :meth:`SlabSystem.max_violation`.
+    instead of raising, and drops the model.  ``rho_star`` is re-evaluated
+    at the returned point, so it replays through
+    :meth:`SlabSystem.max_violation`.
     """
     u, c, w = slabs.directions, slabs.centers, slabs.widths
     m, d = u.shape
@@ -280,35 +323,45 @@ def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveRe
         v_warm = np.linalg.lstsq(u, c, rcond=None)[0]
     else:
         v_warm = np.asarray(v_init, dtype=float).reshape(d).copy()
-    r = res = c - u @ v_warm
-    viol = np.abs(r) - w
-    v_best, g_best = v_warm, float(np.max(viol))
+    v_best, g_best = v_warm, slabs.max_violation(v_warm)
     lower, optimal, rounds = 0.0, True, 0
     if g_best > 0.0:
-        lp_round = _slab_lp(d)
+        if state is None:
+            state = _CutState()
+        elif state.lp is not None:
+            state.rows = state.rows[:, state.lp.prune()]
+        if state.lp is None:  # cold: a fresh model around the warm start
+            state.lp, state.origin, state.point, state.lower = _slab_lp(d), v_warm, v_warm, 0.0
+            state.rows = np.empty((2, 0), dtype=np.intp)
+        lp_round, v, lower = state.lp, state.point, state.lower
+        r = c - u @ state.origin
         active = np.zeros((2, m), dtype=bool)  # sides s = +1 and s = -1 in the model
+        active[state.rows[0], state.rows[1]] = True
         while True:
-            below = res < 0.0  # the side each slab violates at the current point
-            cand = np.flatnonzero(~np.where(below, active[1], active[0]) & (viol > lower))
-            if cand.size == 0:
-                break  # only the LP's own tolerance is left to close
-            new = cand[np.argsort(-viol[cand], kind="stable")[: 2 * (d + 1)]]
-            active[below[new].astype(int), new] = True
-            s = np.where(below[new], -1.0, 1.0)
-            sol = lp_round(u[new], s, s * r[new] - w[new])
-            rounds += 1
-            if sol is None:
-                optimal = False
-                break
-            lower = float(sol[d])
-            v = v_warm + sol[:d]
             res = c - u @ v
             viol = np.abs(res) - w
             g = float(np.max(viol))
             if g < g_best:
                 v_best, g_best = v, g
-            if g_best <= lower + TOL * (1.0 + lower):
+            if rounds and g_best <= lower + TOL * (1.0 + lower):
                 break
+            below = res < 0.0  # the side each slab violates at the current point
+            cand = np.flatnonzero(~np.where(below, active[1], active[0]) & (viol > lower))
+            if cand.size == 0:
+                break  # only the LP's own tolerance is left to close
+            new = cand[np.argsort(-viol[cand], kind="stable")[: 2 * (d + 1)]]
+            side = below[new].astype(np.intp)
+            active[side, new] = True
+            state.rows = np.hstack([state.rows, [side, new]])
+            s = np.where(below[new], -1.0, 1.0)
+            sol = lp_round(u[new], s, s * r[new] - w[new])
+            rounds += 1
+            if sol is None:
+                optimal, state.lp = False, None
+                break
+            lower = float(sol[d])
+            v = state.origin + sol[:d]
+        state.point, state.lower = v, lower
 
     g_final = slabs.max_violation(v_best)
     rho_star = max(g_final, 0.0)
@@ -489,7 +542,8 @@ def estimate_mean(
     slabs = SlabSystem(directions, centers, widths, delta=delta, c_prime=config.C_prime)
 
     v_init = centers[:d].copy()  # canonical directions come first in the set
-    result = solve_center(slabs, v_init=v_init)
+    state = _CutState()  # one LP for this estimate's solves
+    result = solve_center(slabs, v_init=v_init, state=state)
 
     iterations = result.iterations
     rounds_used = 0
@@ -508,7 +562,7 @@ def estimate_mean(
         worst = np.argsort(viol)[::-1]
         worst = worst[viol[worst] > 0][: config.refine_append]
         slabs = slabs.extended(probes[worst], p_centers[worst], p_widths[worst])
-        result = solve_center(slabs, v_init=result.v_star)
+        result = solve_center(slabs, v_init=result.v_star, state=state)
         iterations += result.iterations
 
     return MeanEstimate(

@@ -114,6 +114,15 @@ def oracle_sample_rows(gt, n, seed):
     return gt.mu + w @ gt.factor_T.T
 
 
+def pair_differences(ds):
+    """Row i is row_i - row_{N+i} of the 2N input rows (a Dataset or an array)."""
+    rows = np.asarray(getattr(ds, "rows", ds), dtype=float)
+    if rows.shape[0] % 2:
+        raise ValueError("pair differencing needs an even row count")
+    half = rows.shape[0] // 2
+    return rows[:half] - rows[half:]
+
+
 def oracle_pair_block_averages(rows, m, n):
     """The first ``n`` variance blocks of size ``m`` by the plain composition:
     the whole pair-difference matrix, reshaped, summed over each block and

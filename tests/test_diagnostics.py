@@ -11,7 +11,6 @@ from dirmean import (
     check_uniform_ratios,
     interval_excess_sup,
     make_ground_truth,
-    pair_differences,
     quantile_sandwich_check,
     sample_dataset,
     small_ball_alpha,
@@ -19,7 +18,7 @@ from dirmean import (
 )
 
 
-from naive_oracles import brute_force_interval_sup
+from naive_oracles import brute_force_interval_sup, pair_differences
 
 
 def quantile_grid_sample(oracle, n):

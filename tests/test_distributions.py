@@ -3,6 +3,7 @@ import pytest
 from scipy import special, stats
 
 from dirmean import (
+    Dataset,
     DistributionSpec,
     NoAnalyticOracleError,
     SpectrumSpec,
@@ -347,8 +348,6 @@ class TestJitter:
         assert np.array_equal(a.rows, b.rows)
 
     def test_breaks_integer_ties(self):
-        from dirmean import Dataset
-
         rows = np.tile(np.arange(4.0), (6, 1))  # many duplicate projections
         ds = jitter(Dataset(rows), 1e-9, seed=3)
         u = np.array([0.3, 0.4, 0.5, np.sqrt(1 - 0.5)])
@@ -360,3 +359,9 @@ class TestJitter:
         gt = make_ground_truth(gaussian_spec([1.0]))
         with pytest.raises(ValueError):
             jitter(sample_dataset(gt, 3, 0), -1.0, 0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), "0.1", True])
+    def test_rejects_non_real_scale_naming_it(self, scale):
+        # NaN passes a plain "scale < 0" and then overflows inside numpy's uniform
+        with pytest.raises(ValueError, match="scale"):
+            jitter(Dataset(np.zeros((3, 2))), scale, 0)

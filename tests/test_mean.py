@@ -31,7 +31,7 @@ from dirmean import (
     write_report,
 )
 import dirmean.mean as mean_module
-from dirmean.mean import DUPLICATE_DOT, TOL, _keep_new
+from dirmean.mean import DUPLICATE_DOT, TOL, _CutState, _keep_new
 from dirmean.rng import random_unit_rows, stream
 from naive_oracles import oracle_direction_fill, oracle_keep_new, oracle_nu_hat_profile
 
@@ -79,9 +79,22 @@ def failing_after(good_rounds, solutions):
             solutions.append(lp_round(u, s, b))
             return solutions[-1]
 
+        flaky_round.prune = lp_round.prune
         return flaky_round
 
     return slab_lp
+
+
+def append_violators(rng, slabs, res, probes=64, append=16):
+    """``slabs`` plus the ``append`` worst of ``probes`` random slabs that
+    ``res.v_star`` violates beyond ``res.rho_star``, as the refine loop appends."""
+    d = slabs.directions.shape[1]
+    p = random_unit_rows(rng, probes, d)
+    widths = rng.uniform(0.0, 0.5, probes)
+    excess = rng.uniform(0.0, 0.5, probes) * (1.0 + res.rho_star)
+    centers = p @ res.v_star + rng.choice([-1.0, 1.0], probes) * (widths + res.rho_star + excess)
+    worst = np.argsort(excess)[::-1][:append]
+    return slabs.extended(p[worst], centers[worst], widths[worst])
 
 
 def gaussian_gt(eigs, mean=None, rotation_seed=None):
@@ -604,6 +617,7 @@ class TestOneSidedCuts:
                 rounds.append((u.copy(), s.copy(), b.copy()))
                 return lp_round(u, s, b)
 
+            recording_round.prune = lp_round.prune
             return recording_round
 
         monkeypatch.setattr(_core, "_Highs", RowCounting)
@@ -640,6 +654,112 @@ class TestOneSidedCuts:
             assert len(np.unique(rows, axis=0)) == len(rows)
 
 
+class TestResumedSolve:
+    """solve_center carrying one model from solve to solve, as estimate_mean does."""
+
+    @staticmethod
+    def recorded_models(monkeypatch):
+        """The HiGHS models _slab_lp built, and (rows kept, model rows) after each prune."""
+        from scipy.optimize._highspy import _core
+
+        created, models, prunes = [], [], []
+
+        class Recorded(_core._Highs):
+            def __init__(self):
+                super().__init__()
+                created.append(self)
+
+        real_slab_lp = mean_module._slab_lp
+
+        def slab_lp(d):
+            lp_round = real_slab_lp(d)
+            model, real_prune = created[-1], lp_round.prune
+            models.append(model)
+
+            def prune():
+                keep = real_prune()
+                prunes.append((int(keep.sum()), model.getNumRow()))
+                return keep
+
+            lp_round.prune = prune
+            return lp_round
+
+        monkeypatch.setattr(_core, "_Highs", Recorded)
+        monkeypatch.setattr(mean_module, "_slab_lp", slab_lp)
+        return models, prunes
+
+    def test_resumed_solves_are_optimal_on_pruned_models(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            d = int(rng.integers(1, 11))
+            slabs = random_infeasible_system(rng, d, int(rng.integers(d + 1, 201)))
+            models, prunes = self.recorded_models(monkeypatch)
+            state = _CutState()
+            res = solve_center(slabs, state=state)
+            for resolve in range(1, 4):
+                slabs = append_violators(rng, slabs, res)
+                res = solve_center(slabs, v_init=res.v_star, state=state)
+                optimum = dense_lp_optimum(slabs)
+                assert res.converged
+                assert abs(res.rho_star - optimum) <= TOL * (1.0 + optimum)
+                assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
+                assert slabs.max_violation(res.v_star) == res.rho_star
+                assert len(models) == 1 and len(prunes) == resolve
+                kept, model_rows = prunes[-1]
+                assert kept == model_rows <= d + 1
+                assert state.rows.shape[1] == models[0].getNumRow()
+            # every row the model holds is a distinct side of a current slab
+            sides = state.rows.T.tolist()
+            assert len({tuple(side) for side in sides}) == len(sides)
+            assert state.rows[1].max() < slabs.n_slabs
+
+    def test_failed_round_mid_refine_restarts_cold(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        slabs = random_infeasible_system(rng, 6, 150)
+        real_slab_lp = mean_module._slab_lp
+        built, calls, fail_at = [], [], set()
+
+        def slab_lp(d):
+            lp_round = real_slab_lp(d)
+            built.append(lp_round)
+
+            def flaky_round(u, s, b):
+                calls.append(len(built))
+                return None if len(calls) in fail_at else lp_round(u, s, b)
+
+            flaky_round.prune = lp_round.prune
+            return flaky_round
+
+        monkeypatch.setattr(mean_module, "_slab_lp", slab_lp)
+        state = _CutState()
+        first = solve_center(slabs, state=state)
+        assert first.converged and len(built) == 1
+        slabs = append_violators(rng, slabs, first)
+        fail_at.add(len(calls) + 1)  # the first round of the resumed solve
+        failed = solve_center(slabs, v_init=first.v_star, state=state)
+        assert not failed.converged and failed.iterations == 1 and state.lp is None
+        assert slabs.max_violation(failed.v_star) == failed.rho_star
+        assert failed.rho_star <= slabs.max_violation(first.v_star)
+        again = solve_center(slabs, v_init=failed.v_star, state=state)
+        assert len(built) == 2 and again.converged
+        assert again.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-9)
+        cold = solve_center(slabs, v_init=failed.v_star)
+        assert again.v_star.tobytes() == cold.v_star.tobytes()
+        assert again.iterations == cold.iterations
+
+    def test_one_model_per_estimate(self, monkeypatch):
+        models, prunes = self.recorded_models(monkeypatch)
+        gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
+        # a small direction set leaves violators for the probes: 3 refine rounds
+        cfg = PipelineConfig(gamma=1.0, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64)
+        est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
+        assert est.refinement_rounds == 3 and est.converged
+        assert len(models) == 1 and len(prunes) == est.refinement_rounds
+        assert all(kept == rows <= 5 for kept, rows in prunes)
+        optimum = dense_lp_optimum(est.slabs)
+        assert abs(est.rho_star - optimum) <= TOL * (1.0 + optimum)
+
+
 class TestSolveCenterProperties:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -671,6 +791,8 @@ class TestHighsBinding:
         floor = "scipy >= 1.17 (pyproject.toml)"
         try:
             from scipy.optimize._highspy._core import (
+                HighsBasis,
+                HighsBasisStatus,
                 HighsModelStatus,
                 HighsStatus,
                 _Highs,
@@ -688,8 +810,15 @@ class TestHighsBinding:
                 "run",
                 "getModelStatus",
                 "getSolution",
+                "getBasis",
+                "deleteRows",
             )
-        ] + [(HighsModelStatus, "kOptimal"), (HighsStatus, "kError")]
+        ] + [
+            (HighsModelStatus, "kOptimal"),
+            (HighsStatus, "kError"),
+            (HighsBasis, "row_status"),
+            (HighsBasisStatus, "kBasic"),
+        ]
         missing = [name for owner, name in needed if not hasattr(owner, name)]
         assert not missing, f"HiGHS binding lacks {missing}; dirmean needs {floor}"
         assert isinstance(kHighsInf, float)
