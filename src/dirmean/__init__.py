@@ -9,149 +9,48 @@ optimal one-dimensional rate sigma(u) sqrt(log(1/delta) / N) plus a global
 spectral-tail term.
 """
 
-from .blocks import (
-    BlockPlan,
-    SizingError,
-    block_averages,
-    pair_block_averages,
-    plan_blocks,
-)
-from .config import PipelineConfig
-from .diagnostics import (
-    RatioConditionReport,
-    RatioReport,
-    SmallBallReport,
-    check_ratio_conditions,
-    check_uniform_ratios,
-    interval_excess_sup,
-    quantile_sandwich_check,
-    small_ball_alpha,
-    small_ball_check,
-)
-from .distributions import (
-    Dataset,
-    DistributionSpec,
-    GroundTruth,
-    NoAnalyticOracleError,
-    SpectrumSpec,
-    directional_sigma,
-    jitter,
-    make_ground_truth,
-    marginal_oracle,
-    marginal_tail_prob,
-    sample_dataset,
-    sample_marginal,
-    student_kappa,
-    tail_eigensum,
-)
-from .harness import (
-    LowerBoundReport,
-    PerDirectionSummary,
-    Scenario,
-    TrialTable,
-    baseline_empirical_mean,
-    baseline_median_of_means,
-    empirical_mean_lower_bound,
-    per_direction_quantiles,
-    probe_directions,
-    run_trials,
-    write_report,
-)
-from .mean import (
-    MarginalMeanEstimator,
-    MeanEstimate,
-    SlabSystem,
-    SolveResult,
-    build_direction_set,
-    estimate_mean,
-    fit_marginal,
-    nu_hat,
-    nu_hat_profile,
-    slab_width,
-    slab_width_profile,
-    solve_center,
-)
-from .rng import derive_seed, stream
-from .trimmed import (
-    SortedSample,
-    TrimPlan,
-    empirical_quantile_hat,
-    rearrange_desc,
-    trim_count,
-    trim_sets,
-    trimmed_abs_moment,
-    trimmed_mean,
-)
-from .variance import VarianceEstimator, critical_level, fit_variance, psi, psi_profile
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockPlan",
-    "Dataset",
-    "DistributionSpec",
-    "GroundTruth",
-    "LowerBoundReport",
-    "MarginalMeanEstimator",
-    "MeanEstimate",
-    "NoAnalyticOracleError",
-    "PerDirectionSummary",
-    "PipelineConfig",
-    "RatioConditionReport",
-    "RatioReport",
-    "Scenario",
-    "SizingError",
-    "SlabSystem",
-    "SmallBallReport",
-    "SolveResult",
-    "SortedSample",
-    "SpectrumSpec",
-    "TrialTable",
-    "TrimPlan",
-    "VarianceEstimator",
-    "baseline_empirical_mean",
-    "baseline_median_of_means",
-    "block_averages",
-    "build_direction_set",
-    "check_ratio_conditions",
-    "check_uniform_ratios",
-    "critical_level",
-    "derive_seed",
-    "directional_sigma",
-    "empirical_mean_lower_bound",
-    "empirical_quantile_hat",
-    "estimate_mean",
-    "fit_marginal",
-    "fit_variance",
-    "interval_excess_sup",
-    "jitter",
-    "make_ground_truth",
-    "marginal_oracle",
-    "marginal_tail_prob",
-    "nu_hat",
-    "nu_hat_profile",
-    "pair_block_averages",
-    "per_direction_quantiles",
-    "plan_blocks",
-    "probe_directions",
-    "psi",
-    "psi_profile",
-    "quantile_sandwich_check",
-    "rearrange_desc",
-    "run_trials",
-    "sample_dataset",
-    "sample_marginal",
-    "slab_width",
-    "slab_width_profile",
-    "small_ball_alpha",
-    "small_ball_check",
-    "solve_center",
-    "stream",
-    "student_kappa",
-    "tail_eigensum",
-    "trim_count",
-    "trim_sets",
-    "trimmed_abs_moment",
-    "trimmed_mean",
-    "write_report",
-]
+# every public name -> the submodule that defines it; a name is imported on
+# first access (PEP 562), so ``import dirmean`` loads none of the submodules
+_SOURCES = {
+    name: module
+    for module, names in {
+        "blocks": "BlockPlan SizingError block_averages pair_block_averages plan_blocks",
+        "config": "PipelineConfig",
+        "diagnostics": "RatioConditionReport RatioReport SmallBallReport check_ratio_conditions "
+        "check_uniform_ratios interval_excess_sup quantile_sandwich_check small_ball_alpha small_ball_check",
+        "distributions": "Dataset DistributionSpec GroundTruth NoAnalyticOracleError SpectrumSpec "
+        "directional_sigma jitter make_ground_truth marginal_oracle marginal_tail_prob sample_dataset "
+        "sample_marginal student_kappa tail_eigensum",
+        "harness": "LowerBoundReport PerDirectionSummary Scenario TrialTable baseline_empirical_mean "
+        "baseline_median_of_means empirical_mean_lower_bound per_direction_quantiles probe_directions "
+        "run_trials write_report",
+        "mean": "MarginalMeanEstimator MeanEstimate SlabSystem SolveResult build_direction_set estimate_mean "
+        "fit_marginal nu_hat nu_hat_profile slab_width slab_width_profile solve_center",
+        "rng": "derive_seed stream",
+        "trimmed": "SortedSample TrimPlan empirical_quantile_hat rearrange_desc trim_count trim_sets "
+        "trimmed_abs_moment trimmed_mean",
+        "variance": "VarianceEstimator critical_level fit_variance psi psi_profile",
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = {*_SOURCES.values(), "cli"}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # the import binds it here
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -25,13 +25,7 @@ import warnings
 import numpy as np
 
 from .blocks import SizingError, pair_block_averages
-from .config import PipelineConfig, require_int, require_probability, require_real
-from .diagnostics import (
-    check_ratio_conditions,
-    check_uniform_ratios,
-    quantile_sandwich_check,
-    small_ball_check,
-)
+from .config import PipelineConfig, require_int, require_object, require_probability, require_real
 from .distributions import (
     Dataset,
     DistributionSpec,
@@ -90,9 +84,10 @@ def _load_config_doc(path: str | None) -> dict:
         raise UsageError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"invalid JSON in {path}: {exc}") from exc
+    return require_object(f"config document {path}", doc)
 
 
 def _ensure_outdir(path: str) -> str:
@@ -109,13 +104,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return require_int("--threads", args.threads, 1)
     env = os.environ.get("DIRMEAN_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise UsageError(f"bad DIRMEAN_THREADS value: {env!r}") from exc
+        return require_int("DIRMEAN_THREADS", threads, 1)
     return 1
 
 
@@ -160,10 +156,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .diagnostics import (  # ~7 ms to load, and only this command runs it
+        check_ratio_conditions,
+        check_uniform_ratios,
+        quantile_sandwich_check,
+        small_ball_check,
+    )
+
     doc = _load_config_doc(args.config)
     if "distribution" not in doc:
         raise UsageError("diagnose config needs a 'distribution' entry")
     spec = DistributionSpec.from_json_dict(doc["distribution"])
+    sb_doc = require_object("small_ball", doc.get("small_ball", {}))
+    un_doc = require_object("uniform", doc.get("uniform", {}))
     gt = make_ground_truth(spec)
     seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
     n = require_int("n", doc.get("n", 10000), 1)
@@ -210,7 +215,6 @@ def _cmd_diagnose(args) -> int:
         "json",
     )
 
-    sb_doc = doc.get("small_ball", {})
     sb = small_ball_check(
         gt,
         m=require_int("small_ball.m", sb_doc.get("m", 400), 1),
@@ -221,7 +225,6 @@ def _cmd_diagnose(args) -> int:
     write_report(sb, os.path.join(out, "small_ball.json"), "json")
 
     if spec.family == "gaussian":
-        un_doc = doc.get("uniform", {})
         n_pairs = require_int("uniform.n_pairs", un_doc.get("n_pairs", n), 1)
         block_m = require_int("uniform.block_m", un_doc.get("block_m", 1), 1)
         ds = sample_dataset(gt, 2 * n_pairs, derive_seed(seed, "diagnose-uniform"))

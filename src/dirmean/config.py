@@ -24,6 +24,15 @@ def require_int(name: str, value, least: int | None = None):
     return value
 
 
+def require_object(name: str, value) -> dict:
+    """``value`` when it is a JSON object (a dict); else a ValueError naming
+    ``name``, so a list or null section never reaches the ``.get`` or the
+    key lookup it would break."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def require_real(name: str, value, above: float = -math.inf, below: float = math.inf):
     """``value`` when it is a real number (bool and strings not) in the open
     interval (above, below); else a ValueError naming ``name``.  NaN fails
@@ -83,8 +92,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict | None) -> "PipelineConfig":
-        if not doc:
+        if doc is None:
             return cls()
+        require_object("config", doc)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:

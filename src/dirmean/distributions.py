@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import require_int, require_real
+from .config import require_int, require_object, require_real
 from .rng import random_unit_rows, row_norms, stream
 
 FAMILIES = (
@@ -146,7 +146,10 @@ class DistributionSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DistributionSpec":
+        require_object("distribution", doc)
         cont = doc.get("contamination")
+        if cont is not None:
+            require_object("contamination", cont)
         return cls(
             family=doc["family"],
             spectrum=SpectrumSpec(

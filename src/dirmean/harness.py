@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,12 +103,18 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
+        missing = [name for name in ("distribution", "n_total", "delta", "trials") if name not in doc]
+        if missing:
+            raise ValueError(f"scenario is missing required fields: {missing}")
+        estimators = doc.get("estimators", ("dirmean", "empirical-mean"))
+        if not isinstance(estimators, (list, tuple)):  # a string would be read one letter at a time
+            raise ValueError(f"estimators must be a list of names, got {estimators!r}")
         return cls(
             distribution=DistributionSpec.from_json_dict(doc["distribution"]),
             n_total=doc["n_total"],
             delta=doc["delta"],
             trials=doc["trials"],
-            estimators=tuple(doc.get("estimators", ("dirmean", "empirical-mean"))),
+            estimators=tuple(estimators),
             probes=doc.get("probes"),
             seed=doc.get("seed", 0),
             config=PipelineConfig.from_dict(doc.get("config")),
@@ -213,6 +218,8 @@ def run_trials(sc: Scenario, threads: int = 1) -> TrialTable:
     probes = probe_directions(gt.dim, sc.n_probes, sc.seed)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # ~8 ms, so only when a pool runs
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda t: _run_single_trial(sc, gt, probes, t), range(sc.trials)))
     else:

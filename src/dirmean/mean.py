@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy
 
 from .blocks import (
     BlockPlan,
@@ -60,9 +59,9 @@ def _load_extension(name: str, directory: str):
 
     Loads the one file, without running the ``__init__`` of its parent
     packages, so the package loads scipy's HiGHS binding without the rest
-    of ``scipy.optimize``.  A later ``import scipy.optimize`` finds the
-    module registered and reuses it, so both share one ``_Highs`` class
-    (the one a test monkeypatches).
+    of ``scipy`` or ``scipy.optimize``.  A later ``import scipy.optimize``
+    finds the module registered and reuses it, so both share one ``_Highs``
+    class (the one a test monkeypatches).
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -77,8 +76,13 @@ def _load_extension(name: str, directory: str):
     return module
 
 
+if sys.platform == "win32":
+    # delvewheel's patched scipy/__init__.py adds the directory of the DLLs the extension links
+    import scipy  # noqa: F401
+# scipy's install directory, found without running scipy/__init__.py (~16 ms)
+_SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
 # for _slab_lp; eager, so no solve pays the import
-_core = _load_extension(_HIGHS_CORE, os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
+_core = _load_extension(_HIGHS_CORE, os.path.join(_SCIPY_DIR, "optimize", "_highspy"))
 
 
 def _median(a: np.ndarray):

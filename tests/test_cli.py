@@ -23,6 +23,7 @@ TINY_CONFIG = {"gamma": 1.0, "c1": 1.0, "theta_var": 0.25, "theta_mean": 0.125, 
 
 
 BASELINES = ["empirical-mean", "median-of-means"]  # no dirmean, whose planner checks delta itself
+MISSING = object()  # a scenario_doc override that drops the field
 
 
 def write_json(path, doc):
@@ -43,7 +44,7 @@ def scenario_doc(**overrides):
         "config": TINY_CONFIG,
     }
     doc.update(overrides)
-    return doc
+    return {name: value for name, value in doc.items() if value is not MISSING}
 
 
 def tree_bytes(root):
@@ -159,6 +160,9 @@ class TestEstimateCommand:
             ("delta", "0.01", "must lie in (0, 1), got '0.01'"),
             ("delta", 0, "must lie in (0, 1), got 0"),
             ("delta", 1.5, "must lie in (0, 1), got 1.5"),
+            ("distribution", [1], "must be a JSON object, got [1]"),
+            ("distribution", None, "must be a JSON object, got None"),
+            ("config", [1], "must be a JSON object, got [1]"),
         ],
     )
     def test_bad_document_value_exits_1_naming_it(self, tmp_path, capsys, field, value, message):
@@ -206,6 +210,17 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_1_naming_the_source(self, tmp_path, capsys, monkeypatch, threads):
+        cfg = write_json(tmp_path / "sc.json", scenario_doc(trials=2))
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", cfg, "--out", out, "--threads", threads]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: --threads must be at least 1, got {threads}\n"
+        monkeypatch.setenv("DIRMEAN_THREADS", threads)
+        assert main(["simulate", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: DIRMEAN_THREADS must be at least 1, got {threads}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_estimator_exits_1(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sc.json", scenario_doc(estimators=["catoni"]))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -227,6 +242,10 @@ class TestSimulateCommand:
             ({"trials": 0}, "trials"),
             ({"seed": 1.5}, "seed"),
             ({"estimators": ["empirical-mean", "dirmean", "empirical-mean"]}, "estimators"),
+            ({"estimators": "dirmean"}, "estimators must be a list"),
+            ({"delta": MISSING}, "missing required fields: ['delta']"),
+            ({"trials": MISSING, "n_total": MISSING}, "missing required fields: ['n_total', 'trials']"),
+            ({"distribution": [1]}, "distribution"),
         ],
     )
     def test_malformed_scenario_exits_1_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -315,6 +334,9 @@ class TestDiagnoseCommand:
             ({"small_ball": {"m": 16, "trials": 5000, "gamma": "0.05"}}, "small_ball.gamma",
              "must lie in (0, 1), got '0.05'"),
             ({"uniform": {"r": "0.0"}}, "uniform.r", "must lie in (-inf, inf), got '0.0'"),
+            ({"small_ball": [1]}, "small_ball", "must be a JSON object, got [1]"),
+            ({"uniform": None}, "uniform", "must be a JSON object, got None"),
+            ({"distribution": "gaussian"}, "distribution", "must be a JSON object, got 'gaussian'"),
         ],
     )
     def test_bad_value_exits_1_naming_it(self, tmp_path, capsys, overrides, field, message):
@@ -472,6 +494,14 @@ class TestLowerboundCommand:
         cfg = write_json(tmp_path / "lb.json", doc)
         assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "ERROR 1: delta must lie in (0, 1), got '0.01'\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "diagnose", "lowerbound"])
+    @pytest.mark.parametrize("doc", [None, [1], "x"])
+    def test_non_object_document_exits_1_naming_it(self, tmp_path, capsys, command, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: config document {cfg} must be a JSON object, got {doc!r}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
