@@ -153,12 +153,12 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
     return out
 
 
-def _trim_modulus(theta: float) -> int:
+def _trim_modulus(theta: float, name: str) -> int:
     """Block counts are multiples of b = ceil(1/theta) so theta*n is integral."""
     b = math.ceil(1.0 / theta)
     if abs(theta * b - round(theta * b)) > 1e-9:
         raise ValueError(
-            f"theta = {theta} does not make theta * ceil(1/theta) an integer; "
+            f"{name} = {theta} does not make {name} * ceil(1/{name}) an integer; "
             "use a reciprocal of an integer"
         )
     return b
@@ -184,12 +184,19 @@ def plan_blocks(
     config = config or PipelineConfig()
     if purpose not in PLAN_PURPOSES:
         raise ValueError(f"purpose must be one of {PLAN_PURPOSES}")
+    name = "theta_var" if purpose == "variance" else "theta_mean"
     if not (0.0 < theta < 0.5):
-        raise ValueError("theta must lie in (0, 1/2)")
-    b = _trim_modulus(theta)
+        raise ValueError(f"{name} must lie in (0, 1/2), got {theta!r}")
+    b = _trim_modulus(theta, name)
 
     if purpose == "variance":
-        m0 = max(1, math.ceil(config.c1 / config.gamma**2))
+        try:
+            size = config.c1 / config.gamma**2
+        except ArithmeticError:  # gamma**2 underflows to 0 or overflows
+            size = math.inf if config.gamma < 1 else 0.0
+        if not math.isfinite(size):
+            raise ValueError(f"c1 / gamma^2 is not finite for c1 = {config.c1}, gamma = {config.gamma}")
+        m0 = max(1, math.ceil(size))
         n = (n_rows // m0) // b * b
         if n < b:
             raise SizingError(
@@ -200,8 +207,10 @@ def plan_blocks(
     else:
         if delta is None or not (0.0 < delta < 1.0):
             raise ValueError("mean-purpose planning needs delta in (0, 1)")
-        target = math.ceil(config.c_blocks * (1.0 + math.log(1.0 / delta)))
-        n = b * math.ceil(target / b)
+        target = config.c_blocks * (1.0 + math.log(1.0 / delta))
+        if not math.isfinite(target):
+            raise ValueError(f"c_blocks * log(e/delta) is not finite for c_blocks = {config.c_blocks}, delta = {delta}")
+        n = b * math.ceil(math.ceil(target) / b)
         if n > n_rows:
             raise SizingError(
                 f"mean sizing infeasible: need at least {n} rows for "

@@ -25,23 +25,11 @@ import warnings
 import numpy as np
 
 from .blocks import SizingError, pair_block_averages
-from .config import PipelineConfig, require_int, require_object, require_probability, require_real
-from .distributions import (
-    Dataset,
-    DistributionSpec,
-    NoAnalyticOracleError,
-    make_ground_truth,
-    marginal_oracle,
-    sample_dataset,
-    sample_marginal,
-)
-from .harness import (
-    Scenario,
-    empirical_mean_lower_bound,
-    per_direction_quantiles,
-    run_trials,
-    write_report,
-)
+from .config import REQUIRED, Field, PipelineConfig, read_fields, require_int, require_object
+from .distributions import (Dataset, DistributionSpec, make_ground_truth, marginal_oracle, sample_dataset,
+                            sample_marginal)
+from .harness import (LOWERBOUND_FIELDS, Scenario, empirical_mean_lower_bound, per_direction_quantiles, run_trials,
+                      write_report)
 from .mean import estimate_mean
 from .rng import derive_seed
 from .trimmed import trim_count
@@ -50,6 +38,34 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SIZING = 2
 EXIT_IO = 3
+
+
+ESTIMATE_FIELDS = {
+    "distribution": Field("object", REQUIRED),
+    "n_total": Field("size", None),  # needed unless --data gives the rows
+    "delta": Field("probability", 0.01),
+    "seed": Field("int", 0),
+    "config": Field("object", None),
+}
+
+DIAGNOSE_FIELDS = {
+    "distribution": Field("object", REQUIRED),
+    "seed": Field("int", 0),
+    "n": Field("size", 10000),
+    "delta_param": Field("probability", 0.005),
+    "theta": Field("real", None, above=0.0, below=0.5),  # null: 7 delta_param
+    "small_ball": Field("object", {}, fields={
+        "m": Field("size", 400),
+        "gamma": Field("probability", 0.05),
+        "trials": Field("size", 20000, least=100),  # small_ball_check's floor
+    }),
+    "uniform": Field("object", {}, fields={
+        "n_pairs": Field("size", None),  # null: n
+        "block_m": Field("size", 1),
+        "r": Field("real", 0.0),
+        "n_dirs": Field("size", 50),
+    }),
+}
 
 
 class UsageError(ValueError):
@@ -77,7 +93,9 @@ def read_dataset_csv(path: str) -> np.ndarray:
     return rows
 
 
-def _load_config_doc(path: str | None) -> dict:
+def _load_config_doc(args) -> dict:
+    """The --config document, its seed replaced by --seed when that is given."""
+    path = args.config
     if path is None:
         raise UsageError("--config is required")
     if not os.path.exists(path):
@@ -87,19 +105,14 @@ def _load_config_doc(path: str | None) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"invalid JSON in {path}: {exc}") from exc
-    return require_object(f"config document {path}", doc)
+    require_object(f"config document {path}", doc)
+    return doc if args.seed is None else {**doc, "seed": args.seed}
 
 
-def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="path to the JSON configuration")
-    sub.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads")
+def _write(args, report, name: str) -> None:
+    """Write ``report`` to ``name`` in the --out directory, in the format its extension names."""
+    os.makedirs(args.out, exist_ok=True)
+    write_report(report, os.path.join(args.out, name), os.path.splitext(name)[1][1:])
 
 
 def _resolve_threads(args) -> int:
@@ -116,75 +129,51 @@ def _resolve_threads(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    doc = _load_config_doc(args.config)
-    if "distribution" not in doc:
-        raise UsageError("estimate config needs a 'distribution' entry")
+    doc = read_fields("estimate", _load_config_doc(args), ESTIMATE_FIELDS)
     spec = DistributionSpec.from_json_dict(doc["distribution"])
-    delta = require_probability("delta", doc.get("delta", 0.01))
-    config = PipelineConfig.from_dict(doc.get("config"))
-    seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
+    config = PipelineConfig.from_dict(doc["config"])
+    seed = doc["seed"]
 
     if getattr(args, "data", None):
         rows = read_dataset_csv(args.data)
         ds = Dataset(rows, seed=None, spec=spec)
     else:
-        n_total = doc.get("n_total")
-        if n_total is None:
+        if doc["n_total"] is None:
             raise UsageError("estimate config needs 'n_total' when no --data is given")
-        gt = make_ground_truth(spec)
-        ds = sample_dataset(gt, require_int("n_total", n_total, 1), derive_seed(seed, "estimate-data"))
+        ds = sample_dataset(make_ground_truth(spec), doc["n_total"], derive_seed(seed, "estimate-data"))
 
-    est = estimate_mean(ds, delta, config, seed=derive_seed(seed, "estimate"))
-    out = _ensure_outdir(args.out)
-    write_report(est, os.path.join(out, "estimate.json"), "json")
+    _write(args, estimate_mean(ds, doc["delta"], config, seed=derive_seed(seed, "estimate")), "estimate.json")
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_config_doc(args.config)
-    if args.seed is not None:
-        doc = {**doc, "seed": args.seed}
-    sc = Scenario.from_json_dict(doc)
+    sc = Scenario.from_json_dict(_load_config_doc(args))
     table = run_trials(sc, threads=_resolve_threads(args))
     summary = {"scenario": sc, "summary": per_direction_quantiles(table, sc.delta)}
     if table.block_plans is not None:  # the block geometry dirmean used, for auditability
         summary["block_plan_mean"], summary["block_plan_var"] = table.block_plans
-    out = _ensure_outdir(args.out)
-    write_report(table, os.path.join(out, "trials.csv"), "csv")
-    write_report(summary, os.path.join(out, "summary.json"), "json")
+    _write(args, table, "trials.csv")
+    _write(args, summary, "summary.json")
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import (  # ~7 ms to load, and only this command runs it
-        check_ratio_conditions,
-        check_uniform_ratios,
-        quantile_sandwich_check,
-        small_ball_check,
-    )
+    # ~7 ms to load, and only this command runs it
+    from .diagnostics import check_ratio_conditions, check_uniform_ratios, quantile_sandwich_check, small_ball_check
 
-    doc = _load_config_doc(args.config)
-    if "distribution" not in doc:
-        raise UsageError("diagnose config needs a 'distribution' entry")
+    doc = read_fields("diagnose", _load_config_doc(args), DIAGNOSE_FIELDS)
     spec = DistributionSpec.from_json_dict(doc["distribution"])
-    sb_doc = require_object("small_ball", doc.get("small_ball", {}))
-    un_doc = require_object("uniform", doc.get("uniform", {}))
     gt = make_ground_truth(spec)
-    seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
-    n = require_int("n", doc.get("n", 10000), 1)
-    delta_param = require_probability("delta_param", doc.get("delta_param", 0.005))
-    if "theta" in doc:
-        theta = require_real("theta", doc["theta"], 0.0, 0.5)
-    else:
+    seed = doc["seed"]
+    n, delta_param, theta = doc["n"], doc["delta_param"], doc["theta"]
+    if theta is None:
         theta = 7 * delta_param
     # quantile_sandwich_check's levels 2 theta + 8 delta_param and (2 theta - 8 delta_param) / 3
     # must lie in (0, 1); checked before any sampling
     if not (7 * delta_param <= theta and 2 * theta + 8 * delta_param < 1):
-        if "theta" in doc:
-            usable = (
-                f"at most theta / 7 = {theta / 7} and below (1 - 2 theta) / 8 = {(1 - 2 * theta) / 8} "
-                f"for theta = {theta}"
-            )
+        if doc["theta"] is not None:
+            usable = (f"at most theta / 7 = {theta / 7} and below (1 - 2 theta) / 8 = {(1 - 2 * theta) / 8} "
+                      f"for theta = {theta}")
         else:
             usable = "below 1/22 (~0.04545) at the default theta = 7 delta_param"
         raise UsageError(
@@ -199,83 +188,63 @@ def _cmd_diagnose(args) -> int:
             f"n = {n} is too small for theta = {theta}: the trim count round(theta n) "
             f"must be at least 1, so n must be at least {least}"
         )
-    out = _ensure_outdir(args.out)
 
     u = np.eye(gt.dim)[0]
     sample = sample_marginal(gt, u, n, derive_seed(seed, "diagnose-sample"))
-    try:
-        oracle = marginal_oracle(gt, u)
-    except NoAnalyticOracleError as exc:
-        raise UsageError(str(exc)) from exc
+    oracle = marginal_oracle(gt, u)  # a NoAnalyticOracleError is a ValueError: exit 1
     ratio_rep = check_ratio_conditions(sample, oracle, delta_param, theta)
     sandwich_ok = quantile_sandwich_check(sample, oracle, theta, delta_param)
-    write_report(
-        {"ratio_conditions": ratio_rep, "quantile_sandwich": sandwich_ok},
-        os.path.join(out, "ratio_conditions.json"),
-        "json",
-    )
+    _write(args, {"ratio_conditions": ratio_rep, "quantile_sandwich": sandwich_ok}, "ratio_conditions.json")
 
-    sb = small_ball_check(
-        gt,
-        m=require_int("small_ball.m", sb_doc.get("m", 400), 1),
-        gamma=require_probability("small_ball.gamma", sb_doc.get("gamma", 0.05)),
-        trials=require_int("small_ball.trials", sb_doc.get("trials", 20000), 1),
-        seed=derive_seed(seed, "diagnose-smallball"),
-    )
-    write_report(sb, os.path.join(out, "small_ball.json"), "json")
+    sb = doc["small_ball"]
+    sb = small_ball_check(gt, sb["m"], sb["gamma"], sb["trials"], seed=derive_seed(seed, "diagnose-smallball"))
+    _write(args, sb, "small_ball.json")
 
     if spec.family == "gaussian":
-        n_pairs = require_int("uniform.n_pairs", un_doc.get("n_pairs", n), 1)
-        block_m = require_int("uniform.block_m", un_doc.get("block_m", 1), 1)
+        un = doc["uniform"]
+        n_pairs = n if un["n_pairs"] is None else un["n_pairs"]
         ds = sample_dataset(gt, 2 * n_pairs, derive_seed(seed, "diagnose-uniform"))
-        z = pair_block_averages(ds, block_m)
+        z = pair_block_averages(ds, un["block_m"])
         rep = check_uniform_ratios(
-            z,
-            gt,
-            delta_param,
-            r=require_real("uniform.r", un_doc.get("r", 0.0)),
-            n_dirs=require_int("uniform.n_dirs", un_doc.get("n_dirs", 50), 1),
-            seed=derive_seed(seed, "diagnose-dirs"),
+            z, gt, delta_param, r=un["r"], n_dirs=un["n_dirs"], seed=derive_seed(seed, "diagnose-dirs")
         )
-        write_report(rep, os.path.join(out, "uniform_ratios.json"), "json")
-        write_report(rep, os.path.join(out, "uniform_ratios.csv"), "csv")
+        _write(args, rep, "uniform_ratios.json")
+        _write(args, rep, "uniform_ratios.csv")
     return EXIT_OK
 
 
 def _cmd_lowerbound(args) -> int:
-    doc = _load_config_doc(args.config)
-    if "eigenvalues" in doc:
-        spec = doc["eigenvalues"]
-    elif "distribution" in doc:
+    doc = read_fields("lowerbound", _load_config_doc(args), LOWERBOUND_FIELDS)
+    if (doc["eigenvalues"] is None) == (doc["distribution"] is None):
+        raise UsageError("lowerbound config needs exactly one of 'eigenvalues' and a gaussian 'distribution'")
+    spec = doc["eigenvalues"]
+    if spec is None:
         spec = DistributionSpec.from_json_dict(doc["distribution"])
-    else:
-        raise UsageError("lowerbound config needs 'eigenvalues' or a gaussian 'distribution'")
-    seed = args.seed if args.seed is not None else require_int("seed", doc.get("seed", 0))
+    seed = doc["seed"]
     rep = empirical_mean_lower_bound(
         spec,
-        n_samples=require_int("n_samples", doc.get("n_samples", 10000), 1),
-        delta=require_probability("delta", doc.get("delta", 0.01)),
-        c_assumed=require_real("C", doc.get("C", 1.0), 0.0),
-        trials=require_int("trials", doc.get("trials", 500), 1),
+        n_samples=doc["n_samples"],
+        delta=doc["delta"],
+        c_assumed=doc["C"],
+        trials=doc["trials"],
         seed=derive_seed(seed, "lowerbound"),
     )
-    out = _ensure_outdir(args.out)
-    write_report(rep, os.path.join(out, "lowerbound.json"), "json")
+    _write(args, rep, "lowerbound.json")
     return EXIT_OK
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="dirmean", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command")
-    p_est = subs.add_parser("estimate", help="estimate the mean of a dataset")
-    _add_common(p_est)
-    p_est.add_argument("--data", help="dataset CSV (one observation per row)")
-    p_sim = subs.add_parser("simulate", help="run a Monte Carlo scenario")
-    _add_common(p_sim)
-    p_diag = subs.add_parser("diagnose", help="run the diagnostics suite")
-    _add_common(p_diag)
-    p_low = subs.add_parser("lowerbound", help="run the lower-bound experiment")
-    _add_common(p_low)
+    for name, text in (("estimate", "estimate the mean of a dataset"), ("simulate", "run a Monte Carlo scenario"),
+                       ("diagnose", "run the diagnostics suite"), ("lowerbound", "run the lower-bound experiment")):
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("--config", help="path to the JSON configuration")
+        sub.add_argument("--seed", type=int, default=None, help="64-bit master seed")
+        sub.add_argument("--out", default=".", help="output directory")
+        sub.add_argument("--threads", type=int, default=None, help="worker threads")
+        if name == "estimate":
+            sub.add_argument("--data", help="dataset CSV (one observation per row)")
     return parser
 
 
@@ -307,8 +276,6 @@ def main(argv=None) -> int:
         print(f"ERROR {EXIT_IO}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-
-cli_main = main
 
 if __name__ == "__main__":
     sys.exit(main())

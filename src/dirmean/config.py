@@ -1,8 +1,12 @@
-"""Flat configuration record shared by the estimation pipeline.
+"""Input field tables, the one reader that applies them, and the pipeline's
+configuration record.
 
-All tuning constants are exposed here with desk-scale defaults; none of
-them is asserted to be canonical.  The harness fits and reports achieved
-constants instead of trusting these values.
+Each input document is declared once, as a table mapping each field to a
+:class:`Field` (kind, bounds, default).  :func:`read_fields` applies a table
+to a JSON object and :func:`check_fields` to a record's own values, so both
+paths name the field in every error.  Values are checked, never converted.
+The tuning constants have desk-scale defaults, none asserted canonical: the
+harness fits and reports the achieved constants instead.
 """
 
 from __future__ import annotations
@@ -47,59 +51,116 @@ def require_probability(name: str, value):
     return require_real(name, value, 0.0, 1.0)
 
 
+REQUIRED = object()  # the default of a field that a document must set
+
+
+class Field:
+    """One document field.
+
+    Kinds: ``int``; ``size`` (an int of at least 1); ``real`` (finite, in
+    the open interval (above, below)); ``probability`` (a real in (0, 1));
+    ``reals`` (a nonempty list or 1-d array of reals); ``name`` (one of
+    ``choices``); ``names`` (a list of distinct ``choices``); ``object``
+    (read with the nested table ``fields``, if given).  ``least`` is an
+    inclusive floor on a number or on each entry of ``reals``.  A None
+    default admits null.  A plain class: a dataclass would add ~1.6 ms to
+    every start-up.
+    """
+
+    def __init__(self, kind: str, default=REQUIRED, *, least=None, above=-math.inf, below=math.inf, choices=(),
+                 fields: dict | None = None):
+        self.kind, self.default, self.least, self.above, self.below = kind, default, least, above, below
+        self.choices, self.fields = choices, fields
+
+    def check(self, name: str, value):
+        """``value`` when it meets this field (an object with nested
+        ``fields`` comes back read); else a ValueError naming ``name``."""
+        if value is None and self.default is None:
+            return value
+        if self.kind == "object":
+            require_object(name, value)
+            return value if self.fields is None else read_fields(name, value, self.fields, name + ".")
+        if self.kind == "name":
+            if not isinstance(value, str) or value not in self.choices:
+                raise ValueError(f"{name} must be one of {list(self.choices)}, got {value!r}")
+            return value
+        if self.kind == "names":
+            listed = isinstance(value, (list, tuple)) and all(isinstance(v, str) and v in self.choices for v in value)
+            if not listed or len(set(value)) < len(value):
+                raise ValueError(f"{name} must be a list of distinct names from {list(self.choices)}, got {value!r}")
+            return value
+        if self.kind == "reals":
+            if not (isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1) or len(value) == 0:
+                raise ValueError(f"{name} must be a nonempty list of real numbers, got {value!r}")
+            entry = Field("real", least=self.least, above=self.above, below=self.below)
+            for i, v in enumerate(value):
+                entry.check(f"{name}[{i}]", v)
+            return value
+        if self.kind == "probability":
+            require_probability(name, value)
+        elif self.kind == "real":
+            require_real(name, value, self.above, self.below)
+        else:
+            require_int(name, value, 1 if self.kind == "size" else None)
+        if self.least is not None and not value >= self.least:
+            raise ValueError(f"{name} must be at least {self.least}")
+        return value
+
+
+def check_fields(table: dict, values: dict, prefix: str = "") -> dict:
+    """``values`` (a subset of the table's fields) when each meets its
+    :class:`Field`; else a ValueError naming the first that does not, as
+    ``prefix + key``.  Nested objects come back read."""
+    return {key: table[key].check(prefix + key, value) for key, value in values.items()}
+
+
+def read_fields(name: str, doc, table: dict, prefix: str = "") -> dict:
+    """Every field of ``table`` read from the JSON object ``doc`` (the
+    section called ``name``), absent ones at their defaults; an unknown
+    key, a missing required field or a bad value is a ValueError naming it."""
+    require_object(name, doc)
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = [key for key, f in table.items() if f.default is REQUIRED and key not in doc]
+    if missing:
+        raise ValueError(f"{name} is missing required fields: {missing}")
+    return check_fields(table, {key: doc.get(key, f.default) for key, f in table.items()}, prefix)
+
+
+def setting(default, kind: str, **bounds):
+    """A record field with ``default``, declared in its table as ``Field(kind, default, **bounds)``."""
+    return dataclasses.field(default=default, metadata={"field": Field(kind, default, **bounds)})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     # directional-variance estimator
-    gamma: float = 0.1          # small-ball level; block size m0 = ceil(c1 / gamma^2)
-    c1: float = 1.0             # block-size constant
-    theta_var: float = 0.02     # trim fraction for the variance blocks
+    gamma: float = setting(0.1, "real", above=0.0)  # small-ball level; block size m0 = ceil(c1 / gamma^2)
+    c1: float = setting(1.0, "real", above=0.0)  # block-size constant
+    theta_var: float = setting(0.02, "real", above=0.0, below=0.5)  # trim fraction for the variance blocks
 
     # marginal-mean estimator
-    theta_mean: float = 0.125   # trim fraction for the mean blocks (1/8)
-    c_blocks: float = 8.0       # block-count multiplier: n >= c_blocks * log(e/delta)
-    C_prime: float = 1.0        # slab width constant
+    theta_mean: float = setting(0.125, "real", above=0.0, below=0.5)  # trim fraction for the mean blocks (1/8)
+    c_blocks: float = setting(8.0, "real", above=0.0)  # block-count multiplier: n >= c_blocks * log(e/delta)
+    C_prime: float = setting(1.0, "real", above=0.0)  # slab width constant
 
     # slab system and probe-and-refine loop
-    directions: int | None = None   # direction budget; None -> max(8 d, 256)
-    refine_rounds: int = 3
-    refine_probes: int = 512
-    refine_tol: float = 0.1
-    refine_append: int = 64         # worst probes appended per refinement round
+    directions: int | None = setting(None, "int", least=1)  # direction budget; None -> max(8 d, 256)
+    refine_rounds: int = setting(3, "int", least=0)
+    refine_probes: int = setting(512, "int", least=1)
+    refine_tol: float = setting(0.1, "real", least=0.0)
+    refine_append: int = setting(64, "int", least=1)  # worst probes appended per refinement round
 
     # baselines
-    mom_blocks: int | None = None   # None -> ceil(8 * log(1/delta))
+    mom_blocks: int | None = setting(None, "int", least=1)  # None -> ceil(8 * log(1/delta))
 
     def __post_init__(self):
-        for name in ("directions", "refine_rounds", "refine_probes", "refine_append", "mom_blocks"):
-            v = getattr(self, name)
-            if v is not None or name not in ("directions", "mom_blocks"):
-                require_int(name, v)
-        for name in ("gamma", "c1", "c_blocks", "C_prime"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("theta_var", "theta_mean"):
-            v = getattr(self, name)
-            if not (0.0 < v < 0.5):
-                raise ValueError(f"{name} must lie in (0, 1/2)")
-        for name, least in (("refine_rounds", 0), ("refine_probes", 1), ("refine_append", 1), ("refine_tol", 0)):
-            if not getattr(self, name) >= least:  # also false for NaN
-                raise ValueError(f"{name} must be at least {least}")
-        if self.mom_blocks is not None and not self.mom_blocks >= 1:
-            raise ValueError("mom_blocks must be None or at least 1")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        check_fields(CONFIG_FIELDS, vars(self))
 
     @classmethod
     def from_dict(cls, doc: dict | None) -> "PipelineConfig":
-        if doc is None:
-            return cls()
-        require_object("config", doc)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
+        return cls() if doc is None else cls(**read_fields("config", doc, CONFIG_FIELDS))
 
-    def replace(self, **kwargs) -> "PipelineConfig":
-        return dataclasses.replace(self, **kwargs)
+
+CONFIG_FIELDS = {f.name: f.metadata["field"] for f in dataclasses.fields(PipelineConfig)}

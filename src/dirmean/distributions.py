@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import require_int, require_object, require_real
+from .config import REQUIRED, Field, check_fields, read_fields
 from .rng import random_unit_rows, row_norms, stream
 
 FAMILIES = (
@@ -50,12 +50,20 @@ class NoAnalyticOracleError(ValueError):
     """Raised when a closed-form marginal law is requested but unavailable."""
 
 
-def _real_entries(name: str, values) -> tuple[float, ...]:
-    """The entries of a sequence (or of a scalar, as one entry) as floats;
-    a ValueError names the first, as ``name[i]``, that is not a finite real
-    number (strings included)."""
-    entries = values if np.ndim(values) else [values]
-    return tuple(float(require_real(f"{name}[{i}]", v)) for i, v in enumerate(entries))
+CONTAMINATION_FIELDS = {
+    "fraction": Field("real", REQUIRED, least=0.0, below=0.5),
+    "offset": Field("reals", REQUIRED),
+}
+
+DISTRIBUTION_FIELDS = {
+    "family": Field("name", REQUIRED, choices=FAMILIES),
+    "eigenvalues": Field("reals", REQUIRED, least=0.0),
+    "rotation_seed": Field("int", None),
+    "mean": Field("reals", REQUIRED),
+    "dof": Field("real", None),
+    "shape": Field("real", None),
+    "contamination": Field("object", None, fields=CONTAMINATION_FIELDS),
+}
 
 
 @dataclass(frozen=True)
@@ -70,13 +78,8 @@ class SpectrumSpec:
     rotation_seed: int | None = None
 
     def __post_init__(self):
-        lam = _real_entries("eigenvalues", self.eigenvalues)
-        if self.rotation_seed is not None:
-            require_int("rotation_seed", self.rotation_seed)
-        if len(lam) < 1:
-            raise ValueError("spectrum needs at least one eigenvalue")
-        if any(v < 0 for v in lam):
-            raise ValueError("eigenvalues must be nonnegative")
+        check_fields(DISTRIBUTION_FIELDS, {"eigenvalues": self.eigenvalues, "rotation_seed": self.rotation_seed})
+        lam = tuple(map(float, self.eigenvalues))
         if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
             raise ValueError("eigenvalues must be nonincreasing")
         object.__setattr__(self, "eigenvalues", lam)
@@ -99,27 +102,21 @@ class DistributionSpec:
     contamination_offset: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        mean = _real_entries("mean", self.mean)
+        check_fields(DISTRIBUTION_FIELDS, {key: getattr(self, key) for key in ("family", "mean", "dof", "shape")})
+        mean = tuple(map(float, self.mean))
         if len(mean) != self.spectrum.dim:
             raise ValueError("mean length must match spectrum dimension")
         object.__setattr__(self, "mean", mean)
-        if self.family == "elliptical-student":
-            if self.dof is None or require_real("dof", self.dof) <= 2:
-                raise ValueError("student family requires dof > 2 (finite covariance)")
-        if self.family == "elliptical-lognormal":
-            if self.shape is None or require_real("shape", self.shape) <= 0:
-                raise ValueError("lognormal family requires shape > 0")
+        if self.family == "elliptical-student" and not (self.dof is not None and self.dof > 2):
+            raise ValueError(f"student family requires dof > 2 (finite covariance), got {self.dof!r}")
+        if self.family == "elliptical-lognormal" and not (self.shape is not None and self.shape > 0):
+            raise ValueError(f"lognormal family requires shape > 0, got {self.shape!r}")
         if self.family == "gaussian-with-point-contamination":
-            frac = self.contamination_fraction
-            if frac is None or not (0.0 <= require_real("contamination.fraction", frac) < 0.5):
-                raise ValueError("contamination fraction must lie in [0, 1/2)")
-            if self.contamination_offset is None:
-                raise ValueError("contamination offset required")
-            off = _real_entries("contamination.offset", self.contamination_offset)
+            cont = {"fraction": self.contamination_fraction, "offset": self.contamination_offset}
+            check_fields(CONTAMINATION_FIELDS, cont, "contamination.")
+            off = tuple(map(float, self.contamination_offset))
             if len(off) != self.spectrum.dim:
-                raise ValueError("offset length must match dimension")
+                raise ValueError("contamination.offset length must match dimension")
             object.__setattr__(self, "contamination_offset", off)
 
     @property
@@ -134,34 +131,18 @@ class DistributionSpec:
             "mean": list(self.mean),
             "dof": self.dof,
             "shape": self.shape,
-            "contamination": (
-                None
-                if self.contamination_fraction is None
-                else {
-                    "fraction": self.contamination_fraction,
-                    "offset": list(self.contamination_offset),
-                }
-            ),
+            "contamination": None if self.contamination_fraction is None
+            else {"fraction": self.contamination_fraction, "offset": list(self.contamination_offset)},
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DistributionSpec":
-        require_object("distribution", doc)
-        cont = doc.get("contamination")
-        if cont is not None:
-            require_object("contamination", cont)
-        return cls(
-            family=doc["family"],
-            spectrum=SpectrumSpec(
-                eigenvalues=tuple(doc["eigenvalues"]),
-                rotation_seed=doc.get("rotation_seed"),
-            ),
-            mean=tuple(doc["mean"]),
-            dof=doc.get("dof"),
-            shape=doc.get("shape"),
-            contamination_fraction=None if cont is None else cont["fraction"],
-            contamination_offset=None if cont is None else tuple(cont["offset"]),
-        )
+        f = read_fields("distribution", doc, DISTRIBUTION_FIELDS)
+        cont = f["contamination"] or {"fraction": None, "offset": None}
+        offset = None if cont["offset"] is None else tuple(cont["offset"])
+        return cls(family=f["family"], spectrum=SpectrumSpec(tuple(f["eigenvalues"]), f["rotation_seed"]),
+                   mean=tuple(f["mean"]), dof=f["dof"], shape=f["shape"],
+                   contamination_fraction=cont["fraction"], contamination_offset=offset)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -249,11 +230,6 @@ def _rotation_matrix(d: int, rotation_seed: int | None) -> np.ndarray:
     # fix signs so the rotation is a deterministic function of the seed
     q = q * np.sign(np.diag(r))
     return q
-
-
-def _student_radial_scale(nu: float) -> float:
-    # scale making the 1-d marginal sqrt((nu-2)/nu) * t_nu unit variance
-    return np.sqrt((nu - 2.0) / nu)
 
 
 def student_kappa(nu: float, q: float) -> float:
@@ -456,7 +432,7 @@ def marginal_oracle(gt: GroundTruth, u, scale: float = 1.0):
         return stats.norm(loc=0.0, scale=sig)
     if fam == "elliptical-student":
         nu = float(gt.spec.dof)
-        return stats.t(nu, loc=0.0, scale=sig * _student_radial_scale(nu))
+        return stats.t(nu, loc=0.0, scale=sig * np.sqrt((nu - 2.0) / nu))  # the marginal is sqrt((nu-2)/nu) t_nu
     raise NoAnalyticOracleError(f"no analytic marginal law for family {fam!r}")
 
 
@@ -501,8 +477,7 @@ def jitter(ds: Dataset, scale: float, seed: int) -> Dataset:
     ``scale = 0`` returns the rows unchanged bit for bit.  A ``scale`` that
     is not a finite real number is a ValueError naming it.
     """
-    if require_real("scale", scale) < 0:
-        raise ValueError("scale must be nonnegative")
+    Field("real", least=0.0).check("scale", scale)
     if scale == 0.0:
         return Dataset(ds.rows.copy(), seed=ds.seed, spec=ds.spec)
     rng = stream(seed, "jitter")

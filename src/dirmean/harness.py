@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BlockPlan, block_sums
-from .config import PipelineConfig, require_int, require_probability
+from .config import REQUIRED, Field, PipelineConfig, check_fields, read_fields
 from .distributions import (
     DistributionSpec,
     GroundTruth,
@@ -38,6 +38,27 @@ from .mean import _median, estimate_mean
 from .rng import derive_seed, random_unit_rows, stream
 
 ESTIMATORS = ("dirmean", "empirical-mean", "median-of-means")
+
+SCENARIO_FIELDS = {
+    "distribution": Field("object", REQUIRED),
+    "n_total": Field("size", REQUIRED, least=3),  # the bound terms divide by N = n_total // 3
+    "delta": Field("probability", REQUIRED),
+    "trials": Field("size", REQUIRED),
+    "estimators": Field("names", ("dirmean", "empirical-mean"), choices=ESTIMATORS),
+    "probes": Field("size", None),
+    "seed": Field("int", 0),
+    "config": Field("object", None),
+}
+
+LOWERBOUND_FIELDS = {  # the lowerbound document: eigenvalues or a gaussian distribution
+    "eigenvalues": Field("reals", None, least=0.0),
+    "distribution": Field("object", None),
+    "seed": Field("int", 0),
+    "n_samples": Field("size", 10000),
+    "delta": Field("probability", 0.01),
+    "C": Field("real", 1.0, above=0.0),
+    "trials": Field("size", 500),
+}
 
 
 def baseline_empirical_mean(ds) -> np.ndarray:
@@ -73,64 +94,35 @@ class Scenario:
     config: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
-        require_int("n_total", self.n_total, 3)  # the bound terms divide by N = n_total // 3
-        require_int("trials", self.trials, 1)
-        require_int("seed", self.seed)
-        require_probability("delta", self.delta)
-        unknown = set(self.estimators) - set(ESTIMATORS)
-        if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        if len(set(self.estimators)) < len(self.estimators):
-            raise ValueError(f"estimators must not repeat, got {list(self.estimators)}")
-        if self.probes is not None and require_int("probes", self.probes) < self.distribution.dim:
+        check_fields(SCENARIO_FIELDS, {k: v for k, v in vars(self).items() if k not in ("distribution", "config")})
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        if self.probes is not None and self.probes < self.distribution.dim:
             raise ValueError(f"probes must be at least the dimension {self.distribution.dim}, got {self.probes}")
+        if "median-of-means" in self.estimators and self.mom_blocks > self.n_total:
+            raise ValueError(f"mom_blocks must be at most n_total = {self.n_total}, got {self.mom_blocks}")
 
     @property
     def n_probes(self) -> int:
         return self.probes if self.probes is not None else max(2 * self.distribution.dim, 16)
 
+    @property
+    def mom_blocks(self) -> int:
+        """The median-of-means block count: ``config.mom_blocks``, else ceil(8 log(1/delta))."""
+        k = self.config.mom_blocks
+        return k if k is not None else max(1, math.ceil(8.0 * math.log(1.0 / self.delta)))
+
     def to_json_dict(self) -> dict:
-        return {
-            "distribution": self.distribution.to_json_dict(),
-            "n_total": self.n_total,
-            "delta": self.delta,
-            "trials": self.trials,
-            "estimators": list(self.estimators),
-            "probes": self.probes,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-        }
+        return {**vars(self), "distribution": self.distribution.to_json_dict(),
+                "estimators": list(self.estimators), "config": dataclasses.asdict(self.config)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
-        missing = [name for name in ("distribution", "n_total", "delta", "trials") if name not in doc]
-        if missing:
-            raise ValueError(f"scenario is missing required fields: {missing}")
-        estimators = doc.get("estimators", ("dirmean", "empirical-mean"))
-        if not isinstance(estimators, (list, tuple)):  # a string would be read one letter at a time
-            raise ValueError(f"estimators must be a list of names, got {estimators!r}")
-        return cls(
-            distribution=DistributionSpec.from_json_dict(doc["distribution"]),
-            n_total=doc["n_total"],
-            delta=doc["delta"],
-            trials=doc["trials"],
-            estimators=tuple(estimators),
-            probes=doc.get("probes"),
-            seed=doc.get("seed", 0),
-            config=PipelineConfig.from_dict(doc.get("config")),
-        )
+        f = read_fields("scenario", doc, SCENARIO_FIELDS)
+        return cls(**{**f, "distribution": DistributionSpec.from_json_dict(f["distribution"]),
+                      "config": PipelineConfig.from_dict(f["config"])})
 
 
-TRIAL_CSV_COLUMNS = [
-    "trial",
-    "estimator",
-    "dir_index",
-    "error",
-    "sigma_u",
-    "weak_term",
-    "strong_term_k1",
-    "strong_term_k2",
-]
+TRIAL_CSV_COLUMNS = "trial estimator dir_index error sigma_u weak_term strong_term_k1 strong_term_k2".split()
 
 
 @dataclass
@@ -199,10 +191,7 @@ def _run_single_trial(
         elif est_name == "empirical-mean":
             mu_hat = baseline_empirical_mean(ds)
         else:
-            k_blocks = sc.config.mom_blocks
-            if k_blocks is None:
-                k_blocks = max(1, math.ceil(8.0 * math.log(1.0 / sc.delta)))
-            mu_hat = baseline_median_of_means(ds, k_blocks)
+            mu_hat = baseline_median_of_means(ds, sc.mom_blocks)
         errors[e] = probes @ (mu_hat - gt.mu)
     return errors, plans
 
@@ -348,9 +337,7 @@ def empirical_mean_lower_bound(
     """
     from scipy import stats  # chi.ppf only; not loaded with the package
 
-    require_int("n_samples", n_samples, 1)
-    require_int("trials", trials, 1)
-    require_probability("delta", delta)
+    check_fields(LOWERBOUND_FIELDS, {"n_samples": n_samples, "delta": delta, "trials": trials})
     if isinstance(spec, DistributionSpec):
         if spec.family != "gaussian":
             raise ValueError("lower-bound experiment is defined for gaussian data only")

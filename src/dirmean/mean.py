@@ -471,7 +471,7 @@ def build_direction_set(
     such direction, so the set is [[1.0]] whatever the budget.
     """
     if budget < 2 * d:
-        raise ValueError(f"direction budget {budget} must be at least 2 d = {2 * d}")
+        raise ValueError(f"directions = {budget} (the direction budget) must be at least 2 d = {2 * d}")
     if d == 1:
         return np.ones((1, 1))
     out = np.empty((budget, d))
