@@ -19,7 +19,6 @@ from .trimmed import trim_count
 
 PLAN_PURPOSES = ("variance", "mean")
 _CHUNK_BYTES = 1 << 20  # pair-difference buffer of pair_block_averages
-_LINE = 64  # cache-line bytes; projection rows span an odd number of lines
 
 
 class SizingError(ValueError):
@@ -89,23 +88,6 @@ def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if x3.shape[2] == 1:
         return x3.sum(axis=1, out=out)
     return np.einsum("nmd->nd", x3, out=out)
-
-
-def projections(rows: np.ndarray, directions) -> np.ndarray:
-    """``rows @ directions.T`` in the first M columns of a zeroed (n, ld) buffer.
-
-    ``ld`` rounds M up so that a row spans an odd number of cache lines: at
-    M = 512 a 4 KiB row stride would map a whole column to one cache set.
-    BLAS only stores the values elsewhere, so ``[:, :M]`` has the bytes of
-    the plain product.  Callers reduce through that view (the padding is
-    zero), which keeps numpy's summation order of the plain product.
-    """
-    u = np.asarray(directions, dtype=float)
-    per_line = _LINE // u.itemsize
-    ld = (-(-u.shape[0] // per_line) | 1) * per_line
-    buf = np.zeros((rows.shape[0], ld))
-    np.matmul(rows, u.T, out=buf[:, : u.shape[0]])
-    return buf
 
 
 def block_averages(ds, m: int) -> np.ndarray:

@@ -136,6 +136,8 @@ def _cmd_estimate(args) -> int:
 
     if getattr(args, "data", None):
         rows = read_dataset_csv(args.data)
+        if doc["n_total"] not in (None, rows.shape[0]):
+            raise UsageError(f"n_total = {doc['n_total']} differs from the {rows.shape[0]} rows of --data")
         ds = Dataset(rows, seed=None, spec=spec)
     else:
         if doc["n_total"] is None:
@@ -161,8 +163,11 @@ def _cmd_diagnose(args) -> int:
     # ~7 ms to load, and only this command runs it
     from .diagnostics import check_ratio_conditions, check_uniform_ratios, quantile_sandwich_check, small_ball_check
 
-    doc = read_fields("diagnose", _load_config_doc(args), DIAGNOSE_FIELDS)
+    raw = _load_config_doc(args)
+    doc = read_fields("diagnose", raw, DIAGNOSE_FIELDS)
     spec = DistributionSpec.from_json_dict(doc["distribution"])
+    if "uniform" in raw and spec.family != "gaussian":
+        raise UsageError(f"uniform applies to the gaussian family only, not to {spec.family!r}")
     gt = make_ground_truth(spec)
     seed = doc["seed"]
     n, delta_param, theta = doc["n"], doc["delta_param"], doc["theta"]

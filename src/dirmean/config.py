@@ -37,12 +37,15 @@ def require_object(name: str, value) -> dict:
     return value
 
 
-def require_real(name: str, value, above: float = -math.inf, below: float = math.inf):
+def require_real(name: str, value, above: float = -math.inf, below: float = math.inf, least: float | None = None):
     """``value`` when it is a real number (bool and strings not) in the open
-    interval (above, below); else a ValueError naming ``name``.  NaN fails
-    the range test too, and so does an infinity at the default bounds."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not above < value < below:
-        raise ValueError(f"{name} must lie in ({above:g}, {below:g}), got {value!r}")
+    interval (above, below), or in [least, below) when ``least`` is given;
+    else a ValueError naming ``name`` and that interval.  NaN fails the
+    range test too, and so does an infinity at the default bounds."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and value < below and (above < value if least is None else least <= value)):
+        low = f"({above:g}" if least is None else f"[{least:g}"
+        raise ValueError(f"{name} must lie in {low}, {below:g}), got {value!r}")
     return value
 
 
@@ -62,9 +65,10 @@ class Field:
     ``reals`` (a nonempty list or 1-d array of reals); ``name`` (one of
     ``choices``); ``names`` (a list of distinct ``choices``); ``object``
     (read with the nested table ``fields``, if given).  ``least`` is an
-    inclusive floor on a number or on each entry of ``reals``.  A None
-    default admits null.  A plain class: a dataclass would add ~1.6 ms to
-    every start-up.
+    inclusive floor on a number or on each entry of ``reals``; on a real it
+    replaces ``above``, so its errors name the interval [least, below).  A
+    None default admits null.  A plain class: a dataclass would add ~1.6 ms
+    to every start-up.
     """
 
     def __init__(self, kind: str, default=REQUIRED, *, least=None, above=-math.inf, below=math.inf, choices=(),
@@ -96,13 +100,11 @@ class Field:
             for i, v in enumerate(value):
                 entry.check(f"{name}[{i}]", v)
             return value
-        if self.kind == "probability":
-            require_probability(name, value)
-        elif self.kind == "real":
-            require_real(name, value, self.above, self.below)
-        else:
-            require_int(name, value, 1 if self.kind == "size" else None)
-        if self.least is not None and not value >= self.least:
+        if self.kind in ("real", "probability"):
+            above, below = (0.0, 1.0) if self.kind == "probability" else (self.above, self.below)
+            return require_real(name, value, above, below, self.least)
+        require_int(name, value, 1 if self.kind == "size" else None)
+        if self.least is not None and value < self.least:
             raise ValueError(f"{name} must be at least {self.least}")
         return value
 

@@ -35,7 +35,6 @@ from .blocks import (
     block_averages,
     nonfinite_error,
     plan_blocks,
-    projections,
 )
 from .config import PipelineConfig
 from .distributions import _check_unit, as_rows
@@ -137,14 +136,16 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     """Vectorized marginal mean estimates over the rows of ``directions``.
 
     Drops the trim_per_side largest and smallest signed projections per
-    direction, then rescales the interior mean by 1/sqrt(m).  The projections
-    are sorted in place in the (n, M) view of their padded buffer.
+    direction, then rescales the interior mean by 1/sqrt(m).  Each
+    direction's row of ``directions @ Y.T`` is sorted in place; the retained
+    band is summed through a (blocks, directions) copy, one block after
+    another, so every direction's sum runs in block order.
     """
-    proj = projections(est.Y, directions)[:, : np.shape(directions)[0]]
-    n = proj.shape[0]
+    proj = np.asarray(directions, dtype=float) @ est.Y.T
+    n = proj.shape[1]
     k = est.plan.trim_per_side
-    proj.sort(axis=0)
-    return proj[k : n - k].sum(axis=0) / (math.sqrt(est.plan.m) * (n - 2 * k))
+    proj.sort(axis=1)
+    return np.ascontiguousarray(proj[:, k : n - k].T).sum(axis=0) / (math.sqrt(est.plan.m) * (n - 2 * k))
 
 
 def slab_width(var_est: VarianceEstimator, u, delta: float, c_prime: float, n_samples: int) -> float:

@@ -3,7 +3,8 @@
 The estimator halves the sample into independent pairs, averages the
 differences in blocks of constant size, and for each direction u returns
 half the mean of the squared projections after dropping a fixed count of
-the most extreme ones.  It is a constant-factor estimator: above the
+the most extreme ones.  The projections are formed one contiguous row per
+direction and trimmed in place.  It is a constant-factor estimator: above the
 critical scale the truth lies within [1/4, 2] of the estimate.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks, projections
+from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks
 from .config import PipelineConfig
 from .distributions import SpectrumSpec, _check_unit, as_rows
 
@@ -62,23 +63,22 @@ def psi(est: VarianceEstimator, u) -> float:
 def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
     """Vectorized :func:`psi` over the rows of ``directions``.
 
-    The padded (blocks, directions) projection buffer of
-    :func:`~dirmean.blocks.projections` is squared whole, and trimmed and
-    summed in place through its (n, M) view, so it is the only working
-    array.  Dropping either member of a tied pair leaves the retained sum
+    The (directions, blocks) projection ``directions @ Z.T`` is the only
+    working array: each direction's row is contiguous, and is squared,
+    partitioned (the trim_per_side largest squares last) and summed in
+    place.  Dropping either member of a tied pair leaves the retained sum
     unchanged, so value ties need no index bookkeeping.  Raises ValueError
     when the squared projections overflow (input rows near the square root
     of the float range).
     """
-    buf = projections(est.Z, directions)
-    n = buf.shape[0]
-    proj = buf[:, : np.shape(directions)[0]]
+    sq = np.asarray(directions, dtype=float) @ est.Z.T
+    n = sq.shape[1]
     k = est.plan.trim_per_side
     with np.errstate(over="ignore"):  # checked once, on the (M,) result
-        np.square(buf, out=buf)  # the contiguous buffer: squaring the view would buffer it
+        np.square(sq, out=sq)
         if k > 0:
-            proj.partition(n - k - 1, axis=0)  # the k largest squares last
-        out = proj[: n - k].sum(axis=0) / (2.0 * n)
+            sq.partition(n - k - 1, axis=1)
+        out = sq[:, : n - k].sum(axis=1) / (2.0 * n)
     if not np.isfinite(out).all():
         raise ValueError(
             "variance stage: the squared projections of the variance blocks overflow; "

@@ -148,10 +148,10 @@ def oracle_median_of_means(rows, k_blocks):
 
 def oracle_psi_profile(z, directions, k):
     """Trimmed directional second moments from a partitioned copy of the
-    squared (blocks, directions) projection."""
-    proj = z @ directions.T
-    n = proj.shape[0]
-    return np.partition(proj**2, n - k - 1, axis=0)[: n - k].sum(axis=0) / (2.0 * n)
+    squared (directions, blocks) projection."""
+    proj = directions @ z.T
+    n = proj.shape[1]
+    return np.partition(proj**2, n - k - 1, axis=1)[:, : n - k].sum(axis=1) / (2.0 * n)
 
 
 def oracle_nu_hat_profile(y, directions, k, m):

@@ -8,7 +8,7 @@ from dirmean import (
     pair_block_averages,
     plan_blocks,
 )
-from dirmean.blocks import block_sums, projections
+from dirmean.blocks import block_sums
 from naive_oracles import pair_differences
 
 
@@ -186,24 +186,3 @@ class TestBlockSums:
         out = np.full((6, d), np.nan)
         block_sums(x3, out=out[1:5])
         assert np.array_equal(out[1:5], x3.sum(axis=1)) and np.isnan(out[[0, 5]]).all()
-
-
-class TestProjections:
-    @pytest.mark.parametrize("count", [1, 2, 7, 256, 400, 512, 1600])
-    def test_view_is_the_plain_product(self, count):
-        rng = np.random.default_rng(count)
-        rows = rng.standard_normal((300, 13))
-        dirs = rng.standard_normal((count, 13))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        buf = projections(rows, dirs)
-        assert buf.shape[0] == 300 and buf.shape[1] >= count and buf.flags.c_contiguous
-        assert np.array_equal(buf[:, :count], rows @ dirs.T)
-        assert not buf[:, count:].any()  # zero padding
-
-    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 256, 400, 512, 1024, 1600])
-    def test_row_stride_is_an_odd_number_of_cache_lines(self, count):
-        # a 4 KiB stride (count = 512) maps a whole column to one cache set
-        buf = projections(np.ones((3, 2)), np.ones((count, 2)))
-        lines, rest = divmod(buf.strides[0], 64)
-        assert rest == 0 and lines % 2 == 1
-        assert buf.shape[1] - count < 2 * 64 // 8  # at most two lines of padding

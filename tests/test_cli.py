@@ -105,6 +105,24 @@ class TestEstimateCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR 1: input row 1500 ")
 
+    def test_n_total_other_than_the_data_rows_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_dataset_csv(np.random.default_rng(3).standard_normal((1800, 2)), str(data))
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": GAUSS_2D, "n_total": 3000, "delta": 0.05, "config": TINY_CONFIG,
+        })
+        assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "ERROR 1: n_total = 3000 differs from the 1800 rows of --data\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_n_total_equal_to_the_data_rows_runs(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_dataset_csv(np.random.default_rng(3).standard_normal((1800, 2)), str(data))
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": TINY_CONFIG,
+        })
+        assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 0
+
     def test_missing_config_exits_1(self, capsys):
         assert main(["estimate"]) == 1
         assert "ERROR 1:" in capsys.readouterr().err
@@ -133,6 +151,15 @@ class TestEstimateCommand:
         })
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "ERROR 1: refine_probes must be at least 1\n"
+
+    @pytest.mark.parametrize("value", ["0.1", float("nan"), -0.5])
+    def test_refine_tol_error_names_its_floor(self, tmp_path, capsys, value):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05,
+            "config": dict(TINY_CONFIG, refine_tol=value),
+        })
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: refine_tol must lie in [0, inf), got {value!r}\n"
 
     @pytest.mark.parametrize(
         "field, value", [("refine_probes", 64.5), ("directions", 300.5), ("refine_rounds", 1.5)]
@@ -298,6 +325,15 @@ class TestDiagnoseCommand:
         assert "ratio_conditions" in doc and "quantile_sandwich" in doc
 
 
+    @pytest.mark.parametrize("uniform", [{}, {"n_dirs": 5}])
+    def test_uniform_section_for_another_family_exits_1(self, tmp_path, capsys, uniform):
+        student = dict(GAUSS_2D, family="elliptical-student", dof=5.0)
+        cfg = write_json(tmp_path / "d.json", {"distribution": student, "n": 2000, "uniform": uniform})
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "ERROR 1: uniform applies to the gaussian family only, not to 'elliptical-student'\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -401,41 +437,45 @@ LOGNORMAL_2D = dict(GAUSS_2D, family="elliptical-lognormal", shape=0.5)
 CONTAMINATED_2D = dict(GAUSS_2D, family="gaussian-with-point-contamination",
                        contamination={"fraction": 0.1, "offset": [1.0, 1.0]})
 
-# a distribution entry that is not a finite real number, and the field the error must name
+# a distribution entry that is not a finite real number, the field the error
+# must name and the field's rule: eigenvalues have the inclusive floor 0
+EIGEN, ANY = "[0, inf)", "(-inf, inf)"
 BAD_DISTRIBUTIONS = {
-    "eigenvalue-nan": (dict(GAUSS_2D, eigenvalues=[1.0, NAN]), "eigenvalues[1]", NAN),
-    "eigenvalue-nan-string": (dict(GAUSS_2D, eigenvalues=[1.0, "nan"]), "eigenvalues[1]", "nan"),
-    "eigenvalue-inf": (dict(GAUSS_2D, eigenvalues=[INF, 0.5]), "eigenvalues[0]", INF),
-    "eigenvalue-strings": (dict(GAUSS_2D, eigenvalues=["1.0", "0.5"]), "eigenvalues[0]", "1.0"),
-    "mean-nan": (dict(GAUSS_2D, mean=[0.0, NAN]), "mean[1]", NAN),
-    "mean-inf": (dict(GAUSS_2D, mean=[-INF, 0.0]), "mean[0]", -INF),
-    "dof-nan": (dict(STUDENT_2D, dof=NAN), "dof", NAN),
-    "dof-string": (dict(STUDENT_2D, dof="5"), "dof", "5"),
-    "shape-nan": (dict(LOGNORMAL_2D, shape=NAN), "shape", NAN),
+    "eigenvalue-nan": (dict(GAUSS_2D, eigenvalues=[1.0, NAN]), "eigenvalues[1]", NAN, EIGEN),
+    "eigenvalue-nan-string": (dict(GAUSS_2D, eigenvalues=[1.0, "nan"]), "eigenvalues[1]", "nan", EIGEN),
+    "eigenvalue-inf": (dict(GAUSS_2D, eigenvalues=[INF, 0.5]), "eigenvalues[0]", INF, EIGEN),
+    "eigenvalue-strings": (dict(GAUSS_2D, eigenvalues=["1.0", "0.5"]), "eigenvalues[0]", "1.0", EIGEN),
+    "mean-nan": (dict(GAUSS_2D, mean=[0.0, NAN]), "mean[1]", NAN, ANY),
+    "mean-inf": (dict(GAUSS_2D, mean=[-INF, 0.0]), "mean[0]", -INF, ANY),
+    "dof-nan": (dict(STUDENT_2D, dof=NAN), "dof", NAN, ANY),
+    "dof-string": (dict(STUDENT_2D, dof="5"), "dof", "5", ANY),
+    "shape-nan": (dict(LOGNORMAL_2D, shape=NAN), "shape", NAN, ANY),
     "offset-nan": (dict(CONTAMINATED_2D, contamination={"fraction": 0.1, "offset": [1.0, NAN]}),
-                   "contamination.offset[1]", NAN),
+                   "contamination.offset[1]", NAN, ANY),
+    "fraction-string": (dict(CONTAMINATED_2D, contamination={"fraction": "x", "offset": [1.0, 1.0]}),
+                        "contamination.fraction", "x", "[0, 0.5)"),
 }
 
 
-def assert_names_the_field(capsys, field, value):
-    assert capsys.readouterr().err == f"ERROR 1: {field} must lie in (-inf, inf), got {value!r}\n"
+def assert_names_the_field(capsys, field, value, rule):
+    assert capsys.readouterr().err == f"ERROR 1: {field} must lie in {rule}, got {value!r}\n"
 
 
 class TestDistributionFields:
     @pytest.mark.parametrize("case", list(BAD_DISTRIBUTIONS))
     def test_estimate_exits_1_naming_the_field(self, tmp_path, capsys, case):
-        dist, field, value = BAD_DISTRIBUTIONS[case]
+        dist, field, value, rule = BAD_DISTRIBUTIONS[case]
         cfg = write_json(tmp_path / "cfg.json", {"distribution": dist, "n_total": 1800, "delta": 0.05})
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert_names_the_field(capsys, field, value)
+        assert_names_the_field(capsys, field, value, rule)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", list(BAD_DISTRIBUTIONS))
     def test_simulate_exits_1_naming_the_field(self, tmp_path, capsys, case):
-        dist, field, value = BAD_DISTRIBUTIONS[case]
+        dist, field, value, rule = BAD_DISTRIBUTIONS[case]
         cfg = write_json(tmp_path / "sc.json", scenario_doc(distribution=dist))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert_names_the_field(capsys, field, value)
+        assert_names_the_field(capsys, field, value, rule)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [1.5, "7", True])
@@ -455,7 +495,7 @@ class TestDistributionFields:
         doc = {"eigenvalues": eigenvalues, "n_samples": 1000, "trials": 300}
         cfg = write_json(tmp_path / "lb.json", doc)
         assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert_names_the_field(capsys, field, value)
+        assert_names_the_field(capsys, field, value, EIGEN)
         assert not (tmp_path / "o").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -112,9 +113,9 @@ class TestPsiProfileKernel:
     def test_absolute_matches_copy_based_partition(self):
         est = self._est()
         dirs = self._dirs(64, 7)
-        proj = est.Z @ dirs.T
-        n, k = proj.shape[0], est.plan.trim_per_side
-        expected = np.partition(proj**2, n - k - 1, axis=0)[: n - k].sum(0) / (2 * n)
+        proj = dirs @ est.Z.T
+        n, k = proj.shape[1], est.plan.trim_per_side
+        expected = np.partition(proj**2, n - k - 1, axis=1)[:, : n - k].sum(axis=1) / (2 * n)
         assert np.array_equal(psi_profile(est, dirs), expected)
 
     def test_single_direction_is_the_profile_row(self):
@@ -279,9 +280,10 @@ class TestStatisticalGuarantees:
 
 
 class TestPaddedProjectionKernel:
-    """At (1000 blocks, 512 directions) the projection row is 4 KiB before
-    padding; the padded kernel must give the copy-based values bit for bit
-    and hold one projection plus its padding."""
+    """Tall blocks (1000 blocks, up to 512 directions): the kernel must give
+    the copy-based values of the (directions, blocks) composition bit for
+    bit, stay within rounding of the (blocks, directions) composition with
+    its sequential sum over blocks, and hold one projection."""
 
     def _est(self, n=1000, d=50):
         z = np.random.default_rng(5).standard_t(3, size=(n, d))
@@ -296,12 +298,32 @@ class TestPaddedProjectionKernel:
         assert np.array_equal(psi_profile(est, dirs), expected)
 
     def test_d1_matches_copy_based_oracle(self):
-        # one column: the retained squares are summed pairwise, as in the copy
+        # d = 1: the projection rows are scaled copies of the one column
         z = np.random.default_rng(6).standard_t(3, size=(1000, 1))
         est = VarianceEstimator(Z=z, plan=plan_blocks(1000, None, 0.02, "variance", PipelineConfig(gamma=1.0)))
         dirs = np.array([[1.0], [-1.0]])
         for u in (dirs[:1], dirs):
             assert np.array_equal(psi_profile(est, u), oracle_psi_profile(z, u, est.plan.trim_per_side))
+
+    @pytest.mark.parametrize(
+        ("count", "d", "trim"), [(400, 50, None), (512, 50, None), (400, 50, 0), (1, 50, None), (2, 1, None)]
+    )
+    def test_within_rounding_of_blocks_major_sum(self, count, d, trim):
+        # the (blocks, directions) projection, partitioned and summed down its
+        # columns, retains the same squares in another summation order
+        z = np.random.default_rng(7).standard_t(3, size=(1000, d))
+        plan = plan_blocks(1000, None, 0.02, "variance", PipelineConfig(gamma=1.0))
+        if trim is not None:
+            plan = dataclasses.replace(plan, trim_per_side=trim)
+        dirs = np.random.default_rng(count).standard_normal((count, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        sq = (z @ dirs.T) ** 2
+        n, k = sq.shape[0], plan.trim_per_side
+        if k > 0:
+            sq = np.partition(sq, n - k - 1, axis=0)
+        old = sq[: n - k].sum(axis=0) / (2.0 * n)
+        got = psi_profile(VarianceEstimator(Z=z, plan=plan), dirs)
+        np.testing.assert_allclose(got, old, rtol=1e-13, atol=0)
 
     def test_peak_is_one_padded_projection(self):
         n, count = 1000, 512
