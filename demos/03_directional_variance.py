@@ -29,7 +29,7 @@ print(f"  {'direction':>10s} {'sigma^2':>10s} {'estimate':>10s} {'ratio':>8s}")
 for j in range(5):
     u = np.eye(d)[j]
     s2 = dm.directional_sigma(gt, u) ** 2
-    val = dm.psi(est, u)
+    val = dm.psi_profile(est, [u])[0]
     print(f"  {'e_' + str(j + 1):>10s} {s2:10.4f} {val:10.4f} {val / s2:8.3f}")
 
 rng = np.random.default_rng(2)
@@ -56,7 +56,7 @@ u_small = np.eye(d_spike)[1]
 print(f"  spiked spectrum (one eigenvalue 1, the rest 1e-6), {est_spike.n_blocks} blocks")
 print(f"  r = {r:.2e}; directions with sigma(u) below r carry no sandwich,")
 print(f"  only the cap: sigma(e_2) = {dm.directional_sigma(gt_spike, u_small):.2e} <= r, "
-      f"estimate = {dm.psi(est_spike, u_small):.2e} <= 10 r^2 = {10 * r**2:.2e}")
+      f"estimate = {dm.psi_profile(est_spike, [u_small])[0]:.2e} <= 10 r^2 = {10 * r**2:.2e}")
 
 print()
 print("=== trimming caps the damage of corrupted blocks ===")
@@ -64,7 +64,7 @@ rows = ds.rows.copy()
 rows[:40] += 1e4  # corrupt 40 of 40000 rows
 est_bad = dm.fit_variance(rows)
 u = np.eye(d)[0]
-print(f"  clean estimate along e_1:     {dm.psi(est, u):10.4f}")
-print(f"  corrupted, with trimming:     {dm.psi(est_bad, u):10.4f}")
+print(f"  clean estimate along e_1:     {dm.psi_profile(est, [u])[0]:10.4f}")
+print(f"  corrupted, with trimming:     {dm.psi_profile(est_bad, [u])[0]:10.4f}")
 naive = np.sum((est_bad.Z @ u) ** 2) / (2 * est_bad.n_blocks)
 print(f"  corrupted, without trimming:  {naive:10.1f}")

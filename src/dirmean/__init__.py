@@ -18,22 +18,21 @@ __version__ = "0.1.0"
 _SOURCES = {
     name: module
     for module, names in {
-        "blocks": "BlockPlan SizingError block_averages pair_block_averages plan_blocks",
+        "blocks": "BlockPlan SizingError block_averages pair_block_averages plan_blocks trim_count",
         "config": "PipelineConfig",
         "diagnostics": "RatioConditionReport RatioReport SmallBallReport check_ratio_conditions "
-        "check_uniform_ratios interval_excess_sup quantile_sandwich_check small_ball_alpha small_ball_check",
+        "check_uniform_ratios empirical_quantile_hat interval_excess_sup quantile_sandwich_check "
+        "small_ball_alpha small_ball_check",
         "distributions": "Dataset DistributionSpec GroundTruth NoAnalyticOracleError SpectrumSpec "
-        "directional_sigma jitter make_ground_truth marginal_oracle marginal_tail_prob sample_dataset "
-        "sample_marginal student_kappa tail_eigensum",
+        "directional_sigma make_ground_truth marginal_oracle sample_dataset sample_marginal student_kappa "
+        "tail_eigensum",
         "harness": "LowerBoundReport PerDirectionSummary Scenario TrialTable baseline_empirical_mean "
         "baseline_median_of_means empirical_mean_lower_bound per_direction_quantiles probe_directions "
         "run_trials write_report",
         "mean": "MarginalMeanEstimator MeanEstimate SlabSystem SolveResult build_direction_set estimate_mean "
-        "fit_marginal nu_hat nu_hat_profile slab_width slab_width_profile solve_center",
+        "fit_marginal nu_hat_profile slab_width_profile solve_center",
         "rng": "derive_seed stream",
-        "trimmed": "SortedSample TrimPlan empirical_quantile_hat rearrange_desc trim_count trim_sets "
-        "trimmed_abs_moment trimmed_mean",
-        "variance": "VarianceEstimator critical_level fit_variance psi psi_profile",
+        "variance": "VarianceEstimator critical_level fit_variance psi_profile",
     }.items()
     for name in names.split()
 }

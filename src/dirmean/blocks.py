@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import PipelineConfig
 from .distributions import as_rows
-from .trimmed import trim_count
 
 PLAN_PURPOSES = ("variance", "mean")
 _CHUNK_BYTES = 1 << 20  # pair-difference buffer of pair_block_averages
@@ -61,6 +60,11 @@ class BlockPlan:
     theta: float
     trim_per_side: int
     purpose: str
+
+
+def trim_count(theta: float, n: int) -> int:
+    """k = round(theta * N), rounding halves away from zero."""
+    return int(math.floor(theta * n + 0.5))
 
 
 def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .blocks import SizingError, pair_block_averages
+from .blocks import SizingError, pair_block_averages, trim_count
 from .config import REQUIRED, Field, PipelineConfig, read_fields, require_int, require_object
 from .distributions import (Dataset, DistributionSpec, make_ground_truth, marginal_oracle, sample_dataset,
                             sample_marginal)
@@ -32,7 +32,6 @@ from .harness import (LOWERBOUND_FIELDS, Scenario, empirical_mean_lower_bound, p
                       write_report)
 from .mean import estimate_mean
 from .rng import derive_seed
-from .trimmed import trim_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,6 +137,8 @@ def _cmd_estimate(args) -> int:
         rows = read_dataset_csv(args.data)
         if doc["n_total"] not in (None, rows.shape[0]):
             raise UsageError(f"n_total = {doc['n_total']} differs from the {rows.shape[0]} rows of --data")
+        if rows.shape[1] != spec.dim:
+            raise UsageError(f"distribution has dimension {spec.dim}, but --data has {rows.shape[1]} columns")
         ds = Dataset(rows, seed=None, spec=spec)
     else:
         if doc["n_total"] is None:
@@ -247,7 +248,8 @@ def build_parser() -> _Parser:
         sub.add_argument("--config", help="path to the JSON configuration")
         sub.add_argument("--seed", type=int, default=None, help="64-bit master seed")
         sub.add_argument("--out", default=".", help="output directory")
-        sub.add_argument("--threads", type=int, default=None, help="worker threads")
+        if name == "simulate":
+            sub.add_argument("--threads", type=int, default=None, help="worker threads")
         if name == "estimate":
             sub.add_argument("--data", help="dataset CSV (one observation per row)")
     return parser

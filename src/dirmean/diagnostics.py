@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import trim_count
 from .distributions import (
     GroundTruth,
     NoAnalyticOracleError,
@@ -22,7 +23,6 @@ from .distributions import (
     sample_marginal,
 )
 from .rng import derive_seed, stream
-from .trimmed import empirical_quantile_hat
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,26 @@ def check_ratio_conditions(sample, oracle, delta: float, theta: float) -> RatioC
     )
 
 
+def empirical_quantile_hat(values, theta: float) -> tuple[float, float]:
+    """Trim-boundary order statistics (upper, lower).
+
+    The upper value is the k-th largest sample point and the lower value the
+    k-th smallest (its mirror image), with k = round(theta * N).
+    """
+    values = np.sort(np.asarray(values, dtype=float).reshape(-1))
+    n = values.size
+    if n == 0:
+        raise ValueError("empty sample")
+    if not (0.0 < theta < 0.5):
+        raise ValueError("theta must lie in (0, 1/2)")
+    k = trim_count(theta, n)
+    if k < 1:
+        raise ValueError(f"trim count k = {k} must be >= 1")
+    if 2 * k >= n:
+        raise ValueError(f"trim count k = {k} too large: need 2k < N = {n}")
+    return float(values[n - k]), float(values[k - 1])
+
+
 def quantile_sandwich_check(sample, oracle, theta: float, delta: float) -> bool:
     """True when both trim-boundary order statistics sit between the
     true quantiles at the derived levels.
@@ -149,7 +169,7 @@ def quantile_sandwich_check(sample, oracle, theta: float, delta: float) -> bool:
     theta2 = (2.0 * theta - 8.0 * delta) / 3.0
     if theta2 <= 0.0 or theta1 >= 1.0:
         raise ValueError(f"infeasible sandwich levels theta1={theta1}, theta2={theta2}")
-    q_plus, q_minus = empirical_quantile_hat(np.asarray(sample, dtype=float), theta)
+    q_plus, q_minus = empirical_quantile_hat(sample, theta)
     upper_ok = oracle.ppf(1.0 - theta1) < q_plus < oracle.ppf(1.0 - theta2)
     lower_ok = oracle.ppf(theta2) < q_minus < oracle.ppf(theta1)
     return bool(upper_ok and lower_ok)

@@ -403,19 +403,6 @@ def tail_eigensum(gt: GroundTruth, k: int) -> float:
     return float(lam[int(k):].sum())
 
 
-def marginal_tail_prob(gt: GroundTruth, u, t: float) -> float:
-    """P{<X - mu, u> > t} from the closed-form marginal law.
-
-    The survival function of :func:`marginal_oracle`, so available for the
-    gaussian and student families only; other families raise
-    :class:`NoAnalyticOracleError` (callers may fall back to Monte Carlo).
-    """
-    law = marginal_oracle(gt, u)
-    if law.kwds["scale"] == 0.0:  # a point mass at 0; scipy gives NaN at scale 0
-        return 0.0 if t >= 0 else 1.0
-    return float(law.sf(t))
-
-
 def marginal_oracle(gt: GroundTruth, u, scale: float = 1.0):
     """Frozen scipy distribution of ``scale * <X - mu, u>``.
 
@@ -469,17 +456,3 @@ def sample_marginal(gt: GroundTruth, u, n: int, seed: int) -> np.ndarray:
     mask = rng.random(n) < frac
     vals[mask] = (1.0 - frac) * off
     return vals
-
-
-def jitter(ds: Dataset, scale: float, seed: int) -> Dataset:
-    """Add i.i.d. uniform(-scale, scale) noise per entry (ties breaker).
-
-    ``scale = 0`` returns the rows unchanged bit for bit.  A ``scale`` that
-    is not a finite real number is a ValueError naming it.
-    """
-    Field("real", least=0.0).check("scale", scale)
-    if scale == 0.0:
-        return Dataset(ds.rows.copy(), seed=ds.seed, spec=ds.spec)
-    rng = stream(seed, "jitter")
-    noise = rng.uniform(-scale, scale, size=ds.rows.shape)
-    return Dataset(ds.rows + noise, seed=ds.seed, spec=ds.spec)

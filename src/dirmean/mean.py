@@ -37,7 +37,7 @@ from .blocks import (
     plan_blocks,
 )
 from .config import PipelineConfig
-from .distributions import _check_unit, as_rows
+from .distributions import as_rows
 from .rng import random_unit_rows, row_norms, stream
 from .variance import VarianceEstimator, fit_variance, psi_profile
 
@@ -126,12 +126,6 @@ def fit_marginal(ds, delta: float, config: PipelineConfig | None = None) -> Marg
     return MarginalMeanEstimator(Y=y, plan=plan)
 
 
-def nu_hat(est: MarginalMeanEstimator, u) -> float:
-    """Trimmed marginal mean estimate along one unit direction."""
-    u = _check_unit(u)
-    return float(nu_hat_profile(est, u[np.newaxis, :])[0])
-
-
 def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.ndarray:
     """Vectorized marginal mean estimates over the rows of ``directions``.
 
@@ -148,15 +142,10 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     return np.ascontiguousarray(proj[:, k : n - k].T).sum(axis=0) / (math.sqrt(est.plan.m) * (n - 2 * k))
 
 
-def slab_width(var_est: VarianceEstimator, u, delta: float, c_prime: float, n_samples: int) -> float:
-    """Half-width 2 C' sqrt(psi(u) log(1/delta) / N) for one direction."""
-    u = _check_unit(u)
-    return float(slab_width_profile(var_est, u[np.newaxis, :], delta, c_prime, n_samples)[0])
-
-
 def slab_width_profile(
     var_est: VarianceEstimator, directions: np.ndarray, delta: float, c_prime: float, n_samples: int
 ) -> np.ndarray:
+    """Half-widths 2 C' sqrt(psi(u) log(1/delta) / N) over the rows of ``directions``."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     var = psi_profile(var_est, directions)
@@ -170,8 +159,6 @@ class SlabSystem:
     directions: np.ndarray
     centers: np.ndarray
     widths: np.ndarray
-    delta: float
-    c_prime: float
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.directions, dtype=float))
@@ -199,8 +186,6 @@ class SlabSystem:
             directions=np.vstack([self.directions, np.atleast_2d(directions)]),
             centers=np.concatenate([self.centers, np.atleast_1d(centers)]),
             widths=np.concatenate([self.widths, np.atleast_1d(widths)]),
-            delta=self.delta,
-            c_prime=self.c_prime,
         )
 
 
@@ -544,7 +529,7 @@ def estimate_mean(
     directions = build_direction_set(d, budget, seed, var_est)
     centers = nu_hat_profile(marg_est, directions)
     widths = slab_width_profile(var_est, directions, delta, config.C_prime, n)
-    slabs = SlabSystem(directions, centers, widths, delta=delta, c_prime=config.C_prime)
+    slabs = SlabSystem(directions, centers, widths)
 
     v_init = centers[:d].copy()  # canonical directions come first in the set
     state = _CutState()  # one LP for this estimate's solves

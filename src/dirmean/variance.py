@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks
 from .config import PipelineConfig
-from .distributions import SpectrumSpec, _check_unit, as_rows
+from .distributions import SpectrumSpec, as_rows
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,12 @@ def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
     return VarianceEstimator(Z=z, plan=plan)
 
 
-def psi(est: VarianceEstimator, u) -> float:
-    """Trimmed directional second moment for one unit direction.
-
-    Projects the blocks on u, removes the trim_per_side projections of
-    largest |p|, and returns the mean of the surviving squares divided by
-    two (the pair-difference doubling).
-    """
-    u = _check_unit(u)
-    return float(psi_profile(est, u[np.newaxis, :])[0])
-
-
 def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`psi` over the rows of ``directions``.
+    """Trimmed directional second moments psi(u) over the rows of ``directions``.
+
+    For each direction u: drop the trim_per_side projections of largest |p|
+    and return the sum of the surviving squares over 2n (n blocks; the 2 is
+    the pair-difference doubling).
 
     The (directions, blocks) projection ``directions @ Z.T`` is the only
     working array: each direction's row is contiguous, and is squared,

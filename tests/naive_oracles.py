@@ -25,11 +25,6 @@ def oracle_mean(values, theta, normalization):
     return sum(interior) / div
 
 
-def oracle_abs_moment(values, p, theta):
-    _, _, _, interior = oracle_trim(values, theta)
-    return sum(abs(v) ** p for v in interior) / len(values)
-
-
 def oracle_quantiles(values, theta):
     values = sorted(map(float, values), reverse=True)
     n = len(values)

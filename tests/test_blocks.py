@@ -7,6 +7,7 @@ from dirmean import (
     block_averages,
     pair_block_averages,
     plan_blocks,
+    trim_count,
 )
 from dirmean.blocks import block_sums
 from naive_oracles import pair_differences
@@ -93,6 +94,13 @@ class TestPairBlockAverages:
         for n in (0, 4):
             with pytest.raises(ValueError, match="do not fit"):
                 pair_block_averages(rows, 3, n)
+
+
+class TestTrimCount:
+    def test_rounds_halves_away_from_zero(self):
+        # round() would give 2 at 2.5: the count rounds up at every half
+        assert [trim_count(0.25, n) for n in (6, 10, 14)] == [2, 3, 4]
+        assert trim_count(0.1, 4) == 0 and trim_count(0.125, 48) == 6
 
 
 class TestPlanBlocks:

@@ -90,6 +90,7 @@ class TestEstimateCommand:
         code = main(["estimate", "--config", cfg, "--data", str(data), "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "estimate.json").read_text())
+        assert len(doc["mu_hat"]) == 2  # the data's columns match the distribution's dimension
         assert abs(doc["mu_hat"][0] - 1.0) < 0.3 and abs(doc["mu_hat"][1] - 2.0) < 0.3
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -122,6 +123,15 @@ class TestEstimateCommand:
             "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": TINY_CONFIG,
         })
         assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_data_columns_other_than_the_dimension_exit_1(self, tmp_path, capsys, columns):
+        data = tmp_path / "data.csv"
+        write_dataset_csv(np.random.default_rng(4).standard_normal((1800, columns)), str(data))
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "delta": 0.05, "config": TINY_CONFIG})
+        assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: distribution has dimension 2, but --data has {columns} columns\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_1(self, capsys):
         assert main(["estimate"]) == 1
@@ -551,3 +561,11 @@ class TestLowerboundCommand:
     def test_no_format_flag(self, command, capsys):
         assert main([command, "--format", "json"]) == 1
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "diagnose", "lowerbound"])
+    def test_threads_flag_only_on_simulate(self, tmp_path, capsys, command):
+        # only simulate runs trials in parallel
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]) == 1
+        assert capsys.readouterr().err == "ERROR 1: unrecognized arguments: --threads 2\n"
+        assert not (tmp_path / "o").exists()

@@ -32,7 +32,7 @@ est = dirmean.estimate_mean(rows, 0.05, config)
 assert est.iterations == 0, "the warm start should be feasible"
 loaded = ["numpy.ma after estimate_mean"] if "numpy.ma" in sys.modules else []
 # no point lies in both [-1, 0] and [2, 3]: HiGHS has to run
-slabs = dirmean.SlabSystem(np.ones((2, 1)), [-0.5, 2.5], [0.5, 0.5], delta=0.1, c_prime=1.0)
+slabs = dirmean.SlabSystem(np.ones((2, 1)), [-0.5, 2.5], [0.5, 0.5])
 res = dirmean.solve_center(slabs)
 assert res.iterations >= 1 and res.converged and abs(res.rho_star - 1.0) < 1e-12, res
 assert main(["simulate", "--config", cfg, "--out", out]) == 0
@@ -58,7 +58,7 @@ else:
 res = linprog([1.0, 1.0], A_ub=[[-1.0, -2.0]], b_ub=[-2.0], method="highs")
 assert res.status == 0 and abs(res.fun - 1.0) < 1e-12, res
 assert sys.modules["scipy.optimize._highspy._core"] is dirmean.mean._core
-slabs = dirmean.SlabSystem([[1.0], [1.0]], [-0.5, 2.5], [0.5, 0.5], delta=0.1, c_prime=1.0)
+slabs = dirmean.SlabSystem([[1.0], [1.0]], [-0.5, 2.5], [0.5, 0.5])
 assert dirmean.solve_center(slabs).iterations >= 1
 """
 

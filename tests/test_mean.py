@@ -22,11 +22,10 @@ from dirmean import (
     fit_marginal,
     fit_variance,
     make_ground_truth,
-    nu_hat,
     nu_hat_profile,
     plan_blocks,
     sample_dataset,
-    slab_width,
+    slab_width_profile,
     solve_center,
     write_report,
 )
@@ -42,7 +41,7 @@ def random_infeasible_system(rng, d, m):
     u = rng.standard_normal((m, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     widths = rng.uniform(0.0, 0.5, m) * (rng.random(m) < 0.7)
-    return SlabSystem(u, rng.standard_normal(m), widths, delta=0.1, c_prime=1.0)
+    return SlabSystem(u, rng.standard_normal(m), widths)
 
 
 def dense_lp_optimum(slabs):
@@ -114,7 +113,7 @@ class TestFitMarginal:
         for _ in range(10):
             u = rng.standard_normal(2)
             u /= np.linalg.norm(u)
-            assert nu_hat(est, u) == pytest.approx(v @ u, rel=1e-12)
+            assert nu_hat_profile(est, [u])[0] == pytest.approx(v @ u, rel=1e-12)
 
     def test_block_plan_pinned(self):
         gt = gaussian_gt([1.0, 1.0])
@@ -169,9 +168,10 @@ class TestFitMarginalBlocks:
         assert np.array_equal(est.Y, block_averages(rows, 3)[:48])
 
 
-class TestNuHatPaddedKernel:
-    """nu_hat_profile sorts its padded projection in place; the values must be
-    those of the sorted copy, bit for bit, at the 4 KiB row of 512 directions."""
+class TestNuHatProfileTallBlocks:
+    """Tall blocks (1000 blocks, up to 512 directions): nu_hat_profile sorts
+    each direction's projection row in place; the values must be those of
+    the copy-based composition, bit for bit."""
 
     @pytest.mark.parametrize("d, count", [(50, 512), (50, 400), (50, 1), (1, 1), (1, 512)])
     def test_matches_copy_based_oracle(self, d, count):
@@ -201,7 +201,7 @@ class TestNuHat:
         plan = plan_blocks(12, 0.5, 1.0 / 3.0, "mean", PipelineConfig(c_blocks=0.5, theta_mean=1 / 3))
         assert plan.n == 3 and plan.m == 4
         est = MarginalMeanEstimator(Y=y, plan=plan)
-        assert nu_hat(est, [1.0]) == 0.0
+        assert nu_hat_profile(est, [[1.0]])[0] == 0.0
 
     def test_odd_in_direction(self):
         gt = gaussian_gt([1.0, 1.0])
@@ -210,7 +210,7 @@ class TestNuHat:
         for _ in range(10):
             u = rng.standard_normal(2)
             u /= np.linalg.norm(u)
-            assert nu_hat(est, -u) == pytest.approx(-nu_hat(est, u), rel=1e-12, abs=1e-15)
+            assert nu_hat_profile(est, [-u])[0] == pytest.approx(-nu_hat_profile(est, [u])[0], rel=1e-12, abs=1e-15)
 
     def test_profile_matches_single(self):
         gt = gaussian_gt([2.0, 1.0])
@@ -219,7 +219,7 @@ class TestNuHat:
         dirs = rng.standard_normal((16, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         prof = nu_hat_profile(est, dirs)
-        singles = np.array([nu_hat(est, u) for u in dirs])
+        singles = np.array([nu_hat_profile(est, [u])[0] for u in dirs])
         assert np.allclose(prof, singles, rtol=1e-12)
 
     def test_error_envelope_on_gaussian(self):
@@ -231,7 +231,7 @@ class TestNuHat:
         trials = 500
         for t in range(trials):
             est = fit_marginal(sample_dataset(gt, n, 10_000 + t), delta)
-            hits += abs(nu_hat(est, [1.0, 0.0]) - 1.0) <= bound
+            hits += abs(nu_hat_profile(est, [[1.0, 0.0]])[0] - 1.0) <= bound
         assert hits >= int(0.99 * trials)
 
 
@@ -243,21 +243,21 @@ class TestSlabWidth:
     def test_zero_variance_zero_width(self):
         rows = np.tile(np.array([1.0, 2.0]), (2000, 1))
         est = fit_variance(rows, PipelineConfig(gamma=1.0, theta_var=0.02))
-        assert slab_width(est, [1.0, 0.0], 0.1, 1.0, 100) == 0.0
+        assert slab_width_profile(est, [[1.0, 0.0]], 0.1, 1.0, 100)[0] == 0.0
 
     def test_arithmetic(self):
         est = self._var_est()
         u = np.array([1.0, 0.0])
-        from dirmean import psi
+        from dirmean import psi_profile
 
-        width = slab_width(est, u, np.exp(-1.0), 1.0, 100)
-        assert width == pytest.approx(2.0 * np.sqrt(psi(est, u) / 100.0), rel=1e-12)
+        width = slab_width_profile(est, [u], np.exp(-1.0), 1.0, 100)[0]
+        assert width == pytest.approx(2.0 * np.sqrt(psi_profile(est, [u])[0] / 100.0), rel=1e-12)
 
     def test_log_confidence_scaling(self):
         est = self._var_est()
         u = np.array([0.0, 1.0])
-        w1 = slab_width(est, u, 0.1, 1.0, 1000)
-        w2 = slab_width(est, u, 0.01, 1.0, 1000)
+        w1 = slab_width_profile(est, [u], 0.1, 1.0, 1000)[0]
+        w2 = slab_width_profile(est, [u], 0.01, 1.0, 1000)[0]
         assert w2 == pytest.approx(np.sqrt(2.0) * w1, rel=1e-12)
 
 
@@ -457,7 +457,7 @@ class TestDirectionSetMemory:
         u = random_unit_rows(np.random.default_rng(2), 1600, 200)
         c, w = np.zeros(1600), np.ones(1600)
         tracemalloc.start()
-        SlabSystem(u, c, w, delta=0.01, c_prime=1.0)
+        SlabSystem(u, c, w)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 0.4 * u.nbytes  # the full square of u would be u.nbytes
@@ -465,15 +465,13 @@ class TestDirectionSetMemory:
 
 class TestSolveCenter:
     def test_two_orthogonal_slabs(self):
-        slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.0, 0.0], delta=0.1, c_prime=1.0)
+        slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.0, 0.0])
         res = solve_center(slabs)
         assert np.allclose(res.v_star, [1.0, 2.0], atol=1e-9)
         assert res.rho_star <= 1e-9
 
     def test_conflicting_slabs_midpoint(self):
-        slabs = SlabSystem(
-            np.array([[1.0], [1.0]]), centers=[0.0, 2.0], widths=[0.0, 0.0], delta=0.1, c_prime=1.0
-        )
+        slabs = SlabSystem(np.array([[1.0], [1.0]]), centers=[0.0, 2.0], widths=[0.0, 0.0])
         res = solve_center(slabs)
         assert res.v_star[0] == pytest.approx(1.0, abs=1e-8)
         assert res.rho_star == pytest.approx(1.0, abs=1e-8)
@@ -487,7 +485,7 @@ class TestSolveCenter:
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             v0 = rng.standard_normal(d)
             widths = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
-            slabs = SlabSystem(u, u @ v0, widths, delta=0.1, c_prime=1.0)
+            slabs = SlabSystem(u, u @ v0, widths)
             res = solve_center(slabs)
             assert res.rho_star <= 1e-6
             assert slabs.max_violation(res.v_star) <= 1e-6
@@ -496,7 +494,7 @@ class TestSolveCenter:
         rng = np.random.default_rng(6)
         u = rng.standard_normal((30, 4))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        slabs = SlabSystem(u, rng.standard_normal(30), np.zeros(30), delta=0.1, c_prime=1.0)
+        slabs = SlabSystem(u, rng.standard_normal(30), np.zeros(30))
         v_init = rng.standard_normal(4)
         res = solve_center(slabs, v_init=v_init)
         assert res.g_value <= slabs.max_violation(v_init) + 1e-12
@@ -506,7 +504,7 @@ class TestSolveCenter:
         u = rng.standard_normal((40, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         c = rng.standard_normal(40)
-        slabs = SlabSystem(u, c, np.full(40, 0.05), delta=0.1, c_prime=1.0)
+        slabs = SlabSystem(u, c, np.full(40, 0.05))
         base = solve_center(slabs)
         extra = rng.standard_normal((10, 3))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
@@ -541,7 +539,7 @@ class TestSolveCenter:
         assert again.iterations == res.iterations
 
     def test_feasible_warm_start_returned_at_once(self):
-        slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.5, 0.5], delta=0.1, c_prime=1.0)
+        slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.5, 0.5])
         v_init = np.array([1.2, 1.9])
         res = solve_center(slabs, v_init=v_init)
         assert res.iterations == 0 and res.converged
@@ -550,9 +548,7 @@ class TestSolveCenter:
 
     def test_lp_failure_flags_not_raises(self, monkeypatch):
         monkeypatch.setattr(mean_module, "_slab_lp", failing_after(0, []))
-        slabs = SlabSystem(
-            np.array([[1.0], [1.0]]), centers=[0.0, 2.0], widths=[0.0, 0.0], delta=0.1, c_prime=1.0
-        )
+        slabs = SlabSystem(np.array([[1.0], [1.0]]), centers=[0.0, 2.0], widths=[0.0, 0.0])
         res = solve_center(slabs, v_init=np.array([0.5]))
         assert not res.converged and res.iterations == 1
         assert np.isfinite(res.rho_star) and res.rho_star == pytest.approx(1.5)
@@ -562,9 +558,7 @@ class TestSolveCenter:
         # the warm start is 5e-10 from the optimum 1e-9, inside TOL, but no
         # round certified it
         monkeypatch.setattr(mean_module, "_slab_lp", failing_after(0, []))
-        slabs = SlabSystem(
-            np.array([[1.0], [1.0]]), centers=[0.0, 2e-9], widths=[0.0, 0.0], delta=0.1, c_prime=1.0
-        )
+        slabs = SlabSystem(np.array([[1.0], [1.0]]), centers=[0.0, 2e-9], widths=[0.0, 0.0])
         res = solve_center(slabs, v_init=np.array([0.5e-9]))
         assert not res.converged and res.rho_star == pytest.approx(1.5e-9)
 
@@ -630,7 +624,7 @@ class TestOneSidedCuts:
         # its optimum x = -4 overshoots below [0, 1], whose lower side round 2
         # adds; the optimum is then x = -2 at slack 2
         rounds, _ = self.recorded_rounds(monkeypatch)
-        slabs = SlabSystem(np.ones((3, 1)), [-4.5, 0.5, 12.0], [0.5, 0.5, 12.0], delta=0.1, c_prime=1.0)
+        slabs = SlabSystem(np.ones((3, 1)), [-4.5, 0.5, 12.0], [0.5, 0.5, 12.0])
         res = solve_center(slabs)
         assert res.converged and res.iterations == 2
         assert [list(sides) for _, sides, _ in rounds] == [[-1.0, -1.0], [1.0, 1.0]]
@@ -776,7 +770,7 @@ class TestSolveCenterProperties:
         floats = st.floats(-5.0, 5.0, allow_nan=False)
         centers = np.array(data.draw(st.lists(floats, min_size=m, max_size=m)))
         widths = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 1.0]), min_size=m, max_size=m)))
-        slabs = SlabSystem(dirs * signs[:, np.newaxis], centers, widths, delta=0.1, c_prime=1.0)
+        slabs = SlabSystem(dirs * signs[:, np.newaxis], centers, widths)
         res = solve_center(slabs)
         assert res.rho_star == max(slabs.max_violation(res.v_star), 0.0)
         optimum = max(dense_lp_optimum(slabs), 0.0)

@@ -14,7 +14,6 @@ from dirmean import (
     fit_variance,
     make_ground_truth,
     plan_blocks,
-    psi,
     psi_profile,
     sample_dataset,
 )
@@ -33,16 +32,11 @@ class TestPsiExamples:
     def test_absolute_mode_with_tie(self):
         est = make_estimator([2.0, -2.0, 1.0, -1.0], 0.25)
         # |p| ties at 2; the smaller block index is dropped
-        assert psi(est, [1.0]) == pytest.approx(0.75)
+        assert psi_profile(est, [[1.0]])[0] == pytest.approx(0.75)
 
     def test_zero_blocks(self):
         est = make_estimator([0.0, 0.0, 0.0, 0.0], 0.25)
-        assert psi(est, [1.0]) == 0.0
-
-    def test_rejects_non_unit(self):
-        est = make_estimator([1.0, 2.0, 3.0, 4.0], 0.25)
-        with pytest.raises(ValueError):
-            psi(est, [2.0])
+        assert psi_profile(est, [[1.0]])[0] == 0.0
 
 
 class TestPsiInvariants:
@@ -58,7 +52,7 @@ class TestPsiInvariants:
         for _ in range(20):
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
-            assert psi(est, u) == psi(est, -u)
+            assert psi_profile(est, [u])[0] == psi_profile(est, [-u])[0]
 
     def test_block_permutation_invariance(self):
         est = self._fit()
@@ -66,7 +60,7 @@ class TestPsiInvariants:
         perm = rng.permutation(est.n_blocks)
         shuffled = VarianceEstimator(est.Z[perm], est.plan)
         u = np.array([0.6, 0.0, 0.8])
-        assert psi(est, u) == pytest.approx(psi(shuffled, u), rel=1e-12)
+        assert psi_profile(est, [u])[0] == pytest.approx(psi_profile(shuffled, [u])[0], rel=1e-12)
 
     def test_trimming_never_exceeds_untrimmed(self):
         est = self._fit()
@@ -75,7 +69,7 @@ class TestPsiInvariants:
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             untrimmed = np.sum((est.Z @ u) ** 2) / (2.0 * est.n_blocks)
-            assert psi(est, u) <= untrimmed + 1e-15
+            assert psi_profile(est, [u])[0] <= untrimmed + 1e-15
 
     def test_single_direction_matches_profile(self):
         est = self._fit()
@@ -83,7 +77,7 @@ class TestPsiInvariants:
         dirs = rng.standard_normal((32, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         prof = psi_profile(est, dirs)
-        singles = np.array([psi(est, u) for u in dirs])
+        singles = np.array([psi_profile(est, [u])[0] for u in dirs])
         assert np.allclose(prof, singles, rtol=1e-12, atol=1e-15)
 
     def test_deterministic(self):
@@ -94,7 +88,7 @@ class TestPsiInvariants:
     def test_identical_rows_give_zero(self):
         rows = np.tile(np.array([1.0, 2.0]), (400, 1))
         est = fit_variance(rows, PipelineConfig(gamma=1.0, theta_var=0.02))
-        assert psi(est, [1.0, 0.0]) == 0.0
+        assert psi_profile(est, [[1.0, 0.0]])[0] == 0.0
 
 
 class TestPsiProfileKernel:
@@ -118,11 +112,6 @@ class TestPsiProfileKernel:
         expected = np.partition(proj**2, n - k - 1, axis=1)[:, : n - k].sum(axis=1) / (2 * n)
         assert np.array_equal(psi_profile(est, dirs), expected)
 
-    def test_single_direction_is_the_profile_row(self):
-        est = self._est()
-        u = self._dirs(1, 7)[0]
-        assert psi(est, u) == psi_profile(est, u[np.newaxis])[0]
-
     def test_caller_arrays_untouched(self):
         est = self._est()
         dirs = self._dirs(16, 7)
@@ -132,12 +121,11 @@ class TestPsiProfileKernel:
 
     @pytest.mark.filterwarnings("error")
     def test_psi_overflow_raises_variance_stage_error(self):
-        # the single-direction path shares the guarded kernel: no numpy
-        # overflow warning, no inf
+        # no numpy overflow warning, no inf
         rows = np.random.default_rng(17).standard_normal((10000, 3)) * 1e155
         est = fit_variance(rows)
         with pytest.raises(ValueError, match="variance stage: the squared projections"):
-            psi(est, [1.0, 0.0, 0.0])
+            psi_profile(est, [[1.0, 0.0, 0.0]])
 
 
 class TestFitVarianceBlocks:
@@ -253,7 +241,7 @@ class TestStatisticalGuarantees:
         est = fit_variance(ds)
         for u in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
             s2 = directional_sigma(gt, u) ** 2
-            assert s2 / 4.0 <= psi(est, u) <= 2.0 * s2
+            assert s2 / 4.0 <= psi_profile(est, [u])[0] <= 2.0 * s2
 
     def test_low_variance_directions_below_critical_level(self):
         # spike spectrum: directions orthogonal to the spike have
@@ -275,11 +263,11 @@ class TestStatisticalGuarantees:
                 v[0] = 0.0  # orthogonal to the spike
                 v /= np.linalg.norm(v)
                 checks += 1
-                hits += psi(est, v) <= 10.0 * r**2
+                hits += psi_profile(est, [v])[0] <= 10.0 * r**2
         assert hits / checks >= 0.99
 
 
-class TestPaddedProjectionKernel:
+class TestPsiProfileTallBlocks:
     """Tall blocks (1000 blocks, up to 512 directions): the kernel must give
     the copy-based values of the (directions, blocks) composition bit for
     bit, stay within rounding of the (blocks, directions) composition with
@@ -325,7 +313,7 @@ class TestPaddedProjectionKernel:
         got = psi_profile(VarianceEstimator(Z=z, plan=plan), dirs)
         np.testing.assert_allclose(got, old, rtol=1e-13, atol=0)
 
-    def test_peak_is_one_padded_projection(self):
+    def test_peak_is_one_projection(self):
         n, count = 1000, 512
         est = self._est(n)
         dirs = np.random.default_rng(2).standard_normal((count, 50))
