@@ -48,9 +48,9 @@ for k in range(d + 1):
 
 print()
 print("=== reproducibility ===")
-a = dm.sample_dataset(gt, 5, seed=42).rows
-b = dm.sample_dataset(gt, 5, seed=42).rows
+a = dm.sample_dataset(gt, 5, seed=42)
+b = dm.sample_dataset(gt, 5, seed=42)
 print(f"  same seed twice gives identical rows: {np.array_equal(a, b)}")
 print(f"  sample mean at N = 2e5 vs true mean:")
-rows = dm.sample_dataset(gt, 200_000, seed=7).rows
+rows = dm.sample_dataset(gt, 200_000, seed=7)
 print(f"    {np.round(rows.mean(axis=0), 4)}  vs  {np.asarray(mean)}")

@@ -51,20 +51,20 @@ spike = dm.DistributionSpec(
 )
 gt_spike = dm.make_ground_truth(spike)
 est_spike = dm.fit_variance(dm.sample_dataset(gt_spike, 10**4, seed=3))
-r = dm.critical_level(gt_spike.spectrum, est_spike.n_blocks, c0=1.0)
+r = dm.critical_level(gt_spike.spectrum, est_spike.plan.n, c0=1.0)
 u_small = np.eye(d_spike)[1]
-print(f"  spiked spectrum (one eigenvalue 1, the rest 1e-6), {est_spike.n_blocks} blocks")
+print(f"  spiked spectrum (one eigenvalue 1, the rest 1e-6), {est_spike.plan.n} blocks")
 print(f"  r = {r:.2e}; directions with sigma(u) below r carry no sandwich,")
 print(f"  only the cap: sigma(e_2) = {dm.directional_sigma(gt_spike, u_small):.2e} <= r, "
       f"estimate = {dm.psi_profile(est_spike, [u_small])[0]:.2e} <= 10 r^2 = {10 * r**2:.2e}")
 
 print()
 print("=== trimming caps the damage of corrupted blocks ===")
-rows = ds.rows.copy()
+rows = ds.copy()
 rows[:40] += 1e4  # corrupt 40 of 40000 rows
 est_bad = dm.fit_variance(rows)
 u = np.eye(d)[0]
 print(f"  clean estimate along e_1:     {dm.psi_profile(est, [u])[0]:10.4f}")
 print(f"  corrupted, with trimming:     {dm.psi_profile(est_bad, [u])[0]:10.4f}")
-naive = np.sum((est_bad.Z @ u) ** 2) / (2 * est_bad.n_blocks)
+naive = np.sum((est_bad.Z @ u) ** 2) / (2 * est_bad.plan.n)
 print(f"  corrupted, without trimming:  {naive:10.1f}")

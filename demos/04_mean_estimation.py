@@ -51,7 +51,7 @@ print(f"  direction-term + tail-term scale along low-variance axes: {bound:.5f}"
 
 print()
 print("=== median-of-means comparator ===")
-mom = dm.baseline_median_of_means(dm.sample_dataset(gt, 3 * 10**4, 1).rows, 37)
+mom = dm.baseline_median_of_means(dm.sample_dataset(gt, 3 * 10**4, 1), 37)
 print(f"  worst probe error of one median-of-means fit: "
       f"{np.max(np.abs(probes @ (mom - gt.mu))):.5f}")
 print("  (a single radius for all directions cannot be direction-adaptive)")

@@ -23,7 +23,7 @@ _SOURCES = {
         "diagnostics": "RatioConditionReport RatioReport SmallBallReport check_ratio_conditions "
         "check_uniform_ratios empirical_quantile_hat interval_excess_sup quantile_sandwich_check "
         "small_ball_alpha small_ball_check",
-        "distributions": "Dataset DistributionSpec GroundTruth NoAnalyticOracleError SpectrumSpec "
+        "distributions": "DistributionSpec GroundTruth NoAnalyticOracleError SpectrumSpec "
         "directional_sigma make_ground_truth marginal_oracle sample_dataset sample_marginal student_kappa "
         "tail_eigensum",
         "harness": "LowerBoundReport PerDirectionSummary Scenario TrialTable baseline_empirical_mean "

@@ -26,7 +26,7 @@ import numpy as np
 
 from .blocks import SizingError, pair_block_averages, trim_count
 from .config import REQUIRED, Field, PipelineConfig, read_fields, require_int, require_object
-from .distributions import (Dataset, DistributionSpec, make_ground_truth, marginal_oracle, sample_dataset,
+from .distributions import (DistributionSpec, SpectrumSpec, make_ground_truth, marginal_oracle, sample_dataset,
                             sample_marginal)
 from .harness import (LOWERBOUND_FIELDS, Scenario, empirical_mean_lower_bound, per_direction_quantiles, run_trials,
                       write_report)
@@ -42,7 +42,7 @@ EXIT_IO = 3
 ESTIMATE_FIELDS = {
     "distribution": Field("object", REQUIRED),
     "n_total": Field("size", None),  # needed unless --data gives the rows
-    "delta": Field("probability", 0.01),
+    "delta": Field("probability", 0.01, least=sys.float_info.min),  # 1/delta stays finite
     "seed": Field("int", 0),
     "config": Field("object", None),
 }
@@ -114,19 +114,6 @@ def _write(args, report, name: str) -> None:
     write_report(report, os.path.join(args.out, name), os.path.splitext(name)[1][1:])
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return require_int("--threads", args.threads, 1)
-    env = os.environ.get("DIRMEAN_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise UsageError(f"bad DIRMEAN_THREADS value: {env!r}") from exc
-        return require_int("DIRMEAN_THREADS", threads, 1)
-    return 1
-
-
 def _cmd_estimate(args) -> int:
     doc = read_fields("estimate", _load_config_doc(args), ESTIMATE_FIELDS)
     spec = DistributionSpec.from_json_dict(doc["distribution"])
@@ -139,19 +126,18 @@ def _cmd_estimate(args) -> int:
             raise UsageError(f"n_total = {doc['n_total']} differs from the {rows.shape[0]} rows of --data")
         if rows.shape[1] != spec.dim:
             raise UsageError(f"distribution has dimension {spec.dim}, but --data has {rows.shape[1]} columns")
-        ds = Dataset(rows, seed=None, spec=spec)
     else:
         if doc["n_total"] is None:
             raise UsageError("estimate config needs 'n_total' when no --data is given")
-        ds = sample_dataset(make_ground_truth(spec), doc["n_total"], derive_seed(seed, "estimate-data"))
+        rows = sample_dataset(make_ground_truth(spec), doc["n_total"], derive_seed(seed, "estimate-data"))
 
-    _write(args, estimate_mean(ds, doc["delta"], config, seed=derive_seed(seed, "estimate")), "estimate.json")
+    _write(args, estimate_mean(rows, doc["delta"], config, seed=derive_seed(seed, "estimate")), "estimate.json")
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
     sc = Scenario.from_json_dict(_load_config_doc(args))
-    table = run_trials(sc, threads=_resolve_threads(args))
+    table = run_trials(sc, threads=require_int("--threads", args.threads, 1))
     summary = {"scenario": sc, "summary": per_direction_quantiles(table, sc.delta)}
     if table.block_plans is not None:  # the block geometry dirmean used, for auditability
         summary["block_plan_mean"], summary["block_plan_var"] = table.block_plans
@@ -223,12 +209,16 @@ def _cmd_lowerbound(args) -> int:
     doc = read_fields("lowerbound", _load_config_doc(args), LOWERBOUND_FIELDS)
     if (doc["eigenvalues"] is None) == (doc["distribution"] is None):
         raise UsageError("lowerbound config needs exactly one of 'eigenvalues' and a gaussian 'distribution'")
-    spec = doc["eigenvalues"]
-    if spec is None:
+    if doc["eigenvalues"] is not None:
+        spectrum = SpectrumSpec(doc["eigenvalues"])
+    else:
         spec = DistributionSpec.from_json_dict(doc["distribution"])
+        if spec.family != "gaussian":
+            raise UsageError("lower-bound experiment is defined for gaussian data only")
+        spectrum = spec.spectrum
     seed = doc["seed"]
     rep = empirical_mean_lower_bound(
-        spec,
+        spectrum,
         n_samples=doc["n_samples"],
         delta=doc["delta"],
         c_assumed=doc["C"],
@@ -246,10 +236,10 @@ def build_parser() -> _Parser:
                        ("diagnose", "run the diagnostics suite"), ("lowerbound", "run the lower-bound experiment")):
         sub = subs.add_parser(name, help=text)
         sub.add_argument("--config", help="path to the JSON configuration")
-        sub.add_argument("--seed", type=int, default=None, help="64-bit master seed")
+        sub.add_argument("--seed", type=int, default=None, help="master seed (any integer)")
         sub.add_argument("--out", default=".", help="output directory")
         if name == "simulate":
-            sub.add_argument("--threads", type=int, default=None, help="worker threads")
+            sub.add_argument("--threads", type=int, default=1, help="worker threads")
         if name == "estimate":
             sub.add_argument("--data", help="dataset CSV (one observation per row)")
     return parser

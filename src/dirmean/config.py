@@ -49,11 +49,6 @@ def require_real(name: str, value, above: float = -math.inf, below: float = math
     return value
 
 
-def require_probability(name: str, value):
-    """:func:`require_real` on (0, 1)."""
-    return require_real(name, value, 0.0, 1.0)
-
-
 REQUIRED = object()  # the default of a field that a document must set
 
 
@@ -65,10 +60,11 @@ class Field:
     ``reals`` (a nonempty list or 1-d array of reals); ``name`` (one of
     ``choices``); ``names`` (a list of distinct ``choices``); ``object``
     (read with the nested table ``fields``, if given).  ``least`` is an
-    inclusive floor on a number or on each entry of ``reals``; on a real it
-    replaces ``above``, so its errors name the interval [least, below).  A
-    None default admits null.  A plain class: a dataclass would add ~1.6 ms
-    to every start-up.
+    inclusive floor on a number or on each entry of ``reals``: on a size it
+    replaces 1, and on a real or probability it replaces ``above``, so the
+    errors name that floor, or the interval [least, below).  A None default
+    admits null.  A plain class: a dataclass would add ~1.6 ms to every
+    start-up.
     """
 
     def __init__(self, kind: str, default=REQUIRED, *, least=None, above=-math.inf, below=math.inf, choices=(),
@@ -103,10 +99,7 @@ class Field:
         if self.kind in ("real", "probability"):
             above, below = (0.0, 1.0) if self.kind == "probability" else (self.above, self.below)
             return require_real(name, value, above, below, self.least)
-        require_int(name, value, 1 if self.kind == "size" else None)
-        if self.least is not None and value < self.least:
-            raise ValueError(f"{name} must be at least {self.least}")
-        return value
+        return require_int(name, value, 1 if self.least is None and self.kind == "size" else self.least)
 
 
 def check_fields(table: dict, values: dict, prefix: str = "") -> dict:

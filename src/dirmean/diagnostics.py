@@ -213,21 +213,21 @@ def check_uniform_ratios(
     r: float,
     n_dirs: int,
     seed: int,
-    sigma_scale: float = math.sqrt(2.0),
 ) -> RatioReport:
     """Ratio conditions on block projections over sampled directions.
 
     ``z_blocks`` are block averages of pairwise differences, whose
-    projections have the law sigma_scale * sigma(u) times the standardized
+    projections have the law sqrt(2) sigma(u) times the standardized
     marginal.  A closed-form law for blocked differences exists only for
     the gaussian family; other families raise NoAnalyticOracleError.
-    Directions are sampled uniformly subject to sigma_scale * sigma(u) >= r.
+    Directions are sampled uniformly subject to sqrt(2) sigma(u) >= r.
     """
     if gt.spec.family != "gaussian":
         raise NoAnalyticOracleError(
             "uniform ratio check needs a closed-form law for blocked "
             f"difference projections; family {gt.spec.family!r} has none"
         )
+    scale = math.sqrt(2.0)  # a pair difference doubles the variance
     z = np.atleast_2d(np.asarray(z_blocks, dtype=float))
     d = z.shape[1]
     rng = stream(seed, "ratio-directions")
@@ -239,13 +239,13 @@ def check_uniform_ratios(
             raise ValueError(f"could not sample {n_dirs} directions with sigma(u) >= {r}")
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
-        if sigma_scale * directional_sigma(gt, u) >= r:
+        if scale * directional_sigma(gt, u) >= r:
             dirs.append(u)
 
     tails = np.empty(n_dirs)
     intervals = np.empty(n_dirs)
     for i, u in enumerate(dirs):
-        oracle = marginal_oracle(gt, u, scale=sigma_scale)
+        oracle = marginal_oracle(gt, u, scale=scale)
         rep = check_ratio_conditions(z @ u, oracle, delta_param, theta=min(7 * delta_param, 0.49))
         tails[i] = rep.tail_ratio_worst
         intervals[i] = rep.interval_excess_worst
@@ -291,8 +291,6 @@ def small_ball_check(
     seed: int,
     direction=None,
     xi: float = 0.02,
-    eps_grid=(0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0),
-    n_centers: int = 81,
 ) -> SmallBallReport:
     """Monte Carlo audit of the block-average facts along one direction.
 
@@ -334,9 +332,9 @@ def small_ball_check(
     lq_l2_bound = math.sqrt(4.0 * (q - 1.0)) * gt.kappa
 
     z_sorted = np.sort(z)
-    centers = np.linspace(-4.0, 4.0, n_centers) * max(l2, 1e-300)
+    centers = np.linspace(-4.0, 4.0, 81) * max(l2, 1e-300)
     small_ball_l = 0.0
-    for eps in eps_grid:
+    for eps in (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0):
         half = eps * sigma
         hi = np.searchsorted(z_sorted, centers + half, side="right")
         lo = np.searchsorted(z_sorted, centers - half, side="left")

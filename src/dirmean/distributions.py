@@ -27,7 +27,6 @@ gaussian-with-point-contamination (fraction, offset)
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -144,13 +143,6 @@ class DistributionSpec:
                    mean=tuple(f["mean"]), dof=f["dof"], shape=f["shape"],
                    contamination_fraction=cont["fraction"], contamination_offset=offset)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistributionSpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -183,34 +175,12 @@ class GroundTruth:
         return self.factor_T @ self.factor_T.T
 
 
-@dataclass
-class Dataset:
-    """Observation matrix (one row per draw) plus sampling provenance."""
-
-    rows: np.ndarray
-    seed: int | None = None
-    spec: DistributionSpec | None = None
-
-    def __post_init__(self):
-        self.rows = as_rows(self.rows)
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-
 def as_rows(data) -> np.ndarray:
-    """Accept a Dataset or a bare (N, d) array and return the row matrix.
+    """The (N, d) observation matrix ``data`` as C-contiguous float64 rows.
 
-    The rows are C-contiguous float64 (only other layouts are copied), so
-    the kernels' summation order, and hence every result, does not depend
-    on the input's memory layout.
+    Only other layouts are copied, so the kernels' summation order, and
+    hence every result, does not depend on the input's memory layout.
     """
-    if isinstance(data, Dataset):
-        return data.rows
     return np.atleast_2d(np.ascontiguousarray(data, dtype=float))
 
 
@@ -349,8 +319,9 @@ def make_ground_truth(spec: DistributionSpec) -> GroundTruth:
     )
 
 
-def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
-    """Draw ``n`` i.i.d. rows; a pure function of ``(gt.spec, n, seed)``."""
+def sample_dataset(gt: GroundTruth, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` i.i.d. rows as a C-contiguous (n, d) float64 array; a pure
+    function of ``(gt.spec, n, seed)``."""
     if n < 1:
         raise ValueError("need n >= 1")
     spec = gt.spec
@@ -365,7 +336,7 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
         rows = rng.standard_normal((n, d)) @ gt._component_factor.T
         rows += gt._component_center
         rows[positions] = gt._point_value
-        return Dataset(rows, seed=seed, spec=spec)
+        return rows
 
     w = rng.standard_normal((n, d))
     if spec.family == "elliptical-student":
@@ -383,7 +354,7 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
     else:
         w = w @ gt.factor_T.T
     w += gt.mu
-    return Dataset(w, seed=seed, spec=spec)
+    return w
 
 
 def directional_sigma(gt: GroundTruth, u) -> float:

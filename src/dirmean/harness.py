@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ ESTIMATORS = ("dirmean", "empirical-mean", "median-of-means")
 SCENARIO_FIELDS = {
     "distribution": Field("object", REQUIRED),
     "n_total": Field("size", REQUIRED, least=3),  # the bound terms divide by N = n_total // 3
-    "delta": Field("probability", REQUIRED),
+    "delta": Field("probability", REQUIRED, least=sys.float_info.min),  # 1/delta stays finite
     "trials": Field("size", REQUIRED),
     "estimators": Field("names", ("dirmean", "empirical-mean"), choices=ESTIMATORS),
     "probes": Field("size", None),
@@ -55,7 +56,7 @@ LOWERBOUND_FIELDS = {  # the lowerbound document: eigenvalues or a gaussian dist
     "distribution": Field("object", None),
     "seed": Field("int", 0),
     "n_samples": Field("size", 10000),
-    "delta": Field("probability", 0.01),
+    "delta": Field("probability", 0.01, least=sys.float_info.min),  # 1/delta stays finite
     "C": Field("real", 1.0, above=0.0),
     "trials": Field("size", 500),
 }
@@ -325,27 +326,18 @@ class LowerBoundReport:
 
 
 def empirical_mean_lower_bound(
-    spec, n_samples: int, delta: float, c_assumed: float, trials: int, seed: int, n_sampled_dirs: int = 64
+    spectrum: SpectrumSpec, n_samples: int, delta: float, c_assumed: float, trials: int, seed: int
 ) -> LowerBoundReport:
-    """Measure how large the spectral tail term of the empirical mean must be.
+    """Measure how large the spectral tail term of the empirical mean of
+    gaussian data with covariance spectrum ``spectrum`` must be.
 
-    ``spec`` is a SpectrumSpec, its eigenvalues, or a gaussian
-    DistributionSpec.  The
-    subspace rank k0 = 1 + (2 C + sqrt(2))^2 log(1/delta) follows from
+    The subspace rank k0 = 1 + (2 C + sqrt(2))^2 log(1/delta) follows from
     assuming the direction term holds with constant C in the top
     eigendirections.
     """
     from scipy import stats  # chi.ppf only; not loaded with the package
 
     check_fields(LOWERBOUND_FIELDS, {"n_samples": n_samples, "delta": delta, "trials": trials})
-    if isinstance(spec, DistributionSpec):
-        if spec.family != "gaussian":
-            raise ValueError("lower-bound experiment is defined for gaussian data only")
-        spectrum = spec.spectrum
-    elif isinstance(spec, SpectrumSpec):
-        spectrum = spec
-    else:
-        spectrum = SpectrumSpec(spec)
     lam = np.asarray(spectrum.eigenvalues, dtype=float)
     d = lam.size
 
@@ -358,7 +350,7 @@ def empirical_mean_lower_bound(
     top_stats = np.linalg.norm(g[:, :k], axis=1)
     if k < d:
         complement = np.sqrt((g[:, k:] ** 2 * lam[k:]).sum(axis=1))
-        v = random_unit_rows(rng, n_sampled_dirs, d - k)
+        v = random_unit_rows(rng, 64, d - k)  # the sampled surrogate's complement directions
         y_comp = g[:, k:] * np.sqrt(lam[k:])
         sampled = np.max(y_comp @ v.T, axis=1)
     else:

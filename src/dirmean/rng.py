@@ -47,10 +47,11 @@ def derive_seed(seed: int, *labels) -> int:
     """Derive a 63-bit integer sub-seed from ``(seed, *labels)``.
 
     Used when an integer seed has to cross an API boundary instead of a
-    generator object.
+    generator object.  Any integer seed works: it is reduced mod 2**128,
+    which leaves every seed in [-2**127, 2**127) its two's-complement bytes.
     """
     h = hashlib.blake2s()
-    h.update(int(seed).to_bytes(16, "little", signed=True))
+    h.update((int(seed) % 2**128).to_bytes(16, "little"))
     for lab in labels:
         for w in _label_words(lab):
             h.update(w.to_bytes(4, "little"))

@@ -26,10 +26,6 @@ class VarianceEstimator:
     Z: np.ndarray
     plan: BlockPlan
 
-    @property
-    def n_blocks(self) -> int:
-        return self.Z.shape[0]
-
 
 def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
     """Block averages of the pair differences, formed block by block.

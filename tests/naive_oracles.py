@@ -110,8 +110,8 @@ def oracle_sample_rows(gt, n, seed):
 
 
 def pair_differences(ds):
-    """Row i is row_i - row_{N+i} of the 2N input rows (a Dataset or an array)."""
-    rows = np.asarray(getattr(ds, "rows", ds), dtype=float)
+    """Row i is row_i - row_{N+i} of the 2N input rows."""
+    rows = np.asarray(ds, dtype=float)
     if rows.shape[0] % 2:
         raise ValueError("pair differencing needs an even row count")
     half = rows.shape[0] // 2

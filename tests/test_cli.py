@@ -160,7 +160,7 @@ class TestEstimateCommand:
             "config": dict(TINY_CONFIG, refine_probes=0),
         })
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "ERROR 1: refine_probes must be at least 1\n"
+        assert capsys.readouterr().err == "ERROR 1: refine_probes must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("value", ["0.1", float("nan"), -0.5])
     def test_refine_tol_error_names_its_floor(self, tmp_path, capsys, value):
@@ -194,9 +194,9 @@ class TestEstimateCommand:
         [
             ("n_total", 0, "must be at least 1, got 0"),
             ("n_total", -5, "must be at least 1, got -5"),
-            ("delta", "0.01", "must lie in (0, 1), got '0.01'"),
-            ("delta", 0, "must lie in (0, 1), got 0"),
-            ("delta", 1.5, "must lie in (0, 1), got 1.5"),
+            ("delta", "0.01", "must lie in [2.22507e-308, 1), got '0.01'"),
+            ("delta", 0, "must lie in [2.22507e-308, 1), got 0"),
+            ("delta", 1.5, "must lie in [2.22507e-308, 1), got 1.5"),
             ("distribution", [1], "must be a JSON object, got [1]"),
             ("distribution", None, "must be a JSON object, got None"),
             ("config", [1], "must be a JSON object, got [1]"),
@@ -241,21 +241,12 @@ class TestSimulateCommand:
         assert lines[0] == "trial,estimator,dir_index,error,sigma_u,weak_term,strong_term_k1,strong_term_k2"
         assert len(lines) == 1 + 2 * 3 * 5
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        cfg = write_json(tmp_path / "sc.json", scenario_doc(trials=2))
-        monkeypatch.setenv("DIRMEAN_THREADS", "2")
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_exit_1_naming_the_source(self, tmp_path, capsys, monkeypatch, threads):
+    def test_threads_below_one_exit_1_naming_the_source(self, tmp_path, capsys, threads):
         cfg = write_json(tmp_path / "sc.json", scenario_doc(trials=2))
         out = str(tmp_path / "o")
         assert main(["simulate", "--config", cfg, "--out", out, "--threads", threads]) == 1
         assert capsys.readouterr().err == f"ERROR 1: --threads must be at least 1, got {threads}\n"
-        monkeypatch.setenv("DIRMEAN_THREADS", threads)
-        assert main(["simulate", "--config", cfg, "--out", out]) == 1
-        assert capsys.readouterr().err == f"ERROR 1: DIRMEAN_THREADS must be at least 1, got {threads}\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_estimator_exits_1(self, tmp_path, capsys):
@@ -371,7 +362,7 @@ class TestDiagnoseCommand:
             ({"delta_param": "0.005"}, "delta_param", "must lie in (0, 1), got '0.005'"),
             ({"delta_param": 1.5}, "delta_param", "must lie in (0, 1), got 1.5"),
             ({"small_ball": {"m": 0}}, "small_ball.m", "must be at least 1, got 0"),
-            ({"small_ball": {"trials": 0}}, "small_ball.trials", "must be at least 1, got 0"),
+            ({"small_ball": {"trials": 0}}, "small_ball.trials", "must be at least 100, got 0"),
             ({"uniform": {"n_pairs": 0}}, "uniform.n_pairs", "must be at least 1, got 0"),
             ({"uniform": {"block_m": 0}}, "uniform.block_m", "must be at least 1, got 0"),
             ({"uniform": {"n_dirs": 0}}, "uniform.n_dirs", "must be at least 1, got 0"),
@@ -530,7 +521,7 @@ class TestLowerboundCommand:
     @pytest.mark.parametrize(
         "field, value, message",
         [("n_samples", 0, "be at least 1, got 0"), ("trials", 0, "be at least 1, got 0"),
-         ("delta", 0.0, "lie in (0, 1), got 0.0"), ("delta", 1.5, "lie in (0, 1), got 1.5"),
+         ("delta", 0.0, "lie in [2.22507e-308, 1), got 0.0"), ("delta", 1.5, "lie in [2.22507e-308, 1), got 1.5"),
          ("C", "1.0", "lie in (0, inf), got '1.0'"), ("C", 0.0, "lie in (0, inf), got 0.0")],
     )
     def test_out_of_range_field_exits_1_naming_it(self, tmp_path, capsys, field, value, message):
@@ -543,7 +534,7 @@ class TestLowerboundCommand:
         doc = {"eigenvalues": [1.0, 0.5], "n_samples": 1000, "trials": 300, "delta": "0.01"}
         cfg = write_json(tmp_path / "lb.json", doc)
         assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "ERROR 1: delta must lie in (0, 1), got '0.01'\n"
+        assert capsys.readouterr().err == "ERROR 1: delta must lie in [2.22507e-308, 1), got '0.01'\n"
 
     @pytest.mark.parametrize("command", ["estimate", "simulate", "diagnose", "lowerbound"])
     @pytest.mark.parametrize("doc", [None, [1], "x"])
@@ -569,3 +560,48 @@ class TestLowerboundCommand:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]) == 1
         assert capsys.readouterr().err == "ERROR 1: unrecognized arguments: --threads 2\n"
         assert not (tmp_path / "o").exists()
+
+
+# one small valid document per command
+COMMAND_DOCS = {
+    "estimate": {"distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": TINY_CONFIG},
+    "simulate": scenario_doc(trials=1),
+    "diagnose": {"distribution": GAUSS_2D, "n": 400, "small_ball": {"m": 4, "trials": 200}, "uniform": {"n_dirs": 3}},
+    "lowerbound": {"eigenvalues": [1.0, 0.5], "trials": 100},
+}
+
+
+class TestEdgeValues:
+    @pytest.mark.parametrize("command", list(COMMAND_DOCS))
+    def test_huge_document_seed_runs(self, tmp_path, capsys, command):
+        cfg = write_json(tmp_path / "cfg.json", dict(COMMAND_DOCS[command], seed=2**130))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_huge_seed_flag_runs(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", COMMAND_DOCS["estimate"])
+        assert main(["estimate", "--config", cfg, "--seed", str(2**200), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "lowerbound"])
+    def test_subnormal_delta_exits_1_naming_it(self, tmp_path, capsys, command):
+        # 1 / 5e-324 overflows; the floor is the least normal float
+        doc = dict(COMMAND_DOCS[command], delta=5e-324)
+        if command == "simulate":
+            doc["estimators"] = BASELINES
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "ERROR 1: delta must lie in [2.22507e-308, 1), got 5e-324\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [("simulate", scenario_doc(n_total=0), "n_total must be at least 3, got 0"),
+         ("simulate", scenario_doc(n_total=2), "n_total must be at least 3, got 2"),
+         ("estimate", dict(COMMAND_DOCS["estimate"], config=dict(TINY_CONFIG, directions=0)),
+          "directions must be at least 1, got 0")],
+        ids=["n_total-0", "n_total-2", "directions-0"],
+    )
+    def test_integer_error_names_the_floor_and_the_value(self, tmp_path, capsys, command, doc, message):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: {message}\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dirmean import PipelineConfig
-from dirmean.config import require_int, require_probability, require_real
+from dirmean.config import Field, require_int, require_real
 
 
 class TestRefineAndBaselineFields:
@@ -72,14 +72,28 @@ class TestFieldChecks:
     def test_int_at_least_least_is_returned(self, value, least):
         assert require_int("size", value, least) is value
 
+    @pytest.mark.parametrize(
+        "field, value, least", [(Field("size"), 0, 1), (Field("size", least=3), 2, 3),
+                                (Field("size", least=100), 0, 100), (Field("int", least=0), -1, 0)],
+        ids=["size", "size-least-3", "size-least-100", "int-least-0"],
+    )
+    def test_int_field_names_its_floor_and_the_value(self, field, value, least):
+        with pytest.raises(ValueError, match=f"^n must be at least {least}, got {value}$"):
+            field.check("n", value)
+
+    @pytest.mark.parametrize("field, value", [(Field("int"), -5), (Field("size", least=3), 3), (Field("size"), 1)],
+                             ids=["int", "size-least-3", "size"])
+    def test_int_field_at_its_floor_is_returned(self, field, value):
+        assert field.check("n", value) is value
+
     @pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 2, math.nan, math.inf, True, "0.01", None])
     def test_probability_outside_open_unit_interval_names_the_field(self, value):
         with pytest.raises(ValueError, match="^level must lie in \\(0, 1\\), got "):
-            require_probability("level", value)
+            Field("probability").check("level", value)
 
     @pytest.mark.parametrize("value", [0.01, 0.5, np.float64(0.99), 5e-324])
     def test_probability_in_range_is_returned(self, value):
-        assert require_probability("level", value) is value
+        assert Field("probability").check("level", value) is value
 
     @pytest.mark.parametrize(
         "value, above, below",

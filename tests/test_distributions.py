@@ -66,7 +66,7 @@ class TestSpecValidation:
             contamination_fraction=0.1,
             contamination_offset=(3.0, 0.0),
         )
-        assert DistributionSpec.from_json(spec.to_json()) == spec
+        assert DistributionSpec.from_json_dict(spec.to_json_dict()) == spec
 
 
 class TestGroundTruth:
@@ -127,13 +127,27 @@ class TestGroundTruth:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("rotation_seed", [None, 4], ids=["canonical", "rotated"])
+    @pytest.mark.parametrize(
+        "family, extra",
+        [("gaussian", {}), ("elliptical-student", {"dof": 3.0}), ("elliptical-lognormal", {"shape": 0.5}),
+         ("gaussian-with-point-contamination", {"contamination_fraction": 0.1, "contamination_offset": (3.0, 0.0)})],
+        ids=["gaussian", "student", "lognormal", "contaminated"],
+    )
+    def test_returns_c_contiguous_float64_rows(self, family, extra, rotation_seed):
+        gt = make_ground_truth(DistributionSpec(family, SpectrumSpec((4.0, 1.0), rotation_seed), (0.0, 1.0), **extra))
+        for n in (1, 7):
+            rows = sample_dataset(gt, n, seed=3)
+            assert type(rows) is np.ndarray and rows.dtype == np.float64
+            assert rows.shape == (n, 2) and rows.flags.c_contiguous
+
     def test_determinism(self):
         gt = make_ground_truth(gaussian_spec([1.0, 1.0]))
         a = sample_dataset(gt, 4, seed=7)
         b = sample_dataset(gt, 4, seed=7)
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a, b)
         c = sample_dataset(gt, 4, seed=8)
-        assert not np.array_equal(a.rows, c.rows)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("rotation_seed", [None, 4])
     @pytest.mark.parametrize(
@@ -156,11 +170,11 @@ class TestSampling:
         )
         gt = make_ground_truth(spec)
         for n in (1, 7, 1000):
-            assert np.array_equal(sample_dataset(gt, n, seed=9).rows, oracle_sample_rows(gt, n, 9))
+            assert np.array_equal(sample_dataset(gt, n, seed=9), oracle_sample_rows(gt, n, 9))
 
     def test_law_of_large_numbers_covariance(self):
         gt = make_ground_truth(gaussian_spec([1.0, 0.5], rotation_seed=3))
-        rows = sample_dataset(gt, 10**6, seed=11).rows
+        rows = sample_dataset(gt, 10**6, seed=11)
         emp = np.cov(rows.T, bias=True)
         assert np.max(np.abs(emp - gt.covariance)) < 0.01  # ~3 stderr at N=1e6
 
@@ -174,7 +188,7 @@ class TestSampling:
         )
         gt = make_ground_truth(spec)
         n = 1003
-        rows = sample_dataset(gt, n, seed=5).rows
+        rows = sample_dataset(gt, n, seed=5)
         hits = np.all(rows == gt._point_value, axis=1).sum()
         assert hits == int(np.floor(0.1 * n))
 
@@ -195,7 +209,7 @@ class TestSampling:
         ]
         for spec in specs:
             gt = make_ground_truth(spec)
-            rows = sample_dataset(gt, 200_000, seed=13).rows
+            rows = sample_dataset(gt, 200_000, seed=13)
             err = np.abs(rows.mean(axis=0) - gt.mu)
             tol = 5 * np.sqrt(np.diag(gt.covariance) / rows.shape[0])
             assert np.all(err < np.maximum(tol, 0.02)), spec.family
@@ -230,7 +244,7 @@ class TestSampling:
     def test_pairwise_difference_oracle_for_sigma(self):
         gt = make_ground_truth(gaussian_spec([3.0, 1.0], rotation_seed=2))
         u = np.array([0.6, 0.8])
-        rows = sample_dataset(gt, 2 * 10**6, seed=23).rows
+        rows = sample_dataset(gt, 2 * 10**6, seed=23)
         half = rows.shape[0] // 2
         proj = (rows[:half] - rows[half:]) @ u
         half_sq = 0.5 * proj**2

@@ -17,6 +17,7 @@ from dirmean import (
     run_trials,
     write_report,
 )
+from dirmean.cli import main
 from dirmean.rng import stream
 from naive_oracles import oracle_empirical_mean, oracle_median_of_means
 
@@ -227,12 +228,14 @@ class TestLowerBound:
         p = stats.kstest(rep.top_stats, stats.chi(rep.k).cdf).pvalue
         assert p > 0.01
 
-    def test_rejects_non_gaussian_distribution_spec(self):
-        spec = DistributionSpec(
-            "elliptical-student", SpectrumSpec((1.0,)), mean=(0.0,), dof=3.0
-        )
-        with pytest.raises(ValueError):
-            empirical_mean_lower_bound(spec, 100, 0.01, 1.0, 10, 0)
+    def test_rejects_non_gaussian_distribution_spec(self, tmp_path, capsys):
+        # the lowerbound command takes the spectrum of a gaussian distribution only
+        student = {"family": "elliptical-student", "eigenvalues": [1.0], "mean": [0.0], "dof": 3.0}
+        cfg = tmp_path / "lb.json"
+        cfg.write_text(json.dumps({"distribution": student, "trials": 10}))
+        assert main(["lowerbound", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "ERROR 1: lower-bound experiment is defined for gaussian data only\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "field, args",

@@ -124,12 +124,14 @@ namespace = {}
 exec("from dirmean import *", namespace)
 assert sorted(set(namespace) - {"__builtins__"}) == public
 assert all(namespace[name] is getattr(dirmean, name) for name in public)
-try:
-    dirmean.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc), exc
-else:
-    raise AssertionError("an unknown name resolved")
+assert "Dataset" not in public  # a dataset is its (n, d) row array
+for name in ("no_such_name", "Dataset"):
+    try:
+        getattr(dirmean, name)
+    except AttributeError as exc:
+        assert name in str(exc), exc
+    else:
+        raise AssertionError(f"the unknown name {name} resolved")
 """
 
 

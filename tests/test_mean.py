@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirmean import (
-    Dataset,
     DistributionSpec,
     MarginalMeanEstimator,
     PipelineConfig,
@@ -896,7 +895,7 @@ class TestEstimateMean:
         # exact in real arithmetic; verified at float precision since the
         # projections of shifted data round differently in the last ulp
         gt = gaussian_gt([1.0, 1.0])
-        rows = sample_dataset(gt, 3 * 10**4, 11).rows
+        rows = sample_dataset(gt, 3 * 10**4, 11)
         shift = np.array([10.0, -5.0])
         a = estimate_mean(rows, 0.01, seed=4)
         b = estimate_mean(rows + shift, 0.01, seed=4)
@@ -904,7 +903,7 @@ class TestEstimateMean:
 
     def test_discards_to_multiple_of_three(self):
         gt = gaussian_gt([1.0, 1.0])
-        rows = sample_dataset(gt, 3 * 10**4 + 2, 12).rows
+        rows = sample_dataset(gt, 3 * 10**4 + 2, 12)
         a = estimate_mean(rows, 0.01, seed=5)
         b = estimate_mean(rows[: 3 * 10**4], 0.01, seed=5)
         assert np.array_equal(a.mu_hat, b.mu_hat)
@@ -979,12 +978,11 @@ class TestEstimateMean:
         ref_z = fit_variance(rows[5000:]).Z
         for other in (np.asfortranarray(rows), wide[:, ::2]):
             assert fit_variance(other[5000:]).Z.tobytes() == ref_z.tobytes()
-            for data in (other, Dataset(other)):
-                est = estimate_mean(data, 0.01, seed=12)
-                assert est.mu_hat.tobytes() == ref.mu_hat.tobytes()
-                assert (est.rho_star, est.iterations) == (ref.rho_star, ref.iterations)
-                assert est.slabs.centers.tobytes() == ref.slabs.centers.tobytes()
-                assert est.slabs.widths.tobytes() == ref.slabs.widths.tobytes()
+            est = estimate_mean(other, 0.01, seed=12)
+            assert est.mu_hat.tobytes() == ref.mu_hat.tobytes()
+            assert (est.rho_star, est.iterations) == (ref.rho_star, ref.iterations)
+            assert est.slabs.centers.tobytes() == ref.slabs.centers.tobytes()
+            assert est.slabs.widths.tobytes() == ref.slabs.widths.tobytes()
 
     def test_accuracy_at_moderate_scale(self):
         gt = gaussian_gt([1.0, 1.0], mean=[2.0, -1.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirmean.rng import _NORM_CHUNK_BYTES, random_unit_rows, row_norms, stream
+from dirmean.rng import _NORM_CHUNK_BYTES, derive_seed, random_unit_rows, row_norms, stream
 
 
 def chunk_rows(d):
@@ -18,6 +18,21 @@ ROW_COUNTS = {
     "chunk+1": lambda chunk: chunk + 1,
     "1392": lambda chunk: 1392,
 }
+
+
+class TestDeriveSeed:
+    # the sub-seeds of the signed 16-byte encoding that derive_seed used before it reduced seeds mod 2**128
+    PINNED = {-1: 7991781654528382716, 0: 7309452749881976666, 2**127 - 1: 7641607605254031600,
+              -(2**127): 7245840907464099127, 2**64 + 5: 9028912156134644356}
+
+    @pytest.mark.parametrize("seed", list(PINNED), ids=["-1", "0", "2**127-1", "-2**127", "2**64+5"])
+    def test_pinned_sub_seeds(self, seed):
+        assert derive_seed(seed, "x", 3) == self.PINNED[seed]
+
+    @pytest.mark.parametrize("seed", [2**130, -(2**200), 2**127], ids=["2**130", "-2**200", "2**127"])
+    def test_any_integer_seed_is_reduced_mod_2_128(self, seed):
+        assert derive_seed(seed, "x", 3) == derive_seed(seed % 2**128, "x", 3)
+        assert 0 <= derive_seed(seed, "x", 3) < 2**63
 
 
 class TestRowNorms:

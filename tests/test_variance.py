@@ -57,7 +57,7 @@ class TestPsiInvariants:
     def test_block_permutation_invariance(self):
         est = self._fit()
         rng = np.random.default_rng(2)
-        perm = rng.permutation(est.n_blocks)
+        perm = rng.permutation(est.plan.n)
         shuffled = VarianceEstimator(est.Z[perm], est.plan)
         u = np.array([0.6, 0.0, 0.8])
         assert psi_profile(est, [u])[0] == pytest.approx(psi_profile(shuffled, [u])[0], rel=1e-12)
@@ -68,7 +68,7 @@ class TestPsiInvariants:
         for _ in range(20):
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
-            untrimmed = np.sum((est.Z @ u) ** 2) / (2.0 * est.n_blocks)
+            untrimmed = np.sum((est.Z @ u) ** 2) / (2.0 * est.plan.n)
             assert psi_profile(est, [u])[0] <= untrimmed + 1e-15
 
     def test_single_direction_matches_profile(self):
@@ -256,7 +256,7 @@ class TestStatisticalGuarantees:
         for trial in range(10):
             ds = sample_dataset(gt, 10**4, 1000 + trial)
             est = fit_variance(ds)
-            r = critical_level(gt.spectrum, est.n_blocks, c0=1.0)
+            r = critical_level(gt.spectrum, est.plan.n, c0=1.0)
             assert directional_sigma(gt, np.eye(d)[1]) <= r
             for _ in range(40):
                 v = rng.standard_normal(d)
