@@ -148,7 +148,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     # ~7 ms to load, and only this command runs it
-    from .diagnostics import check_ratio_conditions, check_uniform_ratios, quantile_sandwich_check, small_ball_check
+    from .diagnostics import (check_ratio_conditions, check_uniform_r, check_uniform_ratios, quantile_sandwich_check,
+                              small_ball_check)
 
     raw = _load_config_doc(args)
     doc = read_fields("diagnose", raw, DIAGNOSE_FIELDS)
@@ -180,6 +181,9 @@ def _cmd_diagnose(args) -> int:
             f"n = {n} is too small for theta = {theta}: the trim count round(theta n) "
             f"must be at least 1, so n must be at least {least}"
         )
+
+    if spec.family == "gaussian":
+        check_uniform_r(gt, doc["uniform"]["r"])
 
     u = np.eye(gt.dim)[0]
     sample = sample_marginal(gt, u, n, derive_seed(seed, "diagnose-sample"))

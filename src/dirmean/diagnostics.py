@@ -206,6 +206,18 @@ class RatioReport:
             yield [i, float(self.tail_margins[i]), float(self.interval_margins[i]), int(passed)]
 
 
+def check_uniform_r(gt: GroundTruth, r: float) -> None:
+    """Raise ValueError when no direction has sqrt(2) sigma(u) >= ``r``.
+
+    The largest value is sqrt(2 lambda_1), along the top eigenvector.
+    """
+    top = math.sqrt(2.0) * math.sqrt(gt.spectrum.eigenvalues[0])
+    if r > top:
+        raise ValueError(
+            f"no direction has sqrt(2) sigma(u) >= r = {r}: the largest value is sqrt(2 lambda_1) = {top}"
+        )
+
+
 def check_uniform_ratios(
     z_blocks: np.ndarray,
     gt: GroundTruth,
@@ -220,13 +232,15 @@ def check_uniform_ratios(
     projections have the law sqrt(2) sigma(u) times the standardized
     marginal.  A closed-form law for blocked differences exists only for
     the gaussian family; other families raise NoAnalyticOracleError.
-    Directions are sampled uniformly subject to sqrt(2) sigma(u) >= r.
+    Directions are sampled uniformly subject to sqrt(2) sigma(u) >= r, so
+    an ``r`` above every direction's value is refused before any draw.
     """
     if gt.spec.family != "gaussian":
         raise NoAnalyticOracleError(
             "uniform ratio check needs a closed-form law for blocked "
             f"difference projections; family {gt.spec.family!r} has none"
         )
+    check_uniform_r(gt, r)
     scale = math.sqrt(2.0)  # a pair difference doubles the variance
     z = np.atleast_2d(np.asarray(z_blocks, dtype=float))
     d = z.shape[1]
@@ -236,7 +250,7 @@ def check_uniform_ratios(
     while len(dirs) < n_dirs:
         attempts += 1
         if attempts > max(1000, 100 * n_dirs):
-            raise ValueError(f"could not sample {n_dirs} directions with sigma(u) >= {r}")
+            raise ValueError(f"could not sample {n_dirs} directions with sqrt(2) sigma(u) >= {r}")
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
         if scale * directional_sigma(gt, u) >= r:

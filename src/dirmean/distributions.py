@@ -180,8 +180,12 @@ def as_rows(data) -> np.ndarray:
 
     Only other layouts are copied, so the kernels' summation order, and
     hence every result, does not depend on the input's memory layout.
+    Anything but a 2-d array with d >= 1 is a ValueError naming its shape.
     """
-    return np.atleast_2d(np.ascontiguousarray(data, dtype=float))
+    rows = np.asarray(data, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 1:
+        raise ValueError(f"observations must be an (N, d) array with d >= 1, got shape {rows.shape}")
+    return np.ascontiguousarray(rows)
 
 
 def _check_unit(u: np.ndarray) -> np.ndarray:

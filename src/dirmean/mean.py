@@ -80,7 +80,7 @@ if sys.platform == "win32":
     import scipy  # noqa: F401
 # scipy's install directory, found without running scipy/__init__.py (~16 ms)
 _SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
-# for _slab_lp; eager, so no solve pays the import
+# for _CutState; eager, so no solve pays the import
 _core = _load_extension(_HIGHS_CORE, os.path.join(_SCIPY_DIR, "optimize", "_highspy"))
 
 
@@ -193,76 +193,71 @@ class SlabSystem:
 class SolveResult:
     v_star: np.ndarray
     rho_star: float
-    g_value: float
     iterations: int
     converged: bool
     final_gap: float
-
-
-def _slab_lp(d: int):
-    """One HiGHS model of  min t  over x in R^d free and t >= 0, grown by rounds.
-
-    Returns ``lp_round(u, s, b)``: it adds the rows s_i <u_i, x> + t >= b_i,
-    re-solves by dual simplex from the last basis (unscaled: the rows are
-    unit directions with a coefficient of one on t), and returns the
-    optimal (x, t), or None when HiGHS does not report the model optimal.
-    ``lp_round.prune()`` deletes the rows that are basic, i.e. not binding,
-    in the last optimal basis and returns the mask of the rows it kept, in
-    model order; what is left of the basis stays optimal, so the next round
-    resumes from it.  At most d + 1 rows are nonbasic, so at most d + 1 are
-    kept.  The only code that knows scipy's bundled binding (private API,
-    ``scipy.optimize._highspy._core``; see pyproject.toml).
-    """
-    highs = _core._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "off")
-    highs.setOptionValue("simplex_scale_strategy", 0)
-    highs.addVars(d + 1, np.r_[np.full(d, -_core.kHighsInf), 0.0], np.full(d + 1, _core.kHighsInf))
-    highs.changeColsCost(1, np.array([d], dtype=np.int32), np.array([1.0]))
-
-    def lp_round(u: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        k = s.size
-        block = np.hstack([s[:, np.newaxis] * u, np.ones((k, 1))])
-        rows, cols = np.nonzero(block)
-        starts = np.searchsorted(rows, np.arange(k)).astype(np.int32)
-        added = highs.addRows(
-            k, b, np.full(k, _core.kHighsInf), rows.size, starts, cols.astype(np.int32), block[rows, cols]
-        )
-        if added == _core.HighsStatus.kError:
-            return None
-        highs.run()
-        if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
-            return None
-        return np.array(highs.getSolution().col_value)
-
-    def prune() -> np.ndarray:
-        basic = _core.HighsBasisStatus.kBasic
-        keep = np.array([status != basic for status in highs.getBasis().row_status], dtype=bool)
-        drop = np.flatnonzero(~keep).astype(np.int32)
-        highs.deleteRows(drop.size, drop)
-        return keep
-
-    lp_round.prune = prune
-    return lp_round
 
 
 @dataclass
 class _CutState:
     """The cutting-plane LP of one estimate, carried from solve to solve.
 
-    ``lp`` is the ``_slab_lp`` model, None until a solve builds one and
-    after a round fails (the next solve then starts cold).  Its rows are
-    in the displacement x = v - ``origin``, the first solve's warm start,
-    so they stay valid as slabs are appended.  Column j of ``rows`` is the
-    (side, slab) of model row j, side 0 for s = +1 and 1 for s = -1;
-    ``point`` is the last restricted optimum and ``lower`` its slack.
+    ``highs`` is one HiGHS model of  min t  over x in R^d free and t >= 0,
+    None (cold) until :meth:`start` builds one and after a round fails.
+    Its rows s_i <u_i, x> + t >= b_i are in the displacement x = v -
+    ``origin``, the first solve's warm start, so they stay valid as slabs
+    are appended.  Column j of ``rows`` is the (side, slab) of model row j,
+    side 0 for s = +1 and 1 for s = -1; ``point`` is the last restricted
+    optimum and ``lower`` its slack.  The only code that knows scipy's
+    bundled binding ``_core`` (private API; see pyproject.toml).
     """
 
-    lp: object = None
+    highs: object = None
     origin: np.ndarray | None = None
     rows: np.ndarray | None = None
     point: np.ndarray | None = None
     lower: float = 0.0
+
+    def start(self, d: int, origin: np.ndarray) -> None:
+        """A fresh model without rows, around ``origin``."""
+        highs = _core._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+        highs.setOptionValue("simplex_scale_strategy", 0)
+        highs.addVars(d + 1, np.r_[np.full(d, -_core.kHighsInf), 0.0], np.full(d + 1, _core.kHighsInf))
+        highs.changeColsCost(1, np.array([d], dtype=np.int32), np.array([1.0]))
+        self.highs, self.origin, self.point, self.lower = highs, origin, origin, 0.0
+        self.rows = np.empty((2, 0), dtype=np.intp)
+
+    def round(self, slab: np.ndarray, u: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+        """Add the rows s_i <u_i, x> + t >= b_i of the slabs ``slab`` and resume
+        dual simplex from the last basis, unscaled (the rows are unit directions
+        with a coefficient of one on t).  Returns the optimal (x, t), or None,
+        leaving the state cold, when HiGHS does not report the model optimal."""
+        k = s.size
+        self.rows = np.hstack([self.rows, [(s < 0.0).astype(np.intp), slab]])
+        block = np.hstack([s[:, np.newaxis] * u, np.ones((k, 1))])
+        rows, cols = np.nonzero(block)
+        starts = np.searchsorted(rows, np.arange(k)).astype(np.int32)
+        added = self.highs.addRows(
+            k, b, np.full(k, _core.kHighsInf), rows.size, starts, cols.astype(np.int32), block[rows, cols]
+        )
+        if added != _core.HighsStatus.kError:
+            self.highs.run()
+            if self.highs.getModelStatus() == _core.HighsModelStatus.kOptimal:
+                return np.array(self.highs.getSolution().col_value)
+        self.highs = None
+        return None
+
+    def prune(self) -> None:
+        """Delete the rows that are basic, i.e. not binding, in the last optimal
+        basis.  The rest of the basis stays optimal, so the next round resumes
+        from it; at most d + 1 rows are nonbasic, so at most d + 1 are kept."""
+        basic = _core.HighsBasisStatus.kBasic
+        keep = np.array([status != basic for status in self.highs.getBasis().row_status], dtype=bool)
+        drop = np.flatnonzero(~keep).astype(np.int32)
+        self.highs.deleteRows(drop.size, drop)
+        self.rows = self.rows[:, keep]
 
 
 def solve_center(
@@ -318,12 +313,11 @@ def solve_center(
     if g_best > 0.0:
         if state is None:
             state = _CutState()
-        elif state.lp is not None:
-            state.rows = state.rows[:, state.lp.prune()]
-        if state.lp is None:  # cold: a fresh model around the warm start
-            state.lp, state.origin, state.point, state.lower = _slab_lp(d), v_warm, v_warm, 0.0
-            state.rows = np.empty((2, 0), dtype=np.intp)
-        lp_round, v, lower = state.lp, state.point, state.lower
+        elif state.highs is not None:
+            state.prune()
+        if state.highs is None:  # cold: a fresh model around the warm start
+            state.start(d, v_warm)
+        v, lower = state.point, state.lower
         r = c - u @ state.origin
         active = np.zeros((2, m), dtype=bool)  # sides s = +1 and s = -1 in the model
         active[state.rows[0], state.rows[1]] = True
@@ -340,28 +334,24 @@ def solve_center(
             if cand.size == 0:
                 break  # only the LP's own tolerance is left to close
             new = cand[np.argsort(-viol[cand], kind="stable")[: 2 * (d + 1)]]
-            side = below[new].astype(np.intp)
-            active[side, new] = True
-            state.rows = np.hstack([state.rows, [side, new]])
+            active[below[new].astype(np.intp), new] = True
             s = np.where(below[new], -1.0, 1.0)
-            sol = lp_round(u[new], s, s * r[new] - w[new])
+            sol = state.round(new, u[new], s, s * r[new] - w[new])
             rounds += 1
             if sol is None:
-                optimal, state.lp = False, None
+                optimal = False
                 break
             lower = float(sol[d])
             v = state.origin + sol[:d]
         state.point, state.lower = v, lower
 
-    g_final = slabs.max_violation(v_best)
-    rho_star = max(g_final, 0.0)
+    rho_star = max(slabs.max_violation(v_best), 0.0)
     # v_best is feasible for the restricted LP at t = rho_star, so the
     # restricted optimum is at most rho_star whatever HiGHS rounded to
     lower = min(lower, rho_star)
     return SolveResult(
         v_star=v_best,
         rho_star=rho_star,
-        g_value=g_final,
         iterations=rounds,
         converged=optimal and rho_star - lower <= TOL * (1.0 + lower),
         final_gap=rho_star - lower,

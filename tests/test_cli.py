@@ -326,6 +326,29 @@ class TestDiagnoseCommand:
         assert "ratio_conditions" in doc and "quantile_sandwich" in doc
 
 
+    def test_unreachable_uniform_r_exits_1_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # sqrt(2) sigma(u) is at most sqrt(2 lambda_1) = sqrt(2) < 1.45
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the r check")
+
+        monkeypatch.setattr("dirmean.cli.sample_marginal", no_draw)
+        monkeypatch.setattr("dirmean.cli.sample_dataset", no_draw)
+        doc = {"distribution": dict(GAUSS_2D, eigenvalues=[1.0, 0.5]), "uniform": {"r": 1.45}}
+        cfg = write_json(tmp_path / "d.json", doc)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("ERROR 1: no direction has sqrt(2) sigma(u) >= r = 1.45: the largest value is "
+                       f"sqrt(2 lambda_1) = {np.sqrt(2.0)}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_reachable_uniform_r_samples_its_directions(self, tmp_path):
+        doc = {"distribution": dict(GAUSS_2D, eigenvalues=[1.0, 0.5]), "n": 2000,
+               "small_ball": {"m": 4, "trials": 200}, "uniform": {"n_dirs": 5, "r": 1.3}}
+        cfg = write_json(tmp_path / "d.json", doc)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "uniform_ratios.json").read_text())
+        assert report["r_used"] == 1.3 and report["n_directions"] == 5
+
     @pytest.mark.parametrize("uniform", [{}, {"n_dirs": 5}])
     def test_uniform_section_for_another_family_exits_1(self, tmp_path, capsys, uniform):
         student = dict(GAUSS_2D, family="elliptical-student", dof=5.0)

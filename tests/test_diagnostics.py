@@ -183,6 +183,13 @@ class TestUniformRatios:
         # sqrt(2) sigma(u) >= 1.2 forces |u_1| >= 1.2 / sqrt(2)
         assert np.all(np.abs(rep.directions[:, 0]) >= 1.2 / np.sqrt(2.0) - 1e-12)
 
+    def test_unreachable_r_refused_before_any_draw(self):
+        # sqrt(2) sigma(u) <= sqrt(2 lambda_1) = sqrt(2) for eigenvalues (1, 0.5)
+        gt = make_ground_truth(DistributionSpec("gaussian", SpectrumSpec((1.0, 0.5)), mean=(0.0, 0.0)))
+        with pytest.raises(ValueError, match=r"no direction has sqrt\(2\) sigma\(u\) >= r = 1.45"):
+            check_uniform_ratios(np.zeros((10, 2)), gt, 0.02, r=1.45, n_dirs=5, seed=0)
+        assert check_uniform_ratios(np.zeros((10, 2)), gt, 0.02, r=1.3, n_dirs=5, seed=0).directions.shape == (5, 2)
+
     def test_student_family_has_no_block_oracle(self):
         spec = DistributionSpec(
             "elliptical-student", SpectrumSpec((1.0, 1.0)), mean=(0.0, 0.0), dof=3.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -6,7 +8,10 @@ from dirmean import (
     DistributionSpec,
     NoAnalyticOracleError,
     SpectrumSpec,
+    baseline_empirical_mean,
     directional_sigma,
+    estimate_mean,
+    fit_variance,
     make_ground_truth,
     marginal_oracle,
     make_ground_truth as _mgt,
@@ -250,6 +255,16 @@ class TestSampling:
         half_sq = 0.5 * proj**2
         stderr = half_sq.std() / np.sqrt(half_sq.size)
         assert abs(half_sq.mean() - directional_sigma(gt, u) ** 2) < 3 * stderr
+
+
+class TestAsRows:
+    @pytest.mark.parametrize("data", [np.ones(30000), np.ones((30000, 0)), np.float64(1.0)], ids=["N", "N-0", "scalar"])
+    @pytest.mark.parametrize("entry", [lambda x: estimate_mean(x, 0.01), fit_variance, baseline_empirical_mean],
+                             ids=["estimate_mean", "fit_variance", "baseline_empirical_mean"])
+    def test_observations_must_be_n_by_d(self, data, entry):
+        with pytest.raises(ValueError, match=rf"observations must be an \(N, d\) array with d >= 1, got shape "
+                                             rf"{re.escape(str(np.shape(data)))}$"):
+            entry(data)
 
 
 class TestTailEigensum:

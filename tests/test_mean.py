@@ -2,6 +2,7 @@ import json
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,26 +62,50 @@ def dense_lp_optimum(slabs):
     return res.fun
 
 
-def failing_after(good_rounds, solutions):
-    """A stand-in for ``_slab_lp`` whose rounds fail after ``good_rounds``.
+def check_row_map(state):
+    """Column j of ``state.rows`` is a distinct (side, slab) pair for each model row j."""
+    assert state.rows.shape[1] == state.highs.getNumRow()
+    sides = state.rows.T.tolist()
+    assert len({tuple(side) for side in sides}) == len(sides)
+    assert set(state.rows[0].tolist()) <= {0, 1} and (state.rows[1] >= 0).all()
 
-    The solutions of the good rounds are appended to ``solutions``.
+
+def record_lp(monkeypatch, fail_at=()):
+    """Patch ``_CutState`` to record its models, rounds and prunes.
+
+    The log lists each model ``start`` built, each round's (u, s, b), each
+    optimal (x, t) and (rows kept, model rows) after each prune; the row map
+    is checked after every start, solved round and prune.  Round n, counted
+    from 1, fails for n in ``fail_at``: it returns None and leaves the state
+    cold, as a round HiGHS does not solve does.
     """
-    real_slab_lp = mean_module._slab_lp
+    log = SimpleNamespace(models=[], rounds=[], solutions=[], prunes=[])
+    start, lp_round, prune = _CutState.start, _CutState.round, _CutState.prune
 
-    def slab_lp(d):
-        lp_round = real_slab_lp(d)
+    def logged_start(self, d, origin):
+        start(self, d, origin)
+        log.models.append(self.highs)
+        check_row_map(self)
 
-        def flaky_round(u, s, b):
-            if len(solutions) == good_rounds:
-                return None
-            solutions.append(lp_round(u, s, b))
-            return solutions[-1]
+    def logged_round(self, slab, u, s, b):
+        log.rounds.append((u.copy(), s.copy(), b.copy()))
+        if len(log.rounds) in fail_at:
+            self.highs = None
+            return None
+        log.solutions.append(lp_round(self, slab, u, s, b))
+        check_row_map(self)
+        assert np.array_equal(self.rows[:, -s.size :], [s < 0.0, slab])
+        return log.solutions[-1]
 
-        flaky_round.prune = lp_round.prune
-        return flaky_round
+    def logged_prune(self):
+        prune(self)
+        log.prunes.append((self.rows.shape[1], self.highs.getNumRow()))
+        check_row_map(self)
 
-    return slab_lp
+    monkeypatch.setattr(_CutState, "start", logged_start)
+    monkeypatch.setattr(_CutState, "round", logged_round)
+    monkeypatch.setattr(_CutState, "prune", logged_prune)
+    return log
 
 
 def append_violators(rng, slabs, res, probes=64, append=16):
@@ -496,7 +521,7 @@ class TestSolveCenter:
         slabs = SlabSystem(u, rng.standard_normal(30), np.zeros(30))
         v_init = rng.standard_normal(4)
         res = solve_center(slabs, v_init=v_init)
-        assert res.g_value <= slabs.max_violation(v_init) + 1e-12
+        assert slabs.max_violation(res.v_star) <= slabs.max_violation(v_init) + 1e-12
 
     def test_adding_slabs_cannot_reduce_minimax(self):
         rng = np.random.default_rng(7)
@@ -546,7 +571,7 @@ class TestSolveCenter:
         assert np.array_equal(res.v_star, v_init)
 
     def test_lp_failure_flags_not_raises(self, monkeypatch):
-        monkeypatch.setattr(mean_module, "_slab_lp", failing_after(0, []))
+        record_lp(monkeypatch, fail_at={1})
         slabs = SlabSystem(np.array([[1.0], [1.0]]), centers=[0.0, 2.0], widths=[0.0, 0.0])
         res = solve_center(slabs, v_init=np.array([0.5]))
         assert not res.converged and res.iterations == 1
@@ -556,7 +581,7 @@ class TestSolveCenter:
     def test_failure_flags_even_a_gap_within_tolerance(self, monkeypatch):
         # the warm start is 5e-10 from the optimum 1e-9, inside TOL, but no
         # round certified it
-        monkeypatch.setattr(mean_module, "_slab_lp", failing_after(0, []))
+        record_lp(monkeypatch, fail_at={1})
         slabs = SlabSystem(np.array([[1.0], [1.0]]), centers=[0.0, 2e-9], widths=[0.0, 0.0])
         res = solve_center(slabs, v_init=np.array([0.5e-9]))
         assert not res.converged and res.rho_star == pytest.approx(1.5e-9)
@@ -570,16 +595,18 @@ class TestSolveCenter:
                 return super().run()
 
         # the violated sides at x = 0 of |-0.5 - x| <= t and |1.5 - x| <= t
-        slab_args = (np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]), np.array([0.5, 1.5]))
-        assert np.allclose(mean_module._slab_lp(1)(*slab_args), [0.5, 1.0])
+        slab_args = (np.arange(2), np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]), np.array([0.5, 1.5]))
+        state = _CutState()
+        state.start(1, np.zeros(1))
+        assert np.allclose(state.round(*slab_args), [0.5, 1.0])
         monkeypatch.setattr(_core, "_Highs", IterationLimited)
-        assert mean_module._slab_lp(1)(*slab_args) is None
+        state.start(1, np.zeros(1))
+        assert state.round(*slab_args) is None and state.highs is None
 
     def test_failure_in_a_later_round_returns_the_round_one_point(self, monkeypatch):
         slabs = random_infeasible_system(np.random.default_rng(3), 50, 500)
         assert solve_center(slabs).iterations >= 2
-        solutions = []
-        monkeypatch.setattr(mean_module, "_slab_lp", failing_after(1, solutions))
+        solutions = record_lp(monkeypatch, fail_at={2}).solutions
         res = solve_center(slabs)
         assert not res.converged and res.iterations == 2
         warm = np.linalg.lstsq(slabs.directions, slabs.centers, rcond=None)[0]
@@ -594,28 +621,15 @@ class TestOneSidedCuts:
         """Record each round's (u, s, b) and the row count of each HiGHS addRows call."""
         from scipy.optimize._highspy import _core
 
-        rounds, added = [], []
+        added = []
 
         class RowCounting(_core._Highs):
             def addRows(self, num_new_row, *args):
                 added.append(num_new_row)
                 return super().addRows(num_new_row, *args)
 
-        real_slab_lp = mean_module._slab_lp
-
-        def slab_lp(d):
-            lp_round = real_slab_lp(d)
-
-            def recording_round(u, s, b):
-                rounds.append((u.copy(), s.copy(), b.copy()))
-                return lp_round(u, s, b)
-
-            recording_round.prune = lp_round.prune
-            return recording_round
-
         monkeypatch.setattr(_core, "_Highs", RowCounting)
-        monkeypatch.setattr(mean_module, "_slab_lp", slab_lp)
-        return rounds, added
+        return record_lp(monkeypatch).rounds, added
 
     def test_overshot_slab_gets_its_other_side_later(self, monkeypatch):
         # slabs [-5, -4], [0, 1] and [0, 24] on the line; the warm start 8/3
@@ -650,43 +664,12 @@ class TestOneSidedCuts:
 class TestResumedSolve:
     """solve_center carrying one model from solve to solve, as estimate_mean does."""
 
-    @staticmethod
-    def recorded_models(monkeypatch):
-        """The HiGHS models _slab_lp built, and (rows kept, model rows) after each prune."""
-        from scipy.optimize._highspy import _core
-
-        created, models, prunes = [], [], []
-
-        class Recorded(_core._Highs):
-            def __init__(self):
-                super().__init__()
-                created.append(self)
-
-        real_slab_lp = mean_module._slab_lp
-
-        def slab_lp(d):
-            lp_round = real_slab_lp(d)
-            model, real_prune = created[-1], lp_round.prune
-            models.append(model)
-
-            def prune():
-                keep = real_prune()
-                prunes.append((int(keep.sum()), model.getNumRow()))
-                return keep
-
-            lp_round.prune = prune
-            return lp_round
-
-        monkeypatch.setattr(_core, "_Highs", Recorded)
-        monkeypatch.setattr(mean_module, "_slab_lp", slab_lp)
-        return models, prunes
-
     def test_resumed_solves_are_optimal_on_pruned_models(self, monkeypatch):
         rng = np.random.default_rng(13)
         for _ in range(20):
             d = int(rng.integers(1, 11))
             slabs = random_infeasible_system(rng, d, int(rng.integers(d + 1, 201)))
-            models, prunes = self.recorded_models(monkeypatch)
+            log = record_lp(monkeypatch)
             state = _CutState()
             res = solve_center(slabs, state=state)
             for resolve in range(1, 4):
@@ -697,58 +680,45 @@ class TestResumedSolve:
                 assert abs(res.rho_star - optimum) <= TOL * (1.0 + optimum)
                 assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
                 assert slabs.max_violation(res.v_star) == res.rho_star
-                assert len(models) == 1 and len(prunes) == resolve
-                kept, model_rows = prunes[-1]
+                assert len(log.models) == 1 and len(log.prunes) == resolve
+                kept, model_rows = log.prunes[-1]
                 assert kept == model_rows <= d + 1
-                assert state.rows.shape[1] == models[0].getNumRow()
-            # every row the model holds is a distinct side of a current slab
-            sides = state.rows.T.tolist()
-            assert len({tuple(side) for side in sides}) == len(sides)
-            assert state.rows[1].max() < slabs.n_slabs
+                assert state.rows.shape[1] == log.models[0].getNumRow()
+                # every row the model holds is a distinct side of a current slab
+                sides = state.rows.T.tolist()
+                assert len({tuple(side) for side in sides}) == len(sides)
+                assert state.rows[1].max() < slabs.n_slabs
 
     def test_failed_round_mid_refine_restarts_cold(self, monkeypatch):
         rng = np.random.default_rng(14)
         slabs = random_infeasible_system(rng, 6, 150)
-        real_slab_lp = mean_module._slab_lp
-        built, calls, fail_at = [], [], set()
-
-        def slab_lp(d):
-            lp_round = real_slab_lp(d)
-            built.append(lp_round)
-
-            def flaky_round(u, s, b):
-                calls.append(len(built))
-                return None if len(calls) in fail_at else lp_round(u, s, b)
-
-            flaky_round.prune = lp_round.prune
-            return flaky_round
-
-        monkeypatch.setattr(mean_module, "_slab_lp", slab_lp)
+        fail_at = set()
+        log = record_lp(monkeypatch, fail_at)
         state = _CutState()
         first = solve_center(slabs, state=state)
-        assert first.converged and len(built) == 1
+        assert first.converged and len(log.models) == 1
         slabs = append_violators(rng, slabs, first)
-        fail_at.add(len(calls) + 1)  # the first round of the resumed solve
+        fail_at.add(len(log.rounds) + 1)  # the first round of the resumed solve
         failed = solve_center(slabs, v_init=first.v_star, state=state)
-        assert not failed.converged and failed.iterations == 1 and state.lp is None
+        assert not failed.converged and failed.iterations == 1 and state.highs is None
         assert slabs.max_violation(failed.v_star) == failed.rho_star
         assert failed.rho_star <= slabs.max_violation(first.v_star)
         again = solve_center(slabs, v_init=failed.v_star, state=state)
-        assert len(built) == 2 and again.converged
+        assert len(log.models) == 2 and again.converged
         assert again.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-9)
         cold = solve_center(slabs, v_init=failed.v_star)
         assert again.v_star.tobytes() == cold.v_star.tobytes()
         assert again.iterations == cold.iterations
 
     def test_one_model_per_estimate(self, monkeypatch):
-        models, prunes = self.recorded_models(monkeypatch)
+        log = record_lp(monkeypatch)
         gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
         # a small direction set leaves violators for the probes: 3 refine rounds
         cfg = PipelineConfig(gamma=1.0, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64)
         est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
         assert est.refinement_rounds == 3 and est.converged
-        assert len(models) == 1 and len(prunes) == est.refinement_rounds
-        assert all(kept == rows <= 5 for kept, rows in prunes)
+        assert len(log.models) == 1 and len(log.prunes) == est.refinement_rounds
+        assert all(kept == rows <= 5 for kept, rows in log.prunes)
         optimum = dense_lp_optimum(est.slabs)
         assert abs(est.rho_star - optimum) <= TOL * (1.0 + optimum)
 
@@ -817,7 +787,7 @@ class TestHighsBinding:
         assert isinstance(kHighsInf, float)
 
     def test_unscaled_simplex_option_exists(self):
-        # _slab_lp turns scaling off; a renamed option would be ignored silently
+        # _CutState.start turns scaling off; a renamed option would be ignored silently
         from scipy.optimize._highspy._core import HighsStatus, _Highs
 
         assert _Highs().setOptionValue("simplex_scale_strategy", 0) == HighsStatus.kOk
