@@ -76,13 +76,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def write_dataset_csv(rows: np.ndarray, path: str) -> None:
-    """Full double precision via shortest round-trip decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(rows):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def read_dataset_csv(path: str) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"

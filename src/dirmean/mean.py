@@ -43,12 +43,6 @@ from .variance import VarianceEstimator, fit_variance, psi_profile
 
 DUPLICATE_DOT = 1.0 - 1e-12  # |cos| above this counts as the same direction
 TOL = 1e-8  # certified solver gap, relative to 1 + the LP lower bound
-# Unit rows with |cos| >= DUPLICATE_DOT lie within sqrt(2 (1 - DUPLICATE_DOT))
-# ~ 1.42e-6 of each other (up to sign), so their |projections| on any unit
-# vector differ by at most that; _SCREEN is about 7 times the bound, which
-# leaves room for rounding in the norms and dots.
-_SCREEN = 1e-5
-_PAIR_BATCH = 256  # key-screened pairs whose exact |cos| is taken per product
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
@@ -161,15 +155,20 @@ class SlabSystem:
     widths: np.ndarray
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         u = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        if np.any(np.abs(row_norms(u) - 1.0) > 1e-12):
+        if not np.all(np.abs(row_norms(u) - 1.0) <= 1e-12):
             raise ValueError("all slab directions must be unit vectors")
-        if np.any(np.asarray(self.widths) < 0):
-            raise ValueError("slab widths must be nonnegative")
+        c = np.asarray(self.centers, dtype=float).reshape(-1)
+        w = np.asarray(self.widths, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("slab centers must be finite")
+        if not np.all((w >= 0.0) & (w < np.inf)):
+            raise ValueError("slab widths must be finite and nonnegative")
         object.__setattr__(self, "directions", u)
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float).reshape(-1))
-        object.__setattr__(self, "widths", np.asarray(self.widths, dtype=float).reshape(-1))
-        if not (self.centers.size == self.widths.size == u.shape[0]):
+        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "widths", w)
+        if not (c.size == w.size == u.shape[0]):
             raise ValueError("directions, centers and widths must have matching lengths")
 
     @property
@@ -224,6 +223,10 @@ class _CutState:
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("presolve", "off")
         highs.setOptionValue("simplex_scale_strategy", 0)
+        # HiGHS's own feasibility tolerances (1e-7, absolute) would leak into
+        # the certified gap on small slabs or near-parallel rows
+        highs.setOptionValue("primal_feasibility_tolerance", 1e-10)
+        highs.setOptionValue("dual_feasibility_tolerance", 1e-10)
         highs.addVars(d + 1, np.r_[np.full(d, -_core.kHighsInf), 0.0], np.full(d + 1, _core.kHighsInf))
         highs.changeColsCost(1, np.array([d], dtype=np.int32), np.array([1.0]))
         self.highs, self.origin, self.point, self.lower = highs, origin, origin, 0.0
@@ -300,8 +303,6 @@ def solve_center(
     m, d = u.shape
     if m < 1:
         raise ValueError("need at least one slab")
-    if not np.all(np.isfinite(c)) or not np.all(np.isfinite(w)):
-        raise ValueError("slab centers and widths must be finite")
 
     if v_init is None:
         # least-squares assembly of the centers; exact on consistent systems
@@ -373,78 +374,21 @@ def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
     return top * np.sign(lead)[:, np.newaxis]
 
 
-def _keep_new(out: np.ndarray, count: int, cand: np.ndarray) -> int:
-    """Append the new unit rows of ``cand`` to ``out[:count]``; return the new count.
-
-    Sequential rule: in order, a candidate is kept while ``out`` has room and
-    its |cos| with every row kept before it is below DUPLICATE_DOT.  Applied
-    through one sorted key, |row . r| for a fixed generic unit vector r: a
-    near-duplicate pair has keys within _SCREEN, so only pairs whose keys lie
-    that close get the exact |cos| test, in batches, so memory stays
-    O((count + len(cand)) d) however many keys coincide.  The rare candidates
-    in a clash are then resolved in row order against the rows kept before
-    them.  ``cand`` may be the view ``out[count:]``: then, when every
-    candidate is kept, the rows are already in place.
-    """
-    budget, d = out.shape
-    k = cand.shape[0]
-    r = np.cos(np.arange(1.0, d + 1.0))  # no RNG draw; no two canonical rows share a key
-    r /= np.linalg.norm(r)
-    keys = np.abs(np.concatenate([out[:count] @ r, cand @ r]))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-
-    def rows(idx: np.ndarray) -> np.ndarray:  # rows by index into out[:count] + cand
-        got = np.empty((idx.size, d))
-        old = idx < count
-        got[old] = out[idx[old]]
-        got[~old] = cand[idx[~old] - count]
-        return got
-
-    # open: a candidate with no clash found yet.  A pair s apart in key order
-    # within _SCREEN has every pair between its ends within _SCREEN too, so
-    # once no such pair has an open end, no pair further apart can have one.
-    open_ = np.arange(count + k) >= count
-    for s in range(1, count + k):
-        near = np.flatnonzero(sorted_keys[s:] - sorted_keys[:-s] <= _SCREEN)
-        i, j = order[near], order[near + s]
-        test = open_[i] | open_[j]
-        if not test.any():
-            break
-        i, j = i[test], j[test]
-        for b in range(0, i.size, _PAIR_BATCH):
-            ib, jb = i[b : b + _PAIR_BATCH], j[b : b + _PAIR_BATCH]
-            dup = np.abs(np.einsum("ij,ij->i", rows(ib), rows(jb))) >= DUPLICATE_DOT
-            open_[ib[dup]] = open_[jb[dup]] = False
-
-    keep = open_[count:]
-    clashed = np.flatnonzero(~keep) + count  # ascending: row order
-    if clashed.size:
-        alive = np.arange(count + k) < count  # kept rows and the clashed candidates kept so far
-        lo = np.searchsorted(sorted_keys, keys[clashed] - _SCREEN, "left")
-        hi = np.searchsorted(sorted_keys, keys[clashed] + _SCREEN, "right")
-        for c, a, b in zip(clashed, lo, hi):
-            near = order[a:b]
-            near = near[alive[near]]
-            if not near.size or np.abs(rows(near) @ cand[c - count]).max() < DUPLICATE_DOT:
-                keep[c - count] = alive[c] = True
-    new = (cand if keep.all() else cand[keep])[: budget - count]
-    out[count : count + new.shape[0]] = new
-    return count + new.shape[0]
-
-
 def build_direction_set(
     d: int, budget: int, seed: int, var_est: VarianceEstimator | None = None
 ) -> np.ndarray:
     """Canonical basis + leading block-eigenvectors + random unit fill.
 
-    Rows are unit vectors: after e1..ed, the top min(d, 8) eigenvectors of
-    the variance blocks' second moment, then batches of the rows still
-    missing from the seed's "direction-fill" stream.  A candidate is dropped
-    when |cos| with a row already kept is at least DUPLICATE_DOT = 1 - 1e-12,
-    an angle of about 1.41e-6 rad to that row or its negation (the slab
-    modulus makes u and -u equivalent).  In one dimension e1 is the only
-    such direction, so the set is [[1.0]] whatever the budget.
+    Rows are unit vectors: e1..ed, then the top min(d, 8) eigenvectors of
+    the variance blocks' second moment, then the rows still missing, drawn
+    from the seed's "direction-fill" stream and used as drawn.  An
+    eigendirection is left out when its largest |coordinate|, its |cos|
+    with the nearest canonical row, is at least DUPLICATE_DOT = 1 - 1e-12
+    (about 1.41e-6 rad from that row or its negation); eigh returns
+    orthonormal vectors, so no two eigendirections are that close.  The
+    fill is not checked: a near-duplicate row repeats a slab, which changes
+    neither g(v) nor the LP optimum.  Every unit vector of R^1 is +-e1, so
+    in one dimension the set is [[1.0]] whatever the budget.
     """
     if budget < 2 * d:
         raise ValueError(f"directions = {budget} (the direction budget) must be at least 2 d = {2 * d}")
@@ -454,10 +398,11 @@ def build_direction_set(
     out[:d] = np.eye(d)
     count = d
     if var_est is not None:
-        count = _keep_new(out, count, _eigendirections(var_est.Z, min(d, 8)))
-    rng = stream(seed, "direction-fill")
-    while count < budget:  # each batch is drawn straight into the free rows
-        count = _keep_new(out, count, random_unit_rows(rng, budget - count, d, out=out[count:]))
+        learned = _eigendirections(var_est.Z, min(d, 8))
+        learned = learned[np.abs(learned).max(axis=1) < DUPLICATE_DOT]
+        count += learned.shape[0]
+        out[d:count] = learned
+    random_unit_rows(stream(seed, "direction-fill"), budget - count, d, out=out[count:])
     return out
 
 

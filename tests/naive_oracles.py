@@ -48,30 +48,13 @@ def brute_force_interval_sup(sample, cdf):
 
 
 
-def oracle_keep_new(kept, n, candidates, dup_dot):
-    """Sequential dedupe into the preallocated rows ``kept``, of which the
-    first ``n`` are filled: one candidate at a time, kept while ``kept`` has
-    room and its |cos| with every kept row is below ``dup_dot``.  Returns
-    the new fill count."""
-    for v in candidates:
-        if n < kept.shape[0] and np.max(np.abs(kept[:n] @ v)) < dup_dot:
-            kept[n] = v
-            n += 1
-    return n
-
-
-def oracle_direction_fill(initial_rows, budget, rng, dup_dot):
-    """The random unit fill of a direction set, deduplicated one candidate
-    at a time: each pass draws as many rows as are still missing."""
+def oracle_direction_fill(initial_rows, budget, rng):
+    """The random unit fill of a direction set: the rows still missing,
+    drawn in one batch and scaled by their np.linalg.norm."""
     initial_rows = np.atleast_2d(np.asarray(initial_rows, dtype=float))
     n, d = initial_rows.shape
-    kept = np.empty((budget, d))
-    kept[:n] = initial_rows
-    while n < budget:
-        batch = rng.standard_normal((budget - n, d))
-        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        n = oracle_keep_new(kept, n, batch, dup_dot)
-    return kept
+    batch = rng.standard_normal((budget - n, d))
+    return np.vstack([initial_rows, batch / np.linalg.norm(batch, axis=1, keepdims=True)])
 
 
 def oracle_sample_rows(gt, n, seed):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dirmean.cli import main, read_dataset_csv, write_dataset_csv
+from dirmean.cli import main, read_dataset_csv
 
 GAUSS_2D = {
     "family": "gaussian",
@@ -61,9 +61,9 @@ class TestDatasetCsv:
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((17, 3)) * 1e6
         path = tmp_path / "data.csv"
-        write_dataset_csv(rows, str(path))
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
         back = read_dataset_csv(str(path))
-        assert np.array_equal(back, rows)  # shortest round-trip decimals
+        assert np.array_equal(back, rows)  # 17 significant digits recover every double
 
 
 class TestEstimateCommand:
@@ -82,7 +82,7 @@ class TestEstimateCommand:
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((1800, 2)) + [1.0, 2.0]
         data = tmp_path / "data.csv"
-        write_dataset_csv(rows, str(data))
+        np.savetxt(data, rows, delimiter=",", fmt="%.17g")
         cfg = write_json(tmp_path / "cfg.json", {
             "distribution": GAUSS_2D, "delta": 0.05, "config": TINY_CONFIG,
         })
@@ -98,7 +98,7 @@ class TestEstimateCommand:
         rows = np.random.default_rng(2).standard_normal((1800, 2))
         rows[1500, 0] = value
         data = tmp_path / "data.csv"
-        write_dataset_csv(rows, str(data))
+        np.savetxt(data, rows, delimiter=",", fmt="%.17g")
         cfg = write_json(tmp_path / "cfg.json", {
             "distribution": GAUSS_2D, "delta": 0.05, "config": TINY_CONFIG,
         })
@@ -108,7 +108,7 @@ class TestEstimateCommand:
 
     def test_n_total_other_than_the_data_rows_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
-        write_dataset_csv(np.random.default_rng(3).standard_normal((1800, 2)), str(data))
+        np.savetxt(data, np.random.default_rng(3).standard_normal((1800, 2)), delimiter=",", fmt="%.17g")
         cfg = write_json(tmp_path / "cfg.json", {
             "distribution": GAUSS_2D, "n_total": 3000, "delta": 0.05, "config": TINY_CONFIG,
         })
@@ -118,7 +118,7 @@ class TestEstimateCommand:
 
     def test_n_total_equal_to_the_data_rows_runs(self, tmp_path):
         data = tmp_path / "data.csv"
-        write_dataset_csv(np.random.default_rng(3).standard_normal((1800, 2)), str(data))
+        np.savetxt(data, np.random.default_rng(3).standard_normal((1800, 2)), delimiter=",", fmt="%.17g")
         cfg = write_json(tmp_path / "cfg.json", {
             "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": TINY_CONFIG,
         })
@@ -127,7 +127,7 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("columns", [1, 3])
     def test_data_columns_other_than_the_dimension_exit_1(self, tmp_path, capsys, columns):
         data = tmp_path / "data.csv"
-        write_dataset_csv(np.random.default_rng(4).standard_normal((1800, columns)), str(data))
+        np.savetxt(data, np.random.default_rng(4).standard_normal((1800, columns)), delimiter=",", fmt="%.17g")
         cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "delta": 0.05, "config": TINY_CONFIG})
         assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"ERROR 1: distribution has dimension 2, but --data has {columns} columns\n"
@@ -149,7 +149,7 @@ class TestEstimateCommand:
 
     def test_tiny_data_file_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
-        write_dataset_csv(np.ones((8, 2)), str(data))
+        np.savetxt(data, np.ones((8, 2)), delimiter=",", fmt="%.17g")
         cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "delta": 0.01})
         assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("ERROR 2: 8 rows are too few for the mean stage")
