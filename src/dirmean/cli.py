@@ -9,8 +9,10 @@ simulate    run a Monte Carlo scenario; emits the trial table CSV plus a
 diagnose    run the ratio / sandwich / small-ball diagnostics for a spec.
 lowerbound  run the empirical-mean lower-bound experiment.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible sizing, 3 I/O error.
-All failures print a single line ``ERROR <code>: <message>`` to stderr.
+Exit codes: 0 success, 1 usage error (also an input that asks for more
+memory than the machine has, such as a huge ``n_total``), 2 infeasible
+sizing, 3 I/O error.  All failures print a single line
+``ERROR <code>: <message>`` to stderr.
 """
 
 from __future__ import annotations
@@ -269,6 +271,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR {EXIT_IO}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"ERROR {EXIT_USAGE}: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

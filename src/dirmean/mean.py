@@ -360,17 +360,31 @@ def solve_center(
 
 
 def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
-    """Top ``count`` eigenvectors of Z^T Z / n as rows, largest-|coordinate| positive.
+    """Top ``count`` eigenvectors of Z^T Z as rows, largest-|coordinate| positive.
 
-    Z is scaled by its largest entry first, which leaves the eigenvectors as
-    they are and keeps the Gram matrix from overflowing.  Z = 0 has none.
+    Z (n x d) is scaled by its largest entry first, which leaves the
+    eigenvectors as they are and keeps the Gram matrix from overflowing.
+    Tall or square Z (n >= d) takes the eigh of the d x d Gram Z^T Z.  Wide
+    Z (n < d) takes that of the n x n Gram Z Z^T instead: its eigenvector w
+    maps to the eigenvector Z^T w / |Z^T w| of Z^T Z, with the same
+    eigenvalue.  Either way only eigenvalues above
+    lambda_max * max(n, d) * eps are kept; below that floor rounding picks
+    the vector (any null-space vector of Z^T Z, or 0/0 after the map), so a
+    Z of rank r gives at most r rows and Z = 0 none.
     """
+    n, d = z.shape
     scale = np.abs(z).max()
     if scale == 0.0:
-        return np.empty((0, z.shape[1]))
+        return np.empty((0, d))
     zs = z / scale
-    top = np.linalg.eigh(zs.T @ zs)[1][:, ::-1][:, :count].T  # eigh sorts ascending
-    lead = top[np.arange(count), np.abs(top).argmax(axis=1)]
+    wide = n < d
+    vals, vecs = np.linalg.eigh(zs @ zs.T if wide else zs.T @ zs)
+    vals, vecs = vals[::-1][:count], vecs[:, ::-1][:, :count]  # eigh sorts ascending
+    top = vecs.T[vals > vals[0] * max(n, d) * np.finfo(float).eps]
+    if wide:
+        top = top @ zs
+        top /= row_norms(top)
+    lead = top[np.arange(top.shape[0]), np.abs(top).argmax(axis=1)]
     return top * np.sign(lead)[:, np.newaxis]
 
 
@@ -380,7 +394,8 @@ def build_direction_set(
     """Canonical basis + leading block-eigenvectors + random unit fill.
 
     Rows are unit vectors: e1..ed, then the top min(d, 8) eigenvectors of
-    the variance blocks' second moment, then the rows still missing, drawn
+    the variance blocks' second moment (fewer when the blocks have lower
+    rank, see :func:`_eigendirections`), then the rows still missing, drawn
     from the seed's "direction-fill" stream and used as drawn.  An
     eigendirection is left out when its largest |coordinate|, its |cos|
     with the nearest canonical row, is at least DUPLICATE_DOT = 1 - 1e-12
@@ -388,10 +403,13 @@ def build_direction_set(
     orthonormal vectors, so no two eigendirections are that close.  The
     fill is not checked: a near-duplicate row repeats a slab, which changes
     neither g(v) nor the LP optimum.  Every unit vector of R^1 is +-e1, so
-    in one dimension the set is [[1.0]] whatever the budget.
+    in one dimension the set is [[1.0]] whatever the budget.  A ``var_est``
+    whose blocks have other than d columns raises ValueError.
     """
     if budget < 2 * d:
         raise ValueError(f"directions = {budget} (the direction budget) must be at least 2 d = {2 * d}")
+    if var_est is not None and var_est.Z.shape[1] != d:
+        raise ValueError(f"the variance blocks have {var_est.Z.shape[1]} columns, but d = {d}")
     if d == 1:
         return np.ones((1, 1))
     out = np.empty((budget, d))

@@ -133,6 +133,20 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == f"ERROR 1: distribution has dimension 2, but --data has {columns} columns\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 14.6 TiB for an array", "Unable to allocate 14.6 TiB for an array"),
+        ("", "an allocation failed"),
+    ])
+    def test_memory_error_exits_1_in_one_line(self, tmp_path, capsys, monkeypatch, message, shown):
+        def too_big(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("dirmean.cli.sample_dataset", too_big)
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "n_total": 10**12})
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: out of memory: {shown}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_1(self, capsys):
         assert main(["estimate"]) == 1
         assert "ERROR 1:" in capsys.readouterr().err

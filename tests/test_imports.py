@@ -30,6 +30,9 @@ config = dirmean.PipelineConfig.from_dict(json.load(open(cfg))["config"])
 rows = np.random.default_rng(1).standard_normal((1800, 2))
 est = dirmean.estimate_mean(rows, 0.05, config)
 assert est.iterations == 0, "the warm start should be feasible"
+# wide variance blocks (80 x 120): the learned directions come from the 80 x 80 Gram matrix
+wide = dirmean.estimate_mean(np.random.default_rng(2).standard_normal((240, 120)), 0.05, config)
+assert wide.block_plan_var.n < 120, wide.block_plan_var
 loaded = ["numpy.ma after estimate_mean"] if "numpy.ma" in sys.modules else []
 # no point lies in both [-1, 0] and [2, 3]: HiGHS has to run
 slabs = dirmean.SlabSystem(np.ones((2, 1)), [-0.5, 2.5], [0.5, 0.5])

@@ -324,6 +324,12 @@ class TestDirectionSet:
         with pytest.raises(ValueError):
             build_direction_set(4, 7, seed=0)
 
+    @pytest.mark.parametrize("d, budget", [(3, 12), (8, 32)])
+    def test_rejects_variance_blocks_of_another_dimension(self, d, budget):
+        var_est = SimpleNamespace(Z=np.random.default_rng(0).standard_normal((100, 5)))
+        with pytest.raises(ValueError, match=f"^the variance blocks have 5 columns, but d = {d}$"):
+            build_direction_set(d, budget, 0, var_est)
+
     def test_includes_block_eigendirections(self):
         gt = gaussian_gt([10.0, 1.0, 0.1])
         var_est = fit_variance(sample_dataset(gt, 2 * 10**4, 8))
@@ -341,11 +347,12 @@ class TestDirectionSet:
         ref = oracle_direction_fill(np.eye(d), budget, stream(seed, "direction-fill"))
         assert np.array_equal(build_direction_set(d, budget, seed), ref)
 
-    @pytest.mark.parametrize("d", [3, 12])
+    @pytest.mark.parametrize("d", [3, 12, 150])  # d = 150: wide blocks, Z is 100 x 150
     def test_learned_directions_are_block_eigenvectors(self, d):
         gt = gaussian_gt(np.geomspace(10.0, 0.1, d), rotation_seed=d)
         var_est = fit_variance(sample_dataset(gt, 2 * 10**4, 8))
         z = var_est.Z
+        assert (z.shape[0] < d) == (d == 150)
         k = min(d, 8)
         dirs = build_direction_set(d, 4 * d, seed=4, var_est=var_est)
         vecs = np.linalg.eigh(z.T @ z / z.shape[0])[1][:, ::-1][:, :k].T
@@ -357,8 +364,8 @@ class TestDirectionSet:
         assert np.array_equal(dirs, ref)
 
     def test_degenerate_blocks_drop_canonical_eigendirections(self):
-        # only 3 of 20 coordinates vary, so 5 of the top 8 eigenvectors span
-        # the null space, and eigh returns some of them as canonical rows
+        # only 3 of 20 coordinates vary: the blocks have rank 3, so only 3
+        # eigenvectors pass the rank floor, and the null space adds none
         x = np.zeros((2 * 10**4, 20))
         x[:, [4, 11, 17]] = np.random.default_rng(0).standard_normal((2 * 10**4, 3))
         var_est = fit_variance(x)
@@ -379,6 +386,49 @@ class TestDirectionSet:
         dirs = build_direction_set(3, 12, seed=6, var_est=var_est)
         assert np.array_equal(dirs, build_direction_set(3, 12, seed=6))
 
+    def test_canonical_eigendirection_is_dropped(self):
+        # one coordinate varies: the one eigendirection is e5, a canonical row
+        x = np.zeros((2 * 10**4, 20))
+        x[:, 4] = np.random.default_rng(1).standard_normal(2 * 10**4)
+        var_est = fit_variance(x)
+        assert np.array_equal(np.abs(_eigendirections(var_est.Z, 8)), np.eye(20)[[4]])
+        dirs = build_direction_set(20, 256, seed=3, var_est=var_est)
+        assert np.array_equal(dirs, build_direction_set(20, 256, seed=3))
+
+    @pytest.mark.parametrize("n, d", [(12, 30), (8, 9), (20, 20), (40, 15)])
+    def test_eigendirections_match_gram_oracle(self, n, d):
+        # Z = U diag(s) V^T with singular values halving one to the next
+        rng = np.random.default_rng(n * d)
+        r = min(n, d)
+        u = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        v = np.linalg.qr(rng.standard_normal((d, r)))[0]
+        z = (u * 2.0 ** -np.arange(r)) @ v.T
+        k = min(d, 8)
+        top = _eigendirections(z, k)
+        vecs = np.linalg.eigh(z.T @ z)[1][:, ::-1][:, :k].T
+        assert top.shape == (k, d)
+        assert np.all(np.abs(np.sum(top * vecs, axis=1)) > 1 - 1e-10)
+        assert np.all(top[np.arange(k), np.abs(top).argmax(axis=1)] > 0)
+
+    @pytest.mark.parametrize(
+        "n, d, rank",
+        [(5, 30, 5), (3, 4, 3), (20, 40, 4), (100, 10, 5), (30, 30, 2)],
+    )
+    def test_rank_deficient_blocks_give_rank_many_directions(self, n, d, rank):
+        # the rank columns of a random base, repeated to fill d columns
+        base = np.random.default_rng(n + d).standard_normal((n, rank))
+        z = base[:, np.arange(d) % rank]
+        top = _eigendirections(z, min(d, 8))
+        assert top.shape == (rank, d)
+        assert np.all(np.isfinite(top))
+        assert np.allclose(top @ top.T, np.eye(rank), atol=1e-12)
+        # every row lies in the row space of Z
+        assert np.allclose(top @ np.linalg.pinv(z) @ z, top, atol=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(5, 30), (30, 5)])
+    def test_zero_blocks_give_no_direction(self, n, d):
+        assert _eigendirections(np.zeros((n, d)), min(d, 8)).shape == (0, d)
+
 
 class TestDirectionSetMemory:
     """The fill is drawn in place and no full-size square is made (d = 200, 1600 rows)."""
@@ -394,6 +444,19 @@ class TestDirectionSetMemory:
         # the result (2.56 MB) plus small buffers; a fresh fill and its
         # square would add 2 x 2.23 MB
         assert peak < dirs.nbytes + 1.5e6
+
+    def test_wide_eigendirections_make_no_d_by_d_gram(self):
+        # Z of 100 x 2000: the d x d Gram alone would take 32 MB
+        z = np.random.default_rng(5).standard_normal((100, 2000))
+        _eigendirections(z, 8)  # warm: first-call allocations stay out
+        tracemalloc.start()
+        top = _eigendirections(z, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert top.shape == (8, 2000)
+        # the scaled copy of Z (1.6 MB), the 100 x 100 Gram and small buffers,
+        # against 32 MB for the 2000 x 2000 Gram alone
+        assert peak < z.nbytes + 1e6
 
     def test_slab_system_validation_peak(self):
         u = random_unit_rows(np.random.default_rng(2), 1600, 200)
