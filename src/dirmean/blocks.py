@@ -17,7 +17,14 @@ from .config import PipelineConfig
 from .distributions import as_rows
 
 PLAN_PURPOSES = ("variance", "mean")
-_CHUNK_BYTES = 1 << 20  # pair-difference buffer of pair_block_averages
+# The pair-difference buffer of pair_block_averages: it stays in a 2 MiB L2
+# cache while the paired rows stream past.
+_CHUNK_BYTES = 1 << 19
+# The most bytes of a block that one BLAS product sums.  OpenBLAS splits a
+# larger product across threads, which changes the bytes; its build sets the
+# size (OpenBLAS 0.3.31: kept 409 600 entries whole, split 480 000), and
+# 65 536 entries stay well below it.
+_PANEL_BYTES = 1 << 19
 
 
 class SizingError(ValueError):
@@ -85,6 +92,7 @@ def _block_count(n_rows: int, m: int) -> int:
 def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x3.sum(axis=1)`` of an (n, m, d) block stack, with the same bytes.
 
+    The harness baselines use it, so their means are numpy's to the bit.
     For d >= 2 add.reduce adds the m rows of a block in order, and einsum
     does the same with less work per row.  At d = 1 the block axis is the
     contiguous one and add.reduce sums it pairwise, so it stays there.
@@ -94,17 +102,41 @@ def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("nmd->nd", x3, out=out)
 
 
+def _blas_block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The block sums of an (n, m, d) block stack as BLAS matrix-vector products.
+
+    Each block is summed by ``np.ones(p) @ panel`` over consecutive panels
+    of at most ``_PANEL_BYTES`` of its rows, added in order; most blocks are
+    one panel, so one product.  A product reads the rows faster than
+    :func:`block_sums`, in another order, so results agree with it to
+    rounding.  The bytes repeat per machine and BLAS build, and do not
+    depend on the BLAS thread count, the chunking of the rows or their
+    memory alignment.  At d = 1 a product is a BLAS dot, which OpenBLAS
+    splits across threads beyond 10 000 entries, so numpy's pairwise sum
+    is kept there.
+    """
+    _, m, d = x3.shape
+    if d == 1:
+        return x3.sum(axis=1, out=out)
+    step = max(1, _PANEL_BYTES // (x3.itemsize * d))
+    out = np.matmul(np.ones(min(step, m)), x3[:, :step], out=out)
+    for lo in range(step, m, step):
+        out += np.ones(min(step, m - lo)) @ x3[:, lo : lo + step]
+    return out
+
+
 def block_averages(ds, m: int) -> np.ndarray:
     """(1/sqrt(m)) * sum over consecutive groups of m rows.
 
-    Trailing rows beyond the last full block are dropped.
+    Trailing rows beyond the last full block are dropped.  Each block is
+    summed by :func:`_blas_block_sums`.
     """
     rows = as_rows(ds)
     n_rows, d = rows.shape
     n = _block_count(n_rows, m)
     if m == 1:
         return rows[: n * m].copy()
-    return block_sums(rows[: n * m].reshape(n, m, d)) / math.sqrt(m)
+    return _blas_block_sums(rows[: n * m].reshape(n, m, d)) / math.sqrt(m)
 
 
 def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
@@ -115,9 +147,11 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
 
     The paired rows are subtracted into one reused buffer of about
     ``_CHUNK_BYTES`` (never less than one block), a chunk of whole blocks
-    at a time, and each block is summed by :func:`block_sums`, as in
-    :func:`block_averages`, so the output has the same bytes.  Only the
-    first ``n`` blocks (default: every full block) are formed.
+    at a time, and each block is summed by :func:`_blas_block_sums`, as in
+    :func:`block_averages`, so the output has the same bytes and does not
+    depend on the chunk size.  Differences come before the sums: two nearly
+    equal rows subtract exactly, so a large common offset costs no accuracy.
+    Only the first ``n`` blocks (default: every full block) are formed.
     """
     first, second = _halves(as_rows(ds))
     half, d = first.shape
@@ -134,7 +168,7 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
         hi = min(lo + per_chunk, n)
         rows = slice(lo * m, hi * m)
         diff = np.subtract(first[rows], second[rows], out=buf[: (hi - lo) * m])
-        block_sums(diff.reshape(hi - lo, m, d), out=out[lo:hi])
+        _blas_block_sums(diff.reshape(hi - lo, m, d), out=out[lo:hi])
     out /= math.sqrt(m)
     return out
 

@@ -188,6 +188,18 @@ def as_rows(data) -> np.ndarray:
     return np.ascontiguousarray(rows)
 
 
+def as_directions(directions, d: int) -> np.ndarray:
+    """``directions`` as an (M, d) float64 array, one direction per row.
+
+    Anything else, a single 1-d direction included, is a ValueError naming
+    the expected shape and the one given.
+    """
+    u = np.asarray(directions, dtype=float)
+    if u.ndim != 2 or u.shape[1] != d:
+        raise ValueError(f"directions must be an (M, {d}) array, got shape {u.shape}")
+    return u
+
+
 def _check_unit(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1)
     if abs(np.linalg.norm(u) - 1.0) > UNIT_NORM_TOL:

@@ -36,8 +36,8 @@ from .blocks import (
     nonfinite_error,
     plan_blocks,
 )
-from .config import PipelineConfig
-from .distributions import as_rows
+from .config import PipelineConfig, require_int
+from .distributions import as_directions, as_rows
 from .rng import random_unit_rows, row_norms, stream
 from .variance import VarianceEstimator, fit_variance, psi_profile
 
@@ -127,9 +127,10 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     direction, then rescales the interior mean by 1/sqrt(m).  Each
     direction's row of ``directions @ Y.T`` is sorted in place; the retained
     band is summed through a (blocks, directions) copy, one block after
-    another, so every direction's sum runs in block order.
+    another, so every direction's sum runs in block order.  ``directions``
+    must be an (M, d) array.
     """
-    proj = np.asarray(directions, dtype=float) @ est.Y.T
+    proj = as_directions(directions, est.Y.shape[1]) @ est.Y.T
     n = proj.shape[1]
     k = est.plan.trim_per_side
     proj.sort(axis=1)
@@ -142,6 +143,7 @@ def slab_width_profile(
     """Half-widths 2 C' sqrt(psi(u) log(1/delta) / N) over the rows of ``directions``."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
+    require_int("n_samples", n_samples, least=1)
     var = psi_profile(var_est, directions)
     return 2.0 * c_prime * np.sqrt(var * math.log(1.0 / delta) / n_samples)
 

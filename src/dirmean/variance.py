@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks
 from .config import PipelineConfig
-from .distributions import SpectrumSpec, as_rows
+from .distributions import SpectrumSpec, as_directions, as_rows
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
     place.  Dropping either member of a tied pair leaves the retained sum
     unchanged, so value ties need no index bookkeeping.  Raises ValueError
     when the squared projections overflow (input rows near the square root
-    of the float range).
+    of the float range), and when ``directions`` is not an (M, d) array.
     """
-    sq = np.asarray(directions, dtype=float) @ est.Z.T
+    sq = as_directions(directions, est.Z.shape[1]) @ est.Z.T
     n = sq.shape[1]
     k = est.plan.trim_per_side
     with np.errstate(over="ignore"):  # checked once, on the (M,) result

@@ -4,8 +4,12 @@ Deliberately written in plain Python (sort a copy, drop slices, sum),
 sharing no code with the library paths they check.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate, special, stats
+
+from dirmean.blocks import _PANEL_BYTES
 
 
 def oracle_trim(values, theta):
@@ -102,13 +106,47 @@ def pair_differences(ds):
 
 
 def oracle_pair_block_averages(rows, m, n):
-    """The first ``n`` variance blocks of size ``m`` by the plain composition:
-    the whole pair-difference matrix, reshaped, summed over each block and
-    divided by sqrt(m)."""
+    """The first ``n`` variance blocks of size ``m`` by the kernel's own
+    definition, on the whole pair-difference matrix: each block is summed by
+    ``np.ones(p) @ panel`` over consecutive panels of at most
+    ``_PANEL_BYTES`` of its rows, added in order (numpy's sum at d = 1),
+    then divided by sqrt(m)."""
     rows = np.asarray(rows, dtype=float)
     half = rows.shape[0] // 2
     diffs = rows[:half] - rows[half:]
-    return diffs[: n * m].reshape(n, m, diffs.shape[1]).sum(axis=1) / np.sqrt(m)
+    d = diffs.shape[1]
+    blocks = diffs[: n * m].reshape(n, m, d)
+    if d == 1:
+        return blocks.sum(axis=1) / np.sqrt(m)
+    step = max(1, _PANEL_BYTES // (8 * d))
+    sums = []
+    for block in blocks:
+        total = np.ones(min(step, m)) @ block[:step]
+        for lo in range(step, m, step):
+            total = total + np.ones(min(step, m - lo)) @ block[lo : lo + step]
+        sums.append(total)
+    return np.array(sums) / np.sqrt(m)
+
+
+def oracle_fsum_block_averages(m, n, *parts):
+    """The first ``n`` block averages of size ``m`` of the sum of ``parts``
+    (arrays of one shape), exactly: each block's column sum over every part
+    is one math.fsum, rounded once, then divided by sqrt(m)."""
+    d = parts[0].shape[1]
+    out = np.empty((n, d))
+    for i in range(n):
+        block = slice(i * m, (i + 1) * m)
+        for j in range(d):
+            out[i, j] = math.fsum(np.concatenate([part[block, j] for part in parts]))
+    return out / math.sqrt(m)
+
+
+def summation_bound(x, m, n):
+    """m * eps * sum|x| / sqrt(m) per column of the first ``n`` blocks of
+    size ``m``: the standard bound on a sum of a block's m entries in any
+    order, with its division by sqrt(m)."""
+    blocks = np.abs(x[: n * m]).reshape(n, m, x.shape[1])
+    return m * np.finfo(float).eps * blocks.sum(axis=1) / math.sqrt(m)
 
 
 def oracle_empirical_mean(rows):

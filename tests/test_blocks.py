@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,12 +9,16 @@ from dirmean import (
     PipelineConfig,
     SizingError,
     block_averages,
+    fit_marginal,
+    fit_variance,
     pair_block_averages,
     plan_blocks,
     trim_count,
 )
-from dirmean.blocks import block_sums
-from naive_oracles import pair_differences
+from dirmean.blocks import NonFiniteRowError, block_sums
+from naive_oracles import oracle_fsum_block_averages, pair_differences, summation_bound
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestPairDifferences:
@@ -94,6 +102,86 @@ class TestPairBlockAverages:
         for n in (0, 4):
             with pytest.raises(ValueError, match="do not fit"):
                 pair_block_averages(rows, 3, n)
+
+
+class TestBlasBlockAccuracy:
+    """Both estimator kernels sum a block with BLAS products: every block
+    average lies within the summation bound of the exact one.  At d = 50
+    (m = 2083) and d = 200 (m >= 400) a block spans several BLAS panels."""
+
+    @pytest.mark.parametrize("d", [1, 2, 50, 200])
+    @pytest.mark.parametrize("m", [2, 3, 100, 2083])
+    def test_block_averages_within_bound(self, d, m):
+        rows = np.random.default_rng(d * m).standard_t(3, size=(3 * m + 1, d)) + 2.0
+        exact = oracle_fsum_block_averages(m, 3, rows)
+        assert np.all(np.abs(block_averages(rows, m) - exact) <= summation_bound(rows, m, 3))
+
+    @pytest.mark.parametrize("d", [1, 2, 50, 200])
+    @pytest.mark.parametrize("m", [2, 3, 100, 2083])
+    def test_pair_block_averages_within_bound(self, d, m):
+        rows = np.random.default_rng(d * m + 1).standard_t(3, size=(2 * (3 * m + 1), d)) + 2.0
+        first, second = rows[: 3 * m + 1], rows[3 * m + 1 :]
+        exact = oracle_fsum_block_averages(m, 3, first, -second)
+        got = pair_block_averages(rows, m)
+        assert np.all(np.abs(got - exact) <= summation_bound(first - second, m, 3))
+
+    @pytest.mark.parametrize("d, m", [(2, 3), (50, 3), (200, 400)])
+    def test_block_of_negative_zeros_sums_to_positive_zero(self, d, m):
+        # a BLAS sum starts from +0.0, as numpy's einsum and add.reduce do
+        # along a block's rows
+        rows = np.vstack([np.full((m, d), -0.0), np.full((m, d), 0.0)])
+        for got in (block_averages(rows, m)[:1], pair_block_averages(rows, m)):
+            assert np.all(got == 0.0) and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("d", [2, 200])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_is_named(self, d, value):
+        # 4 blocks of m = 400 rows in both stages; at d = 200 row 350 of a
+        # block is in its second BLAS panel
+        m = 400
+        config = PipelineConfig(gamma=1.0, c1=float(m), theta_var=0.25, theta_mean=0.25, c_blocks=1.0)
+        rows = np.random.default_rng(d).standard_normal((8 * m, d))
+        for bad in (2 * m + 350, 5 * m + 350):
+            bad_rows = rows.copy()
+            bad_rows[bad, d // 2] = value
+            with pytest.raises(NonFiniteRowError) as err:
+                fit_variance(bad_rows, config)
+            assert err.value.row == bad
+        rows[2 * m + 350, d // 2] = value
+        with pytest.raises(NonFiniteRowError) as err:
+            fit_marginal(rows[: 4 * m], 0.5, config)
+        assert err.value.row == 2 * m + 350
+
+
+THREADS_SCRIPT = """
+import sys
+import numpy as np
+import dirmean
+# 4 mean and 4 variance blocks of 10000 x 50 rows: 500 000 entries each,
+# more than OpenBLAS sums in one thread when asked for two
+rows = np.random.default_rng(5).standard_t(3, size=(120_000, 50))
+config = dirmean.PipelineConfig(gamma=1.0, c1=10_000.0, theta_var=0.25, theta_mean=0.25, c_blocks=1.0)
+marg = dirmean.fit_marginal(rows[:40_000], 0.5, config)
+var = dirmean.fit_variance(rows[40_000:], config)
+assert (marg.plan.n, marg.plan.m, var.plan.n, var.plan.m) == (4, 10_000, 4, 10_000)
+est = dirmean.estimate_mean(rows, 0.5, config, seed=3)
+np.savez(sys.argv[1], Y=marg.Y, Z=var.Z, mu_hat=est.mu_hat, rho_star=est.rho_star, iterations=est.iterations)
+"""
+
+
+def test_blas_thread_count_keeps_the_bytes(tmp_path):
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADS_SCRIPT, str(out)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append(np.load(out))
+    for key in ("Y", "Z", "mu_hat", "rho_star", "iterations"):
+        assert results[0][key].tobytes() == results[1][key].tobytes(), key
 
 
 class TestTrimCount:

@@ -23,6 +23,7 @@ from dirmean import (
     make_ground_truth,
     nu_hat_profile,
     plan_blocks,
+    psi_profile,
     sample_dataset,
     slab_width_profile,
     solve_center,
@@ -294,8 +295,6 @@ class TestSlabWidth:
     def test_arithmetic(self):
         est = self._var_est()
         u = np.array([1.0, 0.0])
-        from dirmean import psi_profile
-
         width = slab_width_profile(est, [u], np.exp(-1.0), 1.0, 100)[0]
         assert width == pytest.approx(2.0 * np.sqrt(psi_profile(est, [u])[0] / 100.0), rel=1e-12)
 
@@ -305,6 +304,32 @@ class TestSlabWidth:
         w1 = slab_width_profile(est, [u], 0.1, 1.0, 1000)[0]
         w2 = slab_width_profile(est, [u], 0.01, 1.0, 1000)[0]
         assert w2 == pytest.approx(np.sqrt(2.0) * w1, rel=1e-12)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_n_samples_below_one(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            slab_width_profile(self._var_est(), [[1.0, 0.0]], 0.1, 1.0, n_samples)
+
+
+class TestDirectionShapes:
+    """Each profile takes an (M, d) array of directions, d that of the blocks;
+    anything else is one ValueError naming the expected shape."""
+
+    @staticmethod
+    def _profiles():
+        rows = np.random.default_rng(12).standard_normal((15000, 3))
+        marg, var = fit_marginal(rows[:5000], 0.01), fit_variance(rows[5000:])
+        return {
+            "nu_hat_profile": lambda u: nu_hat_profile(marg, u),
+            "psi_profile": lambda u: psi_profile(var, u),
+            "slab_width_profile": lambda u: slab_width_profile(var, u, 0.01, 1.0, 5000),
+        }
+
+    @pytest.mark.parametrize("name", ["nu_hat_profile", "psi_profile", "slab_width_profile"])
+    @pytest.mark.parametrize("directions", [[1.0, 0.0, 0.0], [[1.0, 0.0]], np.ones((2, 4)), np.ones((1, 1, 3))])
+    def test_rejects_other_shapes(self, name, directions):
+        with pytest.raises(ValueError, match=r"directions must be an \(M, 3\) array, got shape"):
+            self._profiles()[name](directions)
 
 
 class TestDirectionSet:

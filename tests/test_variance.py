@@ -18,7 +18,12 @@ from dirmean import (
     sample_dataset,
 )
 from dirmean.distributions import DistributionSpec
-from naive_oracles import oracle_pair_block_averages, oracle_psi_profile
+from naive_oracles import (
+    oracle_fsum_block_averages,
+    oracle_pair_block_averages,
+    oracle_psi_profile,
+    summation_bound,
+)
 
 
 def make_estimator(projection_rows, theta):
@@ -168,7 +173,7 @@ class TestFitVarianceBlocks:
         self._check(self._rows(d, 100, 50, seed=d), self._config(100), 100, 50)
 
     def test_block_larger_than_chunk_buffer(self):
-        # one 1000 x 200 block is 1.6 MB, over the 1 MiB buffer: one block
+        # one 1000 x 200 block is 1.6 MB, over the 512 KiB buffer: one block
         # per chunk, in a buffer of exactly one block
         m, d = 1000, 200
         assert 8 * m * d > blocks_module._CHUNK_BYTES
@@ -179,6 +184,18 @@ class TestFitVarianceBlocks:
     def test_rejects_odd_row_count(self):
         with pytest.raises(ValueError, match="even row count"):
             fit_variance(np.ones((10001, 2)))
+
+    def test_large_common_offset_costs_no_accuracy(self):
+        # paired rows near 1e8 subtract exactly, so Z is within the summation
+        # bound of the exact block sums; summing each half first and then
+        # subtracting misses that bound by a factor of up to about 4e6
+        m, n = 100, 50
+        rows = self._rows(50, m, n, seed=8) + 1e8
+        half = rows.shape[0] // 2
+        first, second = rows[:half], rows[half:]
+        exact = oracle_fsum_block_averages(m, n, first, -second)
+        bound = summation_bound(first - second, m, n)
+        assert np.all(np.abs(fit_variance(rows, self._config(m)).Z - exact) <= bound)
 
 
 class TestWorkingMemory:
