@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, require_int
 from .distributions import as_rows
 
 PLAN_PURPOSES = ("variance", "mean")
@@ -82,7 +82,7 @@ def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_count(n_rows: int, m: int) -> int:
-    if m < 1:
+    if require_int("m", m) < 1:
         raise ValueError("block size must be >= 1")
     if n_rows < m:
         raise ValueError(f"block size m = {m} exceeds row count {n_rows}")
@@ -90,30 +90,16 @@ def _block_count(n_rows: int, m: int) -> int:
 
 
 def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x3.sum(axis=1)`` of an (n, m, d) block stack, with the same bytes.
-
-    The harness baselines use it, so their means are numpy's to the bit.
-    For d >= 2 add.reduce adds the m rows of a block in order, and einsum
-    does the same with less work per row.  At d = 1 the block axis is the
-    contiguous one and add.reduce sums it pairwise, so it stays there.
-    """
-    if x3.shape[2] == 1:
-        return x3.sum(axis=1, out=out)
-    return np.einsum("nmd->nd", x3, out=out)
-
-
-def _blas_block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The block sums of an (n, m, d) block stack as BLAS matrix-vector products.
 
     Each block is summed by ``np.ones(p) @ panel`` over consecutive panels
-    of at most ``_PANEL_BYTES`` of its rows, added in order; most blocks are
-    one panel, so one product.  A product reads the rows faster than
-    :func:`block_sums`, in another order, so results agree with it to
-    rounding.  The bytes repeat per machine and BLAS build, and do not
-    depend on the BLAS thread count, the chunking of the rows or their
-    memory alignment.  At d = 1 a product is a BLAS dot, which OpenBLAS
-    splits across threads beyond 10 000 entries, so numpy's pairwise sum
-    is kept there.
+    of at most ``_PANEL_BYTES`` of its rows, added in order; a block of
+    more bytes takes several products.  The results agree with
+    ``x3.sum(axis=1)`` to rounding, within the summation bound.  The bytes
+    repeat per machine and BLAS build, and do not depend on the BLAS thread
+    count, the chunking of the rows or their memory alignment.  At d = 1 a
+    product is a BLAS dot, which OpenBLAS splits across threads beyond
+    10 000 entries, so numpy's pairwise sum, and its bytes, are kept there.
     """
     _, m, d = x3.shape
     if d == 1:
@@ -129,14 +115,14 @@ def block_averages(ds, m: int) -> np.ndarray:
     """(1/sqrt(m)) * sum over consecutive groups of m rows.
 
     Trailing rows beyond the last full block are dropped.  Each block is
-    summed by :func:`_blas_block_sums`.
+    summed by :func:`block_sums`.
     """
     rows = as_rows(ds)
     n_rows, d = rows.shape
     n = _block_count(n_rows, m)
     if m == 1:
         return rows[: n * m].copy()
-    return _blas_block_sums(rows[: n * m].reshape(n, m, d)) / math.sqrt(m)
+    return block_sums(rows[: n * m].reshape(n, m, d)) / math.sqrt(m)
 
 
 def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
@@ -147,7 +133,7 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
 
     The paired rows are subtracted into one reused buffer of about
     ``_CHUNK_BYTES`` (never less than one block), a chunk of whole blocks
-    at a time, and each block is summed by :func:`_blas_block_sums`, as in
+    at a time, and each block is summed by :func:`block_sums`, as in
     :func:`block_averages`, so the output has the same bytes and does not
     depend on the chunk size.  Differences come before the sums: two nearly
     equal rows subtract exactly, so a large common offset costs no accuracy.
@@ -156,7 +142,7 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
     first, second = _halves(as_rows(ds))
     half, d = first.shape
     count = _block_count(half, m)
-    n = count if n is None else n
+    n = count if n is None else require_int("n", n)
     if not 1 <= n <= count:
         raise ValueError(f"{n} blocks of size m = {m} do not fit in {half} pairs")
     out = np.empty((n, d))
@@ -168,7 +154,7 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
         hi = min(lo + per_chunk, n)
         rows = slice(lo * m, hi * m)
         diff = np.subtract(first[rows], second[rows], out=buf[: (hi - lo) * m])
-        _blas_block_sums(diff.reshape(hi - lo, m, d), out=out[lo:hi])
+        block_sums(diff.reshape(hi - lo, m, d), out=out[lo:hi])
     out /= math.sqrt(m)
     return out
 
@@ -202,6 +188,7 @@ def plan_blocks(
     n >= ceil(c_blocks * log(e/delta)), and m = floor(N / n).
     """
     config = config or PipelineConfig()
+    require_int("n_rows", n_rows)
     if purpose not in PLAN_PURPOSES:
         raise ValueError(f"purpose must be one of {PLAN_PURPOSES}")
     name = "theta_var" if purpose == "variance" else "theta_mean"

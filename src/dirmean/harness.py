@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BlockPlan, block_sums
-from .config import REQUIRED, Field, PipelineConfig, check_fields, read_fields
+from .config import REQUIRED, Field, PipelineConfig, check_fields, read_fields, require_int
 from .distributions import (
     DistributionSpec,
     GroundTruth,
@@ -63,7 +63,9 @@ LOWERBOUND_FIELDS = {  # the lowerbound document: eigenvalues or a gaussian dist
 
 
 def baseline_empirical_mean(ds) -> np.ndarray:
-    """Arithmetic mean of the rows."""
+    """Arithmetic mean of the rows, summed by the estimator's
+    :func:`~dirmean.blocks.block_sums`: numpy's mean to the bit at d = 1,
+    and to rounding at d >= 2."""
     rows = as_rows(ds)
     if rows.shape[0] == 0:
         raise ValueError("empty dataset")
@@ -71,10 +73,11 @@ def baseline_empirical_mean(ds) -> np.ndarray:
 
 
 def baseline_median_of_means(ds, k_blocks: int) -> np.ndarray:
-    """Coordinatewise median of k contiguous block means (comparator only)."""
+    """Coordinatewise median of k contiguous block means (comparator only),
+    summed as in :func:`baseline_empirical_mean`."""
     rows = as_rows(ds)
     n = rows.shape[0]
-    if not (1 <= k_blocks <= n):
+    if not (1 <= require_int("k_blocks", k_blocks) <= n):
         raise ValueError(f"k_blocks must lie in [1, {n}]")
     m = n // k_blocks
     means = block_sums(rows[: k_blocks * m].reshape(k_blocks, m, -1)) / m

@@ -36,7 +36,7 @@ from .blocks import (
     nonfinite_error,
     plan_blocks,
 )
-from .config import PipelineConfig, require_int
+from .config import PipelineConfig, require_int, require_real
 from .distributions import as_directions, as_rows
 from .rng import random_unit_rows, row_norms, stream
 from .variance import VarianceEstimator, fit_variance, psi_profile
@@ -143,6 +143,7 @@ def slab_width_profile(
     """Half-widths 2 C' sqrt(psi(u) log(1/delta) / N) over the rows of ``directions``."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
+    require_real("c_prime", c_prime, above=0.0)
     require_int("n_samples", n_samples, least=1)
     var = psi_profile(var_est, directions)
     return 2.0 * c_prime * np.sqrt(var * math.log(1.0 / delta) / n_samples)

@@ -8,6 +8,8 @@ import pytest
 from dirmean import (
     PipelineConfig,
     SizingError,
+    baseline_empirical_mean,
+    baseline_median_of_means,
     block_averages,
     fit_marginal,
     fit_variance,
@@ -104,6 +106,24 @@ class TestPairBlockAverages:
                 pair_block_averages(rows, 3, n)
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("n_rows", lambda rows, v: plan_blocks(v, 0.01, 0.125, "mean")),
+        ("m", lambda rows, v: block_averages(rows, v)),
+        ("m", lambda rows, v: pair_block_averages(rows, v)),
+        ("n", lambda rows, v: pair_block_averages(rows, 3, v)),
+        ("k_blocks", lambda rows, v: baseline_median_of_means(rows, v)),
+    ],
+    ids=["plan_blocks", "block_averages", "pair_block_averages-m", "pair_block_averages-n", "median_of_means"],
+)
+@pytest.mark.parametrize("value", [1000.0, 2.5, 2.0, True])
+def test_block_arguments_must_be_integers(name, call, value):
+    rows = np.random.default_rng(6).standard_normal((20, 3))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(rows, value)
+
+
 class TestBlasBlockAccuracy:
     """Both estimator kernels sum a block with BLAS products: every block
     average lies within the summation bound of the exact one.  At d = 50
@@ -127,10 +147,15 @@ class TestBlasBlockAccuracy:
 
     @pytest.mark.parametrize("d, m", [(2, 3), (50, 3), (200, 400)])
     def test_block_of_negative_zeros_sums_to_positive_zero(self, d, m):
-        # a BLAS sum starts from +0.0, as numpy's einsum and add.reduce do
-        # along a block's rows
+        # a BLAS sum starts from +0.0; the baselines sum with the same kernel
         rows = np.vstack([np.full((m, d), -0.0), np.full((m, d), 0.0)])
-        for got in (block_averages(rows, m)[:1], pair_block_averages(rows, m)):
+        sums = (
+            block_averages(rows, m)[:1],
+            pair_block_averages(rows, m),
+            baseline_empirical_mean(rows[:m]),
+            baseline_median_of_means(rows[:m], 1),
+        )
+        for got in sums:
             assert np.all(got == 0.0) and not np.signbit(got).any()
 
     @pytest.mark.parametrize("d", [2, 200])
@@ -165,7 +190,11 @@ marg = dirmean.fit_marginal(rows[:40_000], 0.5, config)
 var = dirmean.fit_variance(rows[40_000:], config)
 assert (marg.plan.n, marg.plan.m, var.plan.n, var.plan.m) == (4, 10_000, 4, 10_000)
 est = dirmean.estimate_mean(rows, 0.5, config, seed=3)
-np.savez(sys.argv[1], Y=marg.Y, Z=var.Z, mu_hat=est.mu_hat, rho_star=est.rho_star, iterations=est.iterations)
+mean = dirmean.baseline_empirical_mean(rows)
+mom = dirmean.baseline_median_of_means(rows, 4)
+np.savez(
+    sys.argv[1], Y=marg.Y, Z=var.Z, mu_hat=est.mu_hat, rho_star=est.rho_star, iterations=est.iterations, mean=mean, mom=mom
+)
 """
 
 
@@ -180,7 +209,7 @@ def test_blas_thread_count_keeps_the_bytes(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         results.append(np.load(out))
-    for key in ("Y", "Z", "mu_hat", "rho_star", "iterations"):
+    for key in ("Y", "Z", "mu_hat", "rho_star", "iterations", "mean", "mom"):
         assert results[0][key].tobytes() == results[1][key].tobytes(), key
 
 
@@ -261,7 +290,8 @@ class TestPlanBlocks:
 
 
 class TestBlockSums:
-    """block_sums is x3.sum(axis=1) to the bit, sign of zero included."""
+    """block_sums is x3.sum(axis=1) to the bit at d = 1 (numpy's pairwise
+    sum), and within the summation bound of it at d >= 2 (BLAS panels)."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 50, 200])
     @pytest.mark.parametrize("m", [1, 2, 3, 100, 2083])
@@ -269,16 +299,17 @@ class TestBlockSums:
     def test_matches_add_reduce(self, d, m, n):
         n = min(n, max(1, 2_000_000 // (m * d)))  # at most 16 MB: fewer blocks of the same shape
         x3 = np.random.default_rng(d * m + n).standard_t(3, size=(n, m, d))
-        x3[0, :, 0] = -0.0  # a block of negative zeros sums to -0.0
-        if d > 1:
-            x3[:, :, -1] = -0.0
         got, expected = block_sums(x3), x3.sum(axis=1)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        if d == 1:
+            assert np.array_equal(got, expected)
+        else:
+            # each sum is within (m - 1) eps / 2 sum|x| of the exact one
+            assert np.all(np.abs(got - expected) <= m * np.finfo(float).eps * np.abs(x3).sum(axis=1))
 
     @pytest.mark.parametrize("d", [1, 5])
     def test_writes_into_out(self, d):
+        # pair_block_averages sums each chunk of blocks into a slice of its output
         x3 = np.random.default_rng(d).standard_normal((4, 9, d))
         out = np.full((6, d), np.nan)
         block_sums(x3, out=out[1:5])
-        assert np.array_equal(out[1:5], x3.sum(axis=1)) and np.isnan(out[[0, 5]]).all()
+        assert np.array_equal(out[1:5], block_sums(x3)) and np.isnan(out[[0, 5]]).all()

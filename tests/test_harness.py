@@ -19,7 +19,7 @@ from dirmean import (
 )
 from dirmean.cli import main
 from dirmean.rng import stream
-from naive_oracles import oracle_empirical_mean, oracle_median_of_means
+from naive_oracles import oracle_empirical_mean, oracle_fsum_block_averages, oracle_median_of_means, summation_bound
 
 
 def gaussian_scenario(**kwargs):
@@ -33,6 +33,14 @@ def gaussian_scenario(**kwargs):
     )
     defaults.update(kwargs)
     return Scenario(**defaults)
+
+
+def exact_block_means(rows, k_blocks):
+    """The exact means of ``k_blocks`` contiguous blocks of ``len(rows) //
+    k_blocks`` rows, and the summation bound on each."""
+    m = rows.shape[0] // k_blocks
+    scale = math.sqrt(m)
+    return oracle_fsum_block_averages(m, k_blocks, rows) / scale, summation_bound(rows, m, k_blocks) / scale
 
 
 class TestBaselines:
@@ -74,23 +82,36 @@ class TestBaselines:
 
 
 class TestBaselineKernels:
-    """Both baselines are block sums over a count; the bytes must be those of
-    numpy's mean, d = 1 (pairwise summation) included."""
+    """Both baselines are block sums over a count, summed by the estimator's
+    kernel.  At d = 1 that is numpy's pairwise sum, so the bytes are those of
+    numpy's mean; at d >= 2 each block mean lies within the summation bound
+    of the exact one (math.fsum)."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 50])
     @pytest.mark.parametrize("n_rows", [1, 7, 1000, 10_001])
     def test_empirical_mean_matches_numpy_mean(self, d, n_rows):
         rows = np.random.default_rng(d * n_rows).standard_t(3, size=(n_rows, d))
         rows[:, 0] = -0.0
-        got, expected = baseline_empirical_mean(rows), oracle_empirical_mean(rows)
-        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+        got = baseline_empirical_mean(rows)
+        if d == 1:
+            expected = oracle_empirical_mean(rows)
+            assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+        else:
+            exact, bound = exact_block_means(rows, 1)
+            assert np.all(np.abs(got - exact[0]) <= bound[0])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 50])
     @pytest.mark.parametrize("n_rows, k_blocks", [(1, 1), (40, 7), (1000, 37), (10_001, 1), (10_001, 10_001)])
     def test_median_of_means_matches_numpy_means(self, d, n_rows, k_blocks):
         rows = np.random.default_rng(d + n_rows + k_blocks).standard_t(3, size=(n_rows, d))
         got = baseline_median_of_means(rows, k_blocks)
-        assert np.array_equal(got, oracle_median_of_means(rows, k_blocks))
+        if d == 1:
+            assert np.array_equal(got, oracle_median_of_means(rows, k_blocks))
+        else:
+            # the median is 1-Lipschitz: it moves at most as far as the
+            # farthest block mean
+            exact, bound = exact_block_means(rows, k_blocks)
+            assert np.all(np.abs(got - np.median(exact, axis=0)) <= bound.max(axis=0))
 
 
 class TestRunTrials:

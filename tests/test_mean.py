@@ -310,6 +310,11 @@ class TestSlabWidth:
         with pytest.raises(ValueError, match="n_samples must be at least 1"):
             slab_width_profile(self._var_est(), [[1.0, 0.0]], 0.1, 1.0, n_samples)
 
+    @pytest.mark.parametrize("c_prime", [0.0, -1.0, np.nan, np.inf, True])
+    def test_rejects_c_prime_outside_positive_reals(self, c_prime):
+        with pytest.raises(ValueError, match=r"c_prime must lie in \(0, inf\)"):
+            slab_width_profile(self._var_est(), [[1.0, 0.0]], 0.1, c_prime, 100)
+
 
 class TestDirectionShapes:
     """Each profile takes an (M, d) array of directions, d that of the blocks;
