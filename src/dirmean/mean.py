@@ -9,12 +9,14 @@ final estimator is a point v minimizing the worst slab violation
 a piecewise-linear convex minimax program over a finite direction set.
 Minimizing the slack max(g, 0) is a linear program in d + 1 variables,
 solved by cutting planes from a cheap warm start, with a certified
-optimality gap: each round adds a row for the violated side of each worst
-slab to one unscaled HiGHS model and resumes from its basis.  A
-probe-and-refine loop bounds the finite-direction surrogate gap
-empirically and reports it instead of hiding it.  Its re-solves keep the
-estimate's one model: the rows that are not binding are deleted first,
-and dual simplex resumes from the optimal basis that is left.
+optimality gap.  One unscaled HiGHS model holds the dual of the cut LP:
+each round adds a column for the violated side of each worst slab, primal
+simplex resumes from the (d + 1)-square basis, and the row duals give the
+restricted optimum.  A probe-and-refine loop bounds the finite-direction
+surrogate gap empirically and reports it instead of hiding it.  Its
+re-solves keep the estimate's one model: the columns of the cuts that are
+not binding are deleted first, and primal simplex resumes from the optimal
+basis that is left.
 """
 
 from __future__ import annotations
@@ -44,6 +46,18 @@ from .variance import VarianceEstimator, fit_variance, psi_profile
 DUPLICATE_DOT = 1.0 - 1e-12  # |cos| above this counts as the same direction
 TOL = 1e-8  # certified solver gap, relative to 1 + the LP lower bound
 _HIGHS_CORE = "scipy.optimize._highspy._core"
+# the options of every slab LP: unscaled primal simplex, no presolve, and
+# feasibility tolerances below the certified gap (HiGHS's own 1e-7, absolute,
+# would leak into it on small slabs or near-parallel cuts); never set
+# simplex_dualize_strategy, which has crashed the process
+_HIGHS_OPTIONS = {
+    "output_flag": False,
+    "presolve": "off",
+    "simplex_strategy": 4,
+    "simplex_scale_strategy": 0,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 
 
 def _load_extension(name: str, directory: str):
@@ -204,66 +218,72 @@ class SolveResult:
 class _CutState:
     """The cutting-plane LP of one estimate, carried from solve to solve.
 
-    ``highs`` is one HiGHS model of  min t  over x in R^d free and t >= 0,
-    None (cold) until :meth:`start` builds one and after a round fails.
-    Its rows s_i <u_i, x> + t >= b_i are in the displacement x = v -
-    ``origin``, the first solve's warm start, so they stay valid as slabs
-    are appended.  Column j of ``rows`` is the (side, slab) of model row j,
-    side 0 for s = +1 and 1 for s = -1; ``point`` is the last restricted
-    optimum and ``lower`` its slack.  The only code that knows scipy's
-    bundled binding ``_core`` (private API; see pyproject.toml).
+    The restricted LP  min t  s.t.  s_i <u_i, x> + t >= b_i  over x in R^d
+    free and t >= 0 is held as its dual, one column y_i >= 0 per cut:
+
+        min  -sum_i b_i y_i  s.t.  sum_i y_i s_i u_i = 0,  sum_i y_i <= 1.
+
+    Its basis is (d + 1)-square however many columns the model holds, and
+    it stays primal feasible as columns are appended, so each round resumes
+    primal simplex from it (column generation, Gilmore and Gomory 1961);
+    the row duals are -(x, t).  ``highs`` is that HiGHS model, None (cold)
+    until :meth:`start` builds one and after a round fails.  The cuts are in
+    the displacement x = v - ``origin``, the first solve's warm start, so
+    they stay valid as slabs are appended.  Column j of ``cuts`` is the
+    (side, slab) of model column j, side 0 for s = +1 and 1 for s = -1;
+    ``point`` is the last restricted optimum and ``lower`` its slack.  The
+    only code that knows scipy's bundled binding ``_core`` (private API;
+    see pyproject.toml).
     """
 
     highs: object = None
     origin: np.ndarray | None = None
-    rows: np.ndarray | None = None
+    cuts: np.ndarray | None = None
     point: np.ndarray | None = None
     lower: float = 0.0
 
     def start(self, d: int, origin: np.ndarray) -> None:
-        """A fresh model without rows, around ``origin``."""
+        """A fresh model of d + 1 empty rows and no columns, around ``origin``."""
         highs = _core._Highs()
-        highs.setOptionValue("output_flag", False)
-        highs.setOptionValue("presolve", "off")
-        highs.setOptionValue("simplex_scale_strategy", 0)
-        # HiGHS's own feasibility tolerances (1e-7, absolute) would leak into
-        # the certified gap on small slabs or near-parallel rows
-        highs.setOptionValue("primal_feasibility_tolerance", 1e-10)
-        highs.setOptionValue("dual_feasibility_tolerance", 1e-10)
-        highs.addVars(d + 1, np.r_[np.full(d, -_core.kHighsInf), 0.0], np.full(d + 1, _core.kHighsInf))
-        highs.changeColsCost(1, np.array([d], dtype=np.int32), np.array([1.0]))
+        for name, value in _HIGHS_OPTIONS.items():
+            highs.setOptionValue(name, value)
+        # the rows sum_i y_i s_i u_i = 0 and sum_i y_i <= 1, empty until cuts arrive
+        lower, upper = np.r_[np.zeros(d), -_core.kHighsInf], np.r_[np.zeros(d), 1.0]
+        highs.addRows(d + 1, lower, upper, 0, np.zeros(d + 1, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))
         self.highs, self.origin, self.point, self.lower = highs, origin, origin, 0.0
-        self.rows = np.empty((2, 0), dtype=np.intp)
+        self.cuts = np.empty((2, 0), dtype=np.intp)
 
     def round(self, slab: np.ndarray, u: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """Add the rows s_i <u_i, x> + t >= b_i of the slabs ``slab`` and resume
-        dual simplex from the last basis, unscaled (the rows are unit directions
-        with a coefficient of one on t).  Returns the optimal (x, t), or None,
-        leaving the state cold, when HiGHS does not report the model optimal."""
+        """Add a column (s_i u_i, 1) of cost -b_i for each cut s_i <u_i, x> + t >=
+        b_i of the slabs ``slab`` and resume primal simplex from the last basis,
+        unscaled (the columns are unit directions with a coefficient of one on
+        the last row).  Returns the optimal (x, t), or None, leaving the state
+        cold, when HiGHS does not report the model optimal."""
         k = s.size
-        self.rows = np.hstack([self.rows, [(s < 0.0).astype(np.intp), slab]])
+        self.cuts = np.hstack([self.cuts, [(s < 0.0).astype(np.intp), slab]])
         block = np.hstack([s[:, np.newaxis] * u, np.ones((k, 1))])
-        rows, cols = np.nonzero(block)
-        starts = np.searchsorted(rows, np.arange(k)).astype(np.int32)
-        added = self.highs.addRows(
-            k, b, np.full(k, _core.kHighsInf), rows.size, starts, cols.astype(np.int32), block[rows, cols]
+        cols, rows = np.nonzero(block)
+        starts = np.searchsorted(cols, np.arange(k)).astype(np.int32)
+        added = self.highs.addCols(
+            k, -b, np.zeros(k), np.full(k, _core.kHighsInf), cols.size, starts, rows.astype(np.int32),
+            block[cols, rows],
         )
         if added != _core.HighsStatus.kError:
             self.highs.run()
             if self.highs.getModelStatus() == _core.HighsModelStatus.kOptimal:
-                return np.array(self.highs.getSolution().col_value)
+                return -np.array(self.highs.getSolution().row_dual)
         self.highs = None
         return None
 
     def prune(self) -> None:
-        """Delete the rows that are basic, i.e. not binding, in the last optimal
-        basis.  The rest of the basis stays optimal, so the next round resumes
-        from it; at most d + 1 rows are nonbasic, so at most d + 1 are kept."""
+        """Delete the columns that are nonbasic, i.e. at y_i = 0, in the last
+        optimal basis; their cuts are not binding.  The basis stays optimal, so
+        the next round resumes from it, and at most d + 1 columns are kept."""
         basic = _core.HighsBasisStatus.kBasic
-        keep = np.array([status != basic for status in self.highs.getBasis().row_status], dtype=bool)
+        keep = np.array([status == basic for status in self.highs.getBasis().col_status], dtype=bool)
         drop = np.flatnonzero(~keep).astype(np.int32)
-        self.highs.deleteRows(drop.size, drop)
-        self.rows = self.rows[:, keep]
+        self.highs.deleteCols(drop.size, drop)
+        self.cuts = self.cuts[:, keep]
 
 
 def solve_center(
@@ -279,20 +299,24 @@ def solve_center(
         min t  s.t.  |r_i - <u_i, x>| <= w_i + t,  t >= 0,  r = c - U v_warm
 
     in the displacement x = v - v_warm is solved by cutting planes in one
-    HiGHS model: each round (one ``iterations`` step) adds, for the worst
-    <= 2 (d + 1) slabs that violate the current restricted optimum ``lower``
-    on a side not yet in the model, the row s_i <u_i, x> + t >= s_i r_i - w_i
-    of that side, s_i = sign(r_i - <u_i, x>); the other side enters only if a
-    later round violates it.  Each round resumes dual simplex from the last
-    basis, and the loop stops once g(v) <= lower + TOL (1 + lower).
-    Directions that no active row constrains stay at the warm start.
+    HiGHS model of its dual (see :class:`_CutState`): each round (one
+    ``iterations`` step) adds, for the worst <= 2 (d + 1) slabs that violate
+    the current restricted optimum ``lower`` on a side not yet in the model,
+    the cut s_i <u_i, x> + t >= s_i r_i - w_i of that side as a column, s_i =
+    sign(r_i - <u_i, x>); the other side enters only if a later round
+    violates it.  Each round resumes primal simplex from the last basis and
+    reads (x, t) off the row duals, and the loop stops once g(v) <= lower +
+    TOL (1 + lower).  Directions that no cut constrains stay at the warm
+    start.
 
     ``state`` (internal: :func:`estimate_mean` passes one per estimate)
     keeps the model for the next call on the same slabs with more appended.
-    That call first deletes the model's non-binding rows (Topkis 1970) and
-    resumes from the last restricted optimum and its basis, with x still
-    measured from the first warm start; ``v_init`` then only competes as
-    the best point.  Within one call rows are only added.
+    That call first deletes the columns of the non-binding cuts (Topkis
+    1970) and resumes from the last restricted optimum and its basis, with
+    x still measured from the first warm start; ``v_init`` then only
+    competes as the best point.  Within one call cuts are only added.
+    A ``v_init`` that is not a finite vector of d entries raises
+    ValueError.
 
     The restricted optimum bounds the full one from below, so ``final_gap =
     rho_star - lower`` is a certified gap; ``converged`` means HiGHS reported
@@ -311,7 +335,12 @@ def solve_center(
         # least-squares assembly of the centers; exact on consistent systems
         v_warm = np.linalg.lstsq(u, c, rcond=None)[0]
     else:
-        v_warm = np.asarray(v_init, dtype=float).reshape(d).copy()
+        try:
+            v_warm = np.array(v_init, dtype=float)
+        except (TypeError, ValueError):  # not numbers at all
+            v_warm = np.empty(0)
+        if v_warm.shape != (d,) or not np.isfinite(v_warm).all():
+            raise ValueError(f"v_init must be a finite vector of d = {d} entries, got {v_init!r}")
     v_best, g_best = v_warm, slabs.max_violation(v_warm)
     lower, optimal, rounds = 0.0, True, 0
     if g_best > 0.0:
@@ -324,7 +353,7 @@ def solve_center(
         v, lower = state.point, state.lower
         r = c - u @ state.origin
         active = np.zeros((2, m), dtype=bool)  # sides s = +1 and s = -1 in the model
-        active[state.rows[0], state.rows[1]] = True
+        active[state.cuts[0], state.cuts[1]] = True
         while True:
             res = c - u @ v
             viol = np.abs(res) - w
@@ -407,8 +436,12 @@ def build_direction_set(
     fill is not checked: a near-duplicate row repeats a slab, which changes
     neither g(v) nor the LP optimum.  Every unit vector of R^1 is +-e1, so
     in one dimension the set is [[1.0]] whatever the budget.  A ``var_est``
-    whose blocks have other than d columns raises ValueError.
+    whose blocks have other than d columns raises ValueError, and so does a
+    ``d`` that is not an integer of at least 1 or a ``budget`` that is not
+    an integer.
     """
+    require_int("d", d, least=1)
+    require_int("budget", budget)
     if budget < 2 * d:
         raise ValueError(f"directions = {budget} (the direction budget) must be at least 2 d = {2 * d}")
     if var_est is not None and var_est.Z.shape[1] != d:

@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .config import require_int
+
 _NORM_CHUNK_BYTES = 1 << 19  # bytes of squared rows per pass of row_norms
 
 
@@ -34,8 +36,10 @@ def stream(seed: int, *labels) -> np.random.Generator:
     """Return a Philox generator for the stream ``(seed, *labels)``.
 
     The same ``(seed, labels)`` pair always produces the identical bit
-    stream; distinct labels give independent streams.
+    stream; distinct labels give independent streams.  ``seed`` must be an
+    integer (bool not): a ValueError names it otherwise.
     """
+    require_int("seed", seed)
     words: list[int] = []
     for lab in labels:
         words.extend(_label_words(lab))
@@ -49,7 +53,9 @@ def derive_seed(seed: int, *labels) -> int:
     Used when an integer seed has to cross an API boundary instead of a
     generator object.  Any integer seed works: it is reduced mod 2**128,
     which leaves every seed in [-2**127, 2**127) its two's-complement bytes.
+    A seed that is not an integer (bool not) raises ValueError.
     """
+    require_int("seed", seed)
     h = hashlib.blake2s()
     h.update((int(seed) % 2**128).to_bytes(16, "little"))
     for lab in labels:

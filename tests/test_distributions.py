@@ -132,6 +132,12 @@ class TestGroundTruth:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("seed", [2.5, True], ids=["2.5", "True"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        gt = make_ground_truth(gaussian_spec([1.0, 0.5]))
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            sample_dataset(gt, 10, seed)
+
     @pytest.mark.parametrize("rotation_seed", [None, 4], ids=["canonical", "rotated"])
     @pytest.mark.parametrize(
         "family, extra",

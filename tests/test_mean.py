@@ -85,20 +85,20 @@ def dense_lp_optimum(slabs):
     return res.fun
 
 
-def check_row_map(state):
-    """Column j of ``state.rows`` is a distinct (side, slab) pair for each model row j."""
-    assert state.rows.shape[1] == state.highs.getNumRow()
-    sides = state.rows.T.tolist()
+def check_cut_map(state):
+    """Column j of ``state.cuts`` is a distinct (side, slab) pair for each model column j."""
+    assert state.cuts.shape[1] == state.highs.getNumCol()
+    sides = state.cuts.T.tolist()
     assert len({tuple(side) for side in sides}) == len(sides)
-    assert set(state.rows[0].tolist()) <= {0, 1} and (state.rows[1] >= 0).all()
+    assert set(state.cuts[0].tolist()) <= {0, 1} and (state.cuts[1] >= 0).all()
 
 
 def record_lp(monkeypatch, fail_at=()):
     """Patch ``_CutState`` to record its models, rounds and prunes.
 
     The log lists each model ``start`` built, each round's (u, s, b), each
-    optimal (x, t) and (rows kept, model rows) after each prune; the row map
-    is checked after every start, solved round and prune.  Round n, counted
+    optimal (x, t) and (cuts kept, model columns) after each prune; the cut
+    map is checked after every start, solved round and prune.  Round n, counted
     from 1, fails for n in ``fail_at``: it returns None and leaves the state
     cold, as a round HiGHS does not solve does.
     """
@@ -108,7 +108,7 @@ def record_lp(monkeypatch, fail_at=()):
     def logged_start(self, d, origin):
         start(self, d, origin)
         log.models.append(self.highs)
-        check_row_map(self)
+        check_cut_map(self)
 
     def logged_round(self, slab, u, s, b):
         log.rounds.append((u.copy(), s.copy(), b.copy()))
@@ -116,14 +116,14 @@ def record_lp(monkeypatch, fail_at=()):
             self.highs = None
             return None
         log.solutions.append(lp_round(self, slab, u, s, b))
-        check_row_map(self)
-        assert np.array_equal(self.rows[:, -s.size :], [s < 0.0, slab])
+        check_cut_map(self)
+        assert np.array_equal(self.cuts[:, -s.size :], [s < 0.0, slab])
         return log.solutions[-1]
 
     def logged_prune(self):
         prune(self)
-        log.prunes.append((self.rows.shape[1], self.highs.getNumRow()))
-        check_row_map(self)
+        log.prunes.append((self.cuts.shape[1], self.highs.getNumCol()))
+        check_cut_map(self)
 
     monkeypatch.setattr(_CutState, "start", logged_start)
     monkeypatch.setattr(_CutState, "round", logged_round)
@@ -354,6 +354,20 @@ class TestDirectionSet:
         with pytest.raises(ValueError):
             build_direction_set(4, 7, seed=0)
 
+    @pytest.mark.parametrize(
+        "d, budget, message",
+        [
+            (0, 80, "d must be at least 1, got 0"),
+            (True, 80, "d must be an integer, got True"),
+            (2.0, 80, "d must be an integer, got 2.0"),
+            (2, 80.0, "budget must be an integer, got 80.0"),
+            (2, True, "budget must be an integer, got True"),
+        ],
+    )
+    def test_rejects_a_non_integer_dimension_or_budget(self, d, budget, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_direction_set(d, budget, seed=0)
+
     @pytest.mark.parametrize("d, budget", [(3, 12), (8, 32)])
     def test_rejects_variance_blocks_of_another_dimension(self, d, budget):
         var_est = SimpleNamespace(Z=np.random.default_rng(0).standard_normal((100, 5)))
@@ -510,6 +524,14 @@ class TestSolveCenter:
         with pytest.raises(ValueError, match=f"slab {part[:-1]}"):
             SlabSystem(np.eye(2), np.zeros(2), np.ones(2)).extended(**parts)
 
+    @pytest.mark.parametrize(
+        "v_init", [[np.nan, 0.0], [0.0, np.inf], [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], "ab", [None, 1.0]]
+    )
+    def test_rejects_a_warm_start_that_is_not_a_finite_d_vector(self, v_init):
+        slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^v_init must be a finite vector of d = 2 entries"):
+            solve_center(slabs, v_init=v_init)
+
     def test_two_orthogonal_slabs(self):
         slabs = SlabSystem(np.eye(2), centers=[1.0, 2.0], widths=[0.0, 0.0])
         res = solve_center(slabs)
@@ -643,17 +665,17 @@ class TestSolveCenter:
 class TestOneSidedCuts:
     @staticmethod
     def recorded_rounds(monkeypatch):
-        """Record each round's (u, s, b) and the row count of each HiGHS addRows call."""
+        """Record each round's (u, s, b) and the column count of each HiGHS addCols call."""
         from scipy.optimize._highspy import _core
 
         added = []
 
-        class RowCounting(_core._Highs):
-            def addRows(self, num_new_row, *args):
-                added.append(num_new_row)
-                return super().addRows(num_new_row, *args)
+        class ColumnCounting(_core._Highs):
+            def addCols(self, num_new_col, *args):
+                added.append(num_new_col)
+                return super().addCols(num_new_col, *args)
 
-        monkeypatch.setattr(_core, "_Highs", RowCounting)
+        monkeypatch.setattr(_core, "_Highs", ColumnCounting)
         return record_lp(monkeypatch).rounds, added
 
     def test_overshot_slab_gets_its_other_side_later(self, monkeypatch):
@@ -681,13 +703,45 @@ class TestOneSidedCuts:
             assert added == [len(sides) for _, sides, _ in rounds]
             assert len(added) == res.iterations
             assert all(1 <= k <= 2 * (d + 1) for k in added)
-            # a row is its coefficients and bound; no slab side enters twice
-            rows = np.vstack([np.column_stack([sides[:, np.newaxis] * u, b]) for u, sides, b in rounds])
-            assert len(np.unique(rows, axis=0)) == len(rows)
+            # a cut is its coefficients and bound; no slab side enters twice
+            cuts = np.vstack([np.column_stack([sides[:, np.newaxis] * u, b]) for u, sides, b in rounds])
+            assert len(np.unique(cuts, axis=0)) == len(cuts)
 
 
 class TestResumedSolve:
     """solve_center carrying one model from solve to solve, as estimate_mean does."""
+
+    def test_row_duals_meet_every_held_cut(self, monkeypatch):
+        # after every round, including those on pruned models, the (x, t) read
+        # off the row duals satisfies each cut the model holds, rebuilt from
+        # the (side, slab) map, and t is minus the dual objective
+        rng = np.random.default_rng(15)
+        lp_round = _CutState.round
+        checked = []
+
+        def checked_round(self, slab, u, s, b):
+            sol = lp_round(self, slab, u, s, b)
+            x, t = sol[:-1], sol[-1]
+            sides = np.where(self.cuts[0] == 0, 1.0, -1.0)
+            held = self.cuts[1]
+            hu = slabs.directions[held]
+            cut_b = sides * (slabs.centers[held] - hu @ self.origin) - slabs.widths[held]
+            assert np.all(sides * (hu @ x) + t >= cut_b - 1e-9 * (1.0 + np.abs(cut_b)))
+            assert t == pytest.approx(-self.highs.getObjectiveValue(), rel=1e-12, abs=1e-12)
+            checked.append(held.size)
+            return sol
+
+        monkeypatch.setattr(_CutState, "round", checked_round)
+        for _ in range(20):
+            d = int(rng.integers(1, 11))
+            slabs = random_infeasible_system(rng, d, int(rng.integers(d + 1, 201)))
+            state = _CutState()
+            res = solve_center(slabs, state=state)
+            for _ in range(2):
+                slabs = append_violators(rng, slabs, res)
+                res = solve_center(slabs, v_init=res.v_star, state=state)
+            assert res.converged
+        assert len(checked) >= 60
 
     def test_resumed_solves_are_optimal_on_pruned_models(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -706,13 +760,13 @@ class TestResumedSolve:
                 assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
                 assert slabs.max_violation(res.v_star) == res.rho_star
                 assert len(log.models) == 1 and len(log.prunes) == resolve
-                kept, model_rows = log.prunes[-1]
-                assert kept == model_rows <= d + 1
-                assert state.rows.shape[1] == log.models[0].getNumRow()
-                # every row the model holds is a distinct side of a current slab
-                sides = state.rows.T.tolist()
+                kept, model_cols = log.prunes[-1]
+                assert kept == model_cols <= d + 1
+                assert state.cuts.shape[1] == log.models[0].getNumCol()
+                # every cut the model holds is a distinct side of a current slab
+                sides = state.cuts.T.tolist()
                 assert len({tuple(side) for side in sides}) == len(sides)
-                assert state.rows[1].max() < slabs.n_slabs
+                assert state.cuts[1].max() < slabs.n_slabs
 
     def test_failed_round_mid_refine_restarts_cold(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -743,7 +797,7 @@ class TestResumedSolve:
         est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
         assert est.refinement_rounds == 3 and est.converged
         assert len(log.models) == 1 and len(log.prunes) == est.refinement_rounds
-        assert all(kept == rows <= 5 for kept, rows in log.prunes)
+        assert all(kept == cols <= 5 for kept, cols in log.prunes)
         optimum = dense_lp_optimum(est.slabs)
         assert abs(est.rho_star - optimum) <= TOL * (1.0 + optimum)
 
@@ -782,6 +836,7 @@ class TestHighsBinding:
                 HighsBasis,
                 HighsBasisStatus,
                 HighsModelStatus,
+                HighsSolution,
                 HighsStatus,
                 _Highs,
                 kHighsInf,
@@ -792,19 +847,21 @@ class TestHighsBinding:
             (_Highs, name)
             for name in (
                 "setOptionValue",
-                "addVars",
-                "changeColsCost",
                 "addRows",
+                "addCols",
                 "run",
                 "getModelStatus",
                 "getSolution",
+                "getObjectiveValue",
                 "getBasis",
-                "deleteRows",
+                "getNumCol",
+                "deleteCols",
             )
         ] + [
             (HighsModelStatus, "kOptimal"),
             (HighsStatus, "kError"),
-            (HighsBasis, "row_status"),
+            (HighsSolution, "row_dual"),
+            (HighsBasis, "col_status"),
             (HighsBasisStatus, "kBasic"),
         ]
         missing = [name for owner, name in needed if not hasattr(owner, name)]
@@ -812,10 +869,14 @@ class TestHighsBinding:
         assert isinstance(kHighsInf, float)
 
     def test_unscaled_simplex_option_exists(self):
-        # _CutState.start turns scaling off; a renamed option would be ignored silently
+        # HiGHS ignores a renamed option, or a value of the wrong type, with no
+        # more than a status: every option _CutState.start sets must be kOk
         from scipy.optimize._highspy._core import HighsStatus, _Highs
 
-        assert _Highs().setOptionValue("simplex_scale_strategy", 0) == HighsStatus.kOk
+        highs = _Highs()
+        assert "simplex_scale_strategy" in mean_module._HIGHS_OPTIONS
+        for name, value in mean_module._HIGHS_OPTIONS.items():
+            assert highs.setOptionValue(name, value) == HighsStatus.kOk, name
 
     def test_missing_extension_names_the_directory_and_floor(self, tmp_path, monkeypatch):
         # find_spec returns None for an empty directory: the loader must say
@@ -871,6 +932,12 @@ class TestEstimateMean:
         assert np.allclose(est.mu_hat, v, atol=1e-12)
         # zero slack up to the ulp residue of the 1/sqrt(m) rescaling
         assert est.rho_star <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1.9, True], ids=["1.9", "True"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        rows = np.random.default_rng(0).standard_normal((600, 2))
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            estimate_mean(rows, 0.05, SMALL_CFG, seed=seed)
 
     def test_replay_certificate(self):
         gt = gaussian_gt([1.0, 0.5, 0.25])

@@ -35,6 +35,18 @@ class TestDeriveSeed:
         assert 0 <= derive_seed(seed, "x", 3) < 2**63
 
 
+class TestSeedChecks:
+    @pytest.mark.parametrize("seed", [1.9, 2.0, True, "1", None], ids=["1.9", "2.0", "True", "str", "None"])
+    @pytest.mark.parametrize("make", [stream, derive_seed], ids=["stream", "derive_seed"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, make, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            make(seed, "x")
+
+    def test_numpy_integer_seeds_equal_python_ones(self):
+        assert derive_seed(np.int64(7), "x") == derive_seed(7, "x")
+        assert np.array_equal(stream(np.uint32(7), "x").random(4), stream(7, "x").random(4))
+
+
 class TestRowNorms:
     @pytest.mark.parametrize("d", [1, 2, 10, 200])
     @pytest.mark.parametrize("rows", list(ROW_COUNTS))
