@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig, require_int
+from .config import PipelineConfig, require_int, require_real
 from .distributions import as_rows
 
 PLAN_PURPOSES = ("variance", "mean")
@@ -82,9 +82,7 @@ def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_count(n_rows: int, m: int) -> int:
-    if require_int("m", m) < 1:
-        raise ValueError("block size must be >= 1")
-    if n_rows < m:
+    if n_rows < require_int("m", m, least=1):
         raise ValueError(f"block size m = {m} exceeds row count {n_rows}")
     return n_rows // m
 
@@ -120,8 +118,6 @@ def block_averages(ds, m: int) -> np.ndarray:
     rows = as_rows(ds)
     n_rows, d = rows.shape
     n = _block_count(n_rows, m)
-    if m == 1:
-        return rows[: n * m].copy()
     return block_sums(rows[: n * m].reshape(n, m, d)) / math.sqrt(m)
 
 
@@ -146,8 +142,6 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
     if not 1 <= n <= count:
         raise ValueError(f"{n} blocks of size m = {m} do not fit in {half} pairs")
     out = np.empty((n, d))
-    if m == 1:
-        return np.subtract(first[:n], second[:n], out=out)
     per_chunk = max(1, _CHUNK_BYTES // (out.itemsize * m * max(d, 1)))
     buf = np.empty((min(per_chunk, n) * m, d))
     for lo in range(0, n, per_chunk):
@@ -192,9 +186,7 @@ def plan_blocks(
     if purpose not in PLAN_PURPOSES:
         raise ValueError(f"purpose must be one of {PLAN_PURPOSES}")
     name = "theta_var" if purpose == "variance" else "theta_mean"
-    if not (0.0 < theta < 0.5):
-        raise ValueError(f"{name} must lie in (0, 1/2), got {theta!r}")
-    b = _trim_modulus(theta, name)
+    b = _trim_modulus(require_real(name, theta, 0.0, 0.5), name)
 
     if purpose == "variance":
         try:
@@ -212,9 +204,7 @@ def plan_blocks(
                 minimal_n=m0 * b,
             )
     else:
-        if delta is None or not (0.0 < delta < 1.0):
-            raise ValueError("mean-purpose planning needs delta in (0, 1)")
-        target = config.c_blocks * (1.0 + math.log(1.0 / delta))
+        target = config.c_blocks * (1.0 + math.log(1.0 / require_real("delta", delta, 0.0, 1.0)))
         if not math.isfinite(target):
             raise ValueError(f"c_blocks * log(e/delta) is not finite for c_blocks = {config.c_blocks}, delta = {delta}")
         n = b * math.ceil(math.ceil(target) / b)

@@ -181,8 +181,8 @@ def _cmd_diagnose(args) -> int:
         check_uniform_r(gt, doc["uniform"]["r"])
 
     u = np.eye(gt.dim)[0]
+    oracle = marginal_oracle(gt, u)  # a NoAnalyticOracleError is a ValueError: exit 1, before any draw
     sample = sample_marginal(gt, u, n, derive_seed(seed, "diagnose-sample"))
-    oracle = marginal_oracle(gt, u)  # a NoAnalyticOracleError is a ValueError: exit 1
     ratio_rep = check_ratio_conditions(sample, oracle, delta_param, theta)
     sandwich_ok = quantile_sandwich_check(sample, oracle, theta, delta_param)
     _write(args, {"ratio_conditions": ratio_rep, "quantile_sandwich": sandwich_ok}, "ratio_conditions.json")

@@ -58,13 +58,13 @@ class Field:
     Kinds: ``int``; ``size`` (an int of at least 1); ``real`` (finite, in
     the open interval (above, below)); ``probability`` (a real in (0, 1));
     ``reals`` (a nonempty list or 1-d array of reals); ``name`` (one of
-    ``choices``); ``names`` (a list of distinct ``choices``); ``object``
-    (read with the nested table ``fields``, if given).  ``least`` is an
-    inclusive floor on a number or on each entry of ``reals``: on a size it
-    replaces 1, and on a real or probability it replaces ``above``, so the
-    errors name that floor, or the interval [least, below).  A None default
-    admits null.  A plain class: a dataclass would add ~1.6 ms to every
-    start-up.
+    ``choices``); ``names`` (a list of one or more distinct ``choices``);
+    ``object`` (read with the nested table ``fields``, if given).
+    ``least`` is an inclusive floor on a number or on each entry of
+    ``reals``: on a size it replaces 1, and on a real or probability it
+    replaces ``above``, so the errors name that floor, or the interval
+    [least, below).  A None default admits null.  A plain class: a
+    dataclass would add ~1.6 ms to every start-up.
     """
 
     def __init__(self, kind: str, default=REQUIRED, *, least=None, above=-math.inf, below=math.inf, choices=(),
@@ -86,8 +86,9 @@ class Field:
             return value
         if self.kind == "names":
             listed = isinstance(value, (list, tuple)) and all(isinstance(v, str) and v in self.choices for v in value)
-            if not listed or len(set(value)) < len(value):
-                raise ValueError(f"{name} must be a list of distinct names from {list(self.choices)}, got {value!r}")
+            if not listed or not value or len(set(value)) < len(value):
+                raise ValueError(f"{name} must be a list of one or more distinct names from {list(self.choices)}, "
+                                 f"got {value!r}")
             return value
         if self.kind == "reals":
             if not (isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1) or len(value) == 0:

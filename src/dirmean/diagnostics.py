@@ -10,11 +10,12 @@ to spare).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blocks import trim_count
+from .config import require_int, require_real
 from .distributions import (
     GroundTruth,
     NoAnalyticOracleError,
@@ -99,8 +100,8 @@ def check_ratio_conditions(sample, oracle, delta: float, theta: float) -> RatioC
     16 delta correspondingly harder (impossible above eta = 1/2 for any
     symmetric law).
     """
-    if not (0.0 < delta < 0.5 and 0.0 < theta < 0.5):
-        raise ValueError("delta and theta must lie in (0, 1/2)")
+    require_real("delta", delta, 0.0, 0.5)
+    require_real("theta", theta, 0.0, 0.5)
     sample = np.asarray(sample, dtype=float).reshape(-1)
     if sample.size == 0:
         raise ValueError("empty sample")
@@ -145,9 +146,7 @@ def empirical_quantile_hat(values, theta: float) -> tuple[float, float]:
     n = values.size
     if n == 0:
         raise ValueError("empty sample")
-    if not (0.0 < theta < 0.5):
-        raise ValueError("theta must lie in (0, 1/2)")
-    k = trim_count(theta, n)
+    k = trim_count(require_real("theta", theta, 0.0, 0.5), n)
     if k < 1:
         raise ValueError(f"trim count k = {k} must be >= 1")
     if 2 * k >= n:
@@ -181,20 +180,11 @@ class RatioReport:
 
     tail_margins: np.ndarray
     interval_margins: np.ndarray
-    directions: np.ndarray
+    directions: np.ndarray = field(repr=False)  # repr=False: left out of the JSON report
+    n_directions: int
     r_used: float
     delta: float
     pass_fraction: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r_used": float(self.r_used),
-            "delta": float(self.delta),
-            "n_directions": int(self.tail_margins.size),
-            "pass_fraction": float(self.pass_fraction),
-            "tail_margins": [float(v) for v in self.tail_margins],
-            "interval_margins": [float(v) for v in self.interval_margins],
-        }
 
     @property
     def csv_columns(self) -> list[str]:
@@ -268,8 +258,9 @@ def check_uniform_ratios(
         tail_margins=tails,
         interval_margins=intervals,
         directions=np.array(dirs) if dirs else np.empty((0, d)),
-        r_used=r,
-        delta=delta_param,
+        n_directions=n_dirs,
+        r_used=float(r),
+        delta=float(delta_param),
         pass_fraction=float(passed.mean()) if n_dirs > 0 else 1.0,
     )
 
@@ -315,10 +306,8 @@ def small_ball_check(
     which P{|Z_m - x| <= eps sigma} <= max(2 L eps, gamma) holds on the
     center/epsilon grid.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if trials < 100:
-        raise ValueError("too few trials for stable estimates")
+    require_int("m", m, least=1)
+    require_int("trials", trials, least=100)  # fewer give unstable estimates
     d = gt.dim
     u = np.eye(d)[0] if direction is None else np.asarray(direction, dtype=float)
     sigma = directional_sigma(gt, u)

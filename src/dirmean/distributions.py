@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import REQUIRED, Field, check_fields, read_fields
+from .config import REQUIRED, Field, check_fields, read_fields, require_int, require_real
 from .rng import random_unit_rows, row_norms, stream
 
 FAMILIES = (
@@ -221,8 +221,7 @@ def _rotation_matrix(d: int, rotation_seed: int | None) -> np.ndarray:
 def student_kappa(nu: float, q: float) -> float:
     """Lq/L2 ratio of a t_nu marginal, from the closed form E|T|^q =
     nu^(q/2) Gamma((q+1)/2) Gamma((nu-q)/2) / (sqrt(pi) Gamma(nu/2)) and E T^2 = nu / (nu-2)."""
-    if not (2.0 < q < nu):
-        raise ValueError("need 2 < q < nu for a finite moment ratio")
+    require_real("q", q, 2.0, nu)  # a finite moment ratio needs 2 < q < nu
     lg = math.lgamma
     log_mom = q / 2.0 * math.log(nu) + lg((q + 1.0) / 2.0) + lg((nu - q) / 2.0) - lg(0.5) - lg(nu / 2.0)
     return math.exp(log_mom / q) * math.sqrt((nu - 2.0) / nu)
@@ -269,7 +268,7 @@ def _contaminated_kappa(spec: DistributionSpec, sigma_base: np.ndarray, n_probes
     off = np.asarray(spec.contamination_offset, dtype=float)
     frac = spec.contamination_fraction
     rng = stream(0, "contaminated-kappa-probes")
-    probes = [np.eye(d)[i] for i in range(d)]
+    probes = list(np.eye(d))
     probes.extend(random_unit_rows(rng, max(n_probes - d, 0), d))
     worst = 1.0
     for u in probes:
@@ -338,8 +337,7 @@ def make_ground_truth(spec: DistributionSpec) -> GroundTruth:
 def sample_dataset(gt: GroundTruth, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. rows as a C-contiguous (n, d) float64 array; a pure
     function of ``(gt.spec, n, seed)``."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    require_int("n", n, least=1)
     spec = gt.spec
     d = gt.dim
     rng = stream(seed, "sample", spec.family)
@@ -385,9 +383,9 @@ def tail_eigensum(gt: GroundTruth, k: int) -> float:
     ``k = 0`` gives the trace; ``k = d`` gives 0.
     """
     lam = np.asarray(gt.spectrum.eigenvalues)
-    if not (0 <= k <= lam.size):
-        raise ValueError(f"k must lie in [0, {lam.size}]")
-    return float(lam[int(k):].sum())
+    if require_int("k", k, least=0) > lam.size:
+        raise ValueError(f"k must be at most d = {lam.size}, got {k}")
+    return float(lam[k:].sum())
 
 
 def marginal_oracle(gt: GroundTruth, u, scale: float = 1.0):

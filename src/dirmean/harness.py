@@ -252,25 +252,19 @@ def per_direction_quantiles(table: TrialTable, delta: float) -> PerDirectionSumm
 
     The normalized ratio divides the quantile by weak + strong term; the
     fitted constant per estimator is the maximum ratio over directions,
-    computed for both tail start ranks.  With fewer than 1/delta trials
-    the order statistic does not exist, so the maximum is reported and
-    flagged.
+    computed for both tail start ranks.  The quantile is the order
+    statistic of rank min(trials, ceil((1 - delta) trials)); with fewer
+    than 1/delta trials that is the maximum, and the summary is flagged.
     """
     if len(table) == 0:
         raise ValueError("empty trial table")
     sc = table.scenario
     n_trials = sc.trials
-    flagged = n_trials * delta < 1.0
+    idx = min(n_trials - 1, math.ceil((1.0 - delta) * n_trials) - 1)
     rows: list[dict] = []
     fitted: dict[str, dict[str, float]] = {}
     for est_name in sc.estimators:
-        errs = table.select(est_name)  # (trials, probes)
-        if flagged:
-            q = errs.max(axis=0)
-        else:
-            order = np.sort(errs, axis=0)
-            idx = min(n_trials - 1, math.ceil((1.0 - delta) * n_trials) - 1)
-            q = order[idx]
+        q = np.sort(table.select(est_name), axis=0)[idx]  # one quantile per probe direction
 
         def _ratio(denominator: np.ndarray) -> np.ndarray:
             out = np.zeros_like(q)
@@ -296,7 +290,7 @@ def per_direction_quantiles(table: TrialTable, delta: float) -> PerDirectionSumm
             "C_hat_k1": float(np.max(ratio1)),
             "C_hat_k2": float(np.max(ratio2)),
         }
-    return PerDirectionSummary(delta=delta, rows=rows, fitted_constants=fitted, quantile_flagged=flagged)
+    return PerDirectionSummary(delta=delta, rows=rows, fitted_constants=fitted, quantile_flagged=n_trials * delta < 1)
 
 
 @dataclass(frozen=True)
@@ -351,14 +345,10 @@ def empirical_mean_lower_bound(
     rng = stream(seed, "lower-bound")
     g = rng.standard_normal((trials, d))
     top_stats = np.linalg.norm(g[:, :k], axis=1)
-    if k < d:
-        complement = np.sqrt((g[:, k:] ** 2 * lam[k:]).sum(axis=1))
-        v = random_unit_rows(rng, 64, d - k)  # the sampled surrogate's complement directions
-        y_comp = g[:, k:] * np.sqrt(lam[k:])
-        sampled = np.max(y_comp @ v.T, axis=1)
-    else:
-        complement = np.zeros(trials)
-        sampled = np.zeros(trials)
+    # at k = d the complement is empty: both statistics are 0 and v draws nothing
+    complement = np.sqrt((g[:, k:] ** 2 * lam[k:]).sum(axis=1))
+    v = random_unit_rows(rng, 64, d - k)  # the sampled surrogate's complement directions
+    sampled = np.max((g[:, k:] * np.sqrt(lam[k:])) @ v.T, axis=1)
 
     level = 1.0 - delta
     top_q = float(np.quantile(top_stats, level))
@@ -396,8 +386,8 @@ def _jsonable(obj):
     """Plain JSON values for a report.
 
     An object with its own ``to_json_dict`` (the Scenario and DistributionSpec
-    round-trips, RatioReport) is written by it; any other dataclass as its
-    fields, leaving out those declared ``field(repr=False)`` (bulk arrays).
+    round-trips) is written by it; any other dataclass as its fields,
+    leaving out those declared ``field(repr=False)`` (bulk arrays).
     """
     if hasattr(obj, "to_json_dict"):
         return _jsonable(obj.to_json_dict())

@@ -155,8 +155,7 @@ def slab_width_profile(
     var_est: VarianceEstimator, directions: np.ndarray, delta: float, c_prime: float, n_samples: int
 ) -> np.ndarray:
     """Half-widths 2 C' sqrt(psi(u) log(1/delta) / N) over the rows of ``directions``."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    require_real("delta", delta, 0.0, 1.0)
     require_real("c_prime", c_prime, above=0.0)
     require_int("n_samples", n_samples, least=1)
     var = psi_profile(var_est, directions)
@@ -399,10 +398,12 @@ def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
     Tall or square Z (n >= d) takes the eigh of the d x d Gram Z^T Z.  Wide
     Z (n < d) takes that of the n x n Gram Z Z^T instead: its eigenvector w
     maps to the eigenvector Z^T w / |Z^T w| of Z^T Z, with the same
-    eigenvalue.  Either way only eigenvalues above
-    lambda_max * max(n, d) * eps are kept; below that floor rounding picks
-    the vector (any null-space vector of Z^T Z, or 0/0 after the map), so a
-    Z of rank r gives at most r rows and Z = 0 none.
+    eigenvalue.  That Gram is formed by ``einsum``, not BLAS, whose split
+    across threads would change its bytes with the thread count.  Either
+    way only eigenvalues above lambda_max * max(n, d) * eps are kept; below
+    that floor rounding picks the vector (any null-space vector of Z^T Z,
+    or 0/0 after the map), so a Z of rank r gives at most r rows and Z = 0
+    none.
     """
     n, d = z.shape
     scale = np.abs(z).max()
@@ -410,7 +411,7 @@ def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
         return np.empty((0, d))
     zs = z / scale
     wide = n < d
-    vals, vecs = np.linalg.eigh(zs @ zs.T if wide else zs.T @ zs)
+    vals, vecs = np.linalg.eigh(np.einsum("ik,jk->ij", zs, zs) if wide else zs.T @ zs)
     vals, vecs = vals[::-1][:count], vecs[:, ::-1][:, :count]  # eigh sorts ascending
     top = vecs.T[vals > vals[0] * max(n, d) * np.finfo(float).eps]
     if wide:

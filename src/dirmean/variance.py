@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks
-from .config import PipelineConfig
+from .config import PipelineConfig, require_int, require_real
 from .distributions import SpectrumSpec, as_directions, as_rows
 
 
@@ -30,8 +30,9 @@ class VarianceEstimator:
 def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
     """Block averages of the pair differences, formed block by block.
 
-    Raises NonFiniteRowError naming the first NaN or inf row that reaches
-    the blocks.
+    Row i is paired with row N // 2 + i; of an odd row count the last row
+    is left out.  Raises NonFiniteRowError naming the first NaN or inf row
+    that reaches the blocks.
     """
     config = config or PipelineConfig()
     rows = as_rows(ds)
@@ -39,7 +40,7 @@ def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
         raise ValueError("need at least two rows")
     half = rows.shape[0] // 2
     plan = plan_blocks(half, None, config.theta_var, "variance", config)
-    z = pair_block_averages(rows, plan.m, plan.n)
+    z = pair_block_averages(rows[: 2 * half], plan.m, plan.n)
     if not np.isfinite(z).all():
         raise nonfinite_error(rows, np.r_[0 : plan.used, half : half + plan.used])
     return VarianceEstimator(Z=z, plan=plan)
@@ -82,10 +83,8 @@ def critical_level(spectrum: SpectrumSpec, n: int, c0: float) -> float:
     r = sqrt((c0 / n) * sum of eigenvalues of rank >= ceil(c0 * n)); zero
     when the rank threshold exceeds the dimension.
     """
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_real("c0", c0, above=0.0)
+    require_int("n", n, least=1)
     lam = np.asarray(spectrum.eigenvalues, dtype=float)
     k0 = int(np.ceil(c0 * n))  # 1-indexed rank threshold
     if k0 > lam.size:

@@ -46,8 +46,12 @@ class TestPairDifferences:
 
 class TestBlockAverages:
     def test_m1_identity(self):
-        rows = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(block_averages(rows, 1), rows)
+        # blocks of one row go through the general block sums, which return
+        # each row, and each pair difference, byte for byte
+        for d in (1, 2, 50):
+            rows = np.random.default_rng(d).standard_t(3, size=(41, d))
+            assert block_averages(rows, 1).tobytes() == rows.tobytes()
+            assert pair_block_averages(rows[:40], 1).tobytes() == (rows[:20] - rows[20:40]).tobytes()
 
     def test_sqrt_scaling(self):
         out = block_averages(np.array([[2.0], [4.0], [6.0], [8.0]]), 4)
@@ -97,7 +101,7 @@ class TestPairBlockAverages:
 
     def test_rejects_bad_block_geometry(self):
         rows = np.ones((20, 2))
-        with pytest.raises(ValueError, match="block size must be >= 1"):
+        with pytest.raises(ValueError, match=r"^m must be at least 1, got 0$"):
             pair_block_averages(rows, 0)
         with pytest.raises(ValueError, match="exceeds row count"):
             pair_block_averages(rows, 11)
@@ -192,8 +196,18 @@ assert (marg.plan.n, marg.plan.m, var.plan.n, var.plan.m) == (4, 10_000, 4, 10_0
 est = dirmean.estimate_mean(rows, 0.5, config, seed=3)
 mean = dirmean.baseline_empirical_mean(rows)
 mom = dirmean.baseline_median_of_means(rows, 4)
+# d = 200 from 3N = 3e4 rows: 50 x 200 variance blocks, so the learned
+# directions take the wide Gram, and at C_prime = 0.05 the slab system is
+# infeasible, so they move mu_hat
+d = 200
+spec = dirmean.DistributionSpec("elliptical-student", dirmean.SpectrumSpec(tuple(np.geomspace(1.0, 1e-3, d))),
+                                (0.0,) * d, dof=3.0)
+wide_rows = dirmean.sample_dataset(dirmean.make_ground_truth(spec), 30_000, 0)
+wide = dirmean.estimate_mean(wide_rows, 0.01, dirmean.PipelineConfig(C_prime=0.05), seed=0)
+assert wide.block_plan_var.n < d and wide.iterations > 0
 np.savez(
-    sys.argv[1], Y=marg.Y, Z=var.Z, mu_hat=est.mu_hat, rho_star=est.rho_star, iterations=est.iterations, mean=mean, mom=mom
+    sys.argv[1], Y=marg.Y, Z=var.Z, mu_hat=est.mu_hat, rho_star=est.rho_star, iterations=est.iterations, mean=mean, mom=mom,
+    wide_mu_hat=wide.mu_hat, wide_rho_star=wide.rho_star, wide_iterations=wide.iterations,
 )
 """
 
@@ -209,7 +223,8 @@ def test_blas_thread_count_keeps_the_bytes(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         results.append(np.load(out))
-    for key in ("Y", "Z", "mu_hat", "rho_star", "iterations", "mean", "mom"):
+    for key in ("Y", "Z", "mu_hat", "rho_star", "iterations", "mean", "mom", "wide_mu_hat", "wide_rho_star",
+                "wide_iterations"):
         assert results[0][key].tobytes() == results[1][key].tobytes(), key
 
 

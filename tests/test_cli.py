@@ -298,6 +298,17 @@ class TestSimulateCommand:
         assert field in err
         assert not (tmp_path / "o").exists()
 
+    def test_empty_estimator_list_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the estimator list was checked")
+
+        monkeypatch.setattr("dirmean.harness.sample_dataset", no_draw)
+        cfg = write_json(tmp_path / "sc.json", scenario_doc(estimators=[]))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 1: estimators must be a list of one or more distinct names") and "got []" in err
+        assert not (tmp_path / "o").exists()
+
     def test_summary_echoes_the_estimators_plans(self, tmp_path):
         from dirmean import DistributionSpec, PipelineConfig, derive_seed, estimate_mean, make_ground_truth, sample_dataset
 
@@ -362,6 +373,30 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         report = json.loads((tmp_path / "o" / "uniform_ratios.json").read_text())
         assert report["r_used"] == 1.3 and report["n_directions"] == 5
+
+    def test_integer_r_writes_the_bytes_of_a_float_r(self, tmp_path):
+        outs = []
+        for r in (0, 0.0):
+            doc = {"distribution": GAUSS_2D, "n": 2000, "small_ball": {"m": 4, "trials": 200},
+                   "uniform": {"n_dirs": 3, "r": r, "n_pairs": 500}}
+            cfg = write_json(tmp_path / "d.json", doc)
+            assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / f"o{r!r}")]) == 0
+            outs.append((tmp_path / f"o{r!r}" / "uniform_ratios.json").read_bytes())
+        assert outs[0] == outs[1] and b'"r_used": 0.0,' in outs[0]
+
+    @pytest.mark.parametrize("dist", [dict(GAUSS_2D, family="elliptical-lognormal", shape=1.0),
+                                      dict(GAUSS_2D, family="gaussian-with-point-contamination",
+                                           contamination={"fraction": 0.1, "offset": [1.0, 1.0]})])
+    def test_family_without_a_marginal_law_exits_1_before_any_draw(self, tmp_path, capsys, monkeypatch, dist):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the marginal law was resolved")
+
+        monkeypatch.setattr("dirmean.cli.sample_marginal", no_draw)
+        monkeypatch.setattr("dirmean.cli.sample_dataset", no_draw)
+        cfg = write_json(tmp_path / "d.json", {"distribution": dist})
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: no analytic marginal law for family {dist['family']!r}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("uniform", [{}, {"n_dirs": 5}])
     def test_uniform_section_for_another_family_exits_1(self, tmp_path, capsys, uniform):

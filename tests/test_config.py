@@ -1,10 +1,46 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dirmean import PipelineConfig
+from dirmean import (DistributionSpec, PipelineConfig, SpectrumSpec, check_ratio_conditions, critical_level,
+                     empirical_quantile_hat, make_ground_truth, plan_blocks, sample_dataset, slab_width_profile,
+                     small_ball_check, student_kappa, tail_eigensum)
 from dirmean.config import Field, require_int, require_real
+
+GT = make_ground_truth(DistributionSpec("gaussian", SpectrumSpec((1.0, 0.5)), (0.0, 0.0)))
+
+# each library function's scalar arguments, checked by require_int / require_real:
+# a call with one bad value, and the error it raises
+SCALAR_REFUSALS = {
+    "plan_blocks-theta": (lambda: plan_blocks(1000, 0.1, 0.5, "mean"), "theta_mean must lie in (0, 0.5), got 0.5"),
+    "plan_blocks-delta": (lambda: plan_blocks(1000, None, 0.125, "mean"), "delta must lie in (0, 1), got None"),
+    "slab_width_profile-delta": (lambda: slab_width_profile(None, np.eye(2), 1.0, 1.0, 10),
+                                 "delta must lie in (0, 1), got 1.0"),
+    "sample_dataset-float": (lambda: sample_dataset(GT, 2.5, 0), "n must be an integer, got 2.5"),
+    "sample_dataset-zero": (lambda: sample_dataset(GT, 0, 0), "n must be at least 1, got 0"),
+    "tail_eigensum-float": (lambda: tail_eigensum(GT, 1.5), "k must be an integer, got 1.5"),
+    "tail_eigensum-negative": (lambda: tail_eigensum(GT, -1), "k must be at least 0, got -1"),
+    "tail_eigensum-above-d": (lambda: tail_eigensum(GT, 3), "k must be at most d = 2, got 3"),
+    "student_kappa-q": (lambda: student_kappa(5.0, 5.0), "q must lie in (2, 5), got 5.0"),
+    "critical_level-float": (lambda: critical_level(GT.spectrum, 2.5, 0.1), "n must be an integer, got 2.5"),
+    "critical_level-c0": (lambda: critical_level(GT.spectrum, 10, 0.0), "c0 must lie in (0, inf), got 0.0"),
+    "small_ball_check-m": (lambda: small_ball_check(GT, 2.0, 0.05, 200, 0), "m must be an integer, got 2.0"),
+    "small_ball_check-trials": (lambda: small_ball_check(GT, 4, 0.05, 99, 0), "trials must be at least 100, got 99"),
+    "empirical_quantile_hat-theta": (lambda: empirical_quantile_hat(np.arange(10.0), 0.5),
+                                     "theta must lie in (0, 0.5), got 0.5"),
+    "check_ratio_conditions-delta": (lambda: check_ratio_conditions(np.arange(10.0), None, 0.5, 0.1),
+                                     "delta must lie in (0, 0.5), got 0.5"),
+    "check_ratio_conditions-theta": (lambda: check_ratio_conditions(np.arange(10.0), None, 0.01, math.nan),
+                                     "theta must lie in (0, 0.5), got nan"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(SCALAR_REFUSALS.values()), ids=list(SCALAR_REFUSALS))
+def test_scalar_argument_refusal_names_the_argument_and_value(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestRefineAndBaselineFields:

@@ -72,7 +72,7 @@ def bad_values(field, valid):
     if field.kind == "name":
         return values + [[valid], {"a": 1}, 5, True, "bogus"]
     if field.kind == "names":
-        return values + [{"a": 1}, valid[0], 5, True, [[valid[0]]], ["bogus"], [5], valid + valid[:1]]
+        return values + [{"a": 1}, valid[0], 5, True, [[valid[0]]], ["bogus"], [5], valid + valid[:1], []]
     return values + [[1], "x", 5, True]  # object
 
 

@@ -692,7 +692,7 @@ class TestOneSidedCuts:
         assert res.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-12)
         assert slabs.max_violation(res.v_star) == res.rho_star
 
-    def test_one_row_per_new_slab_side_and_bounded_rounds(self, monkeypatch):
+    def test_one_column_per_new_slab_side_and_bounded_rounds(self, monkeypatch):
         rng = np.random.default_rng(11)
         for _ in range(20):
             d = int(rng.integers(1, 11))

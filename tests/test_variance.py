@@ -181,9 +181,12 @@ class TestFitVarianceBlocks:
         config = PipelineConfig(gamma=1.0, c1=float(m), theta_var=0.25)
         self._check(rows, config, m, 4)
 
-    def test_rejects_odd_row_count(self):
-        with pytest.raises(ValueError, match="even row count"):
-            fit_variance(np.ones((10001, 2)))
+    def test_odd_row_count_leaves_out_the_last_row(self):
+        # row i pairs with row N // 2 + i, so the last of an odd count, here
+        # NaN, reaches no block
+        rows = self._rows(2, 100, 50, seed=9)
+        est = fit_variance(np.vstack([rows, np.full((1, 2), np.nan)]), self._config(100))
+        assert np.array_equal(est.Z, oracle_pair_block_averages(rows, 100, 50))
 
     def test_large_common_offset_costs_no_accuracy(self):
         # paired rows near 1e8 subtract exactly, so Z is within the summation
