@@ -66,42 +66,36 @@ def interval_excess_sup(sample: np.ndarray, cdf) -> float:
     return float(best)
 
 
-def _tail_ratio_margins(sorted_sample: np.ndarray, t_grid: np.ndarray, probs: np.ndarray, delta: float, lower: bool) -> float:
-    """Worst dyadic ratio margin over one tail side; -inf if nothing applies."""
-    n = sorted_sample.size
-    applicable = probs >= delta
-    if not np.any(applicable):
-        return -np.inf
-    t = t_grid[applicable]
-    p = probs[applicable]
-    if lower:
-        # counts of samples < -t (strict) and <= -t (weak)
-        strict = np.searchsorted(sorted_sample, -t, side="left") / n
-        weak = np.searchsorted(sorted_sample, -t, side="right") / n
-    else:
-        strict = (n - np.searchsorted(sorted_sample, t, side="right")) / n
-        weak = (n - np.searchsorted(sorted_sample, t, side="left")) / n
+def _upper_tail_margin(s: np.ndarray, quantiles, sf, delta: float) -> float:
+    """Worst dyadic ratio margin of the sorted sample ``s`` over the sets {Z > t}
+    at t = 0, the points of ``s`` and the finite ``quantiles`` that are >= 0
+    and have P{Z > t} = sf(t) >= delta; -inf if there is no such t."""
+    n = s.size
+    t = np.concatenate([[0.0], s[s >= 0], np.asarray(quantiles)])
+    t = np.unique(t[np.isfinite(t) & (t >= 0)])
+    p = np.asarray(sf(t))
+    t, p = t[p >= delta], p[p >= delta]
+    strict = (n - np.searchsorted(s, t, side="right")) / n  # samples > t
+    weak = (n - np.searchsorted(s, t, side="left")) / n  # samples >= t
     dev = np.maximum(np.abs(strict / p - 1.0), np.abs(weak / p - 1.0))
     j_max = np.floor(np.log2(p / delta))
     tolerance = 2.0 ** (-j_max / 2.0 - 1.0)
-    return float(np.max(dev - tolerance))
+    return float(np.max(dev - tolerance, initial=-np.inf))
 
 
-def check_ratio_conditions(sample, oracle, delta: float, theta: float) -> RatioConditionReport:
-    """Check the three ratio conditions of one sample against its true law.
+def ratio_margins(sample, oracle, delta: float) -> tuple[float, float]:
+    """Worst margins (tail_ratio_worst, interval_excess_worst) of one sample
+    against its true law; <= 0 means the condition held everywhere checked.
 
     oracle is a frozen scipy-style distribution (cdf / sf / ppf) of the
     sample's law.  The dyadic tail condition is evaluated on the grid of
     sample order statistics plus the oracle quantiles at the dyadic levels;
     between grid points both measures are monotone, so worst margins occur
     at (one-sided limits of) grid points, which the strict/weak counts
-    cover.  The stated regime is delta, theta < 1/100; larger experimental
-    values are accepted but make the balance condition eta = 4 theta +
-    16 delta correspondingly harder (impossible above eta = 1/2 for any
-    symmetric law).
+    cover.  The lower tail {Z < -t} is the upper tail of the mirrored
+    sample -Z, whose law has sf(t) = cdf(-t) and quantiles -ppf(level).
     """
     require_real("delta", delta, 0.0, 0.5)
-    require_real("theta", theta, 0.0, 0.5)
     sample = np.asarray(sample, dtype=float).reshape(-1)
     if sample.size == 0:
         raise ValueError("empty sample")
@@ -109,20 +103,25 @@ def check_ratio_conditions(sample, oracle, delta: float, theta: float) -> RatioC
     j_span = int(math.ceil(math.log2(1.0 / delta)))
     levels = delta * 2.0 ** np.arange(0, j_span + 1)
     levels = levels[levels < 1.0]
-
-    # upper side: thresholds t >= 0 with P{Z > t}
-    upper_t = np.concatenate([[0.0], s[s >= 0], np.asarray(oracle.ppf(1.0 - levels))])
-    upper_t = np.unique(upper_t[np.isfinite(upper_t) & (upper_t >= 0)])
-    worst = _tail_ratio_margins(s, upper_t, np.asarray(oracle.sf(upper_t)), delta, lower=False)
-
-    # lower side: thresholds t >= 0 with P{Z < -t}
-    lower_t = np.concatenate([[0.0], -s[s <= 0], -np.asarray(oracle.ppf(levels))])
-    lower_t = np.unique(lower_t[np.isfinite(lower_t) & (lower_t >= 0)])
-    worst = max(worst, _tail_ratio_margins(s, lower_t, np.asarray(oracle.cdf(-lower_t)), delta, lower=True))
+    worst = max(
+        _upper_tail_margin(s, oracle.ppf(1.0 - levels), oracle.sf, delta),
+        _upper_tail_margin(-s[::-1], -np.asarray(oracle.ppf(levels)), lambda t: oracle.cdf(-t), delta),
+    )
     if not np.isfinite(worst):
         worst = 0.0
+    return worst, interval_excess_sup(s, oracle.cdf) - 2.0 * delta
 
-    interval_worst = interval_excess_sup(s, oracle.cdf) - 2.0 * delta
+
+def check_ratio_conditions(sample, oracle, delta: float, theta: float) -> RatioConditionReport:
+    """The margins of :func:`ratio_margins` plus the balance condition:
+    both true tail masses at 0 are at least eta = 4 theta + 16 delta.
+
+    The stated regime is delta, theta < 1/100; larger experimental values
+    are accepted but make the balance condition correspondingly harder
+    (impossible above eta = 1/2 for any symmetric law).
+    """
+    require_real("theta", theta, 0.0, 0.5)
+    worst, interval_worst = ratio_margins(sample, oracle, delta)
     eta = 4.0 * theta + 16.0 * delta
     balanced = bool(oracle.sf(0.0) >= eta and oracle.cdf(0.0) >= eta)
     return RatioConditionReport(
@@ -225,6 +224,8 @@ def check_uniform_ratios(
     Directions are sampled uniformly subject to sqrt(2) sigma(u) >= r, so
     an ``r`` above every direction's value is refused before any draw.
     """
+    require_real("delta_param", delta_param, 0.0, 0.5)
+    require_int("n_dirs", n_dirs, least=0)
     if gt.spec.family != "gaussian":
         raise NoAnalyticOracleError(
             "uniform ratio check needs a closed-form law for blocked "
@@ -246,13 +247,8 @@ def check_uniform_ratios(
         if scale * directional_sigma(gt, u) >= r:
             dirs.append(u)
 
-    tails = np.empty(n_dirs)
-    intervals = np.empty(n_dirs)
-    for i, u in enumerate(dirs):
-        oracle = marginal_oracle(gt, u, scale=scale)
-        rep = check_ratio_conditions(z @ u, oracle, delta_param, theta=min(7 * delta_param, 0.49))
-        tails[i] = rep.tail_ratio_worst
-        intervals[i] = rep.interval_excess_worst
+    margins = [ratio_margins(z @ u, marginal_oracle(gt, u, scale=scale), delta_param) for u in dirs]
+    tails, intervals = np.array(margins).reshape(n_dirs, 2).T
     passed = np.logical_and(tails <= 0.0, intervals <= 0.0)
     return RatioReport(
         tail_margins=tails,
@@ -294,22 +290,22 @@ def small_ball_check(
     gamma: float,
     trials: int,
     seed: int,
-    direction=None,
     xi: float = 0.02,
 ) -> SmallBallReport:
-    """Monte Carlo audit of the block-average facts along one direction.
+    """Monte Carlo audit of the block-average facts along e1.
 
     Estimates, for Z_m = (1/sqrt(m)) * sum of m centered marginals:
     the sign-balance probabilities; the truncated second-moment ratio at
     the level alpha = (xi/kappa^2)^(q/(q-2)); the Lq/L2 norm ratio of Z_m
     against the bound sqrt(4(q-1)) kappa; and the smallest constant L for
     which P{|Z_m - x| <= eps sigma} <= max(2 L eps, gamma) holds on the
-    center/epsilon grid.
+    center/epsilon grid (L = 0 at gamma >= 1).  ``gamma`` and ``xi`` must be positive.
     """
     require_int("m", m, least=1)
+    require_real("gamma", gamma, 0.0)
     require_int("trials", trials, least=100)  # fewer give unstable estimates
-    d = gt.dim
-    u = np.eye(d)[0] if direction is None else np.asarray(direction, dtype=float)
+    require_real("xi", xi, 0.0)
+    u = np.eye(gt.dim)[0]
     sigma = directional_sigma(gt, u)
     if sigma <= 0:
         raise ValueError("direction with zero variance")

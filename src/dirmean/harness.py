@@ -387,7 +387,8 @@ def _jsonable(obj):
 
     An object with its own ``to_json_dict`` (the Scenario and DistributionSpec
     round-trips) is written by it; any other dataclass as its fields,
-    leaving out those declared ``field(repr=False)`` (bulk arrays).
+    leaving out those declared ``field(repr=False)`` (bulk arrays); a numpy
+    scalar or array as its ``tolist()`` (Python bools, ints, floats, lists).
     """
     if hasattr(obj, "to_json_dict"):
         return _jsonable(obj.to_json_dict())
@@ -397,14 +398,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subtype
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     return obj
 
 

@@ -43,7 +43,6 @@ from .distributions import as_directions, as_rows
 from .rng import random_unit_rows, row_norms, stream
 from .variance import VarianceEstimator, fit_variance, psi_profile
 
-DUPLICATE_DOT = 1.0 - 1e-12  # |cos| above this counts as the same direction
 TOL = 1e-8  # certified solver gap, relative to 1 + the LP lower bound
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 # the options of every slab LP: unscaled primal simplex, no presolve, and
@@ -429,13 +428,10 @@ def build_direction_set(
     Rows are unit vectors: e1..ed, then the top min(d, 8) eigenvectors of
     the variance blocks' second moment (fewer when the blocks have lower
     rank, see :func:`_eigendirections`), then the rows still missing, drawn
-    from the seed's "direction-fill" stream and used as drawn.  An
-    eigendirection is left out when its largest |coordinate|, its |cos|
-    with the nearest canonical row, is at least DUPLICATE_DOT = 1 - 1e-12
-    (about 1.41e-6 rad from that row or its negation); eigh returns
-    orthonormal vectors, so no two eigendirections are that close.  The
-    fill is not checked: a near-duplicate row repeats a slab, which changes
-    neither g(v) nor the LP optimum.  Every unit vector of R^1 is +-e1, so
+    from the seed's "direction-fill" stream.  Every row is kept as computed:
+    an eigendirection that is (up to sign) a canonical row, or a fill row
+    close to another row, repeats a slab, which changes neither g(v) nor
+    the LP optimum.  Every unit vector of R^1 is +-e1, so
     in one dimension the set is [[1.0]] whatever the budget.  A ``var_est``
     whose blocks have other than d columns raises ValueError, and so does a
     ``d`` that is not an integer of at least 1 or a ``budget`` that is not
@@ -454,7 +450,6 @@ def build_direction_set(
     count = d
     if var_est is not None:
         learned = _eigendirections(var_est.Z, min(d, 8))
-        learned = learned[np.abs(learned).max(axis=1) < DUPLICATE_DOT]
         count += learned.shape[0]
         out[d:count] = learned
     random_unit_rows(stream(seed, "direction-fill"), budget - count, d, out=out[count:])
@@ -488,6 +483,10 @@ def estimate_mean(
     direction set are intersected by the minimax solver; fresh probe
     directions then estimate the surrogate gap and the worst violators are
     appended and re-solved, up to ``config.refine_rounds`` times.
+
+    ``probe_violation`` (None at ``refine_rounds = 0``) is the worst slab
+    violation beyond rho_star over a probe set drawn after the last solve,
+    so it is measured at ``mu_hat``: a lower bound on the sup over the sphere.
 
     ``iterations`` sums the LP rounds of every solve (0: each warm start
     was feasible); ``converged`` and ``final_gap`` are those of the last
@@ -529,14 +528,14 @@ def estimate_mean(
     rounds_used = 0
     probe_violation = None
     rng = stream(seed, "refine-probes")
-    for _ in range(config.refine_rounds):
+    while config.refine_rounds > 0:  # after the last round, one more probe set measures mu_hat
         probes = random_unit_rows(rng, config.refine_probes, d)
         p_centers = nu_hat_profile(marg_est, probes)
         p_widths = slab_width_profile(var_est, probes, delta, config.C_prime, n)
         viol = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
         probe_violation = float(np.max(viol))
         scale = result.rho_star + _median(slabs.widths)
-        if probe_violation <= config.refine_tol * scale:
+        if probe_violation <= config.refine_tol * scale or rounds_used == config.refine_rounds:
             break
         rounds_used += 1
         worst = np.argsort(viol)[::-1]

@@ -51,6 +51,32 @@ def brute_force_interval_sup(sample, cdf):
     return best
 
 
+def oracle_tail_ratio_margins(sample, oracle, delta):
+    """Worst dyadic ratio margins (upper, lower) of each tail side, counted by
+    direct comparison at every threshold t >= 0: the sample points on that
+    side and the oracle quantiles at the dyadic levels delta 2^j < 1.  A side
+    without a threshold of true tail mass >= delta gives -inf."""
+    s = [float(x) for x in np.asarray(sample, dtype=float).reshape(-1)]
+    n = len(s)
+    levels = [delta * 2.0**j for j in range(math.ceil(math.log2(1.0 / delta)) + 1) if delta * 2.0**j < 1.0]
+    sides = (
+        ([0.0] + [x for x in s if x >= 0] + [float(oracle.ppf(1.0 - lv)) for lv in levels],
+         lambda t: float(oracle.sf(t)), lambda t: sum(x > t for x in s), lambda t: sum(x >= t for x in s)),
+        ([0.0] + [-x for x in s if x <= 0] + [-float(oracle.ppf(lv)) for lv in levels],
+         lambda t: float(oracle.cdf(-t)), lambda t: sum(x < -t for x in s), lambda t: sum(x <= -t for x in s)),
+    )
+    worst = []
+    for thresholds, mass, strict, weak in sides:
+        margins = []
+        for t in thresholds:
+            p = mass(t)
+            if not (math.isfinite(t) and t >= 0 and p >= delta):
+                continue
+            dev = max(abs(strict(t) / n / p - 1.0), abs(weak(t) / n / p - 1.0))
+            margins.append(dev - 2.0 ** (-float(np.floor(np.log2(p / delta))) / 2.0 - 1.0))
+        worst.append(max(margins, default=-math.inf))
+    return tuple(worst)
+
 
 def oracle_direction_fill(initial_rows, budget, rng):
     """The random unit fill of a direction set: the rows still missing,

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from dirmean import (DistributionSpec, PipelineConfig, SpectrumSpec, check_ratio_conditions, critical_level,
-                     empirical_quantile_hat, make_ground_truth, plan_blocks, sample_dataset, slab_width_profile,
-                     small_ball_check, student_kappa, tail_eigensum)
+from dirmean import (DistributionSpec, PipelineConfig, SpectrumSpec, check_ratio_conditions, check_uniform_ratios,
+                     critical_level, empirical_quantile_hat, make_ground_truth, plan_blocks, sample_dataset,
+                     slab_width_profile, small_ball_check, student_kappa, tail_eigensum)
 from dirmean.config import Field, require_int, require_real
 
 GT = make_ground_truth(DistributionSpec("gaussian", SpectrumSpec((1.0, 0.5)), (0.0, 0.0)))
@@ -28,6 +28,14 @@ SCALAR_REFUSALS = {
     "critical_level-c0": (lambda: critical_level(GT.spectrum, 10, 0.0), "c0 must lie in (0, inf), got 0.0"),
     "small_ball_check-m": (lambda: small_ball_check(GT, 2.0, 0.05, 200, 0), "m must be an integer, got 2.0"),
     "small_ball_check-trials": (lambda: small_ball_check(GT, 4, 0.05, 99, 0), "trials must be at least 100, got 99"),
+    "small_ball_check-gamma": (lambda: small_ball_check(GT, 4, math.nan, 200, 0),
+                               "gamma must lie in (0, inf), got nan"),
+    "small_ball_check-xi": (lambda: small_ball_check(GT, 4, 0.05, 200, 0, xi=-1.0),
+                            "xi must lie in (0, inf), got -1.0"),
+    "check_uniform_ratios-delta_param": (lambda: check_uniform_ratios(np.zeros((10, 2)), GT, 5.0, 0.0, 0, 0),
+                                         "delta_param must lie in (0, 0.5), got 5.0"),
+    "check_uniform_ratios-n_dirs": (lambda: check_uniform_ratios(np.zeros((10, 2)), GT, 0.02, 0.0, -1, 0),
+                                    "n_dirs must be at least 0, got -1"),
     "empirical_quantile_hat-theta": (lambda: empirical_quantile_hat(np.arange(10.0), 0.5),
                                      "theta must lie in (0, 0.5), got 0.5"),
     "check_ratio_conditions-delta": (lambda: check_ratio_conditions(np.arange(10.0), None, 0.5, 0.1),

@@ -12,13 +12,14 @@ from dirmean import (
     empirical_quantile_hat,
     interval_excess_sup,
     make_ground_truth,
+    marginal_oracle,
     quantile_sandwich_check,
     sample_dataset,
     small_ball_alpha,
     small_ball_check,
 )
 
-from naive_oracles import brute_force_interval_sup, pair_differences
+from naive_oracles import brute_force_interval_sup, oracle_tail_ratio_margins, pair_differences
 
 Z90 = 1.2815515655446004  # standard normal 0.9 quantile
 
@@ -85,6 +86,24 @@ class TestRatioConditions:
     def test_rejects_out_of_range_params(self):
         with pytest.raises(ValueError):
             check_ratio_conditions(np.ones(10), stats.norm(), delta=0.0, theta=0.1)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.05])
+    @pytest.mark.parametrize("case", ["one-sided", "shifted", "signed-zeros", "shifted-law"])
+    def test_mirrored_lower_tail_matches_direct_counts(self, case, delta):
+        # asymmetric samples, so the two sides' margins differ; on the
+        # shifted law no lower threshold has mass >= delta (its margin is -inf)
+        rng = np.random.default_rng(17)
+        oracle = stats.norm(loc=3.0) if case == "shifted-law" else stats.norm()
+        sample = {
+            "one-sided": np.abs(rng.standard_normal(400)),
+            "shifted": rng.standard_normal(400) + 0.2,
+            "signed-zeros": np.concatenate([[0.0] * 30, [-0.0] * 5, rng.standard_normal(300)]),
+            "shifted-law": rng.standard_normal(400) + 3.0,
+        }[case]
+        upper, lower = oracle_tail_ratio_margins(sample, oracle, delta)
+        assert upper != lower
+        rep = check_ratio_conditions(sample, oracle, delta=delta, theta=0.001)
+        assert rep.tail_ratio_worst == max(upper, lower)
 
 
 class TestEmpiricalQuantiles:
@@ -197,6 +216,15 @@ class TestUniformRatios:
         gt = make_ground_truth(spec)
         with pytest.raises(NoAnalyticOracleError):
             check_uniform_ratios(np.zeros((10, 2)), gt, 0.02, 0.0, 5, 0)
+
+    @pytest.mark.parametrize("delta_param, block_m", [(0.02, 1), (0.1, 3)])
+    def test_margins_are_those_of_check_ratio_conditions(self, delta_param, block_m):
+        gt = make_ground_truth(DistributionSpec("gaussian", SpectrumSpec((1.0, 0.3, 0.1)), mean=(1.0, 0.0, -2.0)))
+        z = block_averages(pair_differences(sample_dataset(gt, 2 * 3000, seed=11)), block_m)
+        rep = check_uniform_ratios(z, gt, delta_param, r=0.0, n_dirs=12, seed=12)
+        for u, tail, interval in zip(rep.directions, rep.tail_margins, rep.interval_margins):
+            one = check_ratio_conditions(z @ u, marginal_oracle(gt, u, scale=np.sqrt(2.0)), delta_param, theta=0.01)
+            assert (one.tail_ratio_worst, one.interval_excess_worst) == (tail, interval)
 
     def test_csv_rows_match_margins(self):
         gt = self._gaussian_gt()

@@ -30,7 +30,7 @@ from dirmean import (
     write_report,
 )
 import dirmean.mean as mean_module
-from dirmean.mean import DUPLICATE_DOT, TOL, _CutState, _eigendirections
+from dirmean.mean import TOL, _CutState, _eigendirections
 from dirmean.rng import random_unit_rows, stream
 from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile
 
@@ -407,20 +407,23 @@ class TestDirectionSet:
         ref = oracle_direction_fill(dirs[: d + k], 4 * d, stream(4, "direction-fill"))
         assert np.array_equal(dirs, ref)
 
-    def test_degenerate_blocks_drop_canonical_eigendirections(self):
-        # only 3 of 20 coordinates vary: the blocks have rank 3, so only 3
-        # eigenvectors pass the rank floor, and the null space adds none
+    @pytest.mark.parametrize("columns, seed", [([4, 11, 17], 0), ([4], 1)], ids=["rank3", "rank1-canonical"])
+    def test_degenerate_blocks_keep_every_eigendirection(self, columns, seed):
+        # only len(columns) of 20 coordinates vary: the blocks have that rank,
+        # so only that many eigenvectors pass the rank floor and the null
+        # space adds none; at rank 1 the one eigendirection is e5, a
+        # canonical row, which is kept all the same
         x = np.zeros((2 * 10**4, 20))
-        x[:, [4, 11, 17]] = np.random.default_rng(0).standard_normal((2 * 10**4, 3))
+        x[:, columns] = np.random.default_rng(seed).standard_normal((2 * 10**4, len(columns)))
         var_est = fit_variance(x)
-        top = _eigendirections(var_est.Z, 8)
-        learned = top[np.abs(top).max(axis=1) < DUPLICATE_DOT]
-        k = learned.shape[0]
-        assert 3 <= k < 8
+        learned = _eigendirections(var_est.Z, 8)
+        k = len(columns)
+        assert learned.shape == (k, 20)
+        if k == 1:
+            assert np.array_equal(learned, np.eye(20)[[4]])
         dirs = build_direction_set(20, 256, seed=3, var_est=var_est)
         assert np.array_equal(dirs[20 : 20 + k], learned)
-        assert np.abs(dirs[20 : 20 + k]).max() < DUPLICATE_DOT
-        # the fill starts right after the learned rows that are kept
+        # the fill starts right after the learned rows
         ref = oracle_direction_fill(dirs[: 20 + k], 256, stream(3, "direction-fill"))
         assert np.array_equal(dirs, ref)
 
@@ -430,14 +433,19 @@ class TestDirectionSet:
         dirs = build_direction_set(3, 12, seed=6, var_est=var_est)
         assert np.array_equal(dirs, build_direction_set(3, 12, seed=6))
 
-    def test_canonical_eigendirection_is_dropped(self):
-        # one coordinate varies: the one eigendirection is e5, a canonical row
-        x = np.zeros((2 * 10**4, 20))
-        x[:, 4] = np.random.default_rng(1).standard_normal(2 * 10**4)
-        var_est = fit_variance(x)
-        assert np.array_equal(np.abs(_eigendirections(var_est.Z, 8)), np.eye(20)[[4]])
-        dirs = build_direction_set(20, 256, seed=3, var_est=var_est)
-        assert np.array_equal(dirs, build_direction_set(20, 256, seed=3))
+    def test_kept_canonical_eigendirection_leaves_the_estimate(self, monkeypatch):
+        # one coordinate varies: the learned row e5 repeats a canonical slab
+        # in place of the last fill row, which moves neither mu_hat nor rho_star
+        x = np.zeros((3 * 10**4, 20))
+        x[:, 4] = np.random.default_rng(1).standard_normal(3 * 10**4)
+        kept = estimate_mean(x, 0.01, seed=3)
+        assert np.array_equal(kept.slabs.directions[20], np.eye(20)[4])
+        plain = build_direction_set
+        monkeypatch.setattr(mean_module, "build_direction_set", lambda d, budget, seed, var_est: plain(d, budget, seed))
+        without = estimate_mean(x, 0.01, seed=3)
+        assert np.array_equal(kept.slabs.directions[21:256], without.slabs.directions[20:255])
+        assert kept.mu_hat.tobytes() == without.mu_hat.tobytes()
+        assert kept.rho_star == without.rho_star
 
     @pytest.mark.parametrize("n, d", [(12, 30), (8, 9), (20, 20), (40, 15)])
     def test_eigendirections_match_gram_oracle(self, n, d):
@@ -938,6 +946,26 @@ class TestEstimateMean:
         rows = np.random.default_rng(0).standard_normal((600, 2))
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
             estimate_mean(rows, 0.05, SMALL_CFG, seed=seed)
+
+    @pytest.mark.parametrize("refine_rounds", [1, 3])
+    def test_probe_violation_is_measured_at_mu_hat(self, refine_rounds):
+        # a small direction set leaves violators for every round, so the
+        # rounds are spent; the reported value is that of the next probe set
+        # of the refine stream, measured at the returned point
+        gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
+        rows = sample_dataset(gt, 3000, seed=3)
+        cfg = PipelineConfig(gamma=1.0, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64,
+                             refine_rounds=refine_rounds)
+        est = estimate_mean(rows, 0.05, cfg, seed=5)
+        assert est.refinement_rounds == refine_rounds
+        marg_est = fit_marginal(rows[:1000], 0.05, cfg)
+        var_est = fit_variance(rows[1000:], cfg)
+        rng = stream(5, "refine-probes")
+        for _ in range(refine_rounds + 1):
+            probes = random_unit_rows(rng, 64, 4)
+        widths = slab_width_profile(var_est, probes, 0.05, cfg.C_prime, 1000)
+        viol = np.abs(nu_hat_profile(marg_est, probes) - probes @ est.mu_hat) - widths - est.rho_star
+        assert est.probe_violation == float(np.max(viol))
 
     def test_replay_certificate(self):
         gt = gaussian_gt([1.0, 0.5, 0.25])

@@ -66,6 +66,28 @@ def parent_csv(columns, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+class TestNumpyValues:
+    @pytest.mark.parametrize(
+        "value, plain",
+        [
+            (np.float64(0.1), 0.1),
+            (np.float32(0.1), float(np.float32(0.1))),
+            (np.int64(-3), -3),
+            (np.uint8(7), 7),
+            (np.bool_(True), True),
+            (np.array(2.5), 2.5),
+            (np.array(False), False),
+            (np.array([[1, 2], [3, 4]]), [[1, 2], [3, 4]]),
+            (np.array([[0.5, -0.0]]), [[0.5, -0.0]]),
+            ({"a": np.arange(3), "b": (np.float64(1e-300), np.int32(2))}, {"a": [0, 1, 2], "b": [1e-300, 2]}),
+        ],
+        ids=["float64", "float32", "int64", "uint8", "bool_", "0d-float", "0d-bool", "2d-int", "2d-float", "nested"],
+    )
+    def test_same_json_as_the_python_value(self, value, plain):
+        assert json.dumps(_jsonable(value)) == json.dumps(plain)
+        assert type(_jsonable(value)) is type(plain)
+
+
 class TestDataclassReports:
     @pytest.mark.parametrize(
         "plan",

@@ -1,0 +1,106 @@
+"""Check that two checkouts of dirmean give the same bytes.
+
+    python tools/compare_trees.py OLD NEW
+
+Each tree runs in a subprocess with ``PYTHONPATH=<tree>/src`` and
+``OPENBLAS_NUM_THREADS=1``.  It estimates the 18 entries of the benchmark's
+library pools (every ``perfbench.workloads.LIBRARY`` workload, pool seeds 1
+and 2, built as ``LibraryWorkload.setup`` builds them, one dataset at a time)
+and runs five CLI configs.  Every estimate field and slab array, and every
+output file, that differs between the trees is printed; the exit code is 1
+if any does.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GAUSS3 = {"family": "gaussian", "eigenvalues": [1.0, 0.5, 0.25], "mean": [1.0, 0.0, -2.0]}
+STUDENT10 = {"family": "elliptical-student", "eigenvalues": [0.5**k for k in range(10)], "mean": [0.0] * 10, "dof": 5.0}
+CLI_RUNS = {  # name: (argv, config document)
+    "diagnose-gaussian": (["diagnose"], {"distribution": GAUSS3, "n": 4000, "small_ball": {"m": 50, "trials": 2000},
+                                         "uniform": {"block_m": 2, "r": 0.5, "n_dirs": 20}}),
+    "diagnose-student": (["diagnose"], {"distribution": STUDENT10, "n": 4000, "theta": 0.05,
+                                        "small_ball": {"m": 20, "trials": 2000}}),
+    "estimate": (["estimate"], {"distribution": STUDENT10, "n_total": 30000, "config": {"C_prime": 0.05}}),
+    "simulate": (["simulate", "--threads", "2"], {"distribution": GAUSS3, "n_total": 30000, "delta": 0.05, "trials": 6,
+                                                  "estimators": ["dirmean", "empirical-mean", "median-of-means"]}),
+    "lowerbound": (["lowerbound"], {"eigenvalues": [1.0 / k for k in range(1, 31)], "n_samples": 1000,
+                                    "trials": 100}),
+}
+
+
+def child(out: str) -> None:
+    """Write this tree's estimates to ``out``/estimates.pkl and its CLI outputs under ``out``."""
+    import json
+
+    sys.path.append(ROOT)  # perfbench of this checkout; dirmean comes from PYTHONPATH
+    from perfbench import workloads as wl
+
+    from dirmean import DistributionSpec, PipelineConfig, cli, distributions, mean
+
+    values = {}
+    for name, (d, n_total, pool, config) in wl.LIBRARY.items():
+        gt = distributions.make_ground_truth(DistributionSpec.from_json_dict(wl.distribution_doc(d)))
+        for pool_seed in (1, 2):
+            for i in range(pool):
+                ds = distributions.sample_dataset(gt, n_total, wl.sub_seed(pool_seed, name, "data", i))
+                est = mean.estimate_mean(ds, wl.DELTA, PipelineConfig(**config),
+                                         seed=wl.sub_seed(pool_seed, name, "estimate", i))
+                for field in ("mu_hat", "rho_star", "iterations", "converged", "probe_violation"):
+                    values[f"{name}/{pool_seed}/{i}/{field}"] = repr(getattr(est, field))
+                for part in ("directions", "centers", "widths"):
+                    array = getattr(est.slabs, part)
+                    values[f"{name}/{pool_seed}/{i}/slabs.{part}"] = (array.shape, array.tobytes())
+    with open(os.path.join(out, "estimates.pkl"), "wb") as fh:
+        pickle.dump(values, fh)
+    for run, (argv, doc) in CLI_RUNS.items():
+        path = os.path.join(out, f"{run}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if cli.main([*argv, "--config", path, "--out", os.path.join(out, run)]) != 0:
+            raise SystemExit(f"{run} failed")
+
+
+def run_tree(tree: str, out: str) -> None:
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src"), "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--child", out], env=env, check=True)
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def main(old: str, new: str) -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        outs = [os.path.join(scratch, side) for side in ("old", "new")]
+        for tree, out in zip((old, new), outs):
+            os.makedirs(out)
+            run_tree(tree, out)
+        estimates = [pickle.loads(_read(os.path.join(out, "estimates.pkl"))) for out in outs]
+        found = [key for key in sorted(estimates[0].keys() | estimates[1].keys())
+                 if estimates[0].get(key) != estimates[1].get(key)]
+        for run in CLI_RUNS:
+            files = [{name: _read(os.path.join(out, run, name)) for name in os.listdir(os.path.join(out, run))}
+                     for out in outs]
+            found += [f"{run}/{name}" for name in sorted(files[0].keys() | files[1].keys())
+                      if files[0].get(name) != files[1].get(name)]
+    for key in found:
+        print(f"differs: {key}")
+    print(f"{len(found)} difference(s)")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        child(sys.argv[2])
+    elif len(sys.argv) == 3:
+        sys.exit(main(sys.argv[1], sys.argv[2]))
+    else:
+        sys.exit(__doc__)
