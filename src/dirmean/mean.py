@@ -47,8 +47,13 @@ TOL = 1e-8  # certified solver gap, relative to 1 + the LP lower bound
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 # the options of every slab LP: unscaled primal simplex, no presolve, and
 # feasibility tolerances below the certified gap (HiGHS's own 1e-7, absolute,
-# would leak into it on small slabs or near-parallel cuts); never set
-# simplex_dualize_strategy, which has crashed the process
+# would leak into it on small slabs or near-parallel cuts).  Pricing is
+# Dantzig's (largest reduced cost), which needs no weight per column, and the
+# bounds are not perturbed: HiGHS would perturb them afresh on every run and
+# pay cleanup pivots to remove it, while each round here resumes an optimal
+# (d + 1)-square basis.  Never set simplex_dualize_strategy, which has crashed
+# the process, nor steepest-edge pricing (edge weight strategy 2), whose debug
+# check prints to stdout even with output_flag off.
 _HIGHS_OPTIONS = {
     "output_flag": False,
     "presolve": "off",
@@ -56,7 +61,13 @@ _HIGHS_OPTIONS = {
     "simplex_scale_strategy": 0,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
+    "simplex_primal_edge_weight_strategy": 0,
+    "primal_simplex_bound_perturbation_multiplier": 0.0,
 }
+# pivots allowed per HiGHS run, per row of the (d + 1)-row model: without the
+# perturbation nothing else guards against a degenerate stall, so a run that
+# reaches the limit fails its round (the most seen: 4.8 (d + 1) in one run)
+_PIVOTS_PER_ROW = 100
 
 
 def _load_extension(name: str, directory: str):
@@ -241,10 +252,12 @@ class _CutState:
     lower: float = 0.0
 
     def start(self, d: int, origin: np.ndarray) -> None:
-        """A fresh model of d + 1 empty rows and no columns, around ``origin``."""
+        """A fresh model of d + 1 empty rows and no columns, around ``origin``,
+        whose every run stops after _PIVOTS_PER_ROW (d + 1) simplex pivots."""
         highs = _core._Highs()
         for name, value in _HIGHS_OPTIONS.items():
             highs.setOptionValue(name, value)
+        highs.setOptionValue("simplex_iteration_limit", _PIVOTS_PER_ROW * (d + 1))
         # the rows sum_i y_i s_i u_i = 0 and sum_i y_i <= 1, empty until cuts arrive
         lower, upper = np.r_[np.zeros(d), -_core.kHighsInf], np.r_[np.zeros(d), 1.0]
         highs.addRows(d + 1, lower, upper, 0, np.zeros(d + 1, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))

@@ -78,6 +78,17 @@ class TestEstimateCommand:
         assert abs(doc["mu_hat"][0] - 0.25) < 0.3
         assert doc["converged"] is True
 
+    def test_infeasible_estimate_prints_nothing(self, tmp_path, capfd):
+        # the slab LP runs (iterations > 0), and HiGHS adds nothing to fd 1 or 2
+        student = {"family": "elliptical-student", "eigenvalues": [0.5**k for k in range(10)], "mean": [0.0] * 10,
+                   "dof": 5.0}
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": student, "n_total": 30000, "config": {"C_prime": 0.05}})
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "estimate.json").read_text())["iterations"] > 0
+        captured = capfd.readouterr()
+        assert captured.out == "" and captured.err == ""
+
     def test_estimate_from_csv(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((1800, 2)) + [1.0, 2.0]

@@ -1,0 +1,37 @@
+"""tools/compare_trees.py sees every change of bytes, the last digit included."""
+
+import importlib.util
+import os
+
+import numpy as np
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "compare_trees.py")
+spec = importlib.util.spec_from_file_location("compare_trees", TOOL)
+compare_trees = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_trees)
+change = compare_trees.change
+
+
+def test_equal_bytes_are_no_change():
+    mu = np.array([0.5, -1.25, 3.0])
+    assert change(mu, mu.copy()) is None
+    assert change(0.1, 0.1) is None and change(15, 15) is None and change(True, True) is None
+    assert change(None, None) is None
+
+
+def test_a_move_in_the_last_digit_is_reported_with_its_size():
+    # numpy's repr of both arrays is the same, which the tool used to compare
+    mu = np.array([0.016, -0.004])
+    moved = mu.copy()
+    moved[0] = np.nextafter(moved[0], 1.0)
+    assert repr(moved) == repr(mu)
+    assert change(mu, moved) == f"max |change| {moved[0] - mu[0]:.3g}, relative {(moved[0] - mu[0]) / 0.016:.3g}"
+    assert change(0.0, -0.0) == "0.0 -> -0.0, max |change| 0"
+    assert change(0.5, 0.75) == "0.5 -> 0.75, max |change| 0.25, relative 0.5"
+
+
+def test_counts_flags_shapes_and_none_are_shown_as_values():
+    assert change(15, 16) == "15 -> 16"
+    assert change(True, False) == "True -> False"
+    assert change(np.zeros((2, 3)), np.zeros((3, 3))) == "shape (2, 3) -> (3, 3)"
+    assert change(None, 0.25) == "None -> 0.25"

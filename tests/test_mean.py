@@ -44,6 +44,27 @@ def random_infeasible_system(rng, d, m):
     return SlabSystem(u, rng.standard_normal(m), widths)
 
 
+def degenerate_infeasible_systems(rng, d):
+    """Two systems whose simplex pivots tie, each with exact duplicates of a
+    quarter of its slabs appended:
+
+    - slack 1 at the quarter-grid point v0 on every slab side, canonical
+      rows and 3 (d + 1) to 10 (d + 1) random ones, widths on the grid;
+    - random slabs and the canonical rows, centers rounded to the grid and
+      widths in {0, 1/4, 1/2}.
+    """
+    u = np.vstack([np.eye(d), -np.eye(d), random_unit_rows(rng, int(rng.integers(3, 11)) * (d + 1), d)])
+    w = rng.integers(0, 3, len(u)) / 4.0
+    tight = SlabSystem(u, u @ (rng.integers(-8, 9, d) / 4.0) + rng.choice([-1.0, 1.0], len(u)) * (w + 1.0), w)
+    base = random_infeasible_system(rng, d, int(rng.integers(d + 1, 201)))
+    u = np.vstack([np.eye(d), base.directions])
+    c = np.round(np.r_[rng.standard_normal(d), base.centers] * 4.0) / 4.0
+    rounded = SlabSystem(u, c, rng.integers(0, 3, len(u)) / 4.0)
+    for slabs in (tight, rounded):
+        pick = rng.integers(slabs.n_slabs, size=slabs.n_slabs // 4)
+        yield slabs.extended(slabs.directions[pick], slabs.centers[pick], slabs.widths[pick])
+
+
 def with_duplicate_slabs(rng, slabs, count):
     """``slabs`` with ``count`` of its own slabs appended again: exact copies,
     negated copies, and (for d > 1) copies turned by 1e-7 rad."""
@@ -605,6 +626,20 @@ class TestSolveCenter:
                 assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
                 assert slabs.max_violation(res.v_star) == res.rho_star
 
+    def test_degenerate_systems_match_dense_lp(self):
+        # HiGHS does not perturb the bounds, its guard against degenerate
+        # stalls: each round must still reach the optimum within the pivot cap
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            for slabs in degenerate_infeasible_systems(rng, int(rng.integers(1, 21))):
+                res = solve_center(slabs)
+                dense = dense_lp_optimum(slabs)
+                assert dense > 0.0
+                assert res.converged
+                assert res.rho_star == pytest.approx(dense, rel=1e-9)
+                assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
+                assert slabs.max_violation(res.v_star) == res.rho_star
+
     def test_benchmark_shape_matches_dense_lp_and_repeats(self):
         # the shape of the infeasible benchmark systems: d = 50, ~500 slabs,
         # several rounds that each resume the one model from its basis
@@ -657,6 +692,27 @@ class TestSolveCenter:
         monkeypatch.setattr(_core, "_Highs", IterationLimited)
         state.start(1, np.zeros(1))
         assert state.round(*slab_args) is None and state.highs is None
+
+    def test_pivot_cap_fails_the_round_with_real_highs(self, monkeypatch):
+        # the first round on this system takes more than d + 1 pivots
+        from scipy.optimize._highspy import _core
+
+        statuses = []
+
+        class StatusRecording(_core._Highs):
+            def run(self):
+                status = super().run()
+                statuses.append(self.getModelStatus())
+                return status
+
+        monkeypatch.setattr(_core, "_Highs", StatusRecording)
+        monkeypatch.setattr(mean_module, "_PIVOTS_PER_ROW", 1)
+        slabs = random_infeasible_system(np.random.default_rng(3), 50, 500)
+        state = _CutState()
+        res = solve_center(slabs, state=state)
+        assert statuses == [_core.HighsModelStatus.kIterationLimit]
+        assert not res.converged and res.iterations == 1 and state.highs is None
+        assert np.isfinite(res.rho_star) and slabs.max_violation(res.v_star) == res.rho_star
 
     def test_failure_in_a_later_round_returns_the_round_one_point(self, monkeypatch):
         slabs = random_infeasible_system(np.random.default_rng(3), 50, 500)
@@ -797,6 +853,37 @@ class TestResumedSolve:
         assert again.v_star.tobytes() == cold.v_star.tobytes()
         assert again.iterations == cold.iterations
 
+    def test_capped_round_restarts_the_next_solve_cold(self, monkeypatch):
+        # real HiGHS stopped at d + 1 pivots per run: the model of a failed
+        # round is dropped, so the next re-solve builds a new one, not a prune
+        events = []
+        start, lp_round, prune = _CutState.start, _CutState.round, _CutState.prune
+
+        def logged_start(self, d, origin):
+            events.append("start")
+            start(self, d, origin)
+
+        def logged_round(self, *args):
+            sol = lp_round(self, *args)
+            events.append("round" if sol is not None else "fail")
+            return sol
+
+        def logged_prune(self):
+            events.append("prune")
+            prune(self)
+
+        monkeypatch.setattr(_CutState, "start", logged_start)
+        monkeypatch.setattr(_CutState, "round", logged_round)
+        monkeypatch.setattr(_CutState, "prune", logged_prune)
+        monkeypatch.setattr(mean_module, "_PIVOTS_PER_ROW", 1)
+        gt = gaussian_gt(np.geomspace(1.0, 1e-2, 8).tolist())
+        cfg = PipelineConfig(gamma=1.0, theta_var=0.125, C_prime=0.05, directions=32, refine_probes=64)
+        est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
+        failed = [i for i, event in enumerate(events) if event == "fail"]
+        assert failed and failed[0] + 1 < len(events)
+        assert all(events[i + 1] == "start" for i in failed if i + 1 < len(events))
+        assert est.slabs.max_violation(est.mu_hat) == est.rho_star
+
     def test_one_model_per_estimate(self, monkeypatch):
         log = record_lp(monkeypatch)
         gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
@@ -885,6 +972,17 @@ class TestHighsBinding:
         assert "simplex_scale_strategy" in mean_module._HIGHS_OPTIONS
         for name, value in mean_module._HIGHS_OPTIONS.items():
             assert highs.setOptionValue(name, value) == HighsStatus.kOk, name
+        assert highs.setOptionValue("simplex_iteration_limit", mean_module._PIVOTS_PER_ROW * 201) == HighsStatus.kOk
+
+    def test_highs_writes_nothing(self, capfd):
+        # HiGHS's debug checks write to fd 1 whatever output_flag says: 13 959
+        # bytes over the three infeasible-d50 benchmark estimates of pool seed
+        # 1 under steepest-edge pricing
+        gt = gaussian_gt(np.geomspace(1.0, 1e-2, 10).tolist())
+        est = estimate_mean(sample_dataset(gt, 30000, seed=3), 0.05, PipelineConfig(C_prime=0.05), seed=5)
+        assert est.iterations > 0
+        captured = capfd.readouterr()
+        assert captured.out == "" and captured.err == ""
 
     def test_missing_extension_names_the_directory_and_floor(self, tmp_path, monkeypatch):
         # find_spec returns None for an empty directory: the loader must say

@@ -6,9 +6,11 @@ Each tree runs in a subprocess with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``.  It estimates the 18 entries of the benchmark's
 library pools (every ``perfbench.workloads.LIBRARY`` workload, pool seeds 1
 and 2, built as ``LibraryWorkload.setup`` builds them, one dataset at a time)
-and runs five CLI configs.  Every estimate field and slab array, and every
-output file, that differs between the trees is printed; the exit code is 1
-if any does.
+and runs five CLI configs.  Estimate fields and slab arrays are compared by
+their bytes, so a move in the last digit counts.  Every one that differs is
+printed, with the largest absolute change and that change relative to the
+largest magnitude in the old value, and so is every output file that
+differs; the exit code is 1 if anything does.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import pickle
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GAUSS3 = {"family": "gaussian", "eigenvalues": [1.0, 0.5, 0.25], "mean": [1.0, 0.0, -2.0]}
@@ -53,10 +57,9 @@ def child(out: str) -> None:
                 est = mean.estimate_mean(ds, wl.DELTA, PipelineConfig(**config),
                                          seed=wl.sub_seed(pool_seed, name, "estimate", i))
                 for field in ("mu_hat", "rho_star", "iterations", "converged", "probe_violation"):
-                    values[f"{name}/{pool_seed}/{i}/{field}"] = repr(getattr(est, field))
+                    values[f"{name}/{pool_seed}/{i}/{field}"] = getattr(est, field)
                 for part in ("directions", "centers", "widths"):
-                    array = getattr(est.slabs, part)
-                    values[f"{name}/{pool_seed}/{i}/slabs.{part}"] = (array.shape, array.tobytes())
+                    values[f"{name}/{pool_seed}/{i}/slabs.{part}"] = getattr(est.slabs, part)
     with open(os.path.join(out, "estimates.pkl"), "wb") as fh:
         pickle.dump(values, fh)
     for run, (argv, doc) in CLI_RUNS.items():
@@ -72,6 +75,22 @@ def run_tree(tree: str, out: str) -> None:
     subprocess.run([sys.executable, os.path.abspath(__file__), "--child", out], env=env, check=True)
 
 
+def change(old, new) -> str | None:
+    """None if ``old`` and ``new`` have the same shape, dtype and bytes, else how they differ."""
+    if old is None or new is None:
+        return None if old is new else f"{old!r} -> {new!r}"
+    a, b = np.asarray(old), np.asarray(new)
+    if a.shape != b.shape:
+        return f"shape {a.shape} -> {b.shape}"
+    if a.dtype == b.dtype and a.tobytes() == b.tobytes():
+        return None
+    if a.dtype.kind in "bi":  # iterations, converged
+        return f"{old!r} -> {new!r}"
+    moved, scale = float(np.max(np.abs(b - a))), float(np.max(np.abs(a)))
+    text = f"max |change| {moved:.3g}" + (f", relative {moved / scale:.3g}" if scale > 0.0 else "")
+    return f"{old!r} -> {new!r}, {text}" if a.ndim == 0 else text
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -84,15 +103,16 @@ def main(old: str, new: str) -> int:
             os.makedirs(out)
             run_tree(tree, out)
         estimates = [pickle.loads(_read(os.path.join(out, "estimates.pkl"))) for out in outs]
-        found = [key for key in sorted(estimates[0].keys() | estimates[1].keys())
-                 if estimates[0].get(key) != estimates[1].get(key)]
+        found = [(key, change(estimates[0].get(key), estimates[1].get(key)))
+                 for key in sorted(estimates[0].keys() | estimates[1].keys())]
+        found = [(key, text) for key, text in found if text is not None]
         for run in CLI_RUNS:
             files = [{name: _read(os.path.join(out, run, name)) for name in os.listdir(os.path.join(out, run))}
                      for out in outs]
-            found += [f"{run}/{name}" for name in sorted(files[0].keys() | files[1].keys())
+            found += [(f"{run}/{name}", "bytes") for name in sorted(files[0].keys() | files[1].keys())
                       if files[0].get(name) != files[1].get(name)]
-    for key in found:
-        print(f"differs: {key}")
+    for key, text in found:
+        print(f"differs: {key}: {text}")
     print(f"{len(found)} difference(s)")
     return 1 if found else 0
 
