@@ -174,7 +174,7 @@ def plan_blocks(
     """Choose (m, n) for the given purpose.
 
     variance: m is pinned from below by the small-ball requirement
-    (m0 = ceil(c1 / gamma^2)); n is the largest multiple of ceil(1/theta)
+    m >= ``config.m0``; n is the largest multiple of ceil(1/theta)
     with n * m0 <= N, and m is then enlarged to floor(N / n) so at most
     n - 1 rows are wasted.
 
@@ -189,13 +189,7 @@ def plan_blocks(
     b = _trim_modulus(require_real(name, theta, 0.0, 0.5), name)
 
     if purpose == "variance":
-        try:
-            size = config.c1 / config.gamma**2
-        except ArithmeticError:  # gamma**2 underflows to 0 or overflows
-            size = math.inf if config.gamma < 1 else 0.0
-        if not math.isfinite(size):
-            raise ValueError(f"c1 / gamma^2 is not finite for c1 = {config.c1}, gamma = {config.gamma}")
-        m0 = max(1, math.ceil(size))
+        m0 = config.m0
         n = (n_rows // m0) // b * b
         if n < b:
             raise SizingError(

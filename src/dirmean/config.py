@@ -132,8 +132,7 @@ def setting(default, kind: str, **bounds):
 @dataclass(frozen=True)
 class PipelineConfig:
     # directional-variance estimator
-    gamma: float = setting(0.1, "real", above=0.0)  # small-ball level; block size m0 = ceil(c1 / gamma^2)
-    c1: float = setting(1.0, "real", above=0.0)  # block-size constant
+    m0: int = setting(100, "size")  # smallest variance block size, the paper's ceil(c1 / gamma^2)
     theta_var: float = setting(0.02, "real", above=0.0, below=0.5)  # trim fraction for the variance blocks
 
     # marginal-mean estimator
@@ -145,11 +144,6 @@ class PipelineConfig:
     directions: int | None = setting(None, "int", least=1)  # direction budget; None -> max(8 d, 256)
     refine_rounds: int = setting(3, "int", least=0)
     refine_probes: int = setting(512, "int", least=1)
-    refine_tol: float = setting(0.1, "real", least=0.0)
-    refine_append: int = setting(64, "int", least=1)  # worst probes appended per refinement round
-
-    # baselines
-    mom_blocks: int | None = setting(None, "int", least=1)  # None -> ceil(8 * log(1/delta))
 
     def __post_init__(self):
         check_fields(CONFIG_FIELDS, vars(self))

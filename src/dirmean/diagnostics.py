@@ -159,14 +159,14 @@ def quantile_sandwich_check(sample, oracle, theta: float, delta: float) -> bool:
 
     With theta1 = 2 theta + 8 delta and theta2 = (2 theta - 8 delta) / 3,
     the upper boundary must lie in (Q_{1-theta1}, Q_{1-theta2}) and the
-    lower one in (Q_{theta2}, Q_{theta1}).  Requires theta >= 7 delta.
+    lower one in (Q_{theta2}, Q_{theta1}).  Requires theta >= 7 delta > 0 and theta1 < 1.
     """
-    if theta < 7.0 * delta:
+    if theta < 7.0 * require_real("delta", delta, 0.0, 1.0):
         raise ValueError("need theta >= 7 delta")
     theta1 = 2.0 * theta + 8.0 * delta
     theta2 = (2.0 * theta - 8.0 * delta) / 3.0
-    if theta2 <= 0.0 or theta1 >= 1.0:
-        raise ValueError(f"infeasible sandwich levels theta1={theta1}, theta2={theta2}")
+    if theta1 >= 1.0:
+        raise ValueError(f"infeasible sandwich level theta1 = 2 theta + 8 delta = {theta1}: must be below 1")
     q_plus, q_minus = empirical_quantile_hat(sample, theta)
     upper_ok = oracle.ppf(1.0 - theta1) < q_plus < oracle.ppf(1.0 - theta2)
     lower_ok = oracle.ppf(theta2) < q_minus < oracle.ppf(theta1)
@@ -201,7 +201,7 @@ def check_uniform_r(gt: GroundTruth, r: float) -> None:
     The largest value is sqrt(2 lambda_1), along the top eigenvector.
     """
     top = math.sqrt(2.0) * math.sqrt(gt.spectrum.eigenvalues[0])
-    if r > top:
+    if require_real("r", r) > top:
         raise ValueError(
             f"no direction has sqrt(2) sigma(u) >= r = {r}: the largest value is sqrt(2 lambda_1) = {top}"
         )

@@ -398,7 +398,7 @@ def marginal_oracle(gt: GroundTruth, u, scale: float = 1.0):
     from scipy import stats  # not loaded with the package
 
     u = _check_unit(u)
-    sig = directional_sigma(gt, u) * scale
+    sig = directional_sigma(gt, u) * require_real("scale", scale, 0.0)
     fam = gt.spec.family
     if fam == "gaussian":
         return stats.norm(loc=0.0, scale=sig)
@@ -415,6 +415,7 @@ def sample_marginal(gt: GroundTruth, u, n: int, seed: int) -> np.ndarray:
     materializing (n, d) matrices when only a one-dimensional law is needed.
     """
     u = _check_unit(u)
+    require_int("n", n, least=1)
     spec = gt.spec
     sig = directional_sigma(gt, u)
     rng = stream(seed, "marginal", spec.family)

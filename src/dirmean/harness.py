@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BlockPlan, block_sums
-from .config import REQUIRED, Field, PipelineConfig, check_fields, read_fields, require_int
+from .config import REQUIRED, Field, PipelineConfig, check_fields, read_fields, require_int, require_real
 from .distributions import (
     DistributionSpec,
     GroundTruth,
@@ -103,7 +103,8 @@ class Scenario:
         if self.probes is not None and self.probes < self.distribution.dim:
             raise ValueError(f"probes must be at least the dimension {self.distribution.dim}, got {self.probes}")
         if "median-of-means" in self.estimators and self.mom_blocks > self.n_total:
-            raise ValueError(f"mom_blocks must be at most n_total = {self.n_total}, got {self.mom_blocks}")
+            raise ValueError(f"delta = {self.delta} needs ceil(8 log(1/delta)) = {self.mom_blocks} median-of-means "
+                             f"blocks, more than n_total = {self.n_total}")
 
     @property
     def n_probes(self) -> int:
@@ -111,9 +112,8 @@ class Scenario:
 
     @property
     def mom_blocks(self) -> int:
-        """The median-of-means block count: ``config.mom_blocks``, else ceil(8 log(1/delta))."""
-        k = self.config.mom_blocks
-        return k if k is not None else max(1, math.ceil(8.0 * math.log(1.0 / self.delta)))
+        """The median-of-means block count ceil(8 log(1/delta))."""
+        return math.ceil(8.0 * math.log(1.0 / self.delta))  # at least 1: 1/delta > 1 + 2^-53 for delta < 1
 
     def to_json_dict(self) -> dict:
         return {**vars(self), "distribution": self.distribution.to_json_dict(),
@@ -173,7 +173,8 @@ class TrialTable:
 
 def probe_directions(d: int, count: int, seed: int) -> np.ndarray:
     """Canonical +/- basis directions first, then seeded random units."""
-    canon = np.vstack([np.eye(d), -np.eye(d)])[:count]
+    require_int("d", d, least=1)
+    canon = np.vstack([np.eye(d), -np.eye(d)])[: require_int("count", count, least=0)]
     if canon.shape[0] >= count:
         return canon
     extra = random_unit_rows(stream(seed, "probe-directions"), count - canon.shape[0], d)
@@ -207,6 +208,7 @@ def run_trials(sc: Scenario, threads: int = 1) -> TrialTable:
     trials are aggregated in index order, so results do not depend on the
     worker pool size.
     """
+    require_int("threads", threads, least=1)
     gt = make_ground_truth(sc.distribution)
     probes = probe_directions(gt.dim, sc.n_probes, sc.seed)
 
@@ -256,6 +258,7 @@ def per_direction_quantiles(table: TrialTable, delta: float) -> PerDirectionSumm
     statistic of rank min(trials, ceil((1 - delta) trials)); with fewer
     than 1/delta trials that is the maximum, and the summary is flagged.
     """
+    require_real("delta", delta, 0.0, 1.0)
     if len(table) == 0:
         raise ValueError("empty trial table")
     sc = table.scenario
@@ -335,6 +338,7 @@ def empirical_mean_lower_bound(
     from scipy import stats  # chi.ppf only; not loaded with the package
 
     check_fields(LOWERBOUND_FIELDS, {"n_samples": n_samples, "delta": delta, "trials": trials})
+    require_real("c_assumed", c_assumed, 0.0)
     lam = np.asarray(spectrum.eigenvalues, dtype=float)
     d = lam.size
 

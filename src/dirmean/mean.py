@@ -68,6 +68,8 @@ _HIGHS_OPTIONS = {
 # perturbation nothing else guards against a degenerate stall, so a run that
 # reaches the limit fails its round (the most seen: 4.8 (d + 1) in one run)
 _PIVOTS_PER_ROW = 100
+_REFINE_TOL = 0.1  # the refine loop's stopping level (see estimate_mean)
+_REFINE_APPEND = 64  # the most probes one refine round appends
 
 
 def _load_extension(name: str, directory: str):
@@ -495,7 +497,9 @@ def estimate_mean(
     thirds the directional variance estimates.  Slabs over a finite
     direction set are intersected by the minimax solver; fresh probe
     directions then estimate the surrogate gap and the worst violators are
-    appended and re-solved, up to ``config.refine_rounds`` times.
+    appended (at most 64 per round, ``_REFINE_APPEND``) and re-solved, up
+    to ``config.refine_rounds`` times or until the worst probe violation is
+    at most 0.1 (``_REFINE_TOL``) times rho_star plus the median slab width.
 
     ``probe_violation`` (None at ``refine_rounds = 0``) is the worst slab
     violation beyond rho_star over a probe set drawn after the last solve,
@@ -548,11 +552,11 @@ def estimate_mean(
         viol = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
         probe_violation = float(np.max(viol))
         scale = result.rho_star + _median(slabs.widths)
-        if probe_violation <= config.refine_tol * scale or rounds_used == config.refine_rounds:
+        if probe_violation <= _REFINE_TOL * scale or rounds_used == config.refine_rounds:
             break
         rounds_used += 1
         worst = np.argsort(viol)[::-1]
-        worst = worst[viol[worst] > 0][: config.refine_append]
+        worst = worst[viol[worst] > 0][:_REFINE_APPEND]
         slabs = slabs.extended(probes[worst], p_centers[worst], p_widths[worst])
         result = solve_center(slabs, v_init=result.v_star, state=state)
         iterations += result.iterations

@@ -344,7 +344,7 @@ def oracle_trial_rows(sc):
             elif name == "empirical-mean":
                 mu_hat = baseline_empirical_mean(ds)
             else:
-                k_blocks = sc.config.mom_blocks or max(1, math.ceil(8.0 * math.log(1.0 / sc.delta)))
+                k_blocks = max(1, math.ceil(8.0 * math.log(1.0 / sc.delta)))
                 mu_hat = baseline_median_of_means(ds, k_blocks)
             per_est[name] = probes @ (mu_hat - gt.mu)
         results.append(per_est)

@@ -376,7 +376,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     import json
 
     dist = gaussian_spec([1.0, 0.5]).to_json_dict()
-    tiny_cfg = {"gamma": 1.0, "theta_var": 0.25, "refine_probes": 64}
+    tiny_cfg = {"m0": 1, "theta_var": 0.25, "refine_probes": 64}
     sc_path = tmp_path / "scenario.json"
     sc_path.write_text(json.dumps({
         "distribution": dist, "n_total": 1800, "delta": 0.05, "trials": 4,

@@ -168,7 +168,7 @@ class TestBlasBlockAccuracy:
         # 4 blocks of m = 400 rows in both stages; at d = 200 row 350 of a
         # block is in its second BLAS panel
         m = 400
-        config = PipelineConfig(gamma=1.0, c1=float(m), theta_var=0.25, theta_mean=0.25, c_blocks=1.0)
+        config = PipelineConfig(m0=m, theta_var=0.25, theta_mean=0.25, c_blocks=1.0)
         rows = np.random.default_rng(d).standard_normal((8 * m, d))
         for bad in (2 * m + 350, 5 * m + 350):
             bad_rows = rows.copy()
@@ -189,7 +189,7 @@ import dirmean
 # 4 mean and 4 variance blocks of 10000 x 50 rows: 500 000 entries each,
 # more than OpenBLAS sums in one thread when asked for two
 rows = np.random.default_rng(5).standard_t(3, size=(120_000, 50))
-config = dirmean.PipelineConfig(gamma=1.0, c1=10_000.0, theta_var=0.25, theta_mean=0.25, c_blocks=1.0)
+config = dirmean.PipelineConfig(m0=10_000, theta_var=0.25, theta_mean=0.25, c_blocks=1.0)
 marg = dirmean.fit_marginal(rows[:40_000], 0.5, config)
 var = dirmean.fit_variance(rows[40_000:], config)
 assert (marg.plan.n, marg.plan.m, var.plan.n, var.plan.m) == (4, 10_000, 4, 10_000)
@@ -244,14 +244,14 @@ class TestPlanBlocks:
         assert plan.trim_per_side == 6
 
     def test_variance_purpose_block_size(self):
-        cfg = PipelineConfig(gamma=0.05, c1=1.0)
+        cfg = PipelineConfig(m0=400)
         plan = plan_blocks(20_000, None, 0.02, "variance", cfg)
-        assert plan.m == 400  # ceil(1 / 0.05^2)
+        assert plan.m == 400
         assert plan.n == 50
         assert plan.discarded == 0
 
     def test_variance_enlarges_block_not_count(self):
-        cfg = PipelineConfig(gamma=0.05, c1=1.0)
+        cfg = PipelineConfig(m0=400)
         plan = plan_blocks(39_999, None, 0.02, "variance", cfg)
         assert plan.n == 50  # 99 raw blocks floored to a multiple of 50
         assert plan.m == 799
@@ -271,7 +271,7 @@ class TestPlanBlocks:
 
     def test_infeasible_variance_names_minimal_n(self):
         with pytest.raises(SizingError) as err:
-            plan_blocks(300, None, 0.02, "variance", PipelineConfig(gamma=0.1))
+            plan_blocks(300, None, 0.02, "variance")
         assert err.value.minimal_n == 100 * 50
 
     def test_mean_blocks_nondecreasing_in_confidence(self):

@@ -35,3 +35,17 @@ def test_counts_flags_shapes_and_none_are_shown_as_values():
     assert change(True, False) == "True -> False"
     assert change(np.zeros((2, 3)), np.zeros((3, 3))) == "shape (2, 3) -> (3, 3)"
     assert change(None, 0.25) == "None -> 0.25"
+
+
+def test_a_json_file_is_compared_by_its_key_paths():
+    old = b'{"scenario": {"config": {"c1": 1.0, "theta_var": 0.02}}, "rows": [{"q": 0.5}, {"q": 1}]}'
+    new = b'{"scenario": {"config": {"m0": 100, "theta_var": 0.02}}, "rows": [{"q": 0.5}, {"q": 1.0}]}'
+    assert compare_trees.file_changes("summary.json", old, new) == [
+        "rows.1.q: 1 -> 1.0",
+        "scenario.config.c1: 1.0 -> absent",
+        "scenario.config.m0: absent -> 100",
+    ]
+    # the same document in another layout, a file on one side only, and any other file: bytes
+    assert compare_trees.file_changes("summary.json", old, old.replace(b" ", b"")) == ["bytes"]
+    assert compare_trees.file_changes("summary.json", old, None) == ["bytes"]
+    assert compare_trees.file_changes("trials.csv", b"a\n1\n", b"a\n2\n") == ["bytes"]

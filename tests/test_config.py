@@ -4,12 +4,18 @@ import re
 import numpy as np
 import pytest
 
-from dirmean import (DistributionSpec, PipelineConfig, SpectrumSpec, check_ratio_conditions, check_uniform_ratios,
-                     critical_level, empirical_quantile_hat, make_ground_truth, plan_blocks, sample_dataset,
-                     slab_width_profile, small_ball_check, student_kappa, tail_eigensum)
+from dirmean import (DistributionSpec, PipelineConfig, Scenario, SpectrumSpec, check_ratio_conditions,
+                     check_uniform_ratios, critical_level, empirical_mean_lower_bound, empirical_quantile_hat,
+                     make_ground_truth, marginal_oracle, per_direction_quantiles, plan_blocks, probe_directions,
+                     quantile_sandwich_check, run_trials, sample_dataset, sample_marginal, slab_width_profile,
+                     small_ball_check, student_kappa, tail_eigensum)
 from dirmean.config import Field, require_int, require_real
+from dirmean.diagnostics import check_uniform_r
 
-GT = make_ground_truth(DistributionSpec("gaussian", SpectrumSpec((1.0, 0.5)), (0.0, 0.0)))
+SPEC = DistributionSpec("gaussian", SpectrumSpec((1.0, 0.5)), (0.0, 0.0))
+GT = make_ground_truth(SPEC)
+E1 = np.array([1.0, 0.0])
+SCENARIO = Scenario(SPEC, n_total=30, delta=0.05, trials=2, estimators=("empirical-mean",))
 
 # each library function's scalar arguments, checked by require_int / require_real:
 # a call with one bad value, and the error it raises
@@ -42,6 +48,18 @@ SCALAR_REFUSALS = {
                                      "delta must lie in (0, 0.5), got 0.5"),
     "check_ratio_conditions-theta": (lambda: check_ratio_conditions(np.arange(10.0), None, 0.01, math.nan),
                                      "theta must lie in (0, 0.5), got nan"),
+    "per_direction_quantiles-delta": (lambda: per_direction_quantiles(run_trials(SCENARIO), 1.5),
+                                      "delta must lie in (0, 1), got 1.5"),
+    "quantile_sandwich_check-delta": (lambda: quantile_sandwich_check(np.arange(100.0), marginal_oracle(GT, E1), 0.07,
+                                                                      -0.01), "delta must lie in (0, 1), got -0.01"),
+    "empirical_mean_lower_bound-c_assumed": (lambda: empirical_mean_lower_bound(GT.spectrum, 1000, 0.05, -5.0, 100, 0),
+                                             "c_assumed must lie in (0, inf), got -5.0"),
+    "probe_directions-d": (lambda: probe_directions(0, 1, 0), "d must be at least 1, got 0"),
+    "probe_directions-count": (lambda: probe_directions(3, -1, 0), "count must be at least 0, got -1"),
+    "marginal_oracle-scale": (lambda: marginal_oracle(GT, E1, scale=-1.0), "scale must lie in (0, inf), got -1.0"),
+    "run_trials-threads": (lambda: run_trials(SCENARIO, threads=0), "threads must be at least 1, got 0"),
+    "check_uniform_r-r": (lambda: check_uniform_r(GT, math.nan), "r must lie in (-inf, inf), got nan"),
+    "sample_marginal-n": (lambda: sample_marginal(GT, E1, 2.5, 1), "n must be an integer, got 2.5"),
 }
 
 
@@ -57,21 +75,14 @@ class TestRefineAndBaselineFields:
         [
             ("refine_rounds", -1),
             ("refine_probes", 0),
-            ("refine_append", 0),
-            ("refine_append", -1),
-            ("refine_tol", -0.1),
-            ("refine_tol", math.nan),
-            ("mom_blocks", 0),
-            ("mom_blocks", -3),
             ("directions", 300.5),
             ("directions", True),
             ("refine_rounds", 1.5),
             ("refine_rounds", 2.0),
             ("refine_probes", 64.5),
             ("refine_probes", True),
-            ("refine_append", 2.5),
-            ("mom_blocks", 2.5),
-            ("mom_blocks", False),
+            ("m0", 0),
+            ("m0", 100.0),
         ],
     )
     def test_rejected_with_field_name(self, field, value):
@@ -83,24 +94,20 @@ class TestRefineAndBaselineFields:
         [
             ("refine_rounds", 0),
             ("refine_probes", 1),
-            ("refine_append", 1),
-            ("refine_tol", 0.0),
-            ("mom_blocks", 1),
             ("directions", 300),
             ("refine_probes", np.int64(64)),
+            ("m0", 1),
         ],
     )
     def test_smallest_valid_values_accepted(self, field, value):
         assert getattr(PipelineConfig(**{field: value}), field) == value
 
-    def test_mom_blocks_none_is_the_default(self):
-        assert PipelineConfig().mom_blocks is None
-
     def test_from_dict_validates(self):
         with pytest.raises(ValueError, match="refine_probes"):
             PipelineConfig.from_dict({"refine_probes": 0})
 
-    @pytest.mark.parametrize("key, value", [("trim_mode", "absolute"), ("c0", 1.0)])
+    @pytest.mark.parametrize("key, value", [("trim_mode", "absolute"), ("c0", 1.0), ("gamma", 0.1), ("c1", 1.0),
+                                            ("refine_tol", 0.1), ("refine_append", 64), ("mom_blocks", 5)])
     def test_removed_keys_are_unknown(self, key, value):
         with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
             PipelineConfig.from_dict({key: value})

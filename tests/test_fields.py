@@ -18,9 +18,8 @@ GAUSS = {"family": "gaussian", "eigenvalues": [1.0, 1.0], "rotation_seed": 3, "m
          "shape": 0.5, "contamination": None}
 CONTAMINATED = dict(GAUSS, family="gaussian-with-point-contamination",
                     contamination={"fraction": 0.1, "offset": [1.0, 1.0]})
-TINY = {"gamma": 1.0, "c1": 1.0, "theta_var": 0.25, "theta_mean": 0.125, "c_blocks": 8.0, "C_prime": 1.0,
-        "directions": 300, "refine_rounds": 1, "refine_probes": 64, "refine_tol": 0.1, "refine_append": 8,
-        "mom_blocks": 5}
+TINY = {"m0": 1, "theta_var": 0.25, "theta_mean": 0.125, "c_blocks": 8.0, "C_prime": 1.0, "directions": 300,
+        "refine_rounds": 1, "refine_probes": 64}
 VALID = {  # command: a valid document
     "estimate": {"distribution": CONTAMINATED, "n_total": 1800, "delta": 0.05, "seed": 1, "config": TINY},
     "simulate": {"distribution": GAUSS, "n_total": 1800, "delta": 0.05, "trials": 1,
@@ -133,14 +132,14 @@ def with_config(**config):
 
 # documents whose fields each pass their table but break a rule that joins fields or the data size
 CROSS_FIELD = [
-    ("estimate", with_config(gamma=1e-200), "gamma"),  # c1 / gamma^2 overflows
-    ("estimate", with_config(c1=1e308, gamma=0.1), "c1"),
+    ("simulate", dict(VALID["simulate"], probes=1), "probes"),  # fewer probes than d = 2
+    ("diagnose", dict(VALID["diagnose"], delta_param=0.01), "delta_param"),  # theta = 0.05 < 7 delta_param
     ("estimate", with_config(c_blocks=1e308), "c_blocks"),
     ("estimate", with_config(theta_var=0.3), "theta_var"),  # 0.3 ceil(1/0.3) is not an integer
     ("estimate", with_config(theta_mean=0.3), "theta_mean"),
     ("estimate", with_config(directions=3), "directions"),  # fewer than 2 d
-    ("simulate", dict(VALID["simulate"], n_total=30, config=dict(TINY, mom_blocks=31)), "mom_blocks"),
-    ("simulate", dict(VALID["simulate"], n_total=30, config=dict(TINY, mom_blocks=None), delta=1e-5), "mom_blocks"),
+    ("simulate", dict(VALID["simulate"], distribution=dict(GAUSS, mean=[0.0])), "mean"),  # d = 2 eigenvalues
+    ("simulate", dict(VALID["simulate"], n_total=30, delta=1e-5), "delta"),  # median-of-means needs 93 blocks
     ("lowerbound", dict(VALID["lowerbound"], distribution=GAUSS), "eigenvalues"),
     ("lowerbound", dict(VALID["lowerbound"], eigenvalues=None), "eigenvalues"),
 ]

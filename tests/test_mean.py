@@ -34,7 +34,7 @@ from dirmean.mean import TOL, _CutState, _eigendirections
 from dirmean.rng import random_unit_rows, stream
 from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile
 
-SMALL_CFG = PipelineConfig(gamma=1.0, theta_var=0.125, directions=None, refine_probes=64)
+SMALL_CFG = PipelineConfig(m0=1, theta_var=0.125, directions=None, refine_probes=64)
 
 
 def random_infeasible_system(rng, d, m):
@@ -310,7 +310,7 @@ class TestSlabWidth:
 
     def test_zero_variance_zero_width(self):
         rows = np.tile(np.array([1.0, 2.0]), (2000, 1))
-        est = fit_variance(rows, PipelineConfig(gamma=1.0, theta_var=0.02))
+        est = fit_variance(rows, PipelineConfig(m0=1, theta_var=0.02))
         assert slab_width_profile(est, [[1.0, 0.0]], 0.1, 1.0, 100)[0] == 0.0
 
     def test_arithmetic(self):
@@ -877,7 +877,7 @@ class TestResumedSolve:
         monkeypatch.setattr(_CutState, "prune", logged_prune)
         monkeypatch.setattr(mean_module, "_PIVOTS_PER_ROW", 1)
         gt = gaussian_gt(np.geomspace(1.0, 1e-2, 8).tolist())
-        cfg = PipelineConfig(gamma=1.0, theta_var=0.125, C_prime=0.05, directions=32, refine_probes=64)
+        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05, directions=32, refine_probes=64)
         est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
         failed = [i for i, event in enumerate(events) if event == "fail"]
         assert failed and failed[0] + 1 < len(events)
@@ -888,7 +888,7 @@ class TestResumedSolve:
         log = record_lp(monkeypatch)
         gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
         # a small direction set leaves violators for the probes: 3 refine rounds
-        cfg = PipelineConfig(gamma=1.0, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64)
+        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64)
         est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
         assert est.refinement_rounds == 3 and est.converged
         assert len(log.models) == 1 and len(log.prunes) == est.refinement_rounds
@@ -1052,7 +1052,7 @@ class TestEstimateMean:
         # of the refine stream, measured at the returned point
         gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
         rows = sample_dataset(gt, 3000, seed=3)
-        cfg = PipelineConfig(gamma=1.0, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64,
+        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64,
                              refine_rounds=refine_rounds)
         est = estimate_mean(rows, 0.05, cfg, seed=5)
         assert est.refinement_rounds == refine_rounds
@@ -1177,12 +1177,38 @@ class TestEstimateMean:
         est = estimate_mean(sample_dataset(gt, 3 * 10**4, 14), 0.01, seed=7)
         assert np.linalg.norm(est.mu_hat - gt.mu) < 0.1
 
+    # the slab LP stops at TOL (1 + lower), absolute while lower < 1, and
+    # HiGHS's 1e-10 feasibility tolerances are absolute too (ROADMAP item 11)
+    SCALE_FREE_LP = "the slab LP's tolerances are absolute, not relative to the scale of the data"
+
+    @pytest.mark.parametrize(
+        "c_prime, k",
+        [(1.0, -40), (1.0, -20), (1.0, 70), (0.05, -10), (0.05, 10), (0.05, 60),
+         pytest.param(0.05, -20, marks=pytest.mark.xfail(
+             strict=True, reason=f"{SCALE_FREE_LP}: at 2^-20 the whole slack is below TOL, so one round stops the loop")),
+         pytest.param(0.05, 80, marks=pytest.mark.xfail(
+             strict=True, reason=f"{SCALE_FREE_LP}: at 2^80 the cut costs pass HiGHS's infinite_cost of 1e20"))],
+    )
+    def test_power_of_two_rescaling_scales_the_estimate(self, c_prime, k):
+        # a power of two scales every block sum, profile, warm start and cut
+        # exactly, so only the LP's own tolerances can break the scaling
+        gt = make_ground_truth(DistributionSpec("elliptical-student", SpectrumSpec(tuple(np.geomspace(1.0, 1e-2, 10))),
+                                                (0.0,) * 10, dof=3.0))
+        rows = sample_dataset(gt, 30000, 3)
+        config = PipelineConfig(C_prime=c_prime)
+        ref = estimate_mean(rows, 0.01, config, seed=3)
+        est = estimate_mean(rows * 2.0**k, 0.01, config, seed=3)
+        assert (c_prime == 1.0) == (ref.iterations == 0)  # feasible at C_prime = 1, infeasible at 0.05
+        assert np.array_equal(est.mu_hat, ref.mu_hat * 2.0**k)
+        assert est.rho_star == ref.rho_star * 2.0**k
+        assert est.converged and ref.converged
+
 
 class TestEstimateMeanProperties:
-    # with gamma = 1 the variance plan needs 50 pairs (3N >= 150) and the
+    # with m0 = 1 the variance plan needs 50 pairs (3N >= 150) and the
     # mean plan 48 blocks at delta = 0.01 (3N >= 144): 3N in [144, 150) is
     # a variance-stage SizingError
-    CONFIG = PipelineConfig(gamma=1.0)
+    CONFIG = PipelineConfig(m0=1)
 
     @staticmethod
     def _rows(kind, n_rows, d, seed):

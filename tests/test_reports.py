@@ -43,7 +43,7 @@ from naive_oracles import (
     oracle_trial_rows,
 )
 
-TINY_CONFIG = PipelineConfig(gamma=1.0, c1=1.0, theta_var=0.25, theta_mean=0.125, refine_probes=64)
+TINY_CONFIG = PipelineConfig(m0=1, theta_var=0.25, theta_mean=0.125, refine_probes=64)
 
 
 def gaussian_gt(eigs, mean=None):

@@ -29,7 +29,7 @@ from naive_oracles import (
 def make_estimator(projection_rows, theta):
     """Estimator with d=1 blocks equal to the given projections."""
     z = np.asarray(projection_rows, dtype=float)[:, np.newaxis]
-    plan = plan_blocks(z.shape[0], None, theta, "variance", PipelineConfig(gamma=1.0, theta_var=theta))
+    plan = plan_blocks(z.shape[0], None, theta, "variance", PipelineConfig(m0=1, theta_var=theta))
     return VarianceEstimator(Z=z, plan=plan)
 
 
@@ -92,7 +92,7 @@ class TestPsiInvariants:
 
     def test_identical_rows_give_zero(self):
         rows = np.tile(np.array([1.0, 2.0]), (400, 1))
-        est = fit_variance(rows, PipelineConfig(gamma=1.0, theta_var=0.02))
+        est = fit_variance(rows, PipelineConfig(m0=1, theta_var=0.02))
         assert psi_profile(est, [[1.0, 0.0]])[0] == 0.0
 
 
@@ -102,7 +102,7 @@ class TestPsiProfileKernel:
 
     def _est(self, n=1000, d=7, seed=0):
         z = np.random.default_rng(seed).standard_t(3, size=(n, d))
-        plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(gamma=1.0))
+        plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(m0=1))
         return VarianceEstimator(Z=z, plan=plan)
 
     def _dirs(self, count, d, seed=1):
@@ -145,8 +145,8 @@ class TestFitVarianceBlocks:
 
     @staticmethod
     def _config(m):
-        # block size m0 = ceil(c1 / gamma^2) = m, 50 blocks per trim modulus
-        return PipelineConfig(gamma=1.0, c1=float(m))
+        # block size m0 = m, 50 blocks per trim modulus
+        return PipelineConfig(m0=m)
 
     def _check(self, rows, config, m, n):
         est = fit_variance(rows, config)
@@ -178,7 +178,7 @@ class TestFitVarianceBlocks:
         m, d = 1000, 200
         assert 8 * m * d > blocks_module._CHUNK_BYTES
         rows = self._rows(d, m, 4, seed=3, extra=0)
-        config = PipelineConfig(gamma=1.0, c1=float(m), theta_var=0.25)
+        config = PipelineConfig(m0=m, theta_var=0.25)
         self._check(rows, config, m, 4)
 
     def test_odd_row_count_leaves_out_the_last_row(self):
@@ -218,7 +218,7 @@ class TestWorkingMemory:
     def test_psi_profile_holds_one_projection(self):
         n, d, count = 1000, 50, 512
         rng = np.random.default_rng(1)
-        plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(gamma=1.0))
+        plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(m0=1))
         est = VarianceEstimator(Z=rng.standard_normal((n, d)), plan=plan)
         dirs = rng.standard_normal((count, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -295,7 +295,7 @@ class TestPsiProfileTallBlocks:
 
     def _est(self, n=1000, d=50):
         z = np.random.default_rng(5).standard_t(3, size=(n, d))
-        return VarianceEstimator(Z=z, plan=plan_blocks(n, None, 0.02, "variance", PipelineConfig(gamma=1.0)))
+        return VarianceEstimator(Z=z, plan=plan_blocks(n, None, 0.02, "variance", PipelineConfig(m0=1)))
 
     @pytest.mark.parametrize("count", [1, 2, 400, 512])
     def test_matches_copy_based_oracle(self, count):
@@ -308,7 +308,7 @@ class TestPsiProfileTallBlocks:
     def test_d1_matches_copy_based_oracle(self):
         # d = 1: the projection rows are scaled copies of the one column
         z = np.random.default_rng(6).standard_t(3, size=(1000, 1))
-        est = VarianceEstimator(Z=z, plan=plan_blocks(1000, None, 0.02, "variance", PipelineConfig(gamma=1.0)))
+        est = VarianceEstimator(Z=z, plan=plan_blocks(1000, None, 0.02, "variance", PipelineConfig(m0=1)))
         dirs = np.array([[1.0], [-1.0]])
         for u in (dirs[:1], dirs):
             assert np.array_equal(psi_profile(est, u), oracle_psi_profile(z, u, est.plan.trim_per_side))
@@ -320,7 +320,7 @@ class TestPsiProfileTallBlocks:
         # the (blocks, directions) projection, partitioned and summed down its
         # columns, retains the same squares in another summation order
         z = np.random.default_rng(7).standard_t(3, size=(1000, d))
-        plan = plan_blocks(1000, None, 0.02, "variance", PipelineConfig(gamma=1.0))
+        plan = plan_blocks(1000, None, 0.02, "variance", PipelineConfig(m0=1))
         if trim is not None:
             plan = dataclasses.replace(plan, trim_per_side=trim)
         dirs = np.random.default_rng(count).standard_normal((count, d))

@@ -10,11 +10,14 @@ and runs five CLI configs.  Estimate fields and slab arrays are compared by
 their bytes, so a move in the last digit counts.  Every one that differs is
 printed, with the largest absolute change and that change relative to the
 largest magnitude in the old value, and so is every output file that
-differs; the exit code is 1 if anything does.
+differs: a JSON file by each dotted key path (list entries by index) whose
+value changed, appeared or vanished, any other file as "bytes".  The exit
+code is 1 if anything differs.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -41,8 +44,6 @@ CLI_RUNS = {  # name: (argv, config document)
 
 def child(out: str) -> None:
     """Write this tree's estimates to ``out``/estimates.pkl and its CLI outputs under ``out``."""
-    import json
-
     sys.path.append(ROOT)  # perfbench of this checkout; dirmean comes from PYTHONPATH
     from perfbench import workloads as wl
 
@@ -91,6 +92,29 @@ def change(old, new) -> str | None:
     return f"{old!r} -> {new!r}, {text}" if a.ndim == 0 else text
 
 
+def _leaves(doc, path: str = "") -> dict:
+    """Each leaf of a JSON document, as its JSON text, by its dotted key path."""
+    if not (isinstance(doc, (dict, list)) and doc):
+        return {path: json.dumps(doc)}
+    out = {}
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        out.update(_leaves(value, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+def file_changes(name: str, old: bytes | None, new: bytes | None) -> list[str]:
+    """How output file ``name`` differs: for JSON on both sides, each key path
+    whose value changed, appeared or vanished; else (or if only the layout
+    differs) "bytes"."""
+    if name.endswith(".json") and old is not None and new is not None:
+        a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
+        found = [f"{key}: {a.get(key, 'absent')} -> {b.get(key, 'absent')}"
+                 for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+        if found:
+            return found
+    return ["bytes"]
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -109,8 +133,9 @@ def main(old: str, new: str) -> int:
         for run in CLI_RUNS:
             files = [{name: _read(os.path.join(out, run, name)) for name in os.listdir(os.path.join(out, run))}
                      for out in outs]
-            found += [(f"{run}/{name}", "bytes") for name in sorted(files[0].keys() | files[1].keys())
-                      if files[0].get(name) != files[1].get(name)]
+            found += [(f"{run}/{name}", text) for name in sorted(files[0].keys() | files[1].keys())
+                      if files[0].get(name) != files[1].get(name)
+                      for text in file_changes(name, files[0].get(name), files[1].get(name))]
     for key, text in found:
         print(f"differs: {key}: {text}")
     print(f"{len(found)} difference(s)")
