@@ -32,7 +32,7 @@ class SizingError(ValueError):
 
     def __init__(self, message: str, minimal_n: int):
         super().__init__(f"{message} (minimal usable row count: {minimal_n})")
-        self.minimal_n = minimal_n
+        self.reason, self.minimal_n = message, minimal_n
 
 
 class NonFiniteRowError(ValueError):
@@ -193,8 +193,8 @@ def plan_blocks(
         n = (n_rows // m0) // b * b
         if n < b:
             raise SizingError(
-                f"variance sizing infeasible: N = {n_rows} rows give fewer than "
-                f"{b} blocks of size {m0}",
+                f"variance sizing infeasible: {n_rows} pairs give fewer than ceil(1 / theta_var) = {b} "
+                f"blocks of size m0 = {m0} (theta_var = {theta})",
                 minimal_n=m0 * b,
             )
     else:
@@ -204,8 +204,9 @@ def plan_blocks(
         n = b * math.ceil(math.ceil(target) / b)
         if n > n_rows:
             raise SizingError(
-                f"mean sizing infeasible: need at least {n} rows for "
-                f"delta = {delta}, theta = {theta}",
+                f"mean sizing infeasible: need at least {n} rows, a multiple of ceil(1 / theta_mean) of at "
+                f"least c_blocks * log(e / delta), for c_blocks = {config.c_blocks}, theta_mean = {theta}, "
+                f"delta = {delta}",
                 minimal_n=n,
             )
 

@@ -140,11 +140,6 @@ class PipelineConfig:
     c_blocks: float = setting(8.0, "real", above=0.0)  # block-count multiplier: n >= c_blocks * log(e/delta)
     C_prime: float = setting(1.0, "real", above=0.0)  # slab width constant
 
-    # slab system and probe-and-refine loop
-    directions: int | None = setting(None, "int", least=1)  # direction budget; None -> max(8 d, 256)
-    refine_rounds: int = setting(3, "int", least=0)
-    refine_probes: int = setting(512, "int", least=1)
-
     def __post_init__(self):
         check_fields(CONFIG_FIELDS, vars(self))
 

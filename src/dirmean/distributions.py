@@ -393,12 +393,15 @@ def marginal_oracle(gt: GroundTruth, u, scale: float = 1.0):
 
     ``scale`` rescales the law (e.g. sqrt(2) for pairwise differences of
     gaussian data).  Raises :class:`NoAnalyticOracleError` for families
-    without a closed-form marginal.  The only map from a family to a scipy law.
+    without a closed-form marginal, and ValueError for one of zero variance
+    (NaN in scipy).  The only map from a family to a scipy law.
     """
     from scipy import stats  # not loaded with the package
 
     u = _check_unit(u)
     sig = directional_sigma(gt, u) * require_real("scale", scale, 0.0)
+    if sig == 0.0:
+        raise ValueError(f"the marginal along u = {u.tolist()} has zero variance: it has no continuous law")
     fam = gt.spec.family
     if fam == "gaussian":
         return stats.norm(loc=0.0, scale=sig)

@@ -68,7 +68,9 @@ _HIGHS_OPTIONS = {
 # perturbation nothing else guards against a degenerate stall, so a run that
 # reaches the limit fails its round (the most seen: 4.8 (d + 1) in one run)
 _PIVOTS_PER_ROW = 100
-_REFINE_TOL = 0.1  # the refine loop's stopping level (see estimate_mean)
+_REFINE_ROUNDS = 3  # the most refine rounds one estimate runs (see estimate_mean)
+_REFINE_PROBES = 512  # the probe directions drawn per refine round
+_REFINE_TOL = 0.1  # the refine loop's stopping level
 _REFINE_APPEND = 64  # the most probes one refine round appends
 
 
@@ -455,7 +457,7 @@ def build_direction_set(
     require_int("d", d, least=1)
     require_int("budget", budget)
     if budget < 2 * d:
-        raise ValueError(f"directions = {budget} (the direction budget) must be at least 2 d = {2 * d}")
+        raise ValueError(f"budget = {budget} (the direction budget) must be at least 2 d = {2 * d}")
     if var_est is not None and var_est.Z.shape[1] != d:
         raise ValueError(f"the variance blocks have {var_est.Z.shape[1]} columns, but d = {d}")
     if d == 1:
@@ -480,7 +482,7 @@ class MeanEstimate:
     iterations: int
     final_gap: float
     refinement_rounds: int
-    probe_violation: float | None
+    probe_violation: float
     converged: bool
     directions_used: int
     block_plan_mean: BlockPlan
@@ -494,21 +496,23 @@ def estimate_mean(
     """Full pipeline on a dataset of 3N rows.
 
     The first third feeds the marginal mean estimates, the remaining two
-    thirds the directional variance estimates.  Slabs over a finite
-    direction set are intersected by the minimax solver; fresh probe
-    directions then estimate the surrogate gap and the worst violators are
-    appended (at most 64 per round, ``_REFINE_APPEND``) and re-solved, up
-    to ``config.refine_rounds`` times or until the worst probe violation is
-    at most 0.1 (``_REFINE_TOL``) times rho_star plus the median slab width.
+    thirds the directional variance estimates.  Slabs over max(8 d, 256)
+    directions are intersected by the minimax solver; then up to 3 times
+    (``_REFINE_ROUNDS``) 512 fresh probe directions (``_REFINE_PROBES``)
+    estimate the surrogate gap, and the worst 64 violators
+    (``_REFINE_APPEND``) are appended and re-solved, until the worst probe
+    violation is at most 0.1 (``_REFINE_TOL``) times rho_star plus the
+    median slab width.
 
-    ``probe_violation`` (None at ``refine_rounds = 0``) is the worst slab
-    violation beyond rho_star over a probe set drawn after the last solve,
-    so it is measured at ``mu_hat``: a lower bound on the sup over the sphere.
+    ``probe_violation`` is the worst slab violation beyond rho_star over a
+    probe set drawn after the last solve, so it is measured at ``mu_hat``:
+    a lower bound on the sup over the sphere.
 
     ``iterations`` sums the LP rounds of every solve (0: each warm start
     was feasible); ``converged`` and ``final_gap`` are those of the last
-    solve (see :func:`solve_center`).  A SizingError names the total row
-    count to supply, and a NonFiniteRowError the first NaN or inf row.
+    solve (see :func:`solve_center`).  A SizingError keeps the stage's
+    reason and names the total row count to supply, and a
+    NonFiniteRowError the first NaN or inf row.
     """
     config = config or PipelineConfig()
     rows = as_rows(ds)
@@ -526,13 +530,12 @@ def estimate_mean(
         # pair differences of the other two: one per three input rows either way
         stage = "variance" if offset else "mean"
         raise SizingError(
-            f"{n_obs} rows are too few for the {stage} stage of estimate_mean", 3 * exc.minimal_n
+            f"{n_obs} rows are too few for the {stage} stage of estimate_mean: {exc.reason}", 3 * exc.minimal_n
         ) from None
     except NonFiniteRowError as exc:
         raise NonFiniteRowError(offset + exc.row) from None
 
-    budget = config.directions if config.directions is not None else max(8 * d, 256)
-    directions = build_direction_set(d, budget, seed, var_est)
+    directions = build_direction_set(d, max(8 * d, 256), seed, var_est)
     centers = nu_hat_profile(marg_est, directions)
     widths = slab_width_profile(var_est, directions, delta, config.C_prime, n)
     slabs = SlabSystem(directions, centers, widths)
@@ -542,19 +545,16 @@ def estimate_mean(
     result = solve_center(slabs, v_init=v_init, state=state)
 
     iterations = result.iterations
-    rounds_used = 0
-    probe_violation = None
     rng = stream(seed, "refine-probes")
-    while config.refine_rounds > 0:  # after the last round, one more probe set measures mu_hat
-        probes = random_unit_rows(rng, config.refine_probes, d)
+    for rounds_used in range(_REFINE_ROUNDS + 1):  # the last probe set only measures mu_hat
+        probes = random_unit_rows(rng, _REFINE_PROBES, d)
         p_centers = nu_hat_profile(marg_est, probes)
         p_widths = slab_width_profile(var_est, probes, delta, config.C_prime, n)
         viol = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
         probe_violation = float(np.max(viol))
         scale = result.rho_star + _median(slabs.widths)
-        if probe_violation <= _REFINE_TOL * scale or rounds_used == config.refine_rounds:
+        if probe_violation <= _REFINE_TOL * scale or rounds_used == _REFINE_ROUNDS:
             break
-        rounds_used += 1
         worst = np.argsort(viol)[::-1]
         worst = worst[viol[worst] > 0][:_REFINE_APPEND]
         slabs = slabs.extended(probes[worst], p_centers[worst], p_widths[worst])

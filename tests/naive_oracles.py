@@ -248,7 +248,7 @@ def oracle_mean_estimate_dict(est):
         "iterations": int(est.iterations),
         "final_gap": float(est.final_gap),
         "refinement_rounds": int(est.refinement_rounds),
-        "probe_violation": None if est.probe_violation is None else float(est.probe_violation),
+        "probe_violation": float(est.probe_violation),
         "converged": bool(est.converged),
         "directions_used": int(est.directions_used),
         "block_plan_mean": oracle_block_plan_dict(est.block_plan_mean),

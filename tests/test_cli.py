@@ -19,7 +19,7 @@ GAUSS_2D = {
 }
 
 # small but feasible: variance third of 3N=1800 gives 600 pairs >= 4 * 125
-TINY_CONFIG = {"m0": 1, "theta_var": 0.25, "theta_mean": 0.125, "refine_probes": 64}
+TINY_CONFIG = {"m0": 1, "theta_var": 0.25, "theta_mean": 0.125}
 
 
 BASELINES = ["empirical-mean", "median-of-means"]  # no dirmean, whose planner checks delta itself
@@ -179,16 +179,31 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("ERROR 2: 8 rows are too few for the mean stage")
 
+    @pytest.mark.parametrize(
+        "setting, named",
+        [({"m0": 100000}, ["10000 pairs", "m0 = 100000", "theta_var = 0.02"]),
+         ({"theta_var": 0.001}, ["m0 = 100", "theta_var = 0.001"]),
+         ({"c_blocks": 1e6}, ["c_blocks = 1000000.0", "theta_mean = 0.125", "delta = 0.01"])],
+        ids=["m0", "theta_var", "c_blocks"],
+    )
+    def test_sizing_error_names_the_settings_of_the_minimum(self, tmp_path, capsys, setting, named):
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "n_total": 30000, "config": setting})
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 2: 30000 rows are too few for the ") and err.count("\n") == 1, err
+        assert all(text in err for text in named) and "minimal usable row count: " in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_config_field_exits_1_with_one_line(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
             "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05,
-            "config": dict(TINY_CONFIG, refine_probes=0),
+            "config": dict(TINY_CONFIG, m0=0),
         })
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "ERROR 1: refine_probes must be at least 1, got 0\n"
+        assert capsys.readouterr().err == "ERROR 1: m0 must be at least 1, got 0\n"
 
     @pytest.mark.parametrize(
-        "field, value", [("refine_probes", 64.5), ("directions", 300.5), ("refine_rounds", 1.5)]
+        "field, value", [("m0", 1.5), ("m0", 100.0)]
     )
     def test_non_integer_config_field_exits_1_naming_it(self, tmp_path, capsys, field, value):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -399,6 +414,21 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"ERROR 1: no analytic marginal law for family {dist['family']!r}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "dist",
+        [dict(GAUSS_2D, eigenvalues=[0.0, 0.0]),
+         dict(GAUSS_2D, family="elliptical-student", dof=5.0, eigenvalues=[0.0], mean=[1.0])],
+        ids=["gaussian-2d", "student-1d"],
+    )
+    def test_zero_variance_along_e1_exits_1_writing_nothing(self, tmp_path, capsys, dist):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = write_json(tmp_path / "d.json", {"distribution": dist})
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 1: ") and err.count("\n") == 1 and "zero variance" in err, err
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("uniform", [{}, {"n_dirs": 5}])
     def test_uniform_section_for_another_family_exits_1(self, tmp_path, capsys, uniform):
@@ -671,11 +701,20 @@ class TestEdgeValues:
         "command, doc, message",
         [("simulate", scenario_doc(n_total=0), "n_total must be at least 3, got 0"),
          ("simulate", scenario_doc(n_total=2), "n_total must be at least 3, got 2"),
-         ("estimate", dict(COMMAND_DOCS["estimate"], config=dict(TINY_CONFIG, directions=0)),
-          "directions must be at least 1, got 0")],
-        ids=["n_total-0", "n_total-2", "directions-0"],
+         ("estimate", dict(COMMAND_DOCS["estimate"], config=dict(TINY_CONFIG, m0=-2)),
+          "m0 must be at least 1, got -2")],
+        ids=["n_total-0", "n_total-2", "m0--2"],
     )
     def test_integer_error_names_the_floor_and_the_value(self, tmp_path, capsys, command, doc, message):
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"ERROR 1: {message}\n"
+
+    @pytest.mark.parametrize("key, value", [("directions", 300), ("refine_rounds", 1), ("refine_probes", 64)])
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_retired_config_key_exits_1_naming_it(self, tmp_path, capsys, command, key, value):
+        doc = COMMAND_DOCS[command]
+        cfg = write_json(tmp_path / "cfg.json", dict(doc, config=dict(doc["config"], **{key: value})))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: unknown config keys: ['{key}']\n"
+        assert not (tmp_path / "o").exists()

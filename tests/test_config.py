@@ -73,16 +73,9 @@ class TestRefineAndBaselineFields:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("refine_rounds", -1),
-            ("refine_probes", 0),
-            ("directions", 300.5),
-            ("directions", True),
-            ("refine_rounds", 1.5),
-            ("refine_rounds", 2.0),
-            ("refine_probes", 64.5),
-            ("refine_probes", True),
             ("m0", 0),
             ("m0", 100.0),
+            ("m0", True),
         ],
     )
     def test_rejected_with_field_name(self, field, value):
@@ -92,22 +85,20 @@ class TestRefineAndBaselineFields:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("refine_rounds", 0),
-            ("refine_probes", 1),
-            ("directions", 300),
-            ("refine_probes", np.int64(64)),
             ("m0", 1),
+            ("m0", np.int64(64)),
         ],
     )
     def test_smallest_valid_values_accepted(self, field, value):
         assert getattr(PipelineConfig(**{field: value}), field) == value
 
     def test_from_dict_validates(self):
-        with pytest.raises(ValueError, match="refine_probes"):
-            PipelineConfig.from_dict({"refine_probes": 0})
+        with pytest.raises(ValueError, match="m0"):
+            PipelineConfig.from_dict({"m0": 0})
 
     @pytest.mark.parametrize("key, value", [("trim_mode", "absolute"), ("c0", 1.0), ("gamma", 0.1), ("c1", 1.0),
-                                            ("refine_tol", 0.1), ("refine_append", 64), ("mom_blocks", 5)])
+                                            ("refine_tol", 0.1), ("refine_append", 64), ("mom_blocks", 5),
+                                            ("directions", 300), ("refine_rounds", 1), ("refine_probes", 64)])
     def test_removed_keys_are_unknown(self, key, value):
         with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
             PipelineConfig.from_dict({key: value})

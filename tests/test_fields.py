@@ -18,8 +18,7 @@ GAUSS = {"family": "gaussian", "eigenvalues": [1.0, 1.0], "rotation_seed": 3, "m
          "shape": 0.5, "contamination": None}
 CONTAMINATED = dict(GAUSS, family="gaussian-with-point-contamination",
                     contamination={"fraction": 0.1, "offset": [1.0, 1.0]})
-TINY = {"m0": 1, "theta_var": 0.25, "theta_mean": 0.125, "c_blocks": 8.0, "C_prime": 1.0, "directions": 300,
-        "refine_rounds": 1, "refine_probes": 64}
+TINY = {"m0": 1, "theta_var": 0.25, "theta_mean": 0.125, "c_blocks": 8.0, "C_prime": 1.0}
 VALID = {  # command: a valid document
     "estimate": {"distribution": CONTAMINATED, "n_total": 1800, "delta": 0.05, "seed": 1, "config": TINY},
     "simulate": {"distribution": GAUSS, "n_total": 1800, "delta": 0.05, "trials": 1,
@@ -137,7 +136,8 @@ CROSS_FIELD = [
     ("estimate", with_config(c_blocks=1e308), "c_blocks"),
     ("estimate", with_config(theta_var=0.3), "theta_var"),  # 0.3 ceil(1/0.3) is not an integer
     ("estimate", with_config(theta_mean=0.3), "theta_mean"),
-    ("estimate", with_config(directions=3), "directions"),  # fewer than 2 d
+    ("estimate", dict(VALID["estimate"], distribution=dict(CONTAMINATED, contamination=dict(
+        CONTAMINATED["contamination"], offset=[1.0]))), "contamination.offset"),  # d = 2 eigenvalues
     ("simulate", dict(VALID["simulate"], distribution=dict(GAUSS, mean=[0.0])), "mean"),  # d = 2 eigenvalues
     ("simulate", dict(VALID["simulate"], n_total=30, delta=1e-5), "delta"),  # median-of-means needs 93 blocks
     ("lowerbound", dict(VALID["lowerbound"], distribution=GAUSS), "eigenvalues"),

@@ -88,7 +88,7 @@ def test_estimate_and_simulate_load_no_scipy_stats(tmp_path):
         "estimators": ["dirmean", "empirical-mean", "median-of-means"],
         "probes": 4,
         "seed": 3,
-        "config": {"m0": 1, "theta_var": 0.25, "theta_mean": 0.125, "refine_probes": 64},
+        "config": {"m0": 1, "theta_var": 0.25, "theta_mean": 0.125},
     }
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))

@@ -34,7 +34,15 @@ from dirmean.mean import TOL, _CutState, _eigendirections
 from dirmean.rng import random_unit_rows, stream
 from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile
 
-SMALL_CFG = PipelineConfig(m0=1, theta_var=0.125, directions=None, refine_probes=64)
+SMALL_CFG = PipelineConfig(m0=1, theta_var=0.125)
+
+
+def shrink_refine(monkeypatch, budget):
+    """Make estimate_mean build ``budget`` directions and draw 64 probes per refine round."""
+    build = mean_module.build_direction_set
+    monkeypatch.setattr(mean_module, "build_direction_set",
+                        lambda d, _, seed, var_est: build(d, budget, seed, var_est))
+    monkeypatch.setattr(mean_module, "_REFINE_PROBES", 64)
 
 
 def random_infeasible_system(rng, d, m):
@@ -372,7 +380,7 @@ class TestDirectionSet:
         assert np.array_equal(build_direction_set(3, 12, seed=2), build_direction_set(3, 12, seed=2))
 
     def test_rejects_small_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^budget = 7 \(the direction budget\) must be at least 2 d = 8$"):
             build_direction_set(4, 7, seed=0)
 
     @pytest.mark.parametrize(
@@ -877,7 +885,8 @@ class TestResumedSolve:
         monkeypatch.setattr(_CutState, "prune", logged_prune)
         monkeypatch.setattr(mean_module, "_PIVOTS_PER_ROW", 1)
         gt = gaussian_gt(np.geomspace(1.0, 1e-2, 8).tolist())
-        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05, directions=32, refine_probes=64)
+        shrink_refine(monkeypatch, 32)
+        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05)
         est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
         failed = [i for i, event in enumerate(events) if event == "fail"]
         assert failed and failed[0] + 1 < len(events)
@@ -888,7 +897,8 @@ class TestResumedSolve:
         log = record_lp(monkeypatch)
         gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
         # a small direction set leaves violators for the probes: 3 refine rounds
-        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64)
+        shrink_refine(monkeypatch, 16)
+        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05)
         est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
         assert est.refinement_rounds == 3 and est.converged
         assert len(log.models) == 1 and len(log.prunes) == est.refinement_rounds
@@ -1046,14 +1056,15 @@ class TestEstimateMean:
             estimate_mean(rows, 0.05, SMALL_CFG, seed=seed)
 
     @pytest.mark.parametrize("refine_rounds", [1, 3])
-    def test_probe_violation_is_measured_at_mu_hat(self, refine_rounds):
+    def test_probe_violation_is_measured_at_mu_hat(self, monkeypatch, refine_rounds):
         # a small direction set leaves violators for every round, so the
         # rounds are spent; the reported value is that of the next probe set
         # of the refine stream, measured at the returned point
         gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
         rows = sample_dataset(gt, 3000, seed=3)
-        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05, directions=16, refine_probes=64,
-                             refine_rounds=refine_rounds)
+        shrink_refine(monkeypatch, 16)
+        monkeypatch.setattr(mean_module, "_REFINE_ROUNDS", refine_rounds)
+        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05)
         est = estimate_mean(rows, 0.05, cfg, seed=5)
         assert est.refinement_rounds == refine_rounds
         marg_est = fit_marginal(rows[:1000], 0.05, cfg)
