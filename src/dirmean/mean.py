@@ -9,14 +9,15 @@ final estimator is a point v minimizing the worst slab violation
 a piecewise-linear convex minimax program over a finite direction set.
 Minimizing the slack max(g, 0) is a linear program in d + 1 variables,
 solved by cutting planes from a cheap warm start, with a certified
-optimality gap.  One unscaled HiGHS model holds the dual of the cut LP:
-each round adds a column for the violated side of each worst slab, primal
-simplex resumes from the (d + 1)-square basis, and the row duals give the
-restricted optimum.  A probe-and-refine loop bounds the finite-direction
-surrogate gap empirically and reports it instead of hiding it.  Its
-re-solves keep the estimate's one model: the columns of the cuts that are
-not binding are deleted first, and primal simplex resumes from the optimal
-basis that is left.
+optimality gap; a cold solve takes its first cuts at the least-squares
+point of the slab centers.  One unscaled HiGHS model holds the dual of the
+cut LP: each round adds a column for the violated side of each worst slab,
+primal simplex resumes from the (d + 1)-square basis, and the row duals
+give the restricted optimum.  A probe-and-refine loop bounds the
+finite-direction surrogate gap empirically and reports it instead of
+hiding it.  Its re-solves keep the estimate's one model: the columns of
+the cuts that are not binding are deleted first, and primal simplex
+resumes from the optimal basis that is left.
 """
 
 from __future__ import annotations
@@ -244,9 +245,10 @@ class _CutState:
     the displacement x = v - ``origin``, the first solve's warm start, so
     they stay valid as slabs are appended.  Column j of ``cuts`` is the
     (side, slab) of model column j, side 0 for s = +1 and 1 for s = -1;
-    ``point`` is the last restricted optimum and ``lower`` its slack.  The
-    only code that knows scipy's bundled binding ``_core`` (private API;
-    see pyproject.toml).
+    ``point`` is the last restricted optimum and ``lower`` its slack, both
+    set by :func:`solve_center` at the end of each solve.  The only code
+    that knows scipy's bundled binding ``_core`` (private API; see
+    pyproject.toml).
     """
 
     highs: object = None
@@ -265,7 +267,7 @@ class _CutState:
         # the rows sum_i y_i s_i u_i = 0 and sum_i y_i <= 1, empty until cuts arrive
         lower, upper = np.r_[np.zeros(d), -_core.kHighsInf], np.r_[np.zeros(d), 1.0]
         highs.addRows(d + 1, lower, upper, 0, np.zeros(d + 1, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))
-        self.highs, self.origin, self.point, self.lower = highs, origin, origin, 0.0
+        self.highs, self.origin = highs, origin
         self.cuts = np.empty((2, 0), dtype=np.intp)
 
     def round(self, slab: np.ndarray, u: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -293,9 +295,12 @@ class _CutState:
     def prune(self) -> None:
         """Delete the columns that are nonbasic, i.e. at y_i = 0, in the last
         optimal basis; their cuts are not binding.  The basis stays optimal, so
-        the next round resumes from it, and at most d + 1 columns are kept."""
-        basic = _core.HighsBasisStatus.kBasic
-        keep = np.array([status == basic for status in self.highs.getBasis().col_status], dtype=bool)
+        the next round resumes from it, and at most d + 1 columns are kept.
+        HiGHS lists the basic variables only once a run has factored the
+        basis, so only a model that has run may be pruned."""
+        basic = self.highs.getBasicVariables()[1]  # a column's index, or -1 - a row's
+        keep = np.zeros(self.cuts.shape[1], dtype=bool)
+        keep[basic[basic >= 0]] = True
         drop = np.flatnonzero(~keep).astype(np.int32)
         self.highs.deleteCols(drop.size, drop)
         self.cuts = self.cuts[:, keep]
@@ -314,15 +319,20 @@ def solve_center(
         min t  s.t.  |r_i - <u_i, x>| <= w_i + t,  t >= 0,  r = c - U v_warm
 
     in the displacement x = v - v_warm is solved by cutting planes in one
-    HiGHS model of its dual (see :class:`_CutState`): each round (one
-    ``iterations`` step) adds, for the worst <= 2 (d + 1) slabs that violate
-    the current restricted optimum ``lower`` on a side not yet in the model,
-    the cut s_i <u_i, x> + t >= s_i r_i - w_i of that side as a column, s_i =
-    sign(r_i - <u_i, x>); the other side enters only if a later round
-    violates it.  Each round resumes primal simplex from the last basis and
-    reads (x, t) off the row duals, and the loop stops once g(v) <= lower +
-    TOL (1 + lower).  Directions that no cut constrains stay at the warm
-    start.
+    HiGHS model of its dual (see :class:`_CutState`).  Without a model from
+    an earlier call (cold), the first cuts are picked at the least-squares
+    point of the centers, p = v_warm + lstsq(U, r) (the warm start itself
+    when ``v_init`` is None), and p competes as the best point: if it lies
+    in every slab it is returned with ``iterations = 0`` and no model is
+    built.  Each round (one ``iterations`` step) adds, for the worst <= 2
+    (d + 1) slabs that violate the current point (p, then each restricted
+    optimum) by more than its slack ``lower`` on a side not yet in the
+    model, the cut s_i <u_i, x> + t >= s_i r_i - w_i of that side as a
+    column, s_i = sign(r_i - <u_i, x>); the other side enters only if a
+    later round violates it.  Each round resumes primal simplex from the
+    last basis and reads (x, t) off the row duals, and the loop stops once
+    g(v) <= lower + TOL (1 + lower).  Directions that no slab constrains
+    stay at the warm start.
 
     ``state`` (internal: :func:`estimate_mean` passes one per estimate)
     keeps the model for the next call on the same slabs with more appended.
@@ -358,14 +368,23 @@ def solve_center(
             raise ValueError(f"v_init must be a finite vector of d = {d} entries, got {v_init!r}")
     v_best, g_best = v_warm, slabs.max_violation(v_warm)
     lower, optimal, rounds = 0.0, True, 0
+    cold = state is None or state.highs is None
+    v = v_warm  # where the next round picks its cuts
+    if g_best > 0.0 and cold and v_init is not None:
+        # the least-squares point of the centers, as a move from the warm
+        # start: directions that no slab constrains keep their coordinates
+        v = v_warm + np.linalg.lstsq(u, c - u @ v_warm, rcond=None)[0]
+        g = slabs.max_violation(v)
+        if g < g_best:
+            v_best, g_best = v, g
     if g_best > 0.0:
         if state is None:
             state = _CutState()
-        elif state.highs is not None:
-            state.prune()
-        if state.highs is None:  # cold: a fresh model around the warm start
+        if cold:  # a fresh model around the warm start
             state.start(d, v_warm)
-        v, lower = state.point, state.lower
+        else:
+            state.prune()
+            v, lower = state.point, state.lower
         r = c - u @ state.origin
         active = np.zeros((2, m), dtype=bool)  # sides s = +1 and s = -1 in the model
         active[state.cuts[0], state.cuts[1]] = True
@@ -508,8 +527,9 @@ def estimate_mean(
     probe set drawn after the last solve, so it is measured at ``mu_hat``:
     a lower bound on the sup over the sphere.
 
-    ``iterations`` sums the LP rounds of every solve (0: each warm start
-    was feasible); ``converged`` and ``final_gap`` are those of the last
+    ``iterations`` sums the LP rounds of every solve (0: each warm start,
+    or a cold solve's least-squares point of the centers, was inside every
+    slab); ``converged`` and ``final_gap`` are those of the last
     solve (see :func:`solve_center`).  A SizingError keeps the stage's
     reason and names the total row count to supply, and a
     NonFiniteRowError the first NaN or inf row.

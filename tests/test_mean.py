@@ -668,21 +668,70 @@ class TestSolveCenter:
         assert res.rho_star == 0.0 and res.final_gap == 0.0
         assert np.array_equal(res.v_star, v_init)
 
+    def test_unconstrained_direction_stays_at_the_warm_start(self):
+        # every slab lies along e1, so neither the least-squares move nor a
+        # cut touches the second coordinate
+        slabs = SlabSystem(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]), [0.1, 2.3, 0.4], [0.0, 0.2, 0.1])
+        v_init = np.array([0.3, 0.7])
+        res = solve_center(slabs, v_init=v_init)
+        assert res.converged and res.iterations >= 1
+        assert res.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-12)
+        assert res.v_star[1] == v_init[1]
+
+    def test_cold_first_round_cuts_the_worst_violators_at_the_least_squares_point(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        rounds = record_lp(monkeypatch).rounds
+        for _ in range(10):
+            d = int(rng.integers(1, 9))
+            slabs = random_infeasible_system(rng, d, int(rng.integers(3 * (d + 1), 120)))
+            u, c, w = slabs.directions, slabs.centers, slabs.widths
+            v_init = rng.standard_normal(d)
+            first = len(rounds)
+            solve_center(slabs, v_init=v_init)
+            p = v_init + np.linalg.lstsq(u, c - u @ v_init, rcond=None)[0]
+            res = c - u @ p
+            viol = np.abs(res) - w
+            worst = np.argsort(-viol, kind="stable")[: 2 * (d + 1)]
+            worst = worst[viol[worst] > 0.0]
+            first_u, first_s, _ = rounds[first]
+            assert np.array_equal(first_u, u[worst])
+            assert np.array_equal(first_s, np.where(res[worst] < 0.0, -1.0, 1.0))
+
+    def test_warm_start_outside_slabs_that_meet_returns_their_least_squares_point(self, monkeypatch):
+        # the slabs meet around v0; the warm start misses them, and the
+        # least-squares point of the centers lies in every one, so no model
+        # is built and no round runs
+        rng = np.random.default_rng(18)
+        log = record_lp(monkeypatch)
+        for d in (1, 2, 5, 20):
+            u = random_unit_rows(rng, 8 * d, d)
+            v0 = rng.standard_normal(d)
+            slabs = SlabSystem(u, u @ v0, rng.uniform(0.1, 0.5, 8 * d))
+            v_init = v0 + 2.0
+            assert slabs.max_violation(v_init) > 0.0
+            res = solve_center(slabs, v_init=v_init)
+            assert res.iterations == 0 and res.converged
+            assert res.rho_star == 0.0 and res.final_gap == 0.0
+            assert slabs.max_violation(res.v_star) <= 0.0
+        assert log.models == [] and log.rounds == []
+
     def test_lp_failure_flags_not_raises(self, monkeypatch):
+        # the warm start 0.5 has slack 1.5; the least-squares point 1 of the
+        # centers, where round 1 picks its cuts, has slack 1 and is kept
         record_lp(monkeypatch, fail_at={1})
         slabs = SlabSystem(np.array([[1.0], [1.0]]), centers=[0.0, 2.0], widths=[0.0, 0.0])
         res = solve_center(slabs, v_init=np.array([0.5]))
         assert not res.converged and res.iterations == 1
-        assert np.isfinite(res.rho_star) and res.rho_star == pytest.approx(1.5)
+        assert np.isfinite(res.rho_star) and res.rho_star == pytest.approx(1.0)
         assert slabs.max_violation(res.v_star) == res.rho_star
 
     def test_failure_flags_even_a_gap_within_tolerance(self, monkeypatch):
-        # the warm start is 5e-10 from the optimum 1e-9, inside TOL, but no
-        # round certified it
+        # the least-squares point of the centers reaches the optimum 1e-9, and
+        # the warm start is within TOL of it, but no round certified either
         record_lp(monkeypatch, fail_at={1})
         slabs = SlabSystem(np.array([[1.0], [1.0]]), centers=[0.0, 2e-9], widths=[0.0, 0.0])
         res = solve_center(slabs, v_init=np.array([0.5e-9]))
-        assert not res.converged and res.rho_star == pytest.approx(1.5e-9)
+        assert not res.converged and res.rho_star == pytest.approx(1e-9)
 
     def test_stopped_highs_solve_reported_as_failure(self, monkeypatch):
         from scipy.optimize._highspy import _core
@@ -938,8 +987,6 @@ class TestHighsBinding:
         floor = "scipy >= 1.17 (pyproject.toml)"
         try:
             from scipy.optimize._highspy._core import (
-                HighsBasis,
-                HighsBasisStatus,
                 HighsModelStatus,
                 HighsSolution,
                 HighsStatus,
@@ -958,7 +1005,7 @@ class TestHighsBinding:
                 "getModelStatus",
                 "getSolution",
                 "getObjectiveValue",
-                "getBasis",
+                "getBasicVariables",
                 "getNumCol",
                 "deleteCols",
             )
@@ -966,8 +1013,6 @@ class TestHighsBinding:
             (HighsModelStatus, "kOptimal"),
             (HighsStatus, "kError"),
             (HighsSolution, "row_dual"),
-            (HighsBasis, "col_status"),
-            (HighsBasisStatus, "kBasic"),
         ]
         missing = [name for owner, name in needed if not hasattr(owner, name)]
         assert not missing, f"HiGHS binding lacks {missing}; dirmean needs {floor}"
