@@ -9,6 +9,7 @@ would break the 1/sqrt(m) normalization.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ _CHUNK_BYTES = 1 << 19
 # size (OpenBLAS 0.3.31: kept 409 600 entries whole, split 480 000), and
 # 65 536 entries stay well below it.
 _PANEL_BYTES = 1 << 19
+# The directions of one panel of projection_panels.  OpenBLAS 0.3.31 gave
+# 256-row panels the bytes of the whole product on every benchmark and CLI
+# shape; 32-128-row panels moved bits of the marginal projections.  On other
+# shapes OpenBLAS can pick another kernel for a whole product of more rows,
+# which moves the last bit (at most 6e-16 relative on random shapes).
+_PANEL_ROWS = 256
 
 
 class SizingError(ValueError):
@@ -107,6 +114,22 @@ def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     for lo in range(step, m, step):
         out += np.ones(min(step, m - lo)) @ x3[:, lo : lo + step]
     return out
+
+
+def projection_panels(u: np.ndarray, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, u[lo:hi] @ x.T)`` over consecutive panels of ``_PANEL_ROWS`` directions.
+
+    Every panel is written by ``np.matmul(..., out=...)`` into one reused
+    (``_PANEL_ROWS``, blocks) buffer, directions-major, so a caller must
+    finish with a panel before it asks for the next; the working memory is
+    one panel, not the whole (directions, blocks) product.  A panel has the
+    bytes of the same rows of the whole product on the shapes checked (see
+    ``_PANEL_ROWS``), not on every shape.
+    """
+    buf = np.empty((min(_PANEL_ROWS, u.shape[0]), x.shape[0]))
+    for lo in range(0, u.shape[0], _PANEL_ROWS):
+        rows = min(_PANEL_ROWS, u.shape[0] - lo)
+        yield lo, np.matmul(u[lo : lo + rows], x.T, out=buf[:rows])
 
 
 def block_averages(ds, m: int) -> np.ndarray:

@@ -342,8 +342,8 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> np.ndarray:
     d = gt.dim
     rng = stream(seed, "sample", spec.family)
 
-    # one (n, d) draw, scaled in place: the same products and sums, in the
-    # same order, as the out-of-place formulas
+    # one (n, d) draw and its radial factor, scaled in place: the same
+    # products and sums, in the same order, as the out-of-place formulas
     if spec.family == "gaussian-with-point-contamination":
         n_cont = int(np.floor(spec.contamination_fraction * n))
         positions = rng.permutation(n)[:n_cont]
@@ -356,12 +356,17 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> np.ndarray:
     if spec.family == "elliptical-student":
         nu = float(spec.dof)
         s = rng.chisquare(nu, size=n)
-        w *= np.sqrt((nu - 2.0) / s)[:, np.newaxis]
+        np.divide(nu - 2.0, s, out=s)
+        np.sqrt(s, out=s)
+        w *= s[:, np.newaxis]
     elif spec.family == "elliptical-lognormal":
         shape = float(spec.shape)
         w /= row_norms(w)
-        r = np.exp(shape * rng.standard_normal(n))
-        w *= (_lognormal_radius_coeff(d, shape) * r)[:, np.newaxis]
+        r = rng.standard_normal(n)
+        r *= shape
+        np.exp(r, out=r)
+        r *= _lognormal_radius_coeff(d, shape)
+        w *= r[:, np.newaxis]
 
     if spec.spectrum.rotation_seed is None:
         w *= np.sqrt(np.asarray(spec.spectrum.eigenvalues))
@@ -414,8 +419,10 @@ def marginal_oracle(gt: GroundTruth, u, scale: float = 1.0):
 def sample_marginal(gt: GroundTruth, u, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` values of the centered marginal <X - mu, u> directly.
 
-    Scalar-only sampling path used by the small-ball diagnostics; avoids
-    materializing (n, d) matrices when only a one-dimensional law is needed.
+    Scalar-only sampling path used by the small-ball diagnostics.  The
+    gaussian, Student and contaminated laws draw only (n,) vectors; the
+    lognormal law draws an (n, d) normal matrix G for the sphere coordinate
+    U1 = G1 / ||G||; drawing U1 another way would change the diagnose outputs.
     """
     u = _check_unit(u)
     require_int("n", n, least=1)

@@ -38,6 +38,7 @@ from .blocks import (
     block_averages,
     nonfinite_error,
     plan_blocks,
+    projection_panels,
 )
 from .config import PipelineConfig, require_int, require_real
 from .distributions import as_directions, as_rows
@@ -153,17 +154,25 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     """Vectorized marginal mean estimates over the rows of ``directions``.
 
     Drops the trim_per_side largest and smallest signed projections per
-    direction, then rescales the interior mean by 1/sqrt(m).  Each
-    direction's row of ``directions @ Y.T`` is sorted in place; the retained
-    band is summed through a (blocks, directions) copy, one block after
-    another, so every direction's sum runs in block order.  ``directions``
-    must be an (M, d) array.
+    direction, then rescales the interior mean by 1/sqrt(m).  The projection
+    ``directions @ Y.T`` is formed one panel of directions at a time
+    (:func:`~dirmean.blocks.projection_panels`) and each direction's row is
+    sorted in place; the retained band is summed through a (blocks,
+    directions) copy of 64 directions at a time, one block after another, so
+    every direction's sum runs in block order.  ``directions`` must be an
+    (M, d) array.
     """
-    proj = as_directions(directions, est.Y.shape[1]) @ est.Y.T
-    n = proj.shape[1]
+    u = as_directions(directions, est.Y.shape[1])
+    n = est.Y.shape[0]
     k = est.plan.trim_per_side
-    proj.sort(axis=1)
-    return np.ascontiguousarray(proj[:, k : n - k].T).sum(axis=0) / (math.sqrt(est.plan.m) * (n - 2 * k))
+    out = np.empty(u.shape[0])
+    for lo, proj in projection_panels(u, est.Y):
+        proj.sort(axis=1)
+        for j in range(0, proj.shape[0], 64):  # the band's copy stays a quarter panel
+            band = proj[j : j + 64, k : n - k]
+            np.ascontiguousarray(band.T).sum(axis=0, out=out[lo + j : lo + j + band.shape[0]])
+    out /= math.sqrt(est.plan.m) * (n - 2 * k)
+    return out
 
 
 def slab_width_profile(

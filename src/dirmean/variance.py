@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks
+from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks, projection_panels
 from .config import PipelineConfig, require_int, require_real
 from .distributions import SpectrumSpec, as_directions, as_rows
 
@@ -53,22 +53,26 @@ def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
     and return the sum of the surviving squares over 2n (n blocks; the 2 is
     the pair-difference doubling).
 
-    The (directions, blocks) projection ``directions @ Z.T`` is the only
-    working array: each direction's row is contiguous, and is squared,
-    partitioned (the trim_per_side largest squares last) and summed in
-    place.  Dropping either member of a tied pair leaves the retained sum
-    unchanged, so value ties need no index bookkeeping.  Raises ValueError
-    when the squared projections overflow (input rows near the square root
-    of the float range), and when ``directions`` is not an (M, d) array.
+    The projection ``directions @ Z.T`` is formed one panel of directions
+    at a time (:func:`~dirmean.blocks.projection_panels`), the only working
+    array: each direction's row is contiguous, and is squared, partitioned
+    (the trim_per_side largest squares last) and summed in place.  Dropping
+    either member of a tied pair leaves the retained sum unchanged, so value
+    ties need no index bookkeeping.  Raises ValueError when the squared
+    projections overflow (input rows near the square root of the float
+    range), and when ``directions`` is not an (M, d) array.
     """
-    sq = as_directions(directions, est.Z.shape[1]) @ est.Z.T
-    n = sq.shape[1]
+    u = as_directions(directions, est.Z.shape[1])
+    n = est.Z.shape[0]
     k = est.plan.trim_per_side
+    out = np.empty(u.shape[0])
     with np.errstate(over="ignore"):  # checked once, on the (M,) result
-        np.square(sq, out=sq)
-        if k > 0:
-            sq.partition(n - k - 1, axis=1)
-        out = sq[:, : n - k].sum(axis=1) / (2.0 * n)
+        for lo, sq in projection_panels(u, est.Z):
+            np.square(sq, out=sq)
+            if k > 0:
+                sq.partition(n - k - 1, axis=1)
+            sq[:, : n - k].sum(axis=1, out=out[lo : lo + sq.shape[0]])
+        out /= 2.0 * n
     if not np.isfinite(out).all():
         raise ValueError(
             "variance stage: the squared projections of the variance blocks overflow; "

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import pickle
 
 import numpy as np
 
@@ -49,3 +50,37 @@ def test_a_json_file_is_compared_by_its_key_paths():
     assert compare_trees.file_changes("summary.json", old, old.replace(b" ", b"")) == ["bytes"]
     assert compare_trees.file_changes("summary.json", old, None) == ["bytes"]
     assert compare_trees.file_changes("trials.csv", b"a\n1\n", b"a\n2\n") == ["bytes"]
+
+
+
+def fake_tree(values, peaks):
+    """A run_tree stand-in: tree ``t`` writes ``values[t]`` and ``peaks[t]``, and one report per CLI config."""
+
+    def run_tree(tree, out):
+        with open(os.path.join(out, "estimates.pkl"), "wb") as fh:
+            pickle.dump({"values": values[tree], "peaks": peaks[tree]}, fh)
+        for run in compare_trees.CLI_RUNS:
+            os.makedirs(os.path.join(out, run))
+            with open(os.path.join(out, run, "report.txt"), "w") as fh:
+                fh.write("same\n")
+
+    return run_tree
+
+
+def test_peaks_are_printed_but_only_bytes_decide_the_exit_code(monkeypatch, capsys):
+    mu = {"largeN-d50/1/0/mu_hat": np.array([0.5, -0.25])}
+    peaks = {"old": {"largeN-d50/1/0": 4.6798, "infeasible-d50/1/0": 1.0}, "new": {"largeN-d50/1/0": 2.7256}}
+    monkeypatch.setattr(compare_trees, "run_tree", fake_tree({"old": mu, "new": mu}, peaks))
+    assert compare_trees.main("old", "new") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "peak MB: infeasible-d50/1/0: 1.000 -> absent",
+        "peak MB: largeN-d50/1/0: 4.680 -> 2.726",
+        "0 difference(s)",
+    ]
+    moved = {"largeN-d50/1/0/mu_hat": np.array([0.5, -0.125])}
+    monkeypatch.setattr(compare_trees, "run_tree", fake_tree({"old": mu, "new": moved}, peaks))
+    assert compare_trees.main("old", "new") == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "differs: largeN-d50/1/0/mu_hat: max |change| 0.125, relative 0.25",
+        "1 difference(s)",
+    ]

@@ -15,6 +15,7 @@ from dirmean import (
     SizingError,
     SlabSystem,
     SpectrumSpec,
+    VarianceEstimator,
     block_averages,
     build_direction_set,
     estimate_mean,
@@ -32,7 +33,7 @@ from dirmean import (
 import dirmean.mean as mean_module
 from dirmean.mean import TOL, _CutState, _eigendirections
 from dirmean.rng import random_unit_rows, stream
-from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile
+from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile, oracle_psi_profile
 
 SMALL_CFG = PipelineConfig(m0=1, theta_var=0.125)
 
@@ -268,6 +269,55 @@ class TestNuHatProfileTallBlocks:
         y, d0 = est.Y.copy(), dirs.copy()
         nu_hat_profile(est, dirs)
         assert np.array_equal(est.Y, y) and np.array_equal(dirs, d0)
+
+
+class TestProjectionPanels:
+    """Both profiles project 256 directions at a time into one reused panel.
+
+    Checked on OpenBLAS 0.3.31 (scipy-openblas 0.3.31.188.0, DYNAMIC_ARCH,
+    on an AVX-512 Xeon): at every panel boundary the profiles agree with
+    the whole (directions, blocks) product to 1e-14 of their largest
+    magnitude.  A panel may differ from the whole product in the last bit,
+    as OpenBLAS picks its kernel by the whole shape (here at 257 and 513
+    directions of ``psi_profile``), so the check is not for equal bytes.
+    """
+
+    N_BLOCKS, D = 1000, 50
+
+    def _estimators(self):
+        rng = np.random.default_rng(11)
+        z = rng.standard_t(3, size=(self.N_BLOCKS, self.D))
+        y = rng.standard_t(3, size=(self.N_BLOCKS, self.D)) + 0.5
+        var = VarianceEstimator(Z=z, plan=plan_blocks(self.N_BLOCKS, None, 0.02, "variance", PipelineConfig(m0=1)))
+        plan = plan_blocks(self.N_BLOCKS * 7, 0.01, 0.125, "mean", PipelineConfig(c_blocks=178.0))
+        assert plan.n == self.N_BLOCKS
+        return var, MarginalMeanEstimator(Y=y, plan=plan)
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 512, 513, 1600])
+    def test_panel_boundaries_match_the_whole_product(self, count):
+        var, marg = self._estimators()
+        dirs = random_unit_rows(np.random.default_rng(count), count, self.D)
+        for got, expected in (
+            (psi_profile(var, dirs), oracle_psi_profile(var.Z, dirs, var.plan.trim_per_side)),
+            (nu_hat_profile(marg, dirs), oracle_nu_hat_profile(marg.Y, dirs, marg.plan.trim_per_side, marg.plan.m)),
+        ):
+            assert got.shape == (count,)
+            assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("profile", [psi_profile, nu_hat_profile], ids=lambda f: f.__name__)
+    def test_working_memory_is_one_panel(self, profile):
+        var, marg = self._estimators()
+        est = var if profile is psi_profile else marg
+        dirs = random_unit_rows(np.random.default_rng(3), 4096, self.D)
+        profile(est, dirs[:1])  # warm: first-call allocations stay out
+        tracemalloc.start()
+        try:
+            profile(est, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole (4096, 1000) product would take 32.8 MB
+        assert peak < 1.5 * 256 * self.N_BLOCKS * 8
 
 
 class TestNuHat:

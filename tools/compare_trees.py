@@ -12,7 +12,9 @@ printed, with the largest absolute change and that change relative to the
 largest magnitude in the old value, and so is every output file that
 differs: a JSON file by each dotted key path (list entries by index) whose
 value changed, appeared or vanished, any other file as "bytes".  The exit
-code is 1 if anything differs.
+code is 1 if anything differs.  Each tree's ``tracemalloc`` peak of each
+pool estimate is printed too, for information only: it does not count as a
+difference.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 
@@ -43,26 +46,30 @@ CLI_RUNS = {  # name: (argv, config document)
 
 
 def child(out: str) -> None:
-    """Write this tree's estimates to ``out``/estimates.pkl and its CLI outputs under ``out``."""
+    """Write this tree's estimates and their ``tracemalloc`` peaks (MB) to
+    ``out``/estimates.pkl and its CLI outputs under ``out``."""
     sys.path.append(ROOT)  # perfbench of this checkout; dirmean comes from PYTHONPATH
     from perfbench import workloads as wl
 
     from dirmean import DistributionSpec, PipelineConfig, cli, distributions, mean
 
-    values = {}
+    values, peaks = {}, {}
     for name, (d, n_total, pool, config) in wl.LIBRARY.items():
         gt = distributions.make_ground_truth(DistributionSpec.from_json_dict(wl.distribution_doc(d)))
         for pool_seed in (1, 2):
             for i in range(pool):
                 ds = distributions.sample_dataset(gt, n_total, wl.sub_seed(pool_seed, name, "data", i))
+                tracemalloc.start()
                 est = mean.estimate_mean(ds, wl.DELTA, PipelineConfig(**config),
                                          seed=wl.sub_seed(pool_seed, name, "estimate", i))
+                peaks[f"{name}/{pool_seed}/{i}"] = tracemalloc.get_traced_memory()[1] / 2**20
+                tracemalloc.stop()
                 for field in ("mu_hat", "rho_star", "iterations", "converged", "probe_violation"):
                     values[f"{name}/{pool_seed}/{i}/{field}"] = getattr(est, field)
                 for part in ("directions", "centers", "widths"):
                     values[f"{name}/{pool_seed}/{i}/slabs.{part}"] = getattr(est.slabs, part)
     with open(os.path.join(out, "estimates.pkl"), "wb") as fh:
-        pickle.dump(values, fh)
+        pickle.dump({"values": values, "peaks": peaks}, fh)
     for run, (argv, doc) in CLI_RUNS.items():
         path = os.path.join(out, f"{run}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -126,7 +133,9 @@ def main(old: str, new: str) -> int:
         for tree, out in zip((old, new), outs):
             os.makedirs(out)
             run_tree(tree, out)
-        estimates = [pickle.loads(_read(os.path.join(out, "estimates.pkl"))) for out in outs]
+        loaded = [pickle.loads(_read(os.path.join(out, "estimates.pkl"))) for out in outs]
+        estimates = [side["values"] for side in loaded]
+        peaks = [side["peaks"] for side in loaded]
         found = [(key, change(estimates[0].get(key), estimates[1].get(key)))
                  for key in sorted(estimates[0].keys() | estimates[1].keys())]
         found = [(key, text) for key, text in found if text is not None]
@@ -136,6 +145,9 @@ def main(old: str, new: str) -> int:
             found += [(f"{run}/{name}", text) for name in sorted(files[0].keys() | files[1].keys())
                       if files[0].get(name) != files[1].get(name)
                       for text in file_changes(name, files[0].get(name), files[1].get(name))]
+    for key in sorted(peaks[0].keys() | peaks[1].keys()):
+        old_mb, new_mb = (f"{side[key]:.3f}" if key in side else "absent" for side in peaks)
+        print(f"peak MB: {key}: {old_mb} -> {new_mb}")
     for key, text in found:
         print(f"differs: {key}: {text}")
     print(f"{len(found)} difference(s)")
