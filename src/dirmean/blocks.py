@@ -18,20 +18,27 @@ from .config import PipelineConfig, require_int, require_real
 from .distributions import as_rows
 
 PLAN_PURPOSES = ("variance", "mean")
-# The pair-difference buffer of pair_block_averages: it stays in a 2 MiB L2
-# cache while the paired rows stream past.
+# The working buffers that stay in a 2 MiB L2 cache while their input streams
+# past: the pair-difference buffer of pair_block_averages and one projection
+# panel of projection_panels.
 _CHUNK_BYTES = 1 << 19
 # The most bytes of a block that one BLAS product sums.  OpenBLAS splits a
 # larger product across threads, which changes the bytes; its build sets the
 # size (OpenBLAS 0.3.31: kept 409 600 entries whole, split 480 000), and
 # 65 536 entries stay well below it.
 _PANEL_BYTES = 1 << 19
-# The directions of one panel of projection_panels.  OpenBLAS 0.3.31 gave
-# 256-row panels the bytes of the whole product on every benchmark and CLI
-# shape; 32-128-row panels moved bits of the marginal projections.  On other
-# shapes OpenBLAS can pick another kernel for a whole product of more rows,
-# which moves the last bit (at most 6e-16 relative on random shapes).
+# The most directions of one panel of projection_panels, which sizes a panel
+# by _CHUNK_BYTES: 256 rows up to 256 blocks, 64 rows at 1000.  OpenBLAS
+# 0.3.31 gave these panels the bytes of the whole product on every benchmark
+# and CLI shape; 32-128-row panels of the 48-block marginal projections did
+# not.  On other shapes OpenBLAS can pick another kernel for a whole product
+# of more rows, which moves the last bit (at most 6e-16 relative on random
+# shapes).
 _PANEL_ROWS = 256
+# The directions whose retained band nu_hat_profile sums through one
+# transposed copy.  A panel is a whole number of bands: a 1-wide band is a
+# contiguous column, which numpy sums pairwise, not in block order.
+BAND_ROWS = 64
 
 
 class SizingError(ValueError):
@@ -117,18 +124,22 @@ def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def projection_panels(u: np.ndarray, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(lo, u[lo:hi] @ x.T)`` over consecutive panels of ``_PANEL_ROWS`` directions.
+    """Yield ``(lo, u[lo:hi] @ x.T)`` over consecutive panels of directions.
 
-    Every panel is written by ``np.matmul(..., out=...)`` into one reused
-    (``_PANEL_ROWS``, blocks) buffer, directions-major, so a caller must
-    finish with a panel before it asks for the next; the working memory is
-    one panel, not the whole (directions, blocks) product.  A panel has the
-    bytes of the same rows of the whole product on the shapes checked (see
-    ``_PANEL_ROWS``), not on every shape.
+    A panel holds the largest multiple of ``BAND_ROWS`` directions whose
+    (rows, blocks) float64 panel fits in ``_CHUNK_BYTES``, at least
+    ``BAND_ROWS`` and at most ``_PANEL_ROWS``.  Every panel is written by
+    ``np.matmul(..., out=...)`` into one reused buffer, directions-major, so
+    a caller must finish with a panel before it asks for the next; the
+    working memory is one panel, not the whole (directions, blocks) product.
+    A panel has the bytes of the same rows of the whole product on the
+    shapes checked (see ``_PANEL_ROWS``), not on every shape.
     """
-    buf = np.empty((min(_PANEL_ROWS, u.shape[0]), x.shape[0]))
-    for lo in range(0, u.shape[0], _PANEL_ROWS):
-        rows = min(_PANEL_ROWS, u.shape[0] - lo)
+    fit = _CHUNK_BYTES // (8 * max(x.shape[0], 1)) // BAND_ROWS * BAND_ROWS
+    step = min(max(fit, BAND_ROWS), _PANEL_ROWS)
+    buf = np.empty((min(step, u.shape[0]), x.shape[0]))
+    for lo in range(0, u.shape[0], step):
+        rows = min(step, u.shape[0] - lo)
         yield lo, np.matmul(u[lo : lo + rows], x.T, out=buf[:rows])
 
 

@@ -78,10 +78,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _csv_fault(path: str) -> str | None:
+    """The first line of ``path`` that ``np.loadtxt`` cannot read as a row of
+    numbers, and why; None if the scan finds none.  Lines are numbered from
+    1; comments (``#`` onwards) and blank lines are skipped, as loadtxt does."""
+    first = width = None
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for number, line in enumerate(fh, 1):
+            text = line.split("#", 1)[0]
+            if not text.strip():
+                continue
+            fields = text.split(",")
+            if width is None:
+                first, width = number, len(fields)
+            elif len(fields) != width:
+                return f"line {number}: column count {len(fields)}, but {width} on line {first}"
+            for column, value in enumerate(fields, 1):
+                try:
+                    float(value)
+                except ValueError:
+                    return f"line {number}, column {column}: {value.strip()!r} is not a number"
+    return None
+
+
 def read_dataset_csv(path: str) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    """The rows of a comma-separated file of numbers.  A file that is not one
+    raises UsageError naming the file and its first line at fault."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        fault = _csv_fault(path)
+        raise UsageError(f"data file {path}, {fault}" if fault else f"data file {path}: {exc}") from None
     if rows.size == 0:
         raise UsageError(f"data file {path} holds no rows")
     return rows

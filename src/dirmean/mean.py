@@ -32,6 +32,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .blocks import (
+    BAND_ROWS,
     BlockPlan,
     NonFiniteRowError,
     SizingError,
@@ -158,9 +159,12 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     ``directions @ Y.T`` is formed one panel of directions at a time
     (:func:`~dirmean.blocks.projection_panels`) and each direction's row is
     sorted in place; the retained band is summed through a (blocks,
-    directions) copy of 64 directions at a time, one block after another, so
-    every direction's sum runs in block order.  ``directions`` must be an
-    (M, d) array.
+    directions) copy of ``BAND_ROWS`` directions at a time, one block after
+    another, so every direction's sum runs in block order, as the sum over
+    axis 0 of the whole sorted (blocks, M) band does.  numpy sums a single
+    column pairwise, so the lone last direction of M = 64 j + 1 > 1 is
+    summed by ``cumsum`` from 0.0; at M = 1 the pairwise sum is the whole
+    band's, and is kept.  ``directions`` must be an (M, d) array.
     """
     u = as_directions(directions, est.Y.shape[1])
     n = est.Y.shape[0]
@@ -168,9 +172,13 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     out = np.empty(u.shape[0])
     for lo, proj in projection_panels(u, est.Y):
         proj.sort(axis=1)
-        for j in range(0, proj.shape[0], 64):  # the band's copy stays a quarter panel
-            band = proj[j : j + 64, k : n - k]
-            np.ascontiguousarray(band.T).sum(axis=0, out=out[lo + j : lo + j + band.shape[0]])
+        for j in range(0, proj.shape[0], BAND_ROWS):  # the band's copy is at most a panel
+            band = proj[j : j + BAND_ROWS, k : n - k]
+            sums = out[lo + j : lo + j + band.shape[0]]
+            if band.shape[0] == 1 < u.shape[0]:
+                sums[0] = 0.0 + np.cumsum(band[0])[-1]
+            else:
+                np.ascontiguousarray(band.T).sum(axis=0, out=sums)
     out /= math.sqrt(est.plan.m) * (n - 2 * k)
     return out
 
@@ -501,6 +509,27 @@ def build_direction_set(
     return out
 
 
+def _probe(
+    rng, marg_est: MarginalMeanEstimator, var_est: VarianceEstimator, result: SolveResult,
+    delta: float, c_prime: float, n_samples: int,
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Draw ``_REFINE_PROBES`` probe directions and measure them at ``result``.
+
+    Returns the worst slab violation beyond ``rho_star`` over the probes,
+    and the (directions, centers, widths) of the at most ``_REFINE_APPEND``
+    probes that violate their slab by more than ``rho_star``, worst first.
+    Only those rows outlive the call, so the refine loop holds one probe
+    set at a time.
+    """
+    probes = random_unit_rows(rng, _REFINE_PROBES, marg_est.Y.shape[1])
+    p_centers = nu_hat_profile(marg_est, probes)
+    p_widths = slab_width_profile(var_est, probes, delta, c_prime, n_samples)
+    viol = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
+    worst = np.argsort(viol)[::-1]
+    worst = worst[viol[worst] > 0][:_REFINE_APPEND]
+    return float(np.max(viol)), (probes[worst], p_centers[worst], p_widths[worst])
+
+
 @dataclass(frozen=True)
 class MeanEstimate:
     """Estimated mean with its achieved slack and solver diagnostics."""
@@ -567,26 +596,21 @@ def estimate_mean(
     directions = build_direction_set(d, max(8 * d, 256), seed, var_est)
     centers = nu_hat_profile(marg_est, directions)
     widths = slab_width_profile(var_est, directions, delta, config.C_prime, n)
-    slabs = SlabSystem(directions, centers, widths)
-
     v_init = centers[:d].copy()  # canonical directions come first in the set
+    slabs = SlabSystem(directions, centers, widths)
+    del directions, centers, widths  # held by slabs alone, so extending it frees them
+
     state = _CutState()  # one LP for this estimate's solves
     result = solve_center(slabs, v_init=v_init, state=state)
 
     iterations = result.iterations
     rng = stream(seed, "refine-probes")
     for rounds_used in range(_REFINE_ROUNDS + 1):  # the last probe set only measures mu_hat
-        probes = random_unit_rows(rng, _REFINE_PROBES, d)
-        p_centers = nu_hat_profile(marg_est, probes)
-        p_widths = slab_width_profile(var_est, probes, delta, config.C_prime, n)
-        viol = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
-        probe_violation = float(np.max(viol))
+        probe_violation, violators = _probe(rng, marg_est, var_est, result, delta, config.C_prime, n)
         scale = result.rho_star + _median(slabs.widths)
         if probe_violation <= _REFINE_TOL * scale or rounds_used == _REFINE_ROUNDS:
             break
-        worst = np.argsort(viol)[::-1]
-        worst = worst[viol[worst] > 0][:_REFINE_APPEND]
-        slabs = slabs.extended(probes[worst], p_centers[worst], p_widths[worst])
+        slabs = slabs.extended(*violators)
         result = solve_center(slabs, v_init=result.v_star, state=state)
         iterations += result.iterations
 

@@ -65,6 +65,20 @@ class TestDatasetCsv:
         back = read_dataset_csv(str(path))
         assert np.array_equal(back, rows)  # 17 significant digits recover every double
 
+    @pytest.mark.parametrize("text, fault", [
+        ("a,b\n1,2\n3,4\n", "line 1, column 1: 'a' is not a number"),
+        ("# x, y\n1,2\n\n3, x\n", "line 4, column 2: 'x' is not a number"),
+        ("1,2\n3,4\n5,6,7\n", "line 3: column count 3, but 2 on line 1"),
+        ("# comment\n1,2\n3\n", "line 3: column count 1, but 2 on line 2"),
+    ], ids=["header", "bad-field", "ragged-long", "ragged-short"])
+    def test_unreadable_file_exits_1_naming_the_file_and_line(self, tmp_path, capsys, text, fault):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        cfg = write_json(tmp_path / "cfg.json", {"distribution": GAUSS_2D, "delta": 0.01})
+        assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"ERROR 1: data file {data}, {fault}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestEstimateCommand:
     def test_generate_and_estimate(self, tmp_path):

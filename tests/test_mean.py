@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,7 @@ from dirmean import (
     write_report,
 )
 import dirmean.mean as mean_module
+from dirmean.blocks import _CHUNK_BYTES, _PANEL_ROWS, BAND_ROWS, projection_panels
 from dirmean.mean import TOL, _CutState, _eigendirections
 from dirmean.rng import random_unit_rows, stream
 from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile, oracle_psi_profile
@@ -272,14 +274,19 @@ class TestNuHatProfileTallBlocks:
 
 
 class TestProjectionPanels:
-    """Both profiles project 256 directions at a time into one reused panel.
+    """Both profiles project a panel of directions at a time into one reused
+    buffer: the largest multiple of ``BAND_ROWS`` directions whose (rows,
+    blocks) panel fits in ``_CHUNK_BYTES``, at least ``BAND_ROWS`` and at
+    most ``_PANEL_ROWS`` (256 rows up to 256 blocks, 64 at 1000).
 
     Checked on OpenBLAS 0.3.31 (scipy-openblas 0.3.31.188.0, DYNAMIC_ARCH,
     on an AVX-512 Xeon): at every panel boundary the profiles agree with
     the whole (directions, blocks) product to 1e-14 of their largest
     magnitude.  A panel may differ from the whole product in the last bit,
-    as OpenBLAS picks its kernel by the whole shape (here at 257 and 513
-    directions of ``psi_profile``), so the check is not for equal bytes.
+    as OpenBLAS picks its kernel by the whole shape (here at 257 directions
+    of ``psi_profile`` and 255 and 513 of ``nu_hat_profile``), so that check
+    is not for equal bytes; at the counts of
+    ``test_equal_bytes_at_1000_blocks`` the bytes are equal.
     """
 
     N_BLOCKS, D = 1000, 50
@@ -293,16 +300,36 @@ class TestProjectionPanels:
         assert plan.n == self.N_BLOCKS
         return var, MarginalMeanEstimator(Y=y, plan=plan)
 
-    @pytest.mark.parametrize("count", [1, 255, 256, 257, 512, 513, 1600])
-    def test_panel_boundaries_match_the_whole_product(self, count):
+    def _profiles(self, count):
         var, marg = self._estimators()
         dirs = random_unit_rows(np.random.default_rng(count), count, self.D)
-        for got, expected in (
+        return (
             (psi_profile(var, dirs), oracle_psi_profile(var.Z, dirs, var.plan.trim_per_side)),
             (nu_hat_profile(marg, dirs), oracle_nu_hat_profile(marg.Y, dirs, marg.plan.trim_per_side, marg.plan.m)),
-        ):
+        )
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 512, 513, 1600])
+    def test_panel_boundaries_match_the_whole_product(self, count):
+        for got, expected in self._profiles(count):
             assert got.shape == (count,)
             assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("count", [63, 64, 65, 128, 129, 512])
+    def test_equal_bytes_at_1000_blocks(self, count):
+        # 64-row panels; 65 and 129 leave a lone direction, whose band sum
+        # must still run in block order
+        for got, expected in self._profiles(count):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("blocks, rows", [(1, 256), (48, 256), (256, 256), (257, 192), (400, 128), (1000, 64),
+                                              (5000, 64)])
+    def test_panel_rows_are_whole_bands_within_the_byte_budget(self, blocks, rows):
+        u = random_unit_rows(np.random.default_rng(blocks), 2 * rows + 1, 3)
+        x = np.random.default_rng(0).standard_normal((blocks, 3))
+        spans = [(lo, panel.shape) for lo, panel in projection_panels(u, x)]
+        assert spans == [(0, (rows, blocks)), (rows, (rows, blocks)), (2 * rows, (1, blocks))]
+        assert rows % BAND_ROWS == 0 and rows <= _PANEL_ROWS
+        assert rows * blocks * 8 <= _CHUNK_BYTES or rows == BAND_ROWS
 
     @pytest.mark.parametrize("profile", [psi_profile, nu_hat_profile], ids=lambda f: f.__name__)
     def test_working_memory_is_one_panel(self, profile):
@@ -316,8 +343,52 @@ class TestProjectionPanels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole (4096, 1000) product would take 32.8 MB
-        assert peak < 1.5 * 256 * self.N_BLOCKS * 8
+        # one panel and the (4096,) result; nu_hat_profile also copies the
+        # retained band of BAND_ROWS directions (the whole (4096, 1000)
+        # product would take 32.8 MB, a 256-row panel 2 MB)
+        bound = _CHUNK_BYTES + 8 * dirs.shape[0]
+        if profile is nu_hat_profile:
+            bound += 8 * BAND_ROWS * (marg.plan.n - 2 * marg.plan.trim_per_side)
+        assert peak <= bound
+
+
+class TestRefineLoopMemory:
+    """The refine loop holds one probe set at a time, and the first direction
+    set is freed once the slabs are extended beyond it."""
+
+    def test_one_probe_set_alive_and_the_first_directions_freed(self, monkeypatch):
+        gt = make_ground_truth(DistributionSpec.from_json_dict({
+            "family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, 50).tolist(),
+            "mean": [0.0] * 50, "dof": 3.0}))
+        rows = sample_dataset(gt, 30000, seed=1)
+        probe_sets, direction_sets = [], []
+        draw, build, extend = mean_module.random_unit_rows, mean_module.build_direction_set, SlabSystem.extended
+
+        def recorded_draw(rng, count, d, **kwargs):
+            if "out" in kwargs:  # build_direction_set's fill
+                return draw(rng, count, d, **kwargs)
+            assert all(ref() is None for ref in probe_sets), "a probe set outlives the next draw"
+            if probe_sets:  # the slabs have been extended
+                assert direction_sets[0]() is None, "the first direction set outlives the extended slabs"
+            out = draw(rng, count, d)
+            probe_sets.append(weakref.ref(out))
+            return out
+
+        def recorded_build(*args, **kwargs):
+            out = build(*args, **kwargs)
+            direction_sets.append(weakref.ref(out))
+            return out
+
+        def recorded_extend(self, *args):
+            assert all(ref() is None for ref in probe_sets), "a probe set outlives its round"
+            return extend(self, *args)
+
+        monkeypatch.setattr(mean_module, "random_unit_rows", recorded_draw)
+        monkeypatch.setattr(mean_module, "build_direction_set", recorded_build)
+        monkeypatch.setattr(SlabSystem, "extended", recorded_extend)
+        est = estimate_mean(rows, 0.01, PipelineConfig(C_prime=0.05), seed=1)
+        assert est.rho_star > 0.0 and est.refinement_rounds == mean_module._REFINE_ROUNDS
+        assert len(probe_sets) == mean_module._REFINE_ROUNDS + 1 and len(direction_sets) == 1
 
 
 class TestNuHat:
