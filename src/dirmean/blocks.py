@@ -35,10 +35,13 @@ _PANEL_BYTES = 1 << 19
 # of more rows, which moves the last bit (at most 6e-16 relative on random
 # shapes).
 _PANEL_ROWS = 256
-# The directions whose retained band nu_hat_profile sums through one
-# transposed copy.  A panel is a whole number of bands: a 1-wide band is a
-# contiguous column, which numpy sums pairwise, not in block order.
-BAND_ROWS = 64
+# The row step of projection_panels: a panel is a whole number of 64-row
+# bands.  OpenBLAS 0.3.31 gave 64-row panels of the 1000-block variance
+# matrix the bytes of the whole product, and the step leaves room in
+# _CHUNK_BYTES: the unrounded byte budget (65 rows at 1000 blocks) put the
+# peak of either profile above one panel and its result (about 558 400 B
+# against 557 056 B at 4096 directions).
+_BAND_ROWS = 64
 
 
 class SizingError(ValueError):
@@ -126,17 +129,17 @@ def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def projection_panels(u: np.ndarray, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(lo, u[lo:hi] @ x.T)`` over consecutive panels of directions.
 
-    A panel holds the largest multiple of ``BAND_ROWS`` directions whose
+    A panel holds the largest multiple of ``_BAND_ROWS`` directions whose
     (rows, blocks) float64 panel fits in ``_CHUNK_BYTES``, at least
-    ``BAND_ROWS`` and at most ``_PANEL_ROWS``.  Every panel is written by
+    ``_BAND_ROWS`` and at most ``_PANEL_ROWS``.  Every panel is written by
     ``np.matmul(..., out=...)`` into one reused buffer, directions-major, so
     a caller must finish with a panel before it asks for the next; the
     working memory is one panel, not the whole (directions, blocks) product.
     A panel has the bytes of the same rows of the whole product on the
     shapes checked (see ``_PANEL_ROWS``), not on every shape.
     """
-    fit = _CHUNK_BYTES // (8 * max(x.shape[0], 1)) // BAND_ROWS * BAND_ROWS
-    step = min(max(fit, BAND_ROWS), _PANEL_ROWS)
+    fit = _CHUNK_BYTES // (8 * max(x.shape[0], 1)) // _BAND_ROWS * _BAND_ROWS
+    step = min(max(fit, _BAND_ROWS), _PANEL_ROWS)
     buf = np.empty((min(step, u.shape[0]), x.shape[0]))
     for lo in range(0, u.shape[0], step):
         rows = min(step, u.shape[0] - lo)

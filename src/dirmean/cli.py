@@ -207,7 +207,11 @@ def _cmd_diagnose(args) -> int:
         )
 
     if spec.family == "gaussian":
-        check_uniform_r(gt, doc["uniform"]["r"])
+        un = doc["uniform"]
+        n_pairs, pairs = (n, "n") if un["n_pairs"] is None else (un["n_pairs"], "uniform.n_pairs")
+        if un["block_m"] > n_pairs:
+            raise UsageError(f"uniform.block_m = {un['block_m']} exceeds the pair count {pairs} = {n_pairs}")
+        check_uniform_r(gt, un["r"])
 
     u = np.eye(gt.dim)[0]
     oracle = marginal_oracle(gt, u)  # a NoAnalyticOracleError is a ValueError: exit 1, before any draw
@@ -221,8 +225,6 @@ def _cmd_diagnose(args) -> int:
     _write(args, sb, "small_ball.json")
 
     if spec.family == "gaussian":
-        un = doc["uniform"]
-        n_pairs = n if un["n_pairs"] is None else un["n_pairs"]
         ds = sample_dataset(gt, 2 * n_pairs, derive_seed(seed, "diagnose-uniform"))
         z = pair_block_averages(ds, un["block_m"])
         rep = check_uniform_ratios(
@@ -288,9 +290,6 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (estimate, simulate, diagnose, lowerbound)")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"ERROR {EXIT_USAGE}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SizingError as exc:
         print(f"ERROR {EXIT_SIZING}: {exc}", file=sys.stderr)
         return EXIT_SIZING

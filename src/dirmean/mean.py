@@ -32,7 +32,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .blocks import (
-    BAND_ROWS,
     BlockPlan,
     NonFiniteRowError,
     SizingError,
@@ -157,14 +156,12 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     Drops the trim_per_side largest and smallest signed projections per
     direction, then rescales the interior mean by 1/sqrt(m).  The projection
     ``directions @ Y.T`` is formed one panel of directions at a time
-    (:func:`~dirmean.blocks.projection_panels`) and each direction's row is
-    sorted in place; the retained band is summed through a (blocks,
-    directions) copy of ``BAND_ROWS`` directions at a time, one block after
-    another, so every direction's sum runs in block order, as the sum over
-    axis 0 of the whole sorted (blocks, M) band does.  numpy sums a single
-    column pairwise, so the lone last direction of M = 64 j + 1 > 1 is
-    summed by ``cumsum`` from 0.0; at M = 1 the pairwise sum is the whole
-    band's, and is kept.  ``directions`` must be an (M, d) array.
+    (:func:`~dirmean.blocks.projection_panels`), and each direction's row is
+    sorted and its retained band summed by ``cumsum`` in place, in block
+    order, as the sum over axis 0 of the whole sorted (blocks, M) band does;
+    the sum starts from 0.0, as numpy's does, so an all -0.0 band sums to
+    0.0.  At M = 1 numpy sums the whole band's single column pairwise, and
+    so does this.  ``directions`` must be an (M, d) array.
     """
     u = as_directions(directions, est.Y.shape[1])
     n = est.Y.shape[0]
@@ -172,13 +169,11 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     out = np.empty(u.shape[0])
     for lo, proj in projection_panels(u, est.Y):
         proj.sort(axis=1)
-        for j in range(0, proj.shape[0], BAND_ROWS):  # the band's copy is at most a panel
-            band = proj[j : j + BAND_ROWS, k : n - k]
-            sums = out[lo + j : lo + j + band.shape[0]]
-            if band.shape[0] == 1 < u.shape[0]:
-                sums[0] = 0.0 + np.cumsum(band[0])[-1]
-            else:
-                np.ascontiguousarray(band.T).sum(axis=0, out=sums)
+        band, sums = proj[:, k : n - k], out[lo : lo + proj.shape[0]]
+        if u.shape[0] == 1:
+            band.sum(axis=1, out=sums)
+        else:
+            np.add(0.0, np.cumsum(band, axis=1, out=band)[:, -1], out=sums)
     out /= math.sqrt(est.plan.m) * (n - 2 * k)
     return out
 

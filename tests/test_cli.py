@@ -415,6 +415,18 @@ class TestDiagnoseCommand:
             outs.append((tmp_path / f"o{r!r}" / "uniform_ratios.json").read_bytes())
         assert outs[0] == outs[1] and b'"r_used": 0.0,' in outs[0]
 
+    @pytest.mark.parametrize("uniform, pairs", [({"block_m": 5000}, "n = 2000"),
+                                                ({"block_m": 501, "n_pairs": 500}, "uniform.n_pairs = 500")],
+                             ids=["n", "n_pairs"])
+    def test_block_m_above_the_pair_count_exits_1_writing_nothing(self, tmp_path, capsys, uniform, pairs):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = write_json(tmp_path / "d.json", {"distribution": GAUSS_2D, "n": 2000, "uniform": uniform})
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"ERROR 1: uniform.block_m = {uniform['block_m']} exceeds the pair count {pairs}\n"
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("dist", [dict(GAUSS_2D, family="elliptical-lognormal", shape=1.0),
                                       dict(GAUSS_2D, family="gaussian-with-point-contamination",
                                            contamination={"fraction": 0.1, "offset": [1.0, 1.0]})])

@@ -6,7 +6,7 @@ Each tree runs in a subprocess with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``.  It estimates the 18 entries of the benchmark's
 library pools (every ``perfbench.workloads.LIBRARY`` workload, pool seeds 1
 and 2, built as ``LibraryWorkload.setup`` builds them, one dataset at a time)
-and runs six CLI configs.  Estimate fields and slab arrays are compared by
+and runs seven CLI configs, one of them a d = 1 estimate.  Estimate fields and slab arrays are compared by
 their bytes, so a move in the last digit counts.  Every one that differs is
 printed, with the largest absolute change and that change relative to the
 largest magnitude in the old value, and so is every output file that
@@ -35,12 +35,14 @@ STUDENT10 = {"family": "elliptical-student", "eigenvalues": [0.5**k for k in ran
 # the benchmark's simulate-cli law (perfbench.workloads.distribution_doc(10)), whose 1000 variance blocks are tall
 STUDENT10_DOF3 = {"family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, 10).tolist(),
                   "mean": [0.0] * 10, "dof": 3.0}
+STUDENT1_DOF3 = {"family": "elliptical-student", "eigenvalues": [1.0], "mean": [0.0], "dof": 3.0}
 CLI_RUNS = {  # name: (argv, config document)
     "diagnose-gaussian": (["diagnose"], {"distribution": GAUSS3, "n": 4000, "small_ball": {"m": 50, "trials": 2000},
                                          "uniform": {"block_m": 2, "r": 0.5, "n_dirs": 20}}),
     "diagnose-student": (["diagnose"], {"distribution": STUDENT10, "n": 4000, "theta": 0.05,
                                         "small_ball": {"m": 20, "trials": 2000}}),
     "estimate": (["estimate"], {"distribution": STUDENT10, "n_total": 30000, "config": {"C_prime": 0.05}}),
+    "estimate-d1": (["estimate"], {"distribution": STUDENT1_DOF3, "n_total": 30000}),
     "simulate": (["simulate", "--threads", "2"], {"distribution": GAUSS3, "n_total": 30000, "delta": 0.05, "trials": 6,
                                                   "estimators": ["dirmean", "empirical-mean", "median-of-means"]}),
     "simulate-tall": (["simulate", "--threads", "1"], {"distribution": STUDENT10_DOF3, "n_total": 300000,
