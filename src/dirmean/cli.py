@@ -42,7 +42,7 @@ EXIT_IO = 3
 
 
 ESTIMATE_FIELDS = {
-    "distribution": Field("object", REQUIRED),
+    "distribution": Field("object", None),  # needed unless --data gives the rows
     "n_total": Field("size", None),  # needed unless --data gives the rows
     "delta": Field("probability", 0.01, least=sys.float_info.min),  # 1/delta stays finite
     "seed": Field("int", 0),
@@ -140,15 +140,17 @@ def _write(args, report, name: str) -> None:
 
 def _cmd_estimate(args) -> int:
     doc = read_fields("estimate", _load_config_doc(args), ESTIMATE_FIELDS)
-    spec = DistributionSpec.from_json_dict(doc["distribution"])
+    data = getattr(args, "data", None)
+    # without --data a null distribution is refused here, naming it
+    spec = None if data and doc["distribution"] is None else DistributionSpec.from_json_dict(doc["distribution"])
     config = PipelineConfig.from_dict(doc["config"])
     seed = doc["seed"]
 
-    if getattr(args, "data", None):
-        rows = read_dataset_csv(args.data)
+    if data:
+        rows = read_dataset_csv(data)
         if doc["n_total"] not in (None, rows.shape[0]):
             raise UsageError(f"n_total = {doc['n_total']} differs from the {rows.shape[0]} rows of --data")
-        if rows.shape[1] != spec.dim:
+        if spec is not None and rows.shape[1] != spec.dim:
             raise UsageError(f"distribution has dimension {spec.dim}, but --data has {rows.shape[1]} columns")
     else:
         if doc["n_total"] is None:

@@ -279,6 +279,9 @@ class SmallBallReport:
     sigma: float
 
 
+SMALL_BALL_XI = 0.02  # the truncated second-moment level xi of small_ball_check
+
+
 def small_ball_alpha(xi: float, kappa: float, q: float) -> float:
     """Quantile level alpha = (xi / kappa^2)^(q / (q - 2))."""
     return (xi / kappa**2) ** (q / (q - 2.0))
@@ -290,21 +293,21 @@ def small_ball_check(
     gamma: float,
     trials: int,
     seed: int,
-    xi: float = 0.02,
 ) -> SmallBallReport:
     """Monte Carlo audit of the block-average facts along e1.
 
     Estimates, for Z_m = (1/sqrt(m)) * sum of m centered marginals:
     the sign-balance probabilities; the truncated second-moment ratio at
-    the level alpha = (xi/kappa^2)^(q/(q-2)); the Lq/L2 norm ratio of Z_m
-    against the bound sqrt(4(q-1)) kappa; and the smallest constant L for
-    which P{|Z_m - x| <= eps sigma} <= max(2 L eps, gamma) holds on the
-    center/epsilon grid (L = 0 at gamma >= 1).  ``gamma`` and ``xi`` must be positive.
+    the level alpha = (xi/kappa^2)^(q/(q-2)) with xi = ``SMALL_BALL_XI``;
+    the Lq/L2 norm ratio of Z_m against the bound sqrt(4(q-1)) kappa, with
+    the Lq norm taken of |Z_m| / max|Z_m| so that it stays finite at any q;
+    and the smallest constant L for which P{|Z_m - x| <= eps sigma} <=
+    max(2 L eps, gamma) holds on the center/epsilon grid (L = 0 at
+    gamma >= 1).  ``gamma`` must be positive.
     """
     require_int("m", m, least=1)
     require_real("gamma", gamma, 0.0)
     require_int("trials", trials, least=100)  # fewer give unstable estimates
-    require_real("xi", xi, 0.0)
     u = np.eye(gt.dim)[0]
     sigma = directional_sigma(gt, u)
     if sigma <= 0:
@@ -317,7 +320,7 @@ def small_ball_check(
     z = acc / math.sqrt(m)
 
     ybar = sample_marginal(gt, u, trials, derive_seed(seed, "raw"))
-    alpha = small_ball_alpha(xi, gt.kappa, q)
+    alpha = small_ball_alpha(SMALL_BALL_XI, gt.kappa, q)
     try:
         # symmetric analytic families: P(|Y| > T) = 2 sf(T)
         t_cut = float(marginal_oracle(gt, u).ppf(1.0 - alpha / 2.0))
@@ -325,7 +328,8 @@ def small_ball_check(
         t_cut = float(np.quantile(np.abs(ybar), 1.0 - alpha))
     truncated_ratio = float(np.mean(ybar**2 * (np.abs(ybar) >= t_cut)) / sigma**2)
 
-    lq = float(np.mean(np.abs(z) ** q) ** (1.0 / q))
+    s = float(np.max(np.abs(z)))
+    lq = s * float(np.mean((np.abs(z) / s) ** q) ** (1.0 / q)) if s > 0 else 0.0
     l2 = float(np.sqrt(np.mean(z**2)))
     lq_l2_ratio = lq / l2 if l2 > 0 else 0.0
     lq_l2_bound = math.sqrt(4.0 * (q - 1.0)) * gt.kappa
@@ -348,7 +352,7 @@ def small_ball_check(
         sign_prob_pos=float(np.mean(z >= 0.0)),
         sign_prob_neg=float(np.mean(z <= 0.0)),
         alpha=alpha,
-        xi=float(xi),
+        xi=SMALL_BALL_XI,
         truncated_ratio=truncated_ratio,
         lq_l2_ratio=lq_l2_ratio,
         lq_l2_bound=lq_l2_bound,

@@ -160,8 +160,7 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     sorted and its retained band summed by ``cumsum`` in place, in block
     order, as the sum over axis 0 of the whole sorted (blocks, M) band does;
     the sum starts from 0.0, as numpy's does, so an all -0.0 band sums to
-    0.0.  At M = 1 numpy sums the whole band's single column pairwise, and
-    so does this.  ``directions`` must be an (M, d) array.
+    0.0.  ``directions`` must be an (M, d) array.
     """
     u = as_directions(directions, est.Y.shape[1])
     n = est.Y.shape[0]
@@ -170,10 +169,7 @@ def nu_hat_profile(est: MarginalMeanEstimator, directions: np.ndarray) -> np.nda
     for lo, proj in projection_panels(u, est.Y):
         proj.sort(axis=1)
         band, sums = proj[:, k : n - k], out[lo : lo + proj.shape[0]]
-        if u.shape[0] == 1:
-            band.sum(axis=1, out=sums)
-        else:
-            np.add(0.0, np.cumsum(band, axis=1, out=band)[:, -1], out=sums)
+        np.add(0.0, np.cumsum(band, axis=1, out=band)[:, -1], out=sums)
     out /= math.sqrt(est.plan.m) * (n - 2 * k)
     return out
 

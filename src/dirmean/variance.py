@@ -69,8 +69,7 @@ def psi_profile(est: VarianceEstimator, directions: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # checked once, on the (M,) result
         for lo, sq in projection_panels(u, est.Z):
             np.square(sq, out=sq)
-            if k > 0:
-                sq.partition(n - k - 1, axis=1)
+            sq.partition(n - k - 1, axis=1)
             sq[:, : n - k].sum(axis=1, out=out[lo : lo + sq.shape[0]])
         out /= 2.0 * n
     if not np.isfinite(out).all():

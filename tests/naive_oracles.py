@@ -197,11 +197,14 @@ def oracle_psi_profile(z, directions, k):
 
 
 def oracle_nu_hat_profile(y, directions, k, m):
-    """Trimmed marginal means from a sorted copy of the (blocks, directions)
-    projection."""
-    proj = y @ directions.T
-    n = proj.shape[0]
-    return np.sort(proj, axis=0)[k : n - k].sum(axis=0) / (np.sqrt(m) * (n - 2 * k))
+    """Trimmed marginal means from a sorted copy of the (directions, blocks)
+    projection, whose kept band is added one block at a time from 0.0."""
+    proj = np.sort(directions @ y.T, axis=1)
+    n = proj.shape[1]
+    total = np.zeros(proj.shape[0])
+    for j in range(k, n - k):
+        total = total + proj[:, j]
+    return total / (np.sqrt(m) * (n - 2 * k))
 
 
 def oracle_student_kappa(nu, q):

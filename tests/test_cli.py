@@ -118,6 +118,18 @@ class TestEstimateCommand:
         assert len(doc["mu_hat"]) == 2  # the data's columns match the distribution's dimension
         assert abs(doc["mu_hat"][0] - 1.0) < 0.3 and abs(doc["mu_hat"][1] - 2.0) < 0.3
 
+    def test_estimate_from_csv_needs_no_distribution(self, tmp_path):
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.random.default_rng(1).standard_normal((1800, 2)), delimiter=",", fmt="%.17g")
+        outs = []
+        for doc in ({"distribution": GAUSS_2D, "delta": 0.05, "config": TINY_CONFIG},
+                    {"delta": 0.05, "config": TINY_CONFIG}):
+            out = tmp_path / f"o{len(outs)}"
+            cfg = write_json(tmp_path / "cfg.json", doc)
+            assert main(["estimate", "--config", cfg, "--data", str(data), "--out", str(out)]) == 0
+            outs.append((out / "estimate.json").read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_row_exits_1(self, tmp_path, capsys, value):
         rows = np.random.default_rng(2).standard_normal((1800, 2))
@@ -455,6 +467,15 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert err.startswith("ERROR 1: ") and err.count("\n") == 1 and "zero variance" in err, err
         assert os.listdir(out) == []
+
+    def test_high_moment_order_writes_a_finite_lq_l2_ratio(self, tmp_path):
+        # dof = 2000 gives q = 1001: |z|^q of the raw block averages overflows
+        dist = {"family": "elliptical-student", "eigenvalues": [1.0], "mean": [0.0], "dof": 2000}
+        cfg = write_json(tmp_path / "d.json", {"distribution": dist, "n": 2000, "small_ball": {"m": 4, "trials": 200}})
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "small_ball.json").read_text()
+        ratio = json.loads(text)["lq_l2_ratio"]
+        assert "Infinity" not in text and np.isfinite(ratio) and ratio > 0.0
 
     @pytest.mark.parametrize("uniform", [{}, {"n_dirs": 5}])
     def test_uniform_section_for_another_family_exits_1(self, tmp_path, capsys, uniform):

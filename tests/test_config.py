@@ -36,8 +36,6 @@ SCALAR_REFUSALS = {
     "small_ball_check-trials": (lambda: small_ball_check(GT, 4, 0.05, 99, 0), "trials must be at least 100, got 99"),
     "small_ball_check-gamma": (lambda: small_ball_check(GT, 4, math.nan, 200, 0),
                                "gamma must lie in (0, inf), got nan"),
-    "small_ball_check-xi": (lambda: small_ball_check(GT, 4, 0.05, 200, 0, xi=-1.0),
-                            "xi must lie in (0, inf), got -1.0"),
     "check_uniform_ratios-delta_param": (lambda: check_uniform_ratios(np.zeros((10, 2)), GT, 5.0, 0.0, 0, 0),
                                          "delta_param must lie in (0, 0.5), got 5.0"),
     "check_uniform_ratios-n_dirs": (lambda: check_uniform_ratios(np.zeros((10, 2)), GT, 0.02, 0.0, -1, 0),

@@ -57,9 +57,11 @@ def out_of_range(field):
     return values + [bound for bound in (field.above, field.below) if math.isfinite(bound)]
 
 
-def bad_values(field, valid):
-    """Each class of bad value for ``field``, whose valid value is ``valid``."""
-    values = [] if field.default is None else [None]
+def bad_values(field, valid, null_refused=False):
+    """Each class of bad value for ``field``, whose valid value is ``valid``;
+    null among them when the field refuses it (``null_refused`` for one whose
+    table admits null only with --data)."""
+    values = [] if field.default is None and not null_refused else [None]
     if field.kind in ("int", "size"):
         return values + NON_NUMBERS + NON_FINITE + [1.5] + out_of_range(field)
     if field.kind in ("real", "probability"):
@@ -91,7 +93,8 @@ def cases():
     for name, (command, keys, table, prefix) in SECTIONS.items():
         doc = VALID[command]
         for field_name, field in table.items():
-            for i, value in enumerate(bad_values(field, section_of(doc, keys)[field_name])):
+            null_refused = (name, field_name) == ("estimate", "distribution")  # documents run without --data
+            for i, value in enumerate(bad_values(field, section_of(doc, keys)[field_name], null_refused)):
                 bad = with_section(doc, keys, lambda s: s.__setitem__(field_name, value))
                 yield pytest.param(command, bad, prefix + field_name, id=f"{name}-{field_name}-{i}-{value!r}")
             if field.default is REQUIRED:
@@ -142,6 +145,8 @@ CROSS_FIELD = [
     ("simulate", dict(VALID["simulate"], n_total=30, delta=1e-5), "delta"),  # median-of-means needs 93 blocks
     ("lowerbound", dict(VALID["lowerbound"], distribution=GAUSS), "eigenvalues"),
     ("lowerbound", dict(VALID["lowerbound"], eigenvalues=None), "eigenvalues"),
+    # without --data the rows are drawn from the distribution
+    ("estimate", {key: v for key, v in VALID["estimate"].items() if key != "distribution"}, "distribution"),
 ]
 
 

@@ -121,7 +121,7 @@ class TestDataclassReports:
         assert written(rep, tmp_path) == parent_json(oracle_ratio_condition_dict(rep))
 
     def test_small_ball(self, tmp_path):
-        rep = small_ball_check(gaussian_gt([1.0, 0.5]), m=4, gamma=1, trials=1000, seed=6, xi=1)
+        rep = small_ball_check(gaussian_gt([1.0, 0.5]), m=4, gamma=1, trials=1000, seed=6)
         assert written(rep, tmp_path) == parent_json(oracle_small_ball_dict(rep))
 
     def test_lower_bound_leaves_out_the_statistics(self, tmp_path):

@@ -297,9 +297,13 @@ class TestPsiProfileTallBlocks:
         z = np.random.default_rng(5).standard_t(3, size=(n, d))
         return VarianceEstimator(Z=z, plan=plan_blocks(n, None, 0.02, "variance", PipelineConfig(m0=1)))
 
-    @pytest.mark.parametrize("count", [1, 2, 400, 512])
-    def test_matches_copy_based_oracle(self, count):
+    # (directions, trim_per_side or None for the plan's); trim 0 partitions at the last block
+    @pytest.mark.parametrize(("count", "trim"), [pytest.param(count, None, id=str(count)) for count in (1, 2, 400, 512)]
+                             + [pytest.param(400, 0, id="400-trim0")])
+    def test_matches_copy_based_oracle(self, count, trim):
         est = self._est()
+        if trim is not None:
+            est = dataclasses.replace(est, plan=dataclasses.replace(est.plan, trim_per_side=trim))
         dirs = np.random.default_rng(count).standard_normal((count, 50))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         expected = oracle_psi_profile(est.Z, dirs, est.plan.trim_per_side)

@@ -6,15 +6,16 @@ Each tree runs in a subprocess with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``.  It estimates the 18 entries of the benchmark's
 library pools (every ``perfbench.workloads.LIBRARY`` workload, pool seeds 1
 and 2, built as ``LibraryWorkload.setup`` builds them, one dataset at a time)
-and runs seven CLI configs, one of them a d = 1 estimate.  Estimate fields and slab arrays are compared by
-their bytes, so a move in the last digit counts.  Every one that differs is
-printed, with the largest absolute change and that change relative to the
-largest magnitude in the old value, and so is every output file that
-differs: a JSON file by each dotted key path (list entries by index) whose
-value changed, appeared or vanished, any other file as "bytes".  The exit
-code is 1 if anything differs.  Each tree's ``tracemalloc`` peak of each
-pool estimate is printed too, for information only: it does not count as a
-difference.
+and the 6 of a ``d1`` pool built the same way from the benchmark's law at
+d = 1, 3N = 3e4, and runs seven CLI configs, one of them a d = 1 estimate.
+Estimate fields and slab arrays are compared by their bytes, so a move in
+the last digit counts.  Every one that differs is printed, with the largest
+absolute change and that change relative to the largest magnitude in the
+old value, and so is every output file that differs: a JSON file by each
+dotted key path (list entries by index) whose value changed, appeared or
+vanished, any other file as "bytes".  The exit code is 1 if anything
+differs.  Each tree's ``tracemalloc`` peak of each pool estimate is printed
+too, for information only: it does not count as a difference.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def child(out: str) -> None:
     from dirmean import DistributionSpec, PipelineConfig, cli, distributions, mean
 
     values, peaks = {}, {}
-    for name, (d, n_total, pool, config) in wl.LIBRARY.items():
+    pools = {**wl.LIBRARY, "d1": (1, 30_000, 3, {})}  # d = 1 profiles one direction at a time
+    for name, (d, n_total, pool, config) in pools.items():
         gt = distributions.make_ground_truth(DistributionSpec.from_json_dict(wl.distribution_doc(d)))
         for pool_seed in (1, 2):
             for i in range(pool):
