@@ -18,7 +18,8 @@ __version__ = "0.1.0"
 _SOURCES = {
     name: module
     for module, names in {
-        "blocks": "BlockPlan SizingError block_averages pair_block_averages plan_blocks trim_count",
+        "blocks": "BlockPlan SizingError block_averages pair_block_averages plan_mean_blocks plan_variance_blocks "
+        "trim_count",
         "config": "PipelineConfig",
         "diagnostics": "RatioConditionReport RatioReport SmallBallReport check_ratio_conditions "
         "check_uniform_ratios empirical_quantile_hat interval_excess_sup quantile_sandwich_check "

@@ -17,7 +17,6 @@ import numpy as np
 from .config import PipelineConfig, require_int, require_real
 from .distributions import as_rows
 
-PLAN_PURPOSES = ("variance", "mean")
 # The working buffers that stay in a 2 MiB L2 cache while their input streams
 # past: the pair-difference buffer of pair_block_averages and one projection
 # panel of projection_panels.
@@ -89,13 +88,6 @@ class BlockPlan:
 def trim_count(theta: float, n: int) -> int:
     """k = round(theta * N), rounding halves away from zero."""
     return int(math.floor(theta * n + 0.5))
-
-
-def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if rows.shape[0] % 2 != 0:
-        raise ValueError("pair differencing needs an even row count")
-    half = rows.shape[0] // 2
-    return rows[:half], rows[half:]
 
 
 def _block_count(n_rows: int, m: int) -> int:
@@ -172,8 +164,11 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
     equal rows subtract exactly, so a large common offset costs no accuracy.
     Only the first ``n`` blocks (default: every full block) are formed.
     """
-    first, second = _halves(as_rows(ds))
-    half, d = first.shape
+    rows = as_rows(ds)
+    if rows.shape[0] % 2 != 0:
+        raise ValueError("pair differencing needs an even row count")
+    half, d = rows.shape[0] // 2, rows.shape[1]
+    first, second = rows[:half], rows[half:]
     count = _block_count(half, m)
     n = count if n is None else require_int("n", n)
     if not 1 <= n <= count:
@@ -190,63 +185,54 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
     return out
 
 
-def _trim_modulus(theta: float, name: str) -> int:
-    """Block counts are multiples of b = ceil(1/theta) so theta*n is integral."""
-    b = math.ceil(1.0 / theta)
-    if abs(theta * b - round(theta * b)) > 1e-9:
-        raise ValueError(
-            f"{name} = {theta} does not make {name} * ceil(1/{name}) an integer; "
-            "use a reciprocal of an integer"
-        )
-    return b
+def plan_mean_blocks(n_rows: int, delta: float, config: PipelineConfig | None = None) -> BlockPlan:
+    """Choose (m, n) for the marginal means of ``n_rows`` rows.
 
-
-def plan_blocks(
-    n_rows: int,
-    delta: float | None,
-    theta: float,
-    purpose: str,
-    config: PipelineConfig | None = None,
-) -> BlockPlan:
-    """Choose (m, n) for the given purpose.
-
-    variance: m is pinned from below by the small-ball requirement
-    m >= ``config.m0``; n is the largest multiple of ceil(1/theta)
-    with n * m0 <= N, and m is then enlarged to floor(N / n) so at most
-    n - 1 rows are wasted.
-
-    mean: n is the smallest multiple of ceil(1/theta) with
-    n >= ceil(c_blocks * log(e/delta)), and m = floor(N / n).
+    n is the smallest multiple of b = ceil(1 / theta_mean) with
+    n >= ceil(c_blocks * log(e/delta)), so theta_mean * n is integral, and
+    m = floor(N / n).
     """
     config = config or PipelineConfig()
     require_int("n_rows", n_rows)
-    if purpose not in PLAN_PURPOSES:
-        raise ValueError(f"purpose must be one of {PLAN_PURPOSES}")
-    name = "theta_var" if purpose == "variance" else "theta_mean"
-    b = _trim_modulus(require_real(name, theta, 0.0, 0.5), name)
+    theta = config.theta_mean
+    b = math.ceil(1.0 / theta)
+    target = config.c_blocks * (1.0 + math.log(1.0 / require_real("delta", delta, 0.0, 1.0)))
+    if not math.isfinite(target):
+        raise ValueError(f"c_blocks * log(e/delta) is not finite for c_blocks = {config.c_blocks}, delta = {delta}")
+    n = b * math.ceil(math.ceil(target) / b)
+    if n > n_rows:
+        raise SizingError(
+            f"mean sizing infeasible: need at least {n} rows, a multiple of ceil(1 / theta_mean) of at "
+            f"least c_blocks * log(e / delta), for c_blocks = {config.c_blocks}, theta_mean = {theta}, "
+            f"delta = {delta}",
+            minimal_n=n,
+        )
+    return _plan(n_rows, n, theta, "mean")
 
-    if purpose == "variance":
-        m0 = config.m0
-        n = (n_rows // m0) // b * b
-        if n < b:
-            raise SizingError(
-                f"variance sizing infeasible: {n_rows} pairs give fewer than ceil(1 / theta_var) = {b} "
-                f"blocks of size m0 = {m0} (theta_var = {theta})",
-                minimal_n=m0 * b,
-            )
-    else:
-        target = config.c_blocks * (1.0 + math.log(1.0 / require_real("delta", delta, 0.0, 1.0)))
-        if not math.isfinite(target):
-            raise ValueError(f"c_blocks * log(e/delta) is not finite for c_blocks = {config.c_blocks}, delta = {delta}")
-        n = b * math.ceil(math.ceil(target) / b)
-        if n > n_rows:
-            raise SizingError(
-                f"mean sizing infeasible: need at least {n} rows, a multiple of ceil(1 / theta_mean) of at "
-                f"least c_blocks * log(e / delta), for c_blocks = {config.c_blocks}, theta_mean = {theta}, "
-                f"delta = {delta}",
-                minimal_n=n,
-            )
 
+def plan_variance_blocks(n_pairs: int, config: PipelineConfig | None = None) -> BlockPlan:
+    """Choose (m, n) for the variance blocks of ``n_pairs`` pair differences.
+
+    m is pinned from below by the small-ball requirement m >= ``config.m0``;
+    n is the largest multiple of b = ceil(1 / theta_var) with n * m0 <= N,
+    and m is then enlarged to floor(N / n) so at most n - 1 pairs are wasted.
+    """
+    config = config or PipelineConfig()
+    require_int("n_pairs", n_pairs)
+    theta, m0 = config.theta_var, config.m0
+    b = math.ceil(1.0 / theta)
+    n = (n_pairs // m0) // b * b
+    if n < b:
+        raise SizingError(
+            f"variance sizing infeasible: {n_pairs} pairs give fewer than ceil(1 / theta_var) = {b} "
+            f"blocks of size m0 = {m0} (theta_var = {theta})",
+            minimal_n=m0 * b,
+        )
+    return _plan(n_pairs, n, theta, "variance")
+
+
+def _plan(n_rows: int, n: int, theta: float, purpose: str) -> BlockPlan:
+    """The plan of n blocks of floor(N / n) rows each, trimmed at round(theta n) per side."""
     m = n_rows // n
     used = n * m
     return BlockPlan(

@@ -135,7 +135,7 @@ def _load_config_doc(args) -> dict:
 def _write(args, report, name: str) -> None:
     """Write ``report`` to ``name`` in the --out directory, in the format its extension names."""
     os.makedirs(args.out, exist_ok=True)
-    write_report(report, os.path.join(args.out, name), os.path.splitext(name)[1][1:])
+    write_report(report, os.path.join(args.out, name))
 
 
 def _cmd_estimate(args) -> int:

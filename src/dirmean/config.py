@@ -142,6 +142,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_fields(CONFIG_FIELDS, vars(self))
+        # block counts are multiples of b = ceil(1 / theta), so theta * b must be an integer
+        for name in ("theta_var", "theta_mean"):
+            theta = getattr(self, name)
+            b = math.ceil(1.0 / theta)
+            if abs(theta * b - round(theta * b)) > 1e-9:
+                raise ValueError(
+                    f"{name} = {theta} does not make {name} * ceil(1/{name}) an integer; "
+                    "use a reciprocal of an integer"
+                )
 
     @classmethod
     def from_dict(cls, doc: dict | None) -> "PipelineConfig":

@@ -233,19 +233,17 @@ def _lognormal_radius_coeff(d: int, shape: float) -> float:
 
 
 def _lognormal_kappa(d: int, shape: float, q: float) -> float:
-    # <W, u> = (c R) * U1 with R, U1 independent; both moments in closed form
-    def radius_moment(p: float) -> float:
-        return np.exp(p**2 * shape**2 / 2.0)
-
-    def sphere_moment(p: float) -> float:
-        # E|U1|^p for U uniform on S^(d-1); U1^2 ~ Beta(1/2, (d-1)/2), so it is
-        # B((p+1)/2, (d-1)/2) / B(1/2, (d-1)/2), exactly 1 at d = 1
+    # <W, u> = (c R) * U1 with R, U1 independent; both moments in closed form,
+    # c cancels from the ratio, and the ratio is taken in logs so that a large
+    # shape does not overflow E R^q = exp(q^2 shape^2 / 2)
+    def log_moment(p: float) -> float:
+        # log E R^p plus log E|U1|^p for U uniform on S^(d-1); U1^2 ~
+        # Beta(1/2, (d-1)/2), so the latter is log B((p+1)/2, (d-1)/2) -
+        # log B(1/2, (d-1)/2), exactly 0 at d = 1
         lg = math.lgamma
-        return math.exp((lg((p + 1) / 2.0) - lg((p + d) / 2.0)) + (lg(d / 2.0) - lg(0.5)))
+        return p**2 * shape**2 / 2.0 + (lg((p + 1) / 2.0) - lg((p + d) / 2.0)) + (lg(d / 2.0) - lg(0.5))
 
-    mq = radius_moment(q) * sphere_moment(q)
-    m2 = radius_moment(2.0) * sphere_moment(2.0)
-    return mq ** (1.0 / q) / np.sqrt(m2)
+    return math.exp(log_moment(q) / q - log_moment(2.0) / 2.0)
 
 
 def _contaminated_moments(sigma2_g: float, proj_off: float, frac: float) -> tuple[float, float]:
@@ -258,8 +256,8 @@ def _contaminated_moments(sigma2_g: float, proj_off: float, frac: float) -> tupl
     return m2, m4
 
 
-def _contaminated_kappa(spec: DistributionSpec, sigma_base: np.ndarray, n_probes: int = 256) -> float:
-    """Supremum of the per-direction L4/L2 ratio over a probe direction set.
+def _contaminated_kappa(spec: DistributionSpec, sigma_base: np.ndarray) -> float:
+    """Supremum of the per-direction L4/L2 ratio over 256 probe directions.
 
     kappa is direction dependent for this family; the recorded value is an
     estimate (max over canonical plus seeded random probe directions).
@@ -269,7 +267,7 @@ def _contaminated_kappa(spec: DistributionSpec, sigma_base: np.ndarray, n_probes
     frac = spec.contamination_fraction
     rng = stream(0, "contaminated-kappa-probes")
     probes = list(np.eye(d))
-    probes.extend(random_unit_rows(rng, max(n_probes - d, 0), d))
+    probes.extend(random_unit_rows(rng, max(256 - d, 0), d))
     worst = 1.0
     for u in probes:
         s2 = float(u @ sigma_base @ u)

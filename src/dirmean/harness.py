@@ -413,18 +413,20 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def write_report(report, path: str, format: str = "json") -> None:
+def write_report(report, path: str) -> None:
     """Write a report canonically; identical reports give identical bytes.
 
-    JSON (a dict or a dataclass, see :func:`_jsonable`): sorted keys,
-    two-space indent, shortest round-trip floats.  CSV: the report's
-    declared column order (objects exposing ``csv_columns`` / ``csv_rows``).
+    The extension of ``path`` names the format.  ``.json`` (a dict or a
+    dataclass, see :func:`_jsonable`): sorted keys, two-space indent,
+    shortest round-trip floats.  ``.csv``: the report's declared column
+    order (objects exposing ``csv_columns`` / ``csv_rows``).
     """
-    if format == "json":
+    ext = os.path.splitext(path)[1]
+    if ext == ".json":
         if not (isinstance(report, dict) or _is_record(report)):
             raise ValueError(f"cannot serialize {type(report).__name__} to json")
         text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-    elif format == "csv":
+    elif ext == ".csv":
         if not hasattr(report, "csv_rows"):
             raise ValueError(f"{type(report).__name__} has no csv representation")
         lines = [",".join(report.csv_columns)]
@@ -432,7 +434,7 @@ def write_report(report, path: str, format: str = "json") -> None:
             lines.append(",".join(_csv_cell(v) for v in row))
         text = "\n".join(lines) + "\n"
     else:
-        raise ValueError(f"unknown report format {format!r}")
+        raise ValueError(f"cannot tell the report format of {path}: its extension must be .json or .csv")
     try:
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -37,7 +37,7 @@ from .blocks import (
     SizingError,
     block_averages,
     nonfinite_error,
-    plan_blocks,
+    plan_mean_blocks,
     projection_panels,
 )
 from .config import PipelineConfig, require_int, require_real
@@ -143,7 +143,7 @@ def fit_marginal(ds, delta: float, config: PipelineConfig | None = None) -> Marg
     """
     config = config or PipelineConfig()
     rows = as_rows(ds)
-    plan = plan_blocks(rows.shape[0], delta, config.theta_mean, "mean", config)
+    plan = plan_mean_blocks(rows.shape[0], delta, config)
     y = block_averages(rows[: plan.used], plan.m)
     if not np.isfinite(y).all():
         raise nonfinite_error(rows, np.arange(plan.used))
@@ -464,31 +464,26 @@ def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
     return top * np.sign(lead)[:, np.newaxis]
 
 
-def build_direction_set(
-    d: int, budget: int, seed: int, var_est: VarianceEstimator | None = None
-) -> np.ndarray:
+def build_direction_set(d: int, seed: int, var_est: VarianceEstimator | None = None) -> np.ndarray:
     """Canonical basis + leading block-eigenvectors + random unit fill.
 
-    Rows are unit vectors: e1..ed, then the top min(d, 8) eigenvectors of
-    the variance blocks' second moment (fewer when the blocks have lower
-    rank, see :func:`_eigendirections`), then the rows still missing, drawn
-    from the seed's "direction-fill" stream.  Every row is kept as computed:
-    an eigendirection that is (up to sign) a canonical row, or a fill row
-    close to another row, repeats a slab, which changes neither g(v) nor
-    the LP optimum.  Every unit vector of R^1 is +-e1, so
-    in one dimension the set is [[1.0]] whatever the budget.  A ``var_est``
-    whose blocks have other than d columns raises ValueError, and so does a
-    ``d`` that is not an integer of at least 1 or a ``budget`` that is not
-    an integer.
+    Rows are max(8 d, 256) unit vectors: e1..ed, then the top min(d, 8)
+    eigenvectors of the variance blocks' second moment (fewer when the
+    blocks have lower rank, see :func:`_eigendirections`), then the rows
+    still missing, drawn from the seed's "direction-fill" stream.  Every row
+    is kept as computed: an eigendirection that is (up to sign) a canonical
+    row, or a fill row close to another row, repeats a slab, which changes
+    neither g(v) nor the LP optimum.  Every unit vector of R^1 is +-e1, so
+    in one dimension the set is [[1.0]].  A ``var_est`` whose blocks have
+    other than d columns raises ValueError, and so does a ``d`` that is not
+    an integer of at least 1.
     """
     require_int("d", d, least=1)
-    require_int("budget", budget)
-    if budget < 2 * d:
-        raise ValueError(f"budget = {budget} (the direction budget) must be at least 2 d = {2 * d}")
     if var_est is not None and var_est.Z.shape[1] != d:
         raise ValueError(f"the variance blocks have {var_est.Z.shape[1]} columns, but d = {d}")
     if d == 1:
         return np.ones((1, 1))
+    budget = max(8 * d, 256)
     out = np.empty((budget, d))
     out[:d] = np.eye(d)
     count = d
@@ -584,7 +579,7 @@ def estimate_mean(
     except NonFiniteRowError as exc:
         raise NonFiniteRowError(offset + exc.row) from None
 
-    directions = build_direction_set(d, max(8 * d, 256), seed, var_est)
+    directions = build_direction_set(d, seed, var_est)
     centers = nu_hat_profile(marg_est, directions)
     widths = slab_width_profile(var_est, directions, delta, config.C_prime, n)
     v_init = centers[:d].copy()  # canonical directions come first in the set

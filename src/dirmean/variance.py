@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_blocks, projection_panels
+from .blocks import BlockPlan, nonfinite_error, pair_block_averages, plan_variance_blocks, projection_panels
 from .config import PipelineConfig, require_int, require_real
 from .distributions import SpectrumSpec, as_directions, as_rows
 
@@ -39,7 +39,7 @@ def fit_variance(ds, config: PipelineConfig | None = None) -> VarianceEstimator:
     if rows.shape[0] < 2:
         raise ValueError("need at least two rows")
     half = rows.shape[0] // 2
-    plan = plan_blocks(half, None, config.theta_var, "variance", config)
+    plan = plan_variance_blocks(half, config)
     z = pair_block_averages(rows[: 2 * half], plan.m, plan.n)
     if not np.isfinite(z).all():
         raise nonfinite_error(rows, np.r_[0 : plan.used, half : half + plan.used])

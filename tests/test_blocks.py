@@ -14,7 +14,8 @@ from dirmean import (
     fit_marginal,
     fit_variance,
     pair_block_averages,
-    plan_blocks,
+    plan_mean_blocks,
+    plan_variance_blocks,
     trim_count,
 )
 from dirmean.blocks import NonFiniteRowError, block_sums
@@ -113,13 +114,15 @@ class TestPairBlockAverages:
 @pytest.mark.parametrize(
     "name, call",
     [
-        ("n_rows", lambda rows, v: plan_blocks(v, 0.01, 0.125, "mean")),
+        ("n_rows", lambda rows, v: plan_mean_blocks(v, 0.01)),
+        ("n_pairs", lambda rows, v: plan_variance_blocks(v)),
         ("m", lambda rows, v: block_averages(rows, v)),
         ("m", lambda rows, v: pair_block_averages(rows, v)),
         ("n", lambda rows, v: pair_block_averages(rows, 3, v)),
         ("k_blocks", lambda rows, v: baseline_median_of_means(rows, v)),
     ],
-    ids=["plan_blocks", "block_averages", "pair_block_averages-m", "pair_block_averages-n", "median_of_means"],
+    ids=["plan_blocks", "plan_variance_blocks", "block_averages", "pair_block_averages-m", "pair_block_averages-n",
+         "median_of_means"],
 )
 @pytest.mark.parametrize("value", [1000.0, 2.5, 2.0, True])
 def test_block_arguments_must_be_integers(name, call, value):
@@ -237,7 +240,7 @@ class TestTrimCount:
 
 class TestPlanBlocks:
     def test_mean_purpose_pinned_example(self):
-        plan = plan_blocks(10**4, 0.01, 1.0 / 8.0, "mean", PipelineConfig(c_blocks=8.0))
+        plan = plan_mean_blocks(10**4, 0.01, PipelineConfig(c_blocks=8.0))
         assert plan.n == 48  # smallest multiple of 8 over ceil(8 log(e/delta)) = 45
         assert plan.m == 208
         assert plan.discarded == 16
@@ -245,63 +248,66 @@ class TestPlanBlocks:
 
     def test_variance_purpose_block_size(self):
         cfg = PipelineConfig(m0=400)
-        plan = plan_blocks(20_000, None, 0.02, "variance", cfg)
+        plan = plan_variance_blocks(20_000, cfg)
         assert plan.m == 400
         assert plan.n == 50
         assert plan.discarded == 0
 
     def test_variance_enlarges_block_not_count(self):
         cfg = PipelineConfig(m0=400)
-        plan = plan_blocks(39_999, None, 0.02, "variance", cfg)
+        plan = plan_variance_blocks(39_999, cfg)
         assert plan.n == 50  # 99 raw blocks floored to a multiple of 50
         assert plan.m == 799
         assert plan.discarded < plan.m
 
     def test_trim_count_integral(self):
-        plan = plan_blocks(5000, 0.05, 1.0 / 8.0, "mean")
+        plan = plan_mean_blocks(5000, 0.05)
         assert plan.theta * plan.n == pytest.approx(plan.trim_per_side)
         assert plan.trim_per_side >= 1
 
     def test_infeasible_mean_names_minimal_n(self):
         with pytest.raises(SizingError) as err:
-            plan_blocks(30, 0.01, 1.0 / 8.0, "mean")
+            plan_mean_blocks(30, 0.01)
         assert err.value.minimal_n == 48
-        plan = plan_blocks(err.value.minimal_n, 0.01, 1.0 / 8.0, "mean")
+        plan = plan_mean_blocks(err.value.minimal_n, 0.01)
         assert plan.n == 48 and plan.m == 1
 
     def test_infeasible_variance_names_minimal_n(self):
         with pytest.raises(SizingError) as err:
-            plan_blocks(300, None, 0.02, "variance")
+            plan_variance_blocks(300)
         assert err.value.minimal_n == 100 * 50
 
     def test_mean_blocks_nondecreasing_in_confidence(self):
         deltas = [0.2, 0.1, 0.05, 0.01, 0.001]
-        ns = [plan_blocks(10**5, d, 1.0 / 8.0, "mean").n for d in deltas]
+        ns = [plan_mean_blocks(10**5, d).n for d in deltas]
         assert all(a <= b for a, b in zip(ns, ns[1:]))
 
     def test_deterministic_and_total_on_feasible_domain(self):
         for n_rows in range(5000, 5200):
-            a = plan_blocks(n_rows, 0.01, 1.0 / 8.0, "mean")
-            b = plan_blocks(n_rows, 0.01, 1.0 / 8.0, "mean")
+            a = plan_mean_blocks(n_rows, 0.01)
+            b = plan_mean_blocks(n_rows, 0.01)
             assert a == b
             assert a.discarded < a.n
             assert a.used + a.discarded == n_rows
 
     def test_discard_below_block_size_at_default_scales(self):
         for n_rows in (10**4, 3 * 10**4, 10**5):
-            plan = plan_blocks(n_rows, 0.01, 1.0 / 8.0, "mean")
+            plan = plan_mean_blocks(n_rows, 0.01)
             assert plan.discarded < plan.m
         for n_rows in (10**4, 2 * 10**4, 41_234):
-            plan = plan_blocks(n_rows, None, 0.02, "variance")
+            plan = plan_variance_blocks(n_rows)
             assert plan.discarded < plan.m
 
     def test_rejects_incompatible_theta(self):
-        with pytest.raises(ValueError):
-            plan_blocks(10**4, 0.01, 0.03, "mean")  # 0.03 * 34 is not integral
+        # 0.03 * 34 is not integral: the config is refused before any plan is made
+        with pytest.raises(ValueError, match=r"^theta_mean = 0.03 does not make"):
+            plan_mean_blocks(10**4, 0.01, PipelineConfig(theta_mean=0.03))
 
-    def test_rejects_unknown_purpose(self):
-        with pytest.raises(ValueError):
-            plan_blocks(10**4, 0.01, 0.125, "median")
+    def test_each_planner_reads_its_own_trim_fraction(self):
+        config = PipelineConfig(m0=10, theta_var=0.05, theta_mean=0.25, c_blocks=4.0)
+        mean_plan, var_plan = plan_mean_blocks(10**4, 0.01, config), plan_variance_blocks(10**4, config)
+        assert (mean_plan.purpose, mean_plan.theta, mean_plan.n, mean_plan.trim_per_side) == ("mean", 0.25, 24, 6)
+        assert (var_plan.purpose, var_plan.theta, var_plan.n, var_plan.trim_per_side) == ("variance", 0.05, 1000, 50)
 
 
 class TestBlockSums:

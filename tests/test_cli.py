@@ -92,6 +92,19 @@ class TestEstimateCommand:
         assert abs(doc["mu_hat"][0] - 0.25) < 0.3
         assert doc["converged"] is True
 
+    def test_trim_fraction_that_is_no_reciprocal_exits_1_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr("dirmean.cli.sample_dataset", no_draw)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": {"theta_mean": 0.03},
+        })
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ("ERROR 1: theta_mean = 0.03 does not make theta_mean * ceil(1/theta_mean) "
+                                           "an integer; use a reciprocal of an integer\n")
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_estimate_prints_nothing(self, tmp_path, capfd):
         # the slab LP runs (iterations > 0), and HiGHS adds nothing to fd 1 or 2
         student = {"family": "elliptical-student", "eigenvalues": [0.5**k for k in range(10)], "mean": [0.0] * 10,
@@ -351,6 +364,26 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("ERROR 1: estimators must be a list of one or more distinct names") and "got []" in err
         assert not (tmp_path / "o").exists()
+
+    def test_trim_fraction_that_is_no_reciprocal_exits_1_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr("dirmean.harness.sample_dataset", no_draw)
+        cfg = write_json(tmp_path / "sc.json", scenario_doc(config={**TINY_CONFIG, "theta_var": 0.3}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ("ERROR 1: theta_var = 0.3 does not make theta_var * ceil(1/theta_var) "
+                                           "an integer; use a reciprocal of an integer\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_csv_path_takes_the_trial_table_as_csv(self, tmp_path):
+        from dirmean import Scenario, run_trials, write_report
+
+        doc = scenario_doc(trials=2)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_json(tmp_path / "sc.json", doc), "--out", str(out)]) == 0
+        write_report(run_trials(Scenario.from_json_dict(doc)), str(tmp_path / "t.csv"))
+        assert (tmp_path / "t.csv").read_bytes() == (out / "trials.csv").read_bytes()
 
     def test_summary_echoes_the_estimators_plans(self, tmp_path):
         from dirmean import DistributionSpec, PipelineConfig, derive_seed, estimate_mean, make_ground_truth, sample_dataset

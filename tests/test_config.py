@@ -6,7 +6,7 @@ import pytest
 
 from dirmean import (DistributionSpec, PipelineConfig, Scenario, SpectrumSpec, check_ratio_conditions,
                      check_uniform_ratios, critical_level, empirical_mean_lower_bound, empirical_quantile_hat,
-                     make_ground_truth, marginal_oracle, per_direction_quantiles, plan_blocks, probe_directions,
+                     make_ground_truth, marginal_oracle, per_direction_quantiles, plan_mean_blocks, probe_directions,
                      quantile_sandwich_check, run_trials, sample_dataset, sample_marginal, slab_width_profile,
                      small_ball_check, student_kappa, tail_eigensum)
 from dirmean.config import Field, require_int, require_real
@@ -20,8 +20,9 @@ SCENARIO = Scenario(SPEC, n_total=30, delta=0.05, trials=2, estimators=("empiric
 # each library function's scalar arguments, checked by require_int / require_real:
 # a call with one bad value, and the error it raises
 SCALAR_REFUSALS = {
-    "plan_blocks-theta": (lambda: plan_blocks(1000, 0.1, 0.5, "mean"), "theta_mean must lie in (0, 0.5), got 0.5"),
-    "plan_blocks-delta": (lambda: plan_blocks(1000, None, 0.125, "mean"), "delta must lie in (0, 1), got None"),
+    "plan_blocks-theta": (lambda: plan_mean_blocks(1000, 0.1, PipelineConfig(theta_mean=0.5)),
+                          "theta_mean must lie in (0, 0.5), got 0.5"),
+    "plan_blocks-delta": (lambda: plan_mean_blocks(1000, None), "delta must lie in (0, 1), got None"),
     "slab_width_profile-delta": (lambda: slab_width_profile(None, np.eye(2), 1.0, 1.0, 10),
                                  "delta must lie in (0, 1), got 1.0"),
     "sample_dataset-float": (lambda: sample_dataset(GT, 2.5, 0), "n must be an integer, got 2.5"),
@@ -74,6 +75,8 @@ class TestRefineAndBaselineFields:
             ("m0", 0),
             ("m0", 100.0),
             ("m0", True),
+            ("theta_mean", 0.03),  # 0.03 * ceil(1 / 0.03) = 1.02: no block count keeps theta * n integral
+            ("theta_var", 0.3),  # 0.3 * ceil(1 / 0.3) = 1.2
         ],
     )
     def test_rejected_with_field_name(self, field, value):

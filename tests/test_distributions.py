@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -343,6 +344,14 @@ class TestClosedForms:
     def test_lognormal_kappa_matches_beta_ratio(self, d, shape):
         expected = oracle_lognormal_kappa(d, shape, 4.0)
         assert _lognormal_kappa(d, shape, 4.0) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_lognormal_kappa_stays_finite_at_a_large_shape(self):
+        # E R^4 = exp(8 shape^2) overflows at shape 9.5; the ratio is exp(shape^2) times a factor of d alone
+        big, small = _lognormal_kappa(2, 9.5, 4.0), _lognormal_kappa(2, 9.0, 4.0)
+        assert math.isfinite(big)
+        assert big / small == pytest.approx(math.exp(9.25), rel=1e-12, abs=0)
+        spec = DistributionSpec("elliptical-lognormal", SpectrumSpec((1.0, 1.0)), mean=(0.0, 0.0), shape=9.5)
+        assert make_ground_truth(spec).kappa == big
 
     def test_tail_prob_is_the_scipy_law_bit_for_bit(self):
         eigs = [3.0, 0.5, 0.0]

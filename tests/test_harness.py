@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -131,8 +133,8 @@ class TestRunTrials:
         t1 = run_trials(sc)
         t2 = run_trials(sc)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report(t1, str(p1), "csv")
-        write_report(t2, str(p2), "csv")
+        write_report(t1, str(p1))
+        write_report(t2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_thread_count_invariance(self):
@@ -281,23 +283,30 @@ class TestWriteReport:
     def test_json_round_trip(self, tmp_path):
         doc = {"b": 1.5, "a": [1, 2, 3], "c": {"x": True}}
         path = tmp_path / "r.json"
-        write_report(doc, str(path), "json")
+        write_report(doc, str(path))
         assert json.loads(path.read_text()) == doc
 
     def test_byte_stable(self, tmp_path):
         doc = {"values": [0.1, 0.2, 1e-17], "n": 12}
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(doc, str(p1), "json")
-        write_report(doc, str(p2), "json")
+        write_report(doc, str(p1))
+        write_report(doc, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_report({}, str(tmp_path / "x.xml"), "xml")
+        path = str(tmp_path / "x.xml")
+        with pytest.raises(ValueError, match=f"^cannot tell the report format of {re.escape(path)}: "):
+            write_report({}, path)
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("name", ["x", "x.json.tmp", "x.JSON"])
+    def test_a_path_without_json_or_csv_extension_rejected(self, tmp_path, name):
+        with pytest.raises(ValueError, match="its extension must be .json or .csv$"):
+            write_report({}, str(tmp_path / name))
 
     def test_csv_requires_table(self, tmp_path):
         with pytest.raises(ValueError):
-            write_report({"a": 1}, str(tmp_path / "x.csv"), "csv")
+            write_report({"a": 1}, str(tmp_path / "x.csv"))
 
     def test_scenario_json_round_trip(self):
         sc = gaussian_scenario(probes=7)

@@ -24,7 +24,8 @@ from dirmean import (
     fit_variance,
     make_ground_truth,
     nu_hat_profile,
-    plan_blocks,
+    plan_mean_blocks,
+    plan_variance_blocks,
     psi_profile,
     sample_dataset,
     slab_width_profile,
@@ -41,10 +42,9 @@ SMALL_CFG = PipelineConfig(m0=1, theta_var=0.125)
 
 
 def shrink_refine(monkeypatch, budget):
-    """Make estimate_mean build ``budget`` directions and draw 64 probes per refine round."""
+    """Make estimate_mean use the first ``budget`` directions of its set and draw 64 probes per refine round."""
     build = mean_module.build_direction_set
-    monkeypatch.setattr(mean_module, "build_direction_set",
-                        lambda d, _, seed, var_est: build(d, budget, seed, var_est))
+    monkeypatch.setattr(mean_module, "build_direction_set", lambda d, seed, var_est: build(d, seed, var_est)[:budget])
     monkeypatch.setattr(mean_module, "_REFINE_PROBES", 64)
 
 
@@ -267,7 +267,7 @@ class TestNuHatProfileTallBlocks:
         rng = np.random.default_rng(d + count)
         y = rng.standard_t(3, size=(blocks, d))
         config = PipelineConfig(c_blocks=178.0) if blocks == 1000 else PipelineConfig()
-        plan = plan_blocks(blocks * 7, 0.01, 0.125, "mean", config)
+        plan = plan_mean_blocks(blocks * 7, 0.01, config)
         assert plan.n == blocks
         est = MarginalMeanEstimator(Y=y, plan=plan)
         dirs = rng.standard_normal((count, d))
@@ -319,8 +319,8 @@ class TestProjectionPanels:
         rng = np.random.default_rng(11)
         z = rng.standard_t(3, size=(self.N_BLOCKS, self.D))
         y = rng.standard_t(3, size=(self.N_BLOCKS, self.D)) + 0.5
-        var = VarianceEstimator(Z=z, plan=plan_blocks(self.N_BLOCKS, None, 0.02, "variance", PipelineConfig(m0=1)))
-        plan = plan_blocks(self.N_BLOCKS * 7, 0.01, 0.125, "mean", PipelineConfig(c_blocks=178.0))
+        var = VarianceEstimator(Z=z, plan=plan_variance_blocks(self.N_BLOCKS, PipelineConfig(m0=1)))
+        plan = plan_mean_blocks(self.N_BLOCKS * 7, 0.01, PipelineConfig(c_blocks=178.0))
         assert plan.n == self.N_BLOCKS
         return var, MarginalMeanEstimator(Y=y, plan=plan)
 
@@ -415,7 +415,7 @@ class TestNuHat:
     def test_three_block_example(self):
         # m=4, n=3, theta=1/3: projections [10, 0, -10] -> interior mean 0
         y = np.array([[10.0], [0.0], [-10.0]])
-        plan = plan_blocks(12, 0.5, 1.0 / 3.0, "mean", PipelineConfig(c_blocks=0.5, theta_mean=1 / 3))
+        plan = plan_mean_blocks(12, 0.5, PipelineConfig(c_blocks=0.5, theta_mean=1 / 3))
         assert plan.n == 3 and plan.m == 4
         est = MarginalMeanEstimator(Y=y, plan=plan)
         assert nu_hat_profile(est, [[1.0]])[0] == 0.0
@@ -517,57 +517,48 @@ class TestDirectionShapes:
 
 class TestDirectionSet:
     def test_canonical_plus_random(self):
-        dirs = build_direction_set(2, 4, seed=0)
-        assert dirs.shape == (4, 2)
+        dirs = build_direction_set(2, seed=0)
+        assert dirs.shape == (256, 2)
         assert np.array_equal(dirs[:2], np.eye(2))
 
     def test_unit_norms(self):
-        dirs = build_direction_set(5, 32, seed=1)
+        dirs = build_direction_set(5, seed=1)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic(self):
-        assert np.array_equal(build_direction_set(3, 12, seed=2), build_direction_set(3, 12, seed=2))
-
-    def test_rejects_small_budget(self):
-        with pytest.raises(ValueError, match=r"^budget = 7 \(the direction budget\) must be at least 2 d = 8$"):
-            build_direction_set(4, 7, seed=0)
+        assert np.array_equal(build_direction_set(3, seed=2), build_direction_set(3, seed=2))
 
     @pytest.mark.parametrize(
-        "d, budget, message",
+        "d, message",
         [
-            (0, 80, "d must be at least 1, got 0"),
-            (True, 80, "d must be an integer, got True"),
-            (2.0, 80, "d must be an integer, got 2.0"),
-            (2, 80.0, "budget must be an integer, got 80.0"),
-            (2, True, "budget must be an integer, got True"),
+            (0, "d must be at least 1, got 0"),
+            (True, "d must be an integer, got True"),
+            (2.0, "d must be an integer, got 2.0"),
         ],
     )
-    def test_rejects_a_non_integer_dimension_or_budget(self, d, budget, message):
+    def test_rejects_a_non_integer_dimension(self, d, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            build_direction_set(d, budget, seed=0)
+            build_direction_set(d, seed=0)
 
-    @pytest.mark.parametrize("d, budget", [(3, 12), (8, 32)])
-    def test_rejects_variance_blocks_of_another_dimension(self, d, budget):
-        var_est = SimpleNamespace(Z=np.random.default_rng(0).standard_normal((100, 5)))
-        with pytest.raises(ValueError, match=f"^the variance blocks have 5 columns, but d = {d}$"):
-            build_direction_set(d, budget, 0, var_est)
+    @pytest.mark.parametrize("d, columns", [(3, 12), (8, 32)])
+    def test_rejects_variance_blocks_of_another_dimension(self, d, columns):
+        var_est = SimpleNamespace(Z=np.random.default_rng(0).standard_normal((100, columns)))
+        with pytest.raises(ValueError, match=f"^the variance blocks have {columns} columns, but d = {d}$"):
+            build_direction_set(d, 0, var_est)
 
     def test_includes_block_eigendirections(self):
         gt = gaussian_gt([10.0, 1.0, 0.1])
         var_est = fit_variance(sample_dataset(gt, 2 * 10**4, 8))
-        dirs = build_direction_set(3, 12, seed=4, var_est=var_est)
+        dirs = build_direction_set(3, seed=4, var_est=var_est)
         # the top eigendirection of the blocks is close to e1
         gram = np.abs(dirs @ np.eye(3)[0])
         assert np.sort(gram)[-2] > 0.99  # e1 itself plus the learned direction
 
-    @pytest.mark.parametrize(
-        "d, budget, seed",
-        [(2, 4096, 0), (2, 8192, 1), (3, 2048, 5), (10, 256, 7), (50, 400, 9), (200, 1600, 1)],
-    )
+    @pytest.mark.parametrize("d, budget, seed", [(3, 256, 5), (10, 256, 7), (50, 400, 9), (200, 1600, 1)])
     def test_fill_matches_sequential_oracle(self, d, budget, seed):
-        # (2, 4096, 0) and (2, 8192, 1) draw near-duplicate rows, which are kept
+        # the set holds max(8 d, 256) rows
         ref = oracle_direction_fill(np.eye(d), budget, stream(seed, "direction-fill"))
-        assert np.array_equal(build_direction_set(d, budget, seed), ref)
+        assert np.array_equal(build_direction_set(d, seed), ref)
 
     @pytest.mark.parametrize("d", [3, 12, 150])  # d = 150: wide blocks, Z is 100 x 150
     def test_learned_directions_are_block_eigenvectors(self, d):
@@ -576,13 +567,13 @@ class TestDirectionSet:
         z = var_est.Z
         assert (z.shape[0] < d) == (d == 150)
         k = min(d, 8)
-        dirs = build_direction_set(d, 4 * d, seed=4, var_est=var_est)
+        dirs = build_direction_set(d, seed=4, var_est=var_est)
         vecs = np.linalg.eigh(z.T @ z / z.shape[0])[1][:, ::-1][:, :k].T
         learned = dirs[d : d + k]
         assert np.all(np.abs(np.sum(learned * vecs, axis=1)) > 1 - 1e-10)
         assert np.all(learned[np.arange(k), np.abs(learned).argmax(axis=1)] > 0)
         # only min(d, 8) are learned; the random fill follows them
-        ref = oracle_direction_fill(dirs[: d + k], 4 * d, stream(4, "direction-fill"))
+        ref = oracle_direction_fill(dirs[: d + k], max(8 * d, 256), stream(4, "direction-fill"))
         assert np.array_equal(dirs, ref)
 
     @pytest.mark.parametrize("columns, seed", [([4, 11, 17], 0), ([4], 1)], ids=["rank3", "rank1-canonical"])
@@ -599,7 +590,7 @@ class TestDirectionSet:
         assert learned.shape == (k, 20)
         if k == 1:
             assert np.array_equal(learned, np.eye(20)[[4]])
-        dirs = build_direction_set(20, 256, seed=3, var_est=var_est)
+        dirs = build_direction_set(20, seed=3, var_est=var_est)
         assert np.array_equal(dirs[20 : 20 + k], learned)
         # the fill starts right after the learned rows
         ref = oracle_direction_fill(dirs[: 20 + k], 256, stream(3, "direction-fill"))
@@ -608,8 +599,8 @@ class TestDirectionSet:
     def test_constant_data_adds_no_learned_direction(self):
         var_est = fit_variance(np.ones((10**4, 3)))
         assert not var_est.Z.any()
-        dirs = build_direction_set(3, 12, seed=6, var_est=var_est)
-        assert np.array_equal(dirs, build_direction_set(3, 12, seed=6))
+        dirs = build_direction_set(3, seed=6, var_est=var_est)
+        assert np.array_equal(dirs, build_direction_set(3, seed=6))
 
     def test_kept_canonical_eigendirection_leaves_the_estimate(self, monkeypatch):
         # one coordinate varies: the learned row e5 repeats a canonical slab
@@ -619,7 +610,7 @@ class TestDirectionSet:
         kept = estimate_mean(x, 0.01, seed=3)
         assert np.array_equal(kept.slabs.directions[20], np.eye(20)[4])
         plain = build_direction_set
-        monkeypatch.setattr(mean_module, "build_direction_set", lambda d, budget, seed, var_est: plain(d, budget, seed))
+        monkeypatch.setattr(mean_module, "build_direction_set", lambda d, seed, var_est: plain(d, seed))
         without = estimate_mean(x, 0.01, seed=3)
         assert np.array_equal(kept.slabs.directions[21:256], without.slabs.directions[20:255])
         assert kept.mu_hat.tobytes() == without.mu_hat.tobytes()
@@ -666,9 +657,9 @@ class TestDirectionSetMemory:
     def test_build_direction_set_peak(self):
         gt = gaussian_gt(np.geomspace(1.0, 1e-3, 200))
         var_est = fit_variance(sample_dataset(gt, 2 * 10**4, 3))
-        build_direction_set(200, 1600, 1, var_est)  # warm: first-call allocations stay out
+        build_direction_set(200, 1, var_est)  # warm: first-call allocations stay out
         tracemalloc.start()
-        dirs = build_direction_set(200, 1600, 1, var_est)
+        dirs = build_direction_set(200, 1, var_est)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         # the result (2.56 MB) plus small buffers; a fresh fill and its

@@ -25,7 +25,8 @@ from dirmean import (
     make_ground_truth,
     marginal_oracle,
     per_direction_quantiles,
-    plan_blocks,
+    plan_mean_blocks,
+    plan_variance_blocks,
     run_trials,
     sample_dataset,
     sample_marginal,
@@ -53,7 +54,7 @@ def gaussian_gt(eigs, mean=None):
 
 def written(report, tmp_path, format="json"):
     path = tmp_path / f"report.{format}"
-    write_report(report, str(path), format)
+    write_report(report, str(path))
     return path.read_bytes()
 
 
@@ -91,7 +92,7 @@ class TestNumpyValues:
 class TestDataclassReports:
     @pytest.mark.parametrize(
         "plan",
-        [plan_blocks(10**4, 0.01, 0.125, "mean"), plan_blocks(2 * 10**4, None, 0.02, "variance")],
+        [plan_mean_blocks(10**4, 0.01), plan_variance_blocks(2 * 10**4)],
         ids=["mean", "variance"],
     )
     def test_block_plan(self, tmp_path, plan):
@@ -152,14 +153,14 @@ class TestDataclassReports:
             distribution=DistributionSpec("gaussian", SpectrumSpec((1.0,)), mean=(0.0,)),
             n_total=300, delta=0.1, trials=2, probes=3,
         )
-        plan = plan_blocks(10**4, 0.01, 0.125, "mean")
+        plan = plan_mean_blocks(10**4, 0.01)
         got = written({"scenario": sc, "plan": plan}, tmp_path)
         assert got == parent_json({"scenario": sc.to_json_dict(), "plan": oracle_block_plan_dict(plan)})
 
     @pytest.mark.parametrize("report", [[1, 2], np.zeros(3), object(), BlockPlan], ids=repr)
     def test_neither_dict_nor_dataclass_instance_rejected(self, tmp_path, report):
         with pytest.raises(ValueError, match="cannot serialize"):
-            write_report(report, str(tmp_path / "r.json"), "json")
+            write_report(report, str(tmp_path / "r.json"))
 
 
 class TestTrialTable:

@@ -13,7 +13,7 @@ from dirmean import (
     directional_sigma,
     fit_variance,
     make_ground_truth,
-    plan_blocks,
+    plan_variance_blocks,
     psi_profile,
     sample_dataset,
 )
@@ -29,7 +29,7 @@ from naive_oracles import (
 def make_estimator(projection_rows, theta):
     """Estimator with d=1 blocks equal to the given projections."""
     z = np.asarray(projection_rows, dtype=float)[:, np.newaxis]
-    plan = plan_blocks(z.shape[0], None, theta, "variance", PipelineConfig(m0=1, theta_var=theta))
+    plan = plan_variance_blocks(z.shape[0], PipelineConfig(m0=1, theta_var=theta))
     return VarianceEstimator(Z=z, plan=plan)
 
 
@@ -102,7 +102,7 @@ class TestPsiProfileKernel:
 
     def _est(self, n=1000, d=7, seed=0):
         z = np.random.default_rng(seed).standard_t(3, size=(n, d))
-        plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(m0=1))
+        plan = plan_variance_blocks(n, PipelineConfig(m0=1))
         return VarianceEstimator(Z=z, plan=plan)
 
     def _dirs(self, count, d, seed=1):
@@ -218,7 +218,7 @@ class TestWorkingMemory:
     def test_psi_profile_holds_one_projection(self):
         n, d, count = 1000, 50, 512
         rng = np.random.default_rng(1)
-        plan = plan_blocks(n, None, 0.02, "variance", PipelineConfig(m0=1))
+        plan = plan_variance_blocks(n, PipelineConfig(m0=1))
         est = VarianceEstimator(Z=rng.standard_normal((n, d)), plan=plan)
         dirs = rng.standard_normal((count, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -295,7 +295,7 @@ class TestPsiProfileTallBlocks:
 
     def _est(self, n=1000, d=50):
         z = np.random.default_rng(5).standard_t(3, size=(n, d))
-        return VarianceEstimator(Z=z, plan=plan_blocks(n, None, 0.02, "variance", PipelineConfig(m0=1)))
+        return VarianceEstimator(Z=z, plan=plan_variance_blocks(n, PipelineConfig(m0=1)))
 
     # (directions, trim_per_side or None for the plan's); trim 0 partitions at the last block
     @pytest.mark.parametrize(("count", "trim"), [pytest.param(count, None, id=str(count)) for count in (1, 2, 400, 512)]
@@ -312,7 +312,7 @@ class TestPsiProfileTallBlocks:
     def test_d1_matches_copy_based_oracle(self):
         # d = 1: the projection rows are scaled copies of the one column
         z = np.random.default_rng(6).standard_t(3, size=(1000, 1))
-        est = VarianceEstimator(Z=z, plan=plan_blocks(1000, None, 0.02, "variance", PipelineConfig(m0=1)))
+        est = VarianceEstimator(Z=z, plan=plan_variance_blocks(1000, PipelineConfig(m0=1)))
         dirs = np.array([[1.0], [-1.0]])
         for u in (dirs[:1], dirs):
             assert np.array_equal(psi_profile(est, u), oracle_psi_profile(z, u, est.plan.trim_per_side))
@@ -324,7 +324,7 @@ class TestPsiProfileTallBlocks:
         # the (blocks, directions) projection, partitioned and summed down its
         # columns, retains the same squares in another summation order
         z = np.random.default_rng(7).standard_t(3, size=(1000, d))
-        plan = plan_blocks(1000, None, 0.02, "variance", PipelineConfig(m0=1))
+        plan = plan_variance_blocks(1000, PipelineConfig(m0=1))
         if trim is not None:
             plan = dataclasses.replace(plan, trim_per_side=trim)
         dirs = np.random.default_rng(count).standard_normal((count, d))

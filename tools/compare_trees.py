@@ -7,7 +7,10 @@ Each tree runs in a subprocess with ``PYTHONPATH=<tree>/src`` and
 library pools (every ``perfbench.workloads.LIBRARY`` workload, pool seeds 1
 and 2, built as ``LibraryWorkload.setup`` builds them, one dataset at a time)
 and the 6 of a ``d1`` pool built the same way from the benchmark's law at
-d = 1, 3N = 3e4, and runs seven CLI configs, one of them a d = 1 estimate.
+d = 1, 3N = 3e4, and runs eight CLI configs: one of them a d = 1 estimate, and
+one an estimate whose config sets m0, both trim fractions and c_blocks away
+from their defaults, so that each block planner is seen to read its own
+config fields.
 Estimate fields and slab arrays are compared by their bytes, so a move in
 the last digit counts.  Every one that differs is printed, with the largest
 absolute change and that change relative to the largest magnitude in the
@@ -44,6 +47,8 @@ CLI_RUNS = {  # name: (argv, config document)
                                         "small_ball": {"m": 20, "trials": 2000}}),
     "estimate": (["estimate"], {"distribution": STUDENT10, "n_total": 30000, "config": {"C_prime": 0.05}}),
     "estimate-d1": (["estimate"], {"distribution": STUDENT1_DOF3, "n_total": 30000}),
+    "estimate-config": (["estimate"], {"distribution": STUDENT10, "n_total": 30000,
+                                       "config": {"m0": 50, "theta_var": 0.05, "theta_mean": 0.25, "c_blocks": 4.0}}),
     "simulate": (["simulate", "--threads", "2"], {"distribution": GAUSS3, "n_total": 30000, "delta": 0.05, "trials": 6,
                                                   "estimators": ["dirmean", "empirical-mean", "median-of-means"]}),
     "simulate-tall": (["simulate", "--threads", "1"], {"distribution": STUDENT10_DOF3, "n_total": 300000,
