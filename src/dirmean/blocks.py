@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig, require_int, require_real
+from .config import PipelineConfig, block_modulus, require_int, require_real
 from .distributions import as_rows
 
 # The working buffers that stay in a 2 MiB L2 cache while their input streams
@@ -188,21 +188,21 @@ def pair_block_averages(ds, m: int, n: int | None = None) -> np.ndarray:
 def plan_mean_blocks(n_rows: int, delta: float, config: PipelineConfig | None = None) -> BlockPlan:
     """Choose (m, n) for the marginal means of ``n_rows`` rows.
 
-    n is the smallest multiple of b = ceil(1 / theta_mean) with
+    n is the smallest multiple of b = 1 / theta_mean (``block_modulus``) with
     n >= ceil(c_blocks * log(e/delta)), so theta_mean * n is integral, and
     m = floor(N / n).
     """
     config = config or PipelineConfig()
     require_int("n_rows", n_rows)
     theta = config.theta_mean
-    b = math.ceil(1.0 / theta)
+    b = block_modulus(theta)
     target = config.c_blocks * (1.0 + math.log(1.0 / require_real("delta", delta, 0.0, 1.0)))
     if not math.isfinite(target):
         raise ValueError(f"c_blocks * log(e/delta) is not finite for c_blocks = {config.c_blocks}, delta = {delta}")
     n = b * math.ceil(math.ceil(target) / b)
     if n > n_rows:
         raise SizingError(
-            f"mean sizing infeasible: need at least {n} rows, a multiple of ceil(1 / theta_mean) of at "
+            f"mean sizing infeasible: need at least {n} rows, a multiple of 1 / theta_mean of at "
             f"least c_blocks * log(e / delta), for c_blocks = {config.c_blocks}, theta_mean = {theta}, "
             f"delta = {delta}",
             minimal_n=n,
@@ -214,17 +214,17 @@ def plan_variance_blocks(n_pairs: int, config: PipelineConfig | None = None) -> 
     """Choose (m, n) for the variance blocks of ``n_pairs`` pair differences.
 
     m is pinned from below by the small-ball requirement m >= ``config.m0``;
-    n is the largest multiple of b = ceil(1 / theta_var) with n * m0 <= N,
+    n is the largest multiple of b = 1 / theta_var (``block_modulus``) with n * m0 <= N,
     and m is then enlarged to floor(N / n) so at most n - 1 pairs are wasted.
     """
     config = config or PipelineConfig()
     require_int("n_pairs", n_pairs)
     theta, m0 = config.theta_var, config.m0
-    b = math.ceil(1.0 / theta)
+    b = block_modulus(theta)
     n = (n_pairs // m0) // b * b
     if n < b:
         raise SizingError(
-            f"variance sizing infeasible: {n_pairs} pairs give fewer than ceil(1 / theta_var) = {b} "
+            f"variance sizing infeasible: {n_pairs} pairs give fewer than 1 / theta_var = {b} "
             f"blocks of size m0 = {m0} (theta_var = {theta})",
             minimal_n=m0 * b,
         )

@@ -124,6 +124,13 @@ def read_fields(name: str, doc, table: dict, prefix: str = "") -> dict:
     return check_fields(table, {key: doc.get(key, f.default) for key, f in table.items()}, prefix)
 
 
+def block_modulus(theta: float) -> int:
+    """b = 1 / theta rounded to the nearest integer, the step of a block count
+    trimmed at ``theta``.  Rounding, not ``ceil``, since 1 / (1 / k) can land
+    just above k (1 / (1 / 49) is 49.00000000000001)."""
+    return round(1.0 / theta)
+
+
 def setting(default, kind: str, **bounds):
     """A record field with ``default``, declared in its table as ``Field(kind, default, **bounds)``."""
     return dataclasses.field(default=default, metadata={"field": Field(kind, default, **bounds)})
@@ -142,13 +149,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_fields(CONFIG_FIELDS, vars(self))
-        # block counts are multiples of b = ceil(1 / theta), so theta * b must be an integer
+        # block counts are multiples of b = block_modulus(theta), so theta * b must be an integer
         for name in ("theta_var", "theta_mean"):
             theta = getattr(self, name)
-            b = math.ceil(1.0 / theta)
-            if abs(theta * b - round(theta * b)) > 1e-9:
+            if abs(theta * block_modulus(theta) - 1.0) > 1e-9:
                 raise ValueError(
-                    f"{name} = {theta} does not make {name} * ceil(1/{name}) an integer; "
+                    f"{name} = {theta} does not make {name} * round(1/{name}) an integer; "
                     "use a reciprocal of an integer"
                 )
 

@@ -207,6 +207,23 @@ def oracle_nu_hat_profile(y, directions, k, m):
     return total / (np.sqrt(m) * (n - 2 * k))
 
 
+def oracle_probe(rng, marg_est, var_est, v_star, rho_star, delta, c_prime, n_samples, count, append):
+    """The refine probes as one set: draw all ``count`` probes at once, take
+    their centers and slab widths with the library's profiles on the whole
+    set, and return the worst violation beyond ``rho_star`` with the (rows,
+    centers, widths) of the at most ``append`` worst probes that violate."""
+    from dirmean.mean import nu_hat_profile, slab_width_profile
+
+    g = rng.standard_normal((count, marg_est.Y.shape[1]))
+    probes = g / np.linalg.norm(g, axis=1, keepdims=True)
+    centers = nu_hat_profile(marg_est, probes)
+    widths = slab_width_profile(var_est, probes, delta, c_prime, n_samples)
+    viol = np.abs(centers - probes @ v_star) - widths - rho_star
+    worst = np.argsort(viol)[::-1]
+    worst = worst[viol[worst] > 0][:append]
+    return float(np.max(viol)), (probes[worst], centers[worst], widths[worst])
+
+
 def oracle_student_kappa(nu, q):
     """Lq/L2 ratio of a t_nu marginal by numerical quadrature of |t|^q
     against the scipy t density."""

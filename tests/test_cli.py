@@ -101,7 +101,7 @@ class TestEstimateCommand:
             "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": {"theta_mean": 0.03},
         })
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == ("ERROR 1: theta_mean = 0.03 does not make theta_mean * ceil(1/theta_mean) "
+        assert capsys.readouterr().err == ("ERROR 1: theta_mean = 0.03 does not make theta_mean * round(1/theta_mean) "
                                            "an integer; use a reciprocal of an integer\n")
         assert not (tmp_path / "o").exists()
 
@@ -372,7 +372,7 @@ class TestSimulateCommand:
         monkeypatch.setattr("dirmean.harness.sample_dataset", no_draw)
         cfg = write_json(tmp_path / "sc.json", scenario_doc(config={**TINY_CONFIG, "theta_var": 0.3}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == ("ERROR 1: theta_var = 0.3 does not make theta_var * ceil(1/theta_var) "
+        assert capsys.readouterr().err == ("ERROR 1: theta_var = 0.3 does not make theta_var * round(1/theta_var) "
                                            "an integer; use a reciprocal of an integer\n")
         assert not (tmp_path / "o").exists()
 

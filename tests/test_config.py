@@ -6,7 +6,8 @@ import pytest
 
 from dirmean import (DistributionSpec, PipelineConfig, Scenario, SpectrumSpec, check_ratio_conditions,
                      check_uniform_ratios, critical_level, empirical_mean_lower_bound, empirical_quantile_hat,
-                     make_ground_truth, marginal_oracle, per_direction_quantiles, plan_mean_blocks, probe_directions,
+                     make_ground_truth, marginal_oracle, per_direction_quantiles, plan_mean_blocks,
+                     plan_variance_blocks, probe_directions,
                      quantile_sandwich_check, run_trials, sample_dataset, sample_marginal, slab_width_profile,
                      small_ball_check, student_kappa, tail_eigensum)
 from dirmean.config import Field, require_int, require_real
@@ -75,8 +76,8 @@ class TestRefineAndBaselineFields:
             ("m0", 0),
             ("m0", 100.0),
             ("m0", True),
-            ("theta_mean", 0.03),  # 0.03 * ceil(1 / 0.03) = 1.02: no block count keeps theta * n integral
-            ("theta_var", 0.3),  # 0.3 * ceil(1 / 0.3) = 1.2
+            ("theta_mean", 0.03),  # 0.03 * round(1 / 0.03) = 0.99: not a reciprocal of an integer
+            ("theta_var", 0.3),  # 0.3 * round(1 / 0.3) = 0.9
         ],
     )
     def test_rejected_with_field_name(self, field, value):
@@ -96,6 +97,14 @@ class TestRefineAndBaselineFields:
     def test_from_dict_validates(self):
         with pytest.raises(ValueError, match="m0"):
             PipelineConfig.from_dict({"m0": 0})
+
+    def test_every_reciprocal_of_an_integer_is_accepted(self):
+        # 1 / (1 / k) lies just above k for 691 of these k (49, 98, 103, ...);
+        # 1/2 is outside (0, 1/2)
+        for k in range(3, 10001):
+            config = PipelineConfig(m0=1, theta_var=1 / k, theta_mean=1 / k)
+            for plan in (plan_mean_blocks(20 * k, 0.5, config), plan_variance_blocks(2 * k, config)):
+                assert plan.n % k == 0 and plan.trim_per_side * k == plan.n
 
     @pytest.mark.parametrize("key, value", [("trim_mode", "absolute"), ("c0", 1.0), ("gamma", 0.1), ("c1", 1.0),
                                             ("refine_tol", 0.1), ("refine_append", 64), ("mom_blocks", 5),

@@ -137,7 +137,7 @@ CROSS_FIELD = [
     ("simulate", dict(VALID["simulate"], probes=1), "probes"),  # fewer probes than d = 2
     ("diagnose", dict(VALID["diagnose"], delta_param=0.01), "delta_param"),  # theta = 0.05 < 7 delta_param
     ("estimate", with_config(c_blocks=1e308), "c_blocks"),
-    ("estimate", with_config(theta_var=0.3), "theta_var"),  # 0.3 ceil(1/0.3) is not an integer
+    ("estimate", with_config(theta_var=0.3), "theta_var"),  # 0.3 round(1/0.3) is not an integer
     ("estimate", with_config(theta_mean=0.3), "theta_mean"),
     ("estimate", dict(VALID["estimate"], distribution=dict(CONTAMINATED, contamination=dict(
         CONTAMINATED["contamination"], offset=[1.0]))), "contamination.offset"),  # d = 2 eigenvalues

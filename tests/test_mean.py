@@ -36,7 +36,7 @@ import dirmean.mean as mean_module
 from dirmean.blocks import _BAND_ROWS, _CHUNK_BYTES, _PANEL_ROWS, projection_panels
 from dirmean.mean import TOL, _CutState, _eigendirections
 from dirmean.rng import random_unit_rows, stream
-from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile, oracle_psi_profile
+from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile, oracle_probe, oracle_psi_profile
 
 SMALL_CFG = PipelineConfig(m0=1, theta_var=0.125)
 
@@ -373,26 +373,32 @@ class TestProjectionPanels:
 
 
 class TestRefineLoopMemory:
-    """The refine loop holds one probe set at a time, and the first direction
-    set is freed once the slabs are extended beyond it."""
+    """The refine loop holds at most one probe panel at a time, and the first
+    direction set is freed once the slabs are extended beyond it."""
 
-    def test_one_probe_set_alive_and_the_first_directions_freed(self, monkeypatch):
+    def test_one_probe_panel_alive_and_the_first_directions_freed(self, monkeypatch):
         gt = make_ground_truth(DistributionSpec.from_json_dict({
             "family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, 50).tolist(),
             "mean": [0.0] * 50, "dof": 3.0}))
         rows = sample_dataset(gt, 30000, seed=1)
-        probe_sets, direction_sets = [], []
+        panels, direction_sets, extended = [], [], []
         draw, build, extend = mean_module.random_unit_rows, mean_module.build_direction_set, SlabSystem.extended
 
-        def recorded_draw(rng, count, d, **kwargs):
-            if "out" in kwargs:  # build_direction_set's fill
-                return draw(rng, count, d, **kwargs)
-            assert all(ref() is None for ref in probe_sets), "a probe set outlives the next draw"
-            if probe_sets:  # the slabs have been extended
+        def owner(a):
+            return a if a.base is None else a.base
+
+        def recorded_draw(rng, count, d, out=None):
+            if not direction_sets:  # build_direction_set's fill
+                return draw(rng, count, d, out=out)
+            into = None if out is None else owner(out)
+            alive = [ref() for ref in panels if ref() is not None]
+            assert all(a is into for a in alive), "a probe panel outlives the next draw"
+            if extended:
                 assert direction_sets[0]() is None, "the first direction set outlives the extended slabs"
-            out = draw(rng, count, d)
-            probe_sets.append(weakref.ref(out))
-            return out
+            got = draw(rng, count, d, out=out)
+            assert owner(got).shape[0] <= _PANEL_ROWS  # a probe panel is one projection panel of the most rows
+            panels.append(weakref.ref(owner(got)))
+            return got
 
         def recorded_build(*args, **kwargs):
             out = build(*args, **kwargs)
@@ -400,7 +406,8 @@ class TestRefineLoopMemory:
             return out
 
         def recorded_extend(self, *args):
-            assert all(ref() is None for ref in probe_sets), "a probe set outlives its round"
+            assert all(ref() is None for ref in panels), "a probe panel outlives its round"
+            extended.append(True)
             return extend(self, *args)
 
         monkeypatch.setattr(mean_module, "random_unit_rows", recorded_draw)
@@ -408,7 +415,62 @@ class TestRefineLoopMemory:
         monkeypatch.setattr(SlabSystem, "extended", recorded_extend)
         est = estimate_mean(rows, 0.01, PipelineConfig(C_prime=0.05), seed=1)
         assert est.rho_star > 0.0 and est.refinement_rounds == mean_module._REFINE_ROUNDS
-        assert len(probe_sets) == mean_module._REFINE_ROUNDS + 1 and len(direction_sets) == 1
+        per_round = -(-mean_module._REFINE_PROBES // _PANEL_ROWS)
+        assert len(panels) == (mean_module._REFINE_ROUNDS + 1) * per_round > mean_module._REFINE_ROUNDS + 1
+        assert len(direction_sets) == 1 and len(extended) == mean_module._REFINE_ROUNDS
+
+
+class TestProbePanels:
+    """``_probe`` measures its probes a panel at a time and returns the bytes
+    of one draw of the whole set."""
+
+    @staticmethod
+    def _estimators(d):
+        rows = sample_dataset(gaussian_gt(np.geomspace(1.0, 1e-3, d)), 30000, 4)
+        return fit_marginal(rows[:10000], 0.01), fit_variance(rows[10000:])
+
+    @pytest.mark.parametrize("probes", [512, 64, 300])  # the default, shrink_refine's, not a whole number of panels
+    @pytest.mark.parametrize("case", ["many", "some", "none"])
+    def test_same_bytes_as_the_whole_set(self, monkeypatch, probes, case):
+        d = 10
+        marg, var = self._estimators(d)
+        # more than 64 violators among 300 or 512 probes, 4-36 of them, or none
+        v_star = np.full(d, {"many": 3.0, "some": 0.007, "none": 0.0}[case])
+        result = SimpleNamespace(v_star=v_star, rho_star=0.0)
+        monkeypatch.setattr(mean_module, "_REFINE_PROBES", probes)
+        rng, ref_rng = stream(1, "probe"), stream(1, "probe")
+        worst, (dirs, centers, widths) = mean_module._probe(rng, marg, var, result, 0.01, 1.0, 10000)
+        ref_worst, ref = oracle_probe(ref_rng, marg, var, result.v_star, result.rho_star, 0.01, 1.0, 10000,
+                                      probes, mean_module._REFINE_APPEND)
+        assert worst == ref_worst
+        for got, expected in zip((dirs, centers, widths), ref):
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))  # the stream moved as far
+        count = dirs.shape[0]
+        if case == "many" and probes > mean_module._REFINE_APPEND:
+            assert count == mean_module._REFINE_APPEND
+        if case == "some":
+            assert 0 < count < mean_module._REFINE_APPEND
+        assert (count == 0) == (case == "none")
+
+    def test_peak_is_one_panel(self):
+        # d = 200, 3N = 3e4: 48 mean blocks, 100 variance blocks; every probe
+        # violates, so each panel passes 64 rows on
+        d = 200
+        marg, var = self._estimators(d)
+        result = SimpleNamespace(v_star=np.full(d, 3.0), rho_star=0.0)
+        mean_module._probe(stream(1, "probe"), marg, var, result, 0.01, 1.0, 10000)  # warm
+        tracemalloc.start()
+        try:
+            _, (dirs, _, _) = mean_module._probe(stream(1, "probe"), marg, var, result, 0.01, 1.0, 10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dirs.shape == (mean_module._REFINE_APPEND, d)
+        panel = _PANEL_ROWS * d * 8  # 0.41 MB; all 512 probes take 0.82 MB
+        projection = _PANEL_ROWS * var.Z.shape[0] * 8  # one psi_profile panel, 0.2 MB
+        kept = 2 * mean_module._REFINE_APPEND * (d + 2) * 8  # the rows two panels pass on
+        assert peak < panel + projection + kept + 8 * mean_module._REFINE_PROBES
 
 
 class TestNuHat:
@@ -662,9 +724,10 @@ class TestDirectionSetMemory:
         dirs = build_direction_set(200, 1, var_est)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # the result (2.56 MB) plus small buffers; a fresh fill and its
-        # square would add 2 x 2.23 MB
-        assert peak < dirs.nbytes + 1.5e6
+        # the result (2.56 MB) plus the eigendirections' buffers and one
+        # 128 KiB chunk of squares (0.33 MB in all; 0.55 MB with 512 KiB
+        # chunks); a fresh fill and its square would add 2 x 2.23 MB
+        assert peak < dirs.nbytes + 4e5
 
     def test_wide_eigendirections_make_no_d_by_d_gram(self):
         # Z of 100 x 2000: the d x d Gram alone would take 32 MB
@@ -686,7 +749,9 @@ class TestDirectionSetMemory:
         SlabSystem(u, c, w)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 0.4 * u.nbytes  # the full square of u would be u.nbytes
+        # one 128 KiB chunk of squares and the (1600,) norms: 0.17 MB, against
+        # 0.56 MB with 512 KiB chunks and u.nbytes for the full square of u
+        assert peak < 0.1 * u.nbytes
 
 
 class TestSolveCenter:

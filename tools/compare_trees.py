@@ -7,10 +7,11 @@ Each tree runs in a subprocess with ``PYTHONPATH=<tree>/src`` and
 library pools (every ``perfbench.workloads.LIBRARY`` workload, pool seeds 1
 and 2, built as ``LibraryWorkload.setup`` builds them, one dataset at a time)
 and the 6 of a ``d1`` pool built the same way from the benchmark's law at
-d = 1, 3N = 3e4, and runs eight CLI configs: one of them a d = 1 estimate, and
-one an estimate whose config sets m0, both trim fractions and c_blocks away
-from their defaults, so that each block planner is seen to read its own
-config fields.
+d = 1, 3N = 3e4, and runs nine CLI configs: one of them a d = 1 estimate, one
+an estimate whose config sets m0, both trim fractions and c_blocks away from
+their defaults, so that each block planner is seen to read its own config
+fields, and one an estimate with 300 variance blocks, whose projection panels
+step by 192 rows, which do not divide a 256-row refine probe panel.
 Estimate fields and slab arrays are compared by their bytes, so a move in
 the last digit counts.  Every one that differs is printed, with the largest
 absolute change and that change relative to the largest magnitude in the
@@ -39,6 +40,9 @@ STUDENT10 = {"family": "elliptical-student", "eigenvalues": [0.5**k for k in ran
 # the benchmark's simulate-cli law (perfbench.workloads.distribution_doc(10)), whose 1000 variance blocks are tall
 STUDENT10_DOF3 = {"family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, 10).tolist(),
                   "mean": [0.0] * 10, "dof": 3.0}
+# the same law at d = 20; 3N = 9e4 gives it 300 variance blocks
+STUDENT20_DOF3 = {"family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, 20).tolist(),
+                  "mean": [0.0] * 20, "dof": 3.0}
 STUDENT1_DOF3 = {"family": "elliptical-student", "eigenvalues": [1.0], "mean": [0.0], "dof": 3.0}
 CLI_RUNS = {  # name: (argv, config document)
     "diagnose-gaussian": (["diagnose"], {"distribution": GAUSS3, "n": 4000, "small_ball": {"m": 50, "trials": 2000},
@@ -49,6 +53,8 @@ CLI_RUNS = {  # name: (argv, config document)
     "estimate-d1": (["estimate"], {"distribution": STUDENT1_DOF3, "n_total": 30000}),
     "estimate-config": (["estimate"], {"distribution": STUDENT10, "n_total": 30000,
                                        "config": {"m0": 50, "theta_var": 0.05, "theta_mean": 0.25, "c_blocks": 4.0}}),
+    "estimate-300-blocks": (["estimate"], {"distribution": STUDENT20_DOF3, "n_total": 90000,
+                                           "config": {"C_prime": 0.05}}),
     "simulate": (["simulate", "--threads", "2"], {"distribution": GAUSS3, "n_total": 30000, "delta": 0.05, "trials": 6,
                                                   "estimators": ["dirmean", "empirical-mean", "median-of-means"]}),
     "simulate-tall": (["simulate", "--threads", "1"], {"distribution": STUDENT10_DOF3, "n_total": 300000,
