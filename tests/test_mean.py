@@ -373,10 +373,11 @@ class TestProjectionPanels:
 
 
 class TestRefineLoopMemory:
-    """The refine loop holds at most one probe panel at a time, and the first
-    direction set is freed once the slabs are extended beyond it."""
+    """The refine loop holds one probe set at a time, at most one panel of it
+    alive, and the first direction set is freed once the slabs are extended
+    beyond it."""
 
-    def test_one_probe_panel_alive_and_the_first_directions_freed(self, monkeypatch):
+    def test_one_probe_set_alive_and_the_first_directions_freed(self, monkeypatch):
         gt = make_ground_truth(DistributionSpec.from_json_dict({
             "family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, 50).tolist(),
             "mean": [0.0] * 50, "dof": 3.0}))
