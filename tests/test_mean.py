@@ -1095,6 +1095,35 @@ class TestResumedSolve:
                 assert len({tuple(side) for side in sides}) == len(sides)
                 assert state.cuts[1].max() < slabs.n_slabs
 
+    def test_resolve_never_adds_a_side_held_from_an_earlier_solve(self, monkeypatch):
+        # the slabs [-5, -4], [0, 1] and [0, 24] on the line: the first solve
+        # adds the upper sides of the first two and the lower sides of the
+        # last two, and ends at x = -2, slack 2, where only the upper side of
+        # [-5, -4] and the lower side of [0, 1] bind; the prune keeps those
+        log = record_lp(monkeypatch)
+        slabs = SlabSystem(np.ones((3, 1)), [-4.5, 0.5, 12.0], [0.5, 0.5, 12.0])
+        state = _CutState()
+        first = solve_center(slabs, state=state)
+        assert first.iterations == 2 and first.rho_star == pytest.approx(2.0, abs=1e-12)
+        # a copy of [0, 1] and the slab [30, 31] are appended, and the re-solve
+        # resumes from the stored point moved to x = 25.  HiGHS's 1e-10
+        # tolerances can leave a held cut violated a hair beyond the stored
+        # slack; here the held upper side of [-5, -4] is violated by 29, far
+        # beyond it, yet the active mask, built from the cuts held since the
+        # first solve, keeps it out: the one resumed round adds the pruned
+        # upper side of [0, 1], the copy's upper side and the lower side of
+        # [30, 31], and its optimum x = 13 at slack 17 ends the solve
+        slabs = slabs.extended(np.ones((2, 1)), [0.5, 30.5], [0.5, 0.5])
+        state.point = np.array([25.0])
+        res = solve_center(slabs, v_init=first.v_star, state=state)
+        assert log.prunes == [(2, 2)] and len(log.models) == 1
+        assert [slab_sides.tolist() for _, slab_sides, _ in log.rounds[2:]] == [[-1.0, -1.0, 1.0]]
+        assert {tuple(side) for side in state.cuts.T.tolist()} == {(1, 0), (0, 1), (1, 1), (1, 3), (0, 4)}
+        assert res.converged and res.iterations == 1
+        assert res.v_star[0] == pytest.approx(13.0, abs=1e-12)
+        assert res.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-12)
+        assert slabs.max_violation(res.v_star) == res.rho_star
+
     def test_failed_round_mid_refine_restarts_cold(self, monkeypatch):
         rng = np.random.default_rng(14)
         slabs = random_infeasible_system(rng, 6, 150)
