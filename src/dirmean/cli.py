@@ -239,18 +239,9 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     doc = read_fields("lowerbound", _load_config_doc(args), LOWERBOUND_FIELDS)
-    if (doc["eigenvalues"] is None) == (doc["distribution"] is None):
-        raise UsageError("lowerbound config needs exactly one of 'eigenvalues' and a gaussian 'distribution'")
-    if doc["eigenvalues"] is not None:
-        spectrum = SpectrumSpec(doc["eigenvalues"])
-    else:
-        spec = DistributionSpec.from_json_dict(doc["distribution"])
-        if spec.family != "gaussian":
-            raise UsageError("lower-bound experiment is defined for gaussian data only")
-        spectrum = spec.spectrum
     seed = doc["seed"]
     rep = empirical_mean_lower_bound(
-        spectrum,
+        SpectrumSpec(doc["eigenvalues"]),
         n_samples=doc["n_samples"],
         delta=doc["delta"],
         c_assumed=doc["C"],

@@ -51,9 +51,8 @@ SCENARIO_FIELDS = {
     "config": Field("object", None),
 }
 
-LOWERBOUND_FIELDS = {  # the lowerbound document: eigenvalues or a gaussian distribution
-    "eigenvalues": Field("reals", None, least=0.0),
-    "distribution": Field("object", None),
+LOWERBOUND_FIELDS = {  # the lowerbound document: the covariance spectrum of gaussian data
+    "eigenvalues": Field("reals", REQUIRED, least=0.0),
     "seed": Field("int", 0),
     "n_samples": Field("size", 10000),
     "delta": Field("probability", 0.01, least=sys.float_info.min),  # 1/delta stays finite

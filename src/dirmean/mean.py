@@ -288,16 +288,16 @@ class _CutState:
         """Add a column (s_i u_i, 1) of cost -b_i for each cut s_i <u_i, x> + t >=
         b_i of the slabs ``slab`` and resume primal simplex from the last basis,
         unscaled (the columns are unit directions with a coefficient of one on
-        the last row).  Returns the optimal (x, t), or None, leaving the state
-        cold, when HiGHS does not report the model optimal."""
-        k = s.size
+        the last row).  Each column is passed dense, all d + 1 entries; HiGHS
+        drops the zeros itself.  Returns the optimal (x, t), or None, leaving
+        the state cold, when HiGHS does not report the model optimal."""
+        k, rows = s.size, u.shape[1] + 1
         self.cuts = np.hstack([self.cuts, [(s < 0.0).astype(np.intp), slab]])
         block = np.hstack([s[:, np.newaxis] * u, np.ones((k, 1))])
-        cols, rows = np.nonzero(block)
-        starts = np.searchsorted(cols, np.arange(k)).astype(np.int32)
         added = self.highs.addCols(
-            k, -b, np.zeros(k), np.full(k, _core.kHighsInf), cols.size, starts, rows.astype(np.int32),
-            block[cols, rows],
+            k, -b, np.zeros(k), np.full(k, _core.kHighsInf), k * rows,
+            np.arange(0, k * rows, rows, dtype=np.int32), np.tile(np.arange(rows, dtype=np.int32), k),
+            block.reshape(-1),
         )
         if added != _core.HighsStatus.kError:
             self.highs.run()
@@ -325,28 +325,27 @@ def solve_center(
 ) -> SolveResult:
     """Minimize the slab slack max(g(v), 0) with a certified optimality gap.
 
-    The warm start is ``v_init``, else the least-squares assembly of the
-    centers.  Any point inside every slab already achieves the minimal
-    slack zero, so a feasible warm start is returned at once with
-    ``iterations = 0``.  Otherwise the linear program
+    The warm start is ``v_init``, else the origin.  Any point inside every
+    slab already achieves the minimal slack zero, so a feasible warm start
+    is returned at once with ``iterations = 0``.  Otherwise the linear
+    program
 
         min t  s.t.  |r_i - <u_i, x>| <= w_i + t,  t >= 0,  r = c - U v_warm
 
     in the displacement x = v - v_warm is solved by cutting planes in one
     HiGHS model of its dual (see :class:`_CutState`).  Without a model from
     an earlier call (cold), the first cuts are picked at the least-squares
-    point of the centers, p = v_warm + lstsq(U, r) (the warm start itself
-    when ``v_init`` is None), and p competes as the best point: if it lies
-    in every slab it is returned with ``iterations = 0`` and no model is
-    built.  Each round (one ``iterations`` step) adds, for the worst <= 2
-    (d + 1) slabs that violate the current point (p, then each restricted
-    optimum) by more than its slack ``lower`` on a side not yet in the
-    model, the cut s_i <u_i, x> + t >= s_i r_i - w_i of that side as a
-    column, s_i = sign(r_i - <u_i, x>); the other side enters only if a
-    later round violates it.  Each round resumes primal simplex from the
-    last basis and reads (x, t) off the row duals, and the loop stops once
-    g(v) <= lower + TOL (1 + lower).  Directions that no slab constrains
-    stay at the warm start.
+    point of the centers, p = v_warm + lstsq(U, r), and p competes as the
+    best point: if it lies in every slab it is returned with ``iterations =
+    0`` and no model is built.  Each round (one ``iterations`` step) adds,
+    for the worst <= 2 (d + 1) slabs that violate the current point (p,
+    then each restricted optimum) by more than its slack ``lower`` on a
+    side not yet in the model, the cut s_i <u_i, x> + t >= s_i r_i - w_i of
+    that side as a column, s_i = sign(r_i - <u_i, x>); the other side
+    enters only if a later round violates it.  Each round resumes primal
+    simplex from the last basis and reads (x, t) off the row duals, and the
+    loop stops once g(v) <= lower + TOL (1 + lower).  Directions that no
+    slab constrains stay at the warm start.
 
     ``state`` (internal: :func:`estimate_mean` passes one per estimate)
     keeps the model for the next call on the same slabs with more appended.
@@ -370,21 +369,17 @@ def solve_center(
     if m < 1:
         raise ValueError("need at least one slab")
 
-    if v_init is None:
-        # least-squares assembly of the centers; exact on consistent systems
-        v_warm = np.linalg.lstsq(u, c, rcond=None)[0]
-    else:
-        try:
-            v_warm = np.array(v_init, dtype=float)
-        except (TypeError, ValueError):  # not numbers at all
-            v_warm = np.empty(0)
-        if v_warm.shape != (d,) or not np.isfinite(v_warm).all():
-            raise ValueError(f"v_init must be a finite vector of d = {d} entries, got {v_init!r}")
+    try:
+        v_warm = np.zeros(d) if v_init is None else np.array(v_init, dtype=float)
+    except (TypeError, ValueError):  # not numbers at all
+        v_warm = np.empty(0)
+    if v_warm.shape != (d,) or not np.isfinite(v_warm).all():
+        raise ValueError(f"v_init must be a finite vector of d = {d} entries, got {v_init!r}")
     v_best, g_best = v_warm, slabs.max_violation(v_warm)
     lower, optimal, rounds = 0.0, True, 0
     cold = state is None or state.highs is None
     v = v_warm  # where the next round picks its cuts
-    if g_best > 0.0 and cold and v_init is not None:
+    if g_best > 0.0 and cold:
         # the least-squares point of the centers, as a move from the warm
         # start: directions that no slab constrains keep their coordinates
         v = v_warm + np.linalg.lstsq(u, c - u @ v_warm, rcond=None)[0]
@@ -470,33 +465,28 @@ def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
     return top * np.sign(lead)[:, np.newaxis]
 
 
-def build_direction_set(d: int, seed: int, var_est: VarianceEstimator | None = None) -> np.ndarray:
+def build_direction_set(seed: int, var_est: VarianceEstimator) -> np.ndarray:
     """Canonical basis + leading block-eigenvectors + random unit fill.
 
-    Rows are max(8 d, 256) unit vectors: e1..ed, then the top min(d, 8)
-    eigenvectors of the variance blocks' second moment (fewer when the
-    blocks have lower rank, see :func:`_eigendirections`), then the rows
-    still missing, drawn from the seed's "direction-fill" stream.  Every row
-    is kept as computed: an eigendirection that is (up to sign) a canonical
-    row, or a fill row close to another row, repeats a slab, which changes
-    neither g(v) nor the LP optimum.  Every unit vector of R^1 is +-e1, so
-    in one dimension the set is [[1.0]].  A ``var_est`` whose blocks have
-    other than d columns raises ValueError, and so does a ``d`` that is not
-    an integer of at least 1.
+    d is the column count of the variance blocks ``var_est.Z``.  Rows are
+    max(8 d, 256) unit vectors: e1..ed, then the top min(d, 8) eigenvectors
+    of the blocks' second moment (fewer when the blocks have lower rank,
+    none when they are all zero; see :func:`_eigendirections`), then the
+    rows still missing, drawn from the seed's "direction-fill" stream.
+    Every row is kept as computed: an eigendirection that is (up to sign) a
+    canonical row, or a fill row close to another row, repeats a slab, which
+    changes neither g(v) nor the LP optimum.  Every unit vector of R^1 is
+    +-e1, so in one dimension the set is [[1.0]].
     """
-    require_int("d", d, least=1)
-    if var_est is not None and var_est.Z.shape[1] != d:
-        raise ValueError(f"the variance blocks have {var_est.Z.shape[1]} columns, but d = {d}")
+    d = var_est.Z.shape[1]
     if d == 1:
         return np.ones((1, 1))
     budget = max(8 * d, 256)
+    learned = _eigendirections(var_est.Z, min(d, 8))
+    count = d + learned.shape[0]
     out = np.empty((budget, d))
     out[:d] = np.eye(d)
-    count = d
-    if var_est is not None:
-        learned = _eigendirections(var_est.Z, min(d, 8))
-        count += learned.shape[0]
-        out[d:count] = learned
+    out[d:count] = learned
     random_unit_rows(stream(seed, "direction-fill"), budget - count, d, out=out[count:])
     return out
 
@@ -604,7 +594,7 @@ def estimate_mean(
     except NonFiniteRowError as exc:
         raise NonFiniteRowError(offset + exc.row) from None
 
-    directions = build_direction_set(d, seed, var_est)
+    directions = build_direction_set(seed, var_est)
     centers = nu_hat_profile(marg_est, directions)
     widths = slab_width_profile(var_est, directions, delta, config.C_prime, n)
     v_init = centers[:d].copy()  # canonical directions come first in the set

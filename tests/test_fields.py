@@ -26,8 +26,7 @@ VALID = {  # command: a valid document
     "diagnose": {"distribution": GAUSS, "seed": 1, "n": 400, "delta_param": 0.005, "theta": 0.05,
                  "small_ball": {"m": 4, "trials": 200, "gamma": 0.05},
                  "uniform": {"n_pairs": 300, "block_m": 2, "r": 0.0, "n_dirs": 3}},
-    "lowerbound": {"eigenvalues": [1.0, 0.5], "distribution": None, "seed": 1, "n_samples": 1000, "delta": 0.05,
-                   "C": 1.0, "trials": 300},
+    "lowerbound": {"eigenvalues": [1.0, 0.5], "seed": 1, "n_samples": 1000, "delta": 0.05, "C": 1.0, "trials": 300},
 }
 
 # section: (command, the keys down to the section in its valid document, the section's table, its name prefix)
@@ -143,7 +142,7 @@ CROSS_FIELD = [
         CONTAMINATED["contamination"], offset=[1.0]))), "contamination.offset"),  # d = 2 eigenvalues
     ("simulate", dict(VALID["simulate"], distribution=dict(GAUSS, mean=[0.0])), "mean"),  # d = 2 eigenvalues
     ("simulate", dict(VALID["simulate"], n_total=30, delta=1e-5), "delta"),  # median-of-means needs 93 blocks
-    ("lowerbound", dict(VALID["lowerbound"], distribution=GAUSS), "eigenvalues"),
+    ("lowerbound", dict(VALID["lowerbound"], distribution=GAUSS), "distribution"),  # an unknown key
     ("lowerbound", dict(VALID["lowerbound"], eigenvalues=None), "eigenvalues"),
     # without --data the rows are drawn from the distribution
     ("estimate", {key: v for key, v in VALID["estimate"].items() if key != "distribution"}, "distribution"),

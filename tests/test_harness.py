@@ -19,7 +19,6 @@ from dirmean import (
     run_trials,
     write_report,
 )
-from dirmean.cli import main
 from dirmean.rng import stream
 from naive_oracles import oracle_empirical_mean, oracle_fsum_block_averages, oracle_median_of_means, summation_bound
 
@@ -251,15 +250,6 @@ class TestLowerBound:
         )
         p = stats.kstest(rep.top_stats, stats.chi(rep.k).cdf).pvalue
         assert p > 0.01
-
-    def test_rejects_non_gaussian_distribution_spec(self, tmp_path, capsys):
-        # the lowerbound command takes the spectrum of a gaussian distribution only
-        student = {"family": "elliptical-student", "eigenvalues": [1.0], "mean": [0.0], "dof": 3.0}
-        cfg = tmp_path / "lb.json"
-        cfg.write_text(json.dumps({"distribution": student, "trials": 10}))
-        assert main(["lowerbound", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "ERROR 1: lower-bound experiment is defined for gaussian data only\n"
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "field, args",

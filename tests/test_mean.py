@@ -44,8 +44,15 @@ SMALL_CFG = PipelineConfig(m0=1, theta_var=0.125)
 def shrink_refine(monkeypatch, budget):
     """Make estimate_mean use the first ``budget`` directions of its set and draw 64 probes per refine round."""
     build = mean_module.build_direction_set
-    monkeypatch.setattr(mean_module, "build_direction_set", lambda d, seed, var_est: build(d, seed, var_est)[:budget])
+    monkeypatch.setattr(mean_module, "build_direction_set", lambda seed, var_est: build(seed, var_est)[:budget])
     monkeypatch.setattr(mean_module, "_REFINE_PROBES", 64)
+
+
+def zero_blocks(d):
+    """Variance blocks of d columns that are all zero: they give no learned
+    direction, so a direction set built on them is canonical rows and fill."""
+    plan = plan_variance_blocks(50, PipelineConfig(m0=1))  # 50 blocks of one pair
+    return VarianceEstimator(Z=np.zeros((plan.n, d)), plan=plan)
 
 
 def random_infeasible_system(rng, d, m):
@@ -580,39 +587,21 @@ class TestDirectionShapes:
 
 class TestDirectionSet:
     def test_canonical_plus_random(self):
-        dirs = build_direction_set(2, seed=0)
+        dirs = build_direction_set(0, zero_blocks(2))
         assert dirs.shape == (256, 2)
         assert np.array_equal(dirs[:2], np.eye(2))
 
     def test_unit_norms(self):
-        dirs = build_direction_set(5, seed=1)
+        dirs = build_direction_set(1, zero_blocks(5))
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic(self):
-        assert np.array_equal(build_direction_set(3, seed=2), build_direction_set(3, seed=2))
-
-    @pytest.mark.parametrize(
-        "d, message",
-        [
-            (0, "d must be at least 1, got 0"),
-            (True, "d must be an integer, got True"),
-            (2.0, "d must be an integer, got 2.0"),
-        ],
-    )
-    def test_rejects_a_non_integer_dimension(self, d, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            build_direction_set(d, seed=0)
-
-    @pytest.mark.parametrize("d, columns", [(3, 12), (8, 32)])
-    def test_rejects_variance_blocks_of_another_dimension(self, d, columns):
-        var_est = SimpleNamespace(Z=np.random.default_rng(0).standard_normal((100, columns)))
-        with pytest.raises(ValueError, match=f"^the variance blocks have {columns} columns, but d = {d}$"):
-            build_direction_set(d, 0, var_est)
+        assert np.array_equal(build_direction_set(2, zero_blocks(3)), build_direction_set(2, zero_blocks(3)))
 
     def test_includes_block_eigendirections(self):
         gt = gaussian_gt([10.0, 1.0, 0.1])
         var_est = fit_variance(sample_dataset(gt, 2 * 10**4, 8))
-        dirs = build_direction_set(3, seed=4, var_est=var_est)
+        dirs = build_direction_set(4, var_est)
         # the top eigendirection of the blocks is close to e1
         gram = np.abs(dirs @ np.eye(3)[0])
         assert np.sort(gram)[-2] > 0.99  # e1 itself plus the learned direction
@@ -621,7 +610,7 @@ class TestDirectionSet:
     def test_fill_matches_sequential_oracle(self, d, budget, seed):
         # the set holds max(8 d, 256) rows
         ref = oracle_direction_fill(np.eye(d), budget, stream(seed, "direction-fill"))
-        assert np.array_equal(build_direction_set(d, seed), ref)
+        assert np.array_equal(build_direction_set(seed, zero_blocks(d)), ref)
 
     @pytest.mark.parametrize("d", [3, 12, 150])  # d = 150: wide blocks, Z is 100 x 150
     def test_learned_directions_are_block_eigenvectors(self, d):
@@ -630,7 +619,7 @@ class TestDirectionSet:
         z = var_est.Z
         assert (z.shape[0] < d) == (d == 150)
         k = min(d, 8)
-        dirs = build_direction_set(d, seed=4, var_est=var_est)
+        dirs = build_direction_set(4, var_est)
         vecs = np.linalg.eigh(z.T @ z / z.shape[0])[1][:, ::-1][:, :k].T
         learned = dirs[d : d + k]
         assert np.all(np.abs(np.sum(learned * vecs, axis=1)) > 1 - 1e-10)
@@ -653,7 +642,7 @@ class TestDirectionSet:
         assert learned.shape == (k, 20)
         if k == 1:
             assert np.array_equal(learned, np.eye(20)[[4]])
-        dirs = build_direction_set(20, seed=3, var_est=var_est)
+        dirs = build_direction_set(3, var_est)
         assert np.array_equal(dirs[20 : 20 + k], learned)
         # the fill starts right after the learned rows
         ref = oracle_direction_fill(dirs[: 20 + k], 256, stream(3, "direction-fill"))
@@ -662,8 +651,8 @@ class TestDirectionSet:
     def test_constant_data_adds_no_learned_direction(self):
         var_est = fit_variance(np.ones((10**4, 3)))
         assert not var_est.Z.any()
-        dirs = build_direction_set(3, seed=6, var_est=var_est)
-        assert np.array_equal(dirs, build_direction_set(3, seed=6))
+        dirs = build_direction_set(6, var_est)
+        assert np.array_equal(dirs, build_direction_set(6, zero_blocks(3)))
 
     def test_kept_canonical_eigendirection_leaves_the_estimate(self, monkeypatch):
         # one coordinate varies: the learned row e5 repeats a canonical slab
@@ -673,7 +662,7 @@ class TestDirectionSet:
         kept = estimate_mean(x, 0.01, seed=3)
         assert np.array_equal(kept.slabs.directions[20], np.eye(20)[4])
         plain = build_direction_set
-        monkeypatch.setattr(mean_module, "build_direction_set", lambda d, seed, var_est: plain(d, seed))
+        monkeypatch.setattr(mean_module, "build_direction_set", lambda seed, var_est: plain(seed, zero_blocks(20)))
         without = estimate_mean(x, 0.01, seed=3)
         assert np.array_equal(kept.slabs.directions[21:256], without.slabs.directions[20:255])
         assert kept.mu_hat.tobytes() == without.mu_hat.tobytes()
@@ -720,9 +709,9 @@ class TestDirectionSetMemory:
     def test_build_direction_set_peak(self):
         gt = gaussian_gt(np.geomspace(1.0, 1e-3, 200))
         var_est = fit_variance(sample_dataset(gt, 2 * 10**4, 3))
-        build_direction_set(200, 1, var_est)  # warm: first-call allocations stay out
+        build_direction_set(1, var_est)  # warm: first-call allocations stay out
         tracemalloc.start()
-        dirs = build_direction_set(200, 1, var_est)
+        dirs = build_direction_set(1, var_est)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         # the result (2.56 MB) plus the eigendirections' buffers and one
@@ -983,10 +972,34 @@ class TestSolveCenter:
         solutions = record_lp(monkeypatch, fail_at={2}).solutions
         res = solve_center(slabs)
         assert not res.converged and res.iterations == 2
-        warm = np.linalg.lstsq(slabs.directions, slabs.centers, rcond=None)[0]
+        warm = np.zeros(50)  # a cold solve measures its cuts from the origin
         assert np.array_equal(res.v_star, warm + solutions[0][:50])
-        assert res.rho_star < slabs.max_violation(warm)
+        least_squares = np.linalg.lstsq(slabs.directions, slabs.centers, rcond=None)[0]
+        assert res.rho_star < slabs.max_violation(least_squares)
         assert slabs.max_violation(res.v_star) == res.rho_star
+
+    def test_no_warm_start_is_the_origin(self):
+        rng = np.random.default_rng(19)
+        for d in range(1, 21):
+            slabs = random_infeasible_system(rng, d, int(rng.integers(d + 1, 200)))
+            res, at_origin = solve_center(slabs), solve_center(slabs, v_init=np.zeros(d))
+            assert res.iterations >= 1
+            assert res.v_star.tobytes() == at_origin.v_star.tobytes()
+            assert (res.rho_star, res.iterations, res.final_gap) == (
+                at_origin.rho_star, at_origin.iterations, at_origin.final_gap)
+
+    def test_slabs_that_all_hold_the_origin_return_it(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        log = record_lp(monkeypatch)
+        for d in (1, 3, 20):
+            u = random_unit_rows(rng, 8 * d, d)
+            centers = rng.uniform(-1.0, 1.0, 8 * d)
+            slabs = SlabSystem(u, centers, np.abs(centers) + rng.uniform(0.0, 0.5, 8 * d))
+            res = solve_center(slabs)
+            assert res.iterations == 0 and res.converged
+            assert res.rho_star == 0.0 and res.final_gap == 0.0
+            assert np.array_equal(res.v_star, np.zeros(d))
+        assert log.models == [] and log.rounds == []
 
 
 class TestOneSidedCuts:
