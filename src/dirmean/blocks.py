@@ -17,30 +17,33 @@ import numpy as np
 from .config import PipelineConfig, block_modulus, require_int, require_real
 from .distributions import as_rows
 
-# The working buffers that stay in a 2 MiB L2 cache while their input streams
-# past: the pair-difference buffer of pair_block_averages and one projection
-# panel of projection_panels.
+# The pair-difference buffer of pair_block_averages, which stays in a 2 MiB L2
+# cache while the paired rows stream past (512 KiB was faster than 256 KiB
+# and 1 MiB for largeN-d50's variance blocks).
 _CHUNK_BYTES = 1 << 19
 # The most bytes of a block that one BLAS product sums.  OpenBLAS splits a
 # larger product across threads, which changes the bytes; its build sets the
 # size (OpenBLAS 0.3.31: kept 409 600 entries whole, split 480 000), and
 # 65 536 entries stay well below it.
 _PANEL_BYTES = 1 << 19
-# The most directions of one panel of projection_panels, which sizes a panel
-# by _CHUNK_BYTES: 256 rows up to 256 blocks, 64 rows at 1000.  OpenBLAS
-# 0.3.31 gave these panels the bytes of the whole product on every benchmark
-# and CLI shape; 32-128-row panels of the 48-block marginal projections did
+# The byte budget of one panel of projection_panels: 256 rows up to 128
+# blocks, 32 rows at 1000, so at 1000 blocks a panel (256 KiB) is smaller
+# than the 400 KB of blocks it projects and no longer sets the peak.
+_PROJECTION_BYTES = 1 << 18
+# The most directions of one panel of projection_panels.  OpenBLAS 0.3.31
+# gave these panels the bytes of the whole product on every benchmark and
+# CLI shape; 32-128-row panels of the 48-block marginal projections did
 # not.  On other shapes OpenBLAS can pick another kernel for a whole product
 # of more rows, which moves the last bit (at most 6e-16 relative on random
 # shapes).
 _PANEL_ROWS = 256
-# The row step of projection_panels: a panel is a whole number of 64-row
-# bands.  OpenBLAS 0.3.31 gave 64-row panels of the 1000-block variance
-# matrix the bytes of the whole product, and the step leaves room in
-# _CHUNK_BYTES: the unrounded byte budget (65 rows at 1000 blocks) put the
-# peak of either profile above one panel and its result (about 558 400 B
-# against 557 056 B at 4096 directions).
-_BAND_ROWS = 64
+# The row step of projection_panels: a panel is a whole number of 32-row
+# bands.  32-row panels kept the bytes of the whole product on every shape
+# checked (OpenBLAS 0.3.31: the benchmark pools and CLI runs, at 48, 100, 300
+# and 1000 blocks; a lone last direction is a 1-row product, which can differ
+# in the last bit), and whole bands leave the rest of _PROJECTION_BYTES to the
+# profiles' small scratch (a 32-row panel at 1000 blocks is 256 000 B).
+_BAND_ROWS = 32
 
 
 class SizingError(ValueError):
@@ -121,16 +124,17 @@ def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def projection_panels(u: np.ndarray, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(lo, u[lo:hi] @ x.T)`` over consecutive panels of directions.
 
-    A panel holds the largest multiple of ``_BAND_ROWS`` directions whose
-    (rows, blocks) float64 panel fits in ``_CHUNK_BYTES``, at least
-    ``_BAND_ROWS`` and at most ``_PANEL_ROWS``.  Every panel is written by
+    A panel holds the largest multiple of ``_BAND_ROWS`` (32) directions
+    whose (rows, blocks) float64 panel fits in ``_PROJECTION_BYTES``
+    (256 KiB), at least ``_BAND_ROWS`` and at most ``_PANEL_ROWS``: 256 rows
+    up to 128 blocks, 96 at 300 and 32 at 1000.  Every panel is written by
     ``np.matmul(..., out=...)`` into one reused buffer, directions-major, so
     a caller must finish with a panel before it asks for the next; the
     working memory is one panel, not the whole (directions, blocks) product.
     A panel has the bytes of the same rows of the whole product on the
     shapes checked (see ``_PANEL_ROWS``), not on every shape.
     """
-    fit = _CHUNK_BYTES // (8 * max(x.shape[0], 1)) // _BAND_ROWS * _BAND_ROWS
+    fit = _PROJECTION_BYTES // (8 * max(x.shape[0], 1)) // _BAND_ROWS * _BAND_ROWS
     step = min(max(fit, _BAND_ROWS), _PANEL_ROWS)
     buf = np.empty((min(step, u.shape[0]), x.shape[0]))
     for lo in range(0, u.shape[0], step):

@@ -14,6 +14,7 @@ identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -418,7 +419,9 @@ def write_report(report, path: str) -> None:
     The extension of ``path`` names the format.  ``.json`` (a dict or a
     dataclass, see :func:`_jsonable`): sorted keys, two-space indent,
     shortest round-trip floats.  ``.csv``: the report's declared column
-    order (objects exposing ``csv_columns`` / ``csv_rows``).
+    order (objects exposing ``csv_columns`` / ``csv_rows``).  The text goes
+    to ``<path>.tmp`` and is renamed over ``path``; a failed write or rename
+    removes the temporary file and raises OSError naming ``path``.
     """
     ext = os.path.splitext(path)[1]
     if ext == ".json":
@@ -434,10 +437,12 @@ def write_report(report, path: str) -> None:
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"cannot tell the report format of {path}: its extension must be .json or .csv")
+    tmp = f"{path}.tmp"
     try:
-        tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise OSError(f"failed writing report to {path}: {exc}") from exc

@@ -105,6 +105,17 @@ class TestEstimateCommand:
                                            "an integer; use a reciprocal of an integer\n")
         assert not (tmp_path / "o").exists()
 
+    def test_failed_report_write_exits_3_and_leaves_no_temporary_file(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "distribution": GAUSS_2D, "n_total": 1800, "delta": 0.05, "config": TINY_CONFIG,
+        })
+        out = tmp_path / "out"
+        (out / "estimate.json").mkdir(parents=True)  # the rename onto a directory fails
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR 3: failed writing report to {out / 'estimate.json'}: ") and err.count("\n") == 1
+        assert sorted(os.listdir(out)) == ["estimate.json"]
+
     def test_infeasible_estimate_prints_nothing(self, tmp_path, capfd):
         # the slab LP runs (iterations > 0), and HiGHS adds nothing to fd 1 or 2
         student = {"family": "elliptical-student", "eigenvalues": [0.5**k for k in range(10)], "mean": [0.0] * 10,

