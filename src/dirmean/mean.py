@@ -9,15 +9,13 @@ final estimator is a point v minimizing the worst slab violation
 a piecewise-linear convex minimax program over a finite direction set.
 Minimizing the slack max(g, 0) is a linear program in d + 1 variables,
 solved by cutting planes from a cheap warm start, with a certified
-optimality gap; a cold solve takes its first cuts at the least-squares
-point of the slab centers.  One unscaled HiGHS model holds the dual of the
-cut LP: each round adds a column for the violated side of each worst slab,
+optimality gap; a solve takes its first cuts at the least-squares point
+of the slab centers.  One unscaled HiGHS model holds the dual of the cut
+LP: each round adds a column for the violated side of each worst slab,
 primal simplex resumes from the (d + 1)-square basis, and the row duals
-give the restricted optimum.  A probe-and-refine loop bounds the
-finite-direction surrogate gap empirically and reports it instead of
-hiding it.  Its re-solves keep the estimate's one model: the columns of
-the cuts that are not binding are deleted first, and primal simplex
-resumes from the optimal basis that is left.
+give the restricted optimum.  The slab system is solved once; one set of
+fresh probe directions then bounds the finite-direction surrogate gap at
+the returned point empirically and reports it instead of hiding it.
 """
 
 from __future__ import annotations
@@ -71,10 +69,7 @@ _HIGHS_OPTIONS = {
 # perturbation nothing else guards against a degenerate stall, so a run that
 # reaches the limit fails its round (the most seen: 4.8 (d + 1) in one run)
 _PIVOTS_PER_ROW = 100
-_REFINE_ROUNDS = 3  # the most refine rounds one estimate runs (see estimate_mean)
-_REFINE_PROBES = 512  # the probe directions drawn per refine round
-_REFINE_TOL = 0.1  # the refine loop's stopping level
-_REFINE_APPEND = 64  # the most probes one refine round appends
+_REFINE_PROBES = 512  # the probe directions that measure probe_violation
 # the probes drawn and measured at a time: one projection panel of the most
 # rows, so the profiles split a probe panel into the panels they form on the
 # whole probe set wherever the panel step (32, 64, 128 or 256 rows) divides it.
@@ -225,13 +220,6 @@ class SlabSystem:
         r = self.centers - self.directions @ np.asarray(v, dtype=float)
         return float(np.max(np.abs(r) - self.widths))
 
-    def extended(self, directions, centers, widths) -> "SlabSystem":
-        return SlabSystem(
-            directions=np.vstack([self.directions, np.atleast_2d(directions)]),
-            centers=np.concatenate([self.centers, np.atleast_1d(centers)]),
-            widths=np.concatenate([self.widths, np.atleast_1d(widths)]),
-        )
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -244,7 +232,7 @@ class SolveResult:
 
 @dataclass
 class _CutState:
-    """The cutting-plane LP of one estimate, carried from solve to solve.
+    """The cutting-plane LP of one solve.
 
     The restricted LP  min t  s.t.  s_i <u_i, x> + t >= b_i  over x in R^d
     free and t >= 0 is held as its dual, one column y_i >= 0 per cut:
@@ -254,26 +242,16 @@ class _CutState:
     Its basis is (d + 1)-square however many columns the model holds, and
     it stays primal feasible as columns are appended, so each round resumes
     primal simplex from it (column generation, Gilmore and Gomory 1961);
-    the row duals are -(x, t).  ``highs`` is that HiGHS model, None (cold)
-    until :meth:`start` builds one and after a round fails.  The cuts are in
-    the displacement x = v - ``origin``, the first solve's warm start, so
-    they stay valid as slabs are appended.  Column j of ``cuts`` is the
-    (side, slab) of model column j, side 0 for s = +1 and 1 for s = -1;
-    ``point`` is the last restricted optimum and ``lower`` its slack, both
-    set by :func:`solve_center` at the end of each solve.  The only code
-    that knows scipy's bundled binding ``_core`` (private API; see
-    pyproject.toml).
+    the row duals are -(x, t).  ``highs`` is that HiGHS model, None until
+    :meth:`start` builds one.  The only code that knows scipy's bundled
+    binding ``_core`` (private API; see pyproject.toml).
     """
 
     highs: object = None
-    origin: np.ndarray | None = None
-    cuts: np.ndarray | None = None
-    point: np.ndarray | None = None
-    lower: float = 0.0
 
-    def start(self, d: int, origin: np.ndarray) -> None:
-        """A fresh model of d + 1 empty rows and no columns, around ``origin``,
-        whose every run stops after _PIVOTS_PER_ROW (d + 1) simplex pivots."""
+    def start(self, d: int) -> None:
+        """A fresh model of d + 1 empty rows and no columns, whose every run
+        stops after _PIVOTS_PER_ROW (d + 1) simplex pivots."""
         highs = _core._Highs()
         for name, value in _HIGHS_OPTIONS.items():
             highs.setOptionValue(name, value)
@@ -281,18 +259,16 @@ class _CutState:
         # the rows sum_i y_i s_i u_i = 0 and sum_i y_i <= 1, empty until cuts arrive
         lower, upper = np.r_[np.zeros(d), -_core.kHighsInf], np.r_[np.zeros(d), 1.0]
         highs.addRows(d + 1, lower, upper, 0, np.zeros(d + 1, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))
-        self.highs, self.origin = highs, origin
-        self.cuts = np.empty((2, 0), dtype=np.intp)
+        self.highs = highs
 
-    def round(self, slab: np.ndarray, u: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    def round(self, u: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """Add a column (s_i u_i, 1) of cost -b_i for each cut s_i <u_i, x> + t >=
-        b_i of the slabs ``slab`` and resume primal simplex from the last basis,
-        unscaled (the columns are unit directions with a coefficient of one on
-        the last row).  Each column is passed dense, all d + 1 entries; HiGHS
-        drops the zeros itself.  Returns the optimal (x, t), or None, leaving
-        the state cold, when HiGHS does not report the model optimal."""
+        b_i and resume primal simplex from the last basis, unscaled (the
+        columns are unit directions with a coefficient of one on the last
+        row).  Each column is passed dense, all d + 1 entries; HiGHS drops the
+        zeros itself.  Returns the optimal (x, t), or None when HiGHS does not
+        report the model optimal."""
         k, rows = s.size, u.shape[1] + 1
-        self.cuts = np.hstack([self.cuts, [(s < 0.0).astype(np.intp), slab]])
         block = np.hstack([s[:, np.newaxis] * u, np.ones((k, 1))])
         added = self.highs.addCols(
             k, -b, np.zeros(k), np.full(k, _core.kHighsInf), k * rows,
@@ -303,26 +279,10 @@ class _CutState:
             self.highs.run()
             if self.highs.getModelStatus() == _core.HighsModelStatus.kOptimal:
                 return -np.array(self.highs.getSolution().row_dual)
-        self.highs = None
         return None
 
-    def prune(self) -> None:
-        """Delete the columns that are nonbasic, i.e. at y_i = 0, in the last
-        optimal basis; their cuts are not binding.  The basis stays optimal, so
-        the next round resumes from it, and at most d + 1 columns are kept.
-        HiGHS lists the basic variables only once a run has factored the
-        basis, so only a model that has run may be pruned."""
-        basic = self.highs.getBasicVariables()[1]  # a column's index, or -1 - a row's
-        keep = np.zeros(self.cuts.shape[1], dtype=bool)
-        keep[basic[basic >= 0]] = True
-        drop = np.flatnonzero(~keep).astype(np.int32)
-        self.highs.deleteCols(drop.size, drop)
-        self.cuts = self.cuts[:, keep]
 
-
-def solve_center(
-    slabs: SlabSystem, v_init: np.ndarray | None = None, state: _CutState | None = None
-) -> SolveResult:
+def solve_center(slabs: SlabSystem, v_init: np.ndarray | None = None) -> SolveResult:
     """Minimize the slab slack max(g(v), 0) with a certified optimality gap.
 
     The warm start is ``v_init``, else the origin.  Any point inside every
@@ -333,26 +293,18 @@ def solve_center(
         min t  s.t.  |r_i - <u_i, x>| <= w_i + t,  t >= 0,  r = c - U v_warm
 
     in the displacement x = v - v_warm is solved by cutting planes in one
-    HiGHS model of its dual (see :class:`_CutState`).  Without a model from
-    an earlier call (cold), the first cuts are picked at the least-squares
-    point of the centers, p = v_warm + lstsq(U, r), and p competes as the
-    best point: if it lies in every slab it is returned with ``iterations =
-    0`` and no model is built.  Each round (one ``iterations`` step) adds,
-    for the worst <= 2 (d + 1) slabs that violate the current point (p,
-    then each restricted optimum) by more than its slack ``lower`` on a
-    side not yet in the model, the cut s_i <u_i, x> + t >= s_i r_i - w_i of
-    that side as a column, s_i = sign(r_i - <u_i, x>); the other side
-    enters only if a later round violates it.  Each round resumes primal
-    simplex from the last basis and reads (x, t) off the row duals, and the
-    loop stops once g(v) <= lower + TOL (1 + lower).  Directions that no
-    slab constrains stay at the warm start.
-
-    ``state`` (internal: :func:`estimate_mean` passes one per estimate)
-    keeps the model for the next call on the same slabs with more appended.
-    That call first deletes the columns of the non-binding cuts (Topkis
-    1970) and resumes from the last restricted optimum and its basis, with
-    x still measured from the first warm start; ``v_init`` then only
-    competes as the best point.  Within one call cuts are only added.
+    HiGHS model of its dual (see :class:`_CutState`).  The first cuts are
+    picked at the least-squares point of the centers, p = v_warm + lstsq(U,
+    r), and p competes as the best point: if it lies in every slab it is
+    returned with ``iterations = 0`` and no model is built.  Each round (one
+    ``iterations`` step) adds, for the worst <= 2 (d + 1) slabs that violate
+    the current point (p, then each restricted optimum) by more than its
+    slack ``lower`` on a side not yet in the model, the cut s_i <u_i, x> + t
+    >= s_i r_i - w_i of that side as a column, s_i = sign(r_i - <u_i, x>);
+    the other side enters only if a later round violates it.  Cuts are only
+    added.  Each round resumes primal simplex from the last basis and reads
+    (x, t) off the row duals, and the loop stops once g(v) <= lower + TOL (1
+    + lower).  Directions that no slab constrains stay at the warm start.
     A ``v_init`` that is not a finite vector of d entries raises
     ValueError.
 
@@ -360,9 +312,8 @@ def solve_center(
     rho_star - lower`` is a certified gap; ``converged`` means HiGHS reported
     every round optimal and the gap is within TOL (1 + lower).  A
     failed round returns the best point so far flagged non-converged
-    instead of raising, and drops the model.  ``rho_star`` is re-evaluated
-    at the returned point, so it replays through
-    :meth:`SlabSystem.max_violation`.
+    instead of raising.  ``rho_star`` is re-evaluated at the returned point,
+    so it replays through :meth:`SlabSystem.max_violation`.
     """
     u, c, w = slabs.directions, slabs.centers, slabs.widths
     m, d = u.shape
@@ -377,26 +328,18 @@ def solve_center(
         raise ValueError(f"v_init must be a finite vector of d = {d} entries, got {v_init!r}")
     v_best, g_best = v_warm, slabs.max_violation(v_warm)
     lower, optimal, rounds = 0.0, True, 0
-    cold = state is None or state.highs is None
-    v = v_warm  # where the next round picks its cuts
-    if g_best > 0.0 and cold:
+    if g_best > 0.0:
+        r = c - u @ v_warm
         # the least-squares point of the centers, as a move from the warm
         # start: directions that no slab constrains keep their coordinates
-        v = v_warm + np.linalg.lstsq(u, c - u @ v_warm, rcond=None)[0]
+        v = v_warm + np.linalg.lstsq(u, r, rcond=None)[0]
         g = slabs.max_violation(v)
         if g < g_best:
             v_best, g_best = v, g
     if g_best > 0.0:
-        if state is None:
-            state = _CutState()
-        if cold:  # a fresh model around the warm start
-            state.start(d, v_warm)
-        else:
-            state.prune()
-            v, lower = state.point, state.lower
-        r = c - u @ state.origin
+        state = _CutState()
+        state.start(d)
         active = np.zeros((2, m), dtype=bool)  # sides s = +1 and s = -1 in the model
-        active[state.cuts[0], state.cuts[1]] = True
         while True:
             res = c - u @ v
             viol = np.abs(res) - w
@@ -412,14 +355,13 @@ def solve_center(
             new = cand[np.argsort(-viol[cand], kind="stable")[: 2 * (d + 1)]]
             active[below[new].astype(np.intp), new] = True
             s = np.where(below[new], -1.0, 1.0)
-            sol = state.round(new, u[new], s, s * r[new] - w[new])
+            sol = state.round(u[new], s, s * r[new] - w[new])
             rounds += 1
             if sol is None:
                 optimal = False
                 break
             lower = float(sol[d])
-            v = state.origin + sol[:d]
-        state.point, state.lower = v, lower
+            v = v_warm + sol[:d]
 
     rho_star = max(slabs.max_violation(v_best), 0.0)
     # v_best is feasible for the restricted LP at t = rho_star, so the
@@ -494,41 +436,25 @@ def build_direction_set(seed: int, var_est: VarianceEstimator) -> np.ndarray:
 def _probe(
     rng, marg_est: MarginalMeanEstimator, var_est: VarianceEstimator, result: SolveResult,
     delta: float, c_prime: float, n_samples: int,
-) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Draw ``_REFINE_PROBES`` probe directions and measure them at ``result``.
+) -> float:
+    """Draw ``_REFINE_PROBES`` probe directions and return the worst slab
+    violation beyond ``rho_star`` over them at ``v_star`` of ``result``.
 
-    Returns the worst slab violation beyond ``rho_star`` over the probes,
-    and the (directions, centers, widths) of the at most ``_REFINE_APPEND``
-    probes that violate their slab by more than ``rho_star``, worst first.
     The probes are drawn from ``rng`` into one reused buffer of
     ``_PROBE_PANEL`` rows and measured a panel at a time; consecutive draws
     continue the stream, so each probe and its violation keep the bytes of
-    one draw of the whole set.  Of each panel only the rows that can be
-    among the worst ``_REFINE_APPEND`` (ties at the cut included) are
-    copied out, and the final pick sorts the whole violation vector, so it
-    is the pick of the whole set.
+    one draw of the whole set.
     """
     d = marg_est.Y.shape[1]
     viol = np.empty(_REFINE_PROBES)
     buf = np.empty((min(_PROBE_PANEL, _REFINE_PROBES), d))
-    picks = []  # per panel: the indices of the probes copied out, and their rows
     for lo in range(0, _REFINE_PROBES, _PROBE_PANEL):
         count = min(_PROBE_PANEL, _REFINE_PROBES - lo)
         probes = random_unit_rows(rng, count, d, out=buf[:count])
         p_centers = nu_hat_profile(marg_est, probes)
         p_widths = slab_width_profile(var_est, probes, delta, c_prime, n_samples)
-        panel = viol[lo : lo + count]
-        panel[:] = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
-        top = np.flatnonzero(panel > 0)
-        if top.size > _REFINE_APPEND:
-            top = top[panel[top] >= np.partition(panel[top], -_REFINE_APPEND)[-_REFINE_APPEND]]
-        picks.append((lo + top, probes[top], p_centers[top], p_widths[top]))
-    del buf, probes  # the panel goes before the picked rows are gathered
-    worst = np.argsort(viol)[::-1]
-    worst = worst[viol[worst] > 0][:_REFINE_APPEND]
-    index, dirs, centers, widths = (np.concatenate(part) for part in zip(*picks))
-    at = np.searchsorted(index, worst)
-    return float(np.max(viol)), (dirs[at], centers[at], widths[at])
+        viol[lo : lo + count] = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
+    return float(np.max(viol))
 
 
 @dataclass(frozen=True)
@@ -539,7 +465,6 @@ class MeanEstimate:
     rho_star: float
     iterations: int
     final_gap: float
-    refinement_rounds: int
     probe_violation: float
     converged: bool
     directions_used: int
@@ -555,23 +480,22 @@ def estimate_mean(
 
     The first third feeds the marginal mean estimates, the remaining two
     thirds the directional variance estimates.  Slabs over max(8 d, 256)
-    directions are intersected by the minimax solver; then up to 3 times
-    (``_REFINE_ROUNDS``) 512 fresh probe directions (``_REFINE_PROBES``),
-    drawn and measured 256 at a time (``_PROBE_PANEL``), estimate the
-    surrogate gap, and the worst 64 violators (``_REFINE_APPEND``) are
-    appended and re-solved, until the worst probe violation is at most 0.1
-    (``_REFINE_TOL``) times rho_star plus the median slab width.
+    directions are intersected by one minimax solve, warm-started at the
+    centers of the canonical directions, which come first in the set.
 
-    ``probe_violation`` is the worst slab violation beyond rho_star over a
-    probe set drawn after the last solve, so it is measured at ``mu_hat``:
-    a lower bound on the sup over the sphere.
+    ``probe_violation`` is then the worst slab violation beyond rho_star
+    over 512 fresh probe directions (``_REFINE_PROBES``) of the seed's
+    "refine-probes" stream, drawn and measured 256 at a time
+    (``_PROBE_PANEL``) at ``mu_hat``: a lower bound on the sup over the
+    sphere.  The probes are only measured, not appended and solved again:
+    where the slabs do not meet, the paper's bound says nothing about which
+    point to return.
 
-    ``iterations`` sums the LP rounds of every solve (0: each warm start,
-    or a cold solve's least-squares point of the centers, was inside every
-    slab); ``converged`` and ``final_gap`` are those of the last
-    solve (see :func:`solve_center`).  A SizingError keeps the stage's
-    reason and names the total row count to supply, and a
-    NonFiniteRowError the first NaN or inf row.
+    ``iterations``, ``converged`` and ``final_gap`` are those of the solve
+    (see :func:`solve_center`; ``iterations`` is 0 when the warm start, or
+    the least-squares point of the centers, was inside every slab).  A
+    SizingError keeps the stage's reason and names the total row count to
+    supply, and a NonFiniteRowError the first NaN or inf row.
     """
     config = config or PipelineConfig()
     rows = as_rows(ds)
@@ -597,30 +521,15 @@ def estimate_mean(
     directions = build_direction_set(seed, var_est)
     centers = nu_hat_profile(marg_est, directions)
     widths = slab_width_profile(var_est, directions, delta, config.C_prime, n)
-    v_init = centers[:d].copy()  # canonical directions come first in the set
     slabs = SlabSystem(directions, centers, widths)
-    del directions, centers, widths  # held by slabs alone, so extending it frees them
-
-    state = _CutState()  # one LP for this estimate's solves
-    result = solve_center(slabs, v_init=v_init, state=state)
-
-    iterations = result.iterations
-    rng = stream(seed, "refine-probes")
-    for rounds_used in range(_REFINE_ROUNDS + 1):  # the last probe set only measures mu_hat
-        probe_violation, violators = _probe(rng, marg_est, var_est, result, delta, config.C_prime, n)
-        scale = result.rho_star + _median(slabs.widths)
-        if probe_violation <= _REFINE_TOL * scale or rounds_used == _REFINE_ROUNDS:
-            break
-        slabs = slabs.extended(*violators)
-        result = solve_center(slabs, v_init=result.v_star, state=state)
-        iterations += result.iterations
+    result = solve_center(slabs, v_init=centers[:d])
+    probe_violation = _probe(stream(seed, "refine-probes"), marg_est, var_est, result, delta, config.C_prime, n)
 
     return MeanEstimate(
         mu_hat=result.v_star,
         rho_star=result.rho_star,
-        iterations=iterations,
+        iterations=result.iterations,
         final_gap=result.final_gap,
-        refinement_rounds=rounds_used,
         probe_violation=probe_violation,
         converged=result.converged,
         directions_used=slabs.n_slabs,

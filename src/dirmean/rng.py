@@ -16,7 +16,7 @@ import numpy as np
 from .config import require_int
 
 # bytes of squared rows per pass of row_norms.  128 KiB: at 512 KiB the
-# squares of a 256-row refine probe panel (0.41 MB at d = 200) and of the
+# squares of a 256-row probe panel (0.41 MB at d = 200) and of the
 # slab system's unit-norm check (0.5 MB) sat on an estimate's memory peak.
 # 1600 x 200 rows cost 0.33 ms against 0.30 at 512 KiB and 0.39 at 64 KiB.
 _NORM_CHUNK_BYTES = 1 << 17

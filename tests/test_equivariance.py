@@ -6,9 +6,9 @@ signed permutation of their columns.  In floating point a translation moves
 the estimate by rounding alone, and so does a signed permutation while the
 warm start is feasible (``rho_star = 0``): ``mu_hat`` is then the trimmed
 means of the coordinates.  On infeasible systems a signed permutation is
-not a symmetry of the finite direction set: the random fill and the refine
-probes are drawn in the input's coordinates, so the slab system itself
-changes.  That drift is printed (run with ``-s``), not asserted.
+not a symmetry of the finite direction set: the random fill is drawn in
+the input's coordinates, so the slab system itself changes.  That drift is
+printed (run with ``-s``), not asserted.
 
 All moves are measured in median slab widths of the unmoved estimate.  The
 bounds were fixed before the first run, from measurements of an earlier

@@ -41,13 +41,6 @@ from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile, oracle_p
 SMALL_CFG = PipelineConfig(m0=1, theta_var=0.125)
 
 
-def shrink_refine(monkeypatch, budget):
-    """Make estimate_mean use the first ``budget`` directions of its set and draw 64 probes per refine round."""
-    build = mean_module.build_direction_set
-    monkeypatch.setattr(mean_module, "build_direction_set", lambda seed, var_est: build(seed, var_est)[:budget])
-    monkeypatch.setattr(mean_module, "_REFINE_PROBES", 64)
-
-
 def zero_blocks(d):
     """Variance blocks of d columns that are all zero: they give no learned
     direction, so a direction set built on them is canonical rows and fill."""
@@ -79,8 +72,9 @@ def degenerate_infeasible_systems(rng, d):
     c = np.round(np.r_[rng.standard_normal(d), base.centers] * 4.0) / 4.0
     rounded = SlabSystem(u, c, rng.integers(0, 3, len(u)) / 4.0)
     for slabs in (tight, rounded):
+        u, c, w = slabs.directions, slabs.centers, slabs.widths
         pick = rng.integers(slabs.n_slabs, size=slabs.n_slabs // 4)
-        yield slabs.extended(slabs.directions[pick], slabs.centers[pick], slabs.widths[pick])
+        yield SlabSystem(np.vstack([u, u[pick]]), np.r_[c, c[pick]], np.r_[w, w[pick]])
 
 
 def with_duplicate_slabs(rng, slabs, count):
@@ -97,7 +91,7 @@ def with_duplicate_slabs(rng, slabs, count):
         p -= (p @ du[i]) * du[i]
         du[i] = np.cos(1e-7) * du[i] + np.sin(1e-7) * p / np.linalg.norm(p)
         du[i] /= np.linalg.norm(du[i])
-    return slabs.extended(du, dc, w[pick])
+    return SlabSystem(np.vstack([u, du]), np.r_[c, dc], np.r_[w, w[pick]])
 
 
 def dense_lp_optimum(slabs):
@@ -124,62 +118,30 @@ def dense_lp_optimum(slabs):
     return res.fun
 
 
-def check_cut_map(state):
-    """Column j of ``state.cuts`` is a distinct (side, slab) pair for each model column j."""
-    assert state.cuts.shape[1] == state.highs.getNumCol()
-    sides = state.cuts.T.tolist()
-    assert len({tuple(side) for side in sides}) == len(sides)
-    assert set(state.cuts[0].tolist()) <= {0, 1} and (state.cuts[1] >= 0).all()
-
-
 def record_lp(monkeypatch, fail_at=()):
-    """Patch ``_CutState`` to record its models, rounds and prunes.
+    """Patch ``_CutState`` to record its models and rounds.
 
-    The log lists each model ``start`` built, each round's (u, s, b), each
-    optimal (x, t) and (cuts kept, model columns) after each prune; the cut
-    map is checked after every start, solved round and prune.  Round n, counted
-    from 1, fails for n in ``fail_at``: it returns None and leaves the state
-    cold, as a round HiGHS does not solve does.
+    The log lists each model ``start`` built, each round's (u, s, b) and
+    each optimal (x, t).  Round n, counted from 1, fails for n in
+    ``fail_at``: it returns None, as a round HiGHS does not solve does.
     """
-    log = SimpleNamespace(models=[], rounds=[], solutions=[], prunes=[])
-    start, lp_round, prune = _CutState.start, _CutState.round, _CutState.prune
+    log = SimpleNamespace(models=[], rounds=[], solutions=[])
+    start, lp_round = _CutState.start, _CutState.round
 
-    def logged_start(self, d, origin):
-        start(self, d, origin)
+    def logged_start(self, d):
+        start(self, d)
         log.models.append(self.highs)
-        check_cut_map(self)
 
-    def logged_round(self, slab, u, s, b):
+    def logged_round(self, u, s, b):
         log.rounds.append((u.copy(), s.copy(), b.copy()))
         if len(log.rounds) in fail_at:
-            self.highs = None
             return None
-        log.solutions.append(lp_round(self, slab, u, s, b))
-        check_cut_map(self)
-        assert np.array_equal(self.cuts[:, -s.size :], [s < 0.0, slab])
+        log.solutions.append(lp_round(self, u, s, b))
         return log.solutions[-1]
-
-    def logged_prune(self):
-        prune(self)
-        log.prunes.append((self.cuts.shape[1], self.highs.getNumCol()))
-        check_cut_map(self)
 
     monkeypatch.setattr(_CutState, "start", logged_start)
     monkeypatch.setattr(_CutState, "round", logged_round)
-    monkeypatch.setattr(_CutState, "prune", logged_prune)
     return log
-
-
-def append_violators(rng, slabs, res, probes=64, append=16):
-    """``slabs`` plus the ``append`` worst of ``probes`` random slabs that
-    ``res.v_star`` violates beyond ``res.rho_star``, as the refine loop appends."""
-    d = slabs.directions.shape[1]
-    p = random_unit_rows(rng, probes, d)
-    widths = rng.uniform(0.0, 0.5, probes)
-    excess = rng.uniform(0.0, 0.5, probes) * (1.0 + res.rho_star)
-    centers = p @ res.v_star + rng.choice([-1.0, 1.0], probes) * (widths + res.rho_star + excess)
-    worst = np.argsort(excess)[::-1][:append]
-    return slabs.extended(p[worst], centers[worst], widths[worst])
 
 
 def gaussian_gt(eigs, mean=None, rotation_seed=None):
@@ -384,18 +346,60 @@ class TestProjectionPanels:
         assert peak <= _PROJECTION_BYTES + 8 * dirs.shape[0]
 
 
-class TestRefineLoopMemory:
-    """The refine loop holds one probe set at a time, at most one panel of it
-    alive, and the first direction set is freed once the slabs are extended
-    beyond it."""
+class TestProbePanels:
+    """``_probe`` measures its probes a panel at a time and returns the bytes
+    of one draw of the whole set."""
 
-    def test_one_probe_set_alive_and_the_first_directions_freed(self, monkeypatch):
+    @staticmethod
+    def _estimators(d):
+        rows = sample_dataset(gaussian_gt(np.geomspace(1.0, 1e-3, d)), 30000, 4)
+        return fit_marginal(rows[:10000], 0.01), fit_variance(rows[10000:])
+
+    @pytest.mark.parametrize("probes", [512, 64, 300])  # the default, a fraction of a panel, not a whole number of panels
+    @pytest.mark.parametrize("case", ["many", "some", "none"])
+    def test_same_bytes_as_the_whole_set(self, monkeypatch, probes, case):
+        d = 10
+        marg, var = self._estimators(d)
+        # most probes violate their slab beyond rho_star, a few of them, or none
+        v_star = np.full(d, {"many": 3.0, "some": 0.007, "none": 0.0}[case])
+        result = SimpleNamespace(v_star=v_star, rho_star=0.0)
+        monkeypatch.setattr(mean_module, "_REFINE_PROBES", probes)
+        rng, ref_rng = stream(1, "probe"), stream(1, "probe")
+        worst = mean_module._probe(rng, marg, var, result, 0.01, 1.0, 10000)
+        ref_viol = oracle_probe(ref_rng, marg, var, result.v_star, result.rho_star, 0.01, 1.0, 10000, probes)
+        assert np.float64(worst).tobytes() == ref_viol.max().tobytes()
+        assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))  # the stream moved as far
+        count = np.count_nonzero(ref_viol > 0.0)
+        assert {"many": count > probes // 2, "some": 0 < count < 64, "none": count == 0}[case]
+
+    def test_peak_is_one_panel(self):
+        # d = 200, 3N = 3e4: 48 mean blocks, 100 variance blocks
+        d = 200
+        marg, var = self._estimators(d)
+        result = SimpleNamespace(v_star=np.full(d, 3.0), rho_star=0.0)
+        mean_module._probe(stream(1, "probe"), marg, var, result, 0.01, 1.0, 10000)  # warm
+        tracemalloc.start()
+        try:
+            mean_module._probe(stream(1, "probe"), marg, var, result, 0.01, 1.0, 10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        panel = _PANEL_ROWS * d * 8  # 0.41 MB; all 512 probes take 0.82 MB
+        projection = _PANEL_ROWS * var.Z.shape[0] * 8  # one psi_profile panel, 0.2 MB
+        # at most 16 (256,) vectors of one panel, 2 KB each: the centers,
+        # widths and violations and the profiles' temporaries
+        vectors = 16 * _PANEL_ROWS * 8
+        assert peak < panel + projection + vectors + 8 * mean_module._REFINE_PROBES
+
+    def test_one_panel_alive_in_an_estimate(self, monkeypatch):
+        # an infeasible estimate at d = 50 draws its 512 probes as two panels
+        # into one buffer, after the direction set
         gt = make_ground_truth(DistributionSpec.from_json_dict({
             "family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, 50).tolist(),
             "mean": [0.0] * 50, "dof": 3.0}))
         rows = sample_dataset(gt, 30000, seed=1)
-        panels, direction_sets, extended = [], [], []
-        draw, build, extend = mean_module.random_unit_rows, mean_module.build_direction_set, SlabSystem.extended
+        panels, direction_sets = [], []
+        draw, build = mean_module.random_unit_rows, mean_module.build_direction_set
 
         def owner(a):
             return a if a.base is None else a.base
@@ -406,8 +410,6 @@ class TestRefineLoopMemory:
             into = None if out is None else owner(out)
             alive = [ref() for ref in panels if ref() is not None]
             assert all(a is into for a in alive), "a probe panel outlives the next draw"
-            if extended:
-                assert direction_sets[0]() is None, "the first direction set outlives the extended slabs"
             got = draw(rng, count, d, out=out)
             assert owner(got).shape[0] <= _PANEL_ROWS  # a probe panel is one projection panel of the most rows
             panels.append(weakref.ref(owner(got)))
@@ -418,72 +420,12 @@ class TestRefineLoopMemory:
             direction_sets.append(weakref.ref(out))
             return out
 
-        def recorded_extend(self, *args):
-            assert all(ref() is None for ref in panels), "a probe panel outlives its round"
-            extended.append(True)
-            return extend(self, *args)
-
         monkeypatch.setattr(mean_module, "random_unit_rows", recorded_draw)
         monkeypatch.setattr(mean_module, "build_direction_set", recorded_build)
-        monkeypatch.setattr(SlabSystem, "extended", recorded_extend)
         est = estimate_mean(rows, 0.01, PipelineConfig(C_prime=0.05), seed=1)
-        assert est.rho_star > 0.0 and est.refinement_rounds == mean_module._REFINE_ROUNDS
-        per_round = -(-mean_module._REFINE_PROBES // _PANEL_ROWS)
-        assert len(panels) == (mean_module._REFINE_ROUNDS + 1) * per_round > mean_module._REFINE_ROUNDS + 1
-        assert len(direction_sets) == 1 and len(extended) == mean_module._REFINE_ROUNDS
-
-
-class TestProbePanels:
-    """``_probe`` measures its probes a panel at a time and returns the bytes
-    of one draw of the whole set."""
-
-    @staticmethod
-    def _estimators(d):
-        rows = sample_dataset(gaussian_gt(np.geomspace(1.0, 1e-3, d)), 30000, 4)
-        return fit_marginal(rows[:10000], 0.01), fit_variance(rows[10000:])
-
-    @pytest.mark.parametrize("probes", [512, 64, 300])  # the default, shrink_refine's, not a whole number of panels
-    @pytest.mark.parametrize("case", ["many", "some", "none"])
-    def test_same_bytes_as_the_whole_set(self, monkeypatch, probes, case):
-        d = 10
-        marg, var = self._estimators(d)
-        # more than 64 violators among 300 or 512 probes, 4-36 of them, or none
-        v_star = np.full(d, {"many": 3.0, "some": 0.007, "none": 0.0}[case])
-        result = SimpleNamespace(v_star=v_star, rho_star=0.0)
-        monkeypatch.setattr(mean_module, "_REFINE_PROBES", probes)
-        rng, ref_rng = stream(1, "probe"), stream(1, "probe")
-        worst, (dirs, centers, widths) = mean_module._probe(rng, marg, var, result, 0.01, 1.0, 10000)
-        ref_worst, ref = oracle_probe(ref_rng, marg, var, result.v_star, result.rho_star, 0.01, 1.0, 10000,
-                                      probes, mean_module._REFINE_APPEND)
-        assert worst == ref_worst
-        for got, expected in zip((dirs, centers, widths), ref):
-            assert got.shape == expected.shape and np.array_equal(got, expected)
-        assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))  # the stream moved as far
-        count = dirs.shape[0]
-        if case == "many" and probes > mean_module._REFINE_APPEND:
-            assert count == mean_module._REFINE_APPEND
-        if case == "some":
-            assert 0 < count < mean_module._REFINE_APPEND
-        assert (count == 0) == (case == "none")
-
-    def test_peak_is_one_panel(self):
-        # d = 200, 3N = 3e4: 48 mean blocks, 100 variance blocks; every probe
-        # violates, so each panel passes 64 rows on
-        d = 200
-        marg, var = self._estimators(d)
-        result = SimpleNamespace(v_star=np.full(d, 3.0), rho_star=0.0)
-        mean_module._probe(stream(1, "probe"), marg, var, result, 0.01, 1.0, 10000)  # warm
-        tracemalloc.start()
-        try:
-            _, (dirs, _, _) = mean_module._probe(stream(1, "probe"), marg, var, result, 0.01, 1.0, 10000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert dirs.shape == (mean_module._REFINE_APPEND, d)
-        panel = _PANEL_ROWS * d * 8  # 0.41 MB; all 512 probes take 0.82 MB
-        projection = _PANEL_ROWS * var.Z.shape[0] * 8  # one psi_profile panel, 0.2 MB
-        kept = 2 * mean_module._REFINE_APPEND * (d + 2) * 8  # the rows two panels pass on
-        assert peak < panel + projection + kept + 8 * mean_module._REFINE_PROBES
+        assert est.rho_star > 0.0
+        assert len(panels) == -(-mean_module._REFINE_PROBES // _PANEL_ROWS) > 1
+        assert len(direction_sets) == 1 and all(ref() is None for ref in panels)
 
 
 class TestNuHat:
@@ -758,8 +700,6 @@ class TestSolveCenter:
         parts[part].flat[1] = value
         with pytest.raises(ValueError, match=f"slab {part[:-1]}"):
             SlabSystem(**parts)
-        with pytest.raises(ValueError, match=f"slab {part[:-1]}"):
-            SlabSystem(np.eye(2), np.zeros(2), np.ones(2)).extended(**parts)
 
     @pytest.mark.parametrize(
         "v_init", [[np.nan, 0.0], [0.0, np.inf], [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], "ab", [None, 1.0]]
@@ -813,7 +753,8 @@ class TestSolveCenter:
         base = solve_center(slabs)
         extra = rng.standard_normal((10, 3))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        bigger = slabs.extended(extra, extra @ base.v_star + rng.uniform(-2, 2, 10), np.zeros(10))
+        bigger = SlabSystem(np.vstack([u, extra]), np.r_[c, extra @ base.v_star + rng.uniform(-2, 2, 10)],
+                            np.r_[slabs.widths, np.zeros(10)])
         res = solve_center(bigger, v_init=base.v_star)
         assert res.rho_star >= base.rho_star - 1e-9
 
@@ -849,8 +790,8 @@ class TestSolveCenter:
                 assert slabs.max_violation(res.v_star) == res.rho_star
 
     def test_benchmark_shape_matches_dense_lp_and_repeats(self):
-        # the shape of the infeasible benchmark systems: d = 50, ~500 slabs,
-        # several rounds that each resume the one model from its basis
+        # the shape of the infeasible benchmark systems: d = 50, a few hundred
+        # slabs, several rounds that each resume the one model from its basis
         slabs = random_infeasible_system(np.random.default_rng(3), 50, 500)
         res = solve_center(slabs)
         assert res.converged and res.iterations >= 3
@@ -942,13 +883,13 @@ class TestSolveCenter:
                 return super().run()
 
         # the violated sides at x = 0 of |-0.5 - x| <= t and |1.5 - x| <= t
-        slab_args = (np.arange(2), np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]), np.array([0.5, 1.5]))
+        slab_args = (np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]), np.array([0.5, 1.5]))
         state = _CutState()
-        state.start(1, np.zeros(1))
+        state.start(1)
         assert np.allclose(state.round(*slab_args), [0.5, 1.0])
         monkeypatch.setattr(_core, "_Highs", IterationLimited)
-        state.start(1, np.zeros(1))
-        assert state.round(*slab_args) is None and state.highs is None
+        state.start(1)
+        assert state.round(*slab_args) is None
 
     def test_pivot_cap_fails_the_round_with_real_highs(self, monkeypatch):
         # the first round on this system takes more than d + 1 pivots
@@ -965,10 +906,9 @@ class TestSolveCenter:
         monkeypatch.setattr(_core, "_Highs", StatusRecording)
         monkeypatch.setattr(mean_module, "_PIVOTS_PER_ROW", 1)
         slabs = random_infeasible_system(np.random.default_rng(3), 50, 500)
-        state = _CutState()
-        res = solve_center(slabs, state=state)
+        res = solve_center(slabs)
         assert statuses == [_core.HighsModelStatus.kIterationLimit]
-        assert not res.converged and res.iterations == 1 and state.highs is None
+        assert not res.converged and res.iterations == 1
         assert np.isfinite(res.rho_star) and slabs.max_violation(res.v_star) == res.rho_star
 
     def test_failure_in_a_later_round_returns_the_round_one_point(self, monkeypatch):
@@ -977,7 +917,7 @@ class TestSolveCenter:
         solutions = record_lp(monkeypatch, fail_at={2}).solutions
         res = solve_center(slabs)
         assert not res.converged and res.iterations == 2
-        warm = np.zeros(50)  # a cold solve measures its cuts from the origin
+        warm = np.zeros(50)  # the solve measures its cuts from the warm start, here the origin
         assert np.array_equal(res.v_star, warm + solutions[0][:50])
         least_squares = np.linalg.lstsq(slabs.directions, slabs.centers, rcond=None)[0]
         assert res.rho_star < slabs.max_violation(least_squares)
@@ -1052,161 +992,31 @@ class TestOneSidedCuts:
             cuts = np.vstack([np.column_stack([sides[:, np.newaxis] * u, b]) for u, sides, b in rounds])
             assert len(np.unique(cuts, axis=0)) == len(cuts)
 
-
-class TestResumedSolve:
-    """solve_center carrying one model from solve to solve, as estimate_mean does."""
-
     def test_row_duals_meet_every_held_cut(self, monkeypatch):
-        # after every round, including those on pruned models, the (x, t) read
-        # off the row duals satisfies each cut the model holds, rebuilt from
-        # the (side, slab) map, and t is minus the dual objective
+        # after every round the (x, t) read off the row duals satisfies each
+        # cut the model holds, and t is minus the dual objective
         rng = np.random.default_rng(15)
         lp_round = _CutState.round
-        checked = []
+        held, checked = [], []
 
-        def checked_round(self, slab, u, s, b):
-            sol = lp_round(self, slab, u, s, b)
+        def checked_round(self, u, s, b):
+            held.append(np.column_stack([s[:, np.newaxis] * u, b]))
+            sol = lp_round(self, u, s, b)
             x, t = sol[:-1], sol[-1]
-            sides = np.where(self.cuts[0] == 0, 1.0, -1.0)
-            held = self.cuts[1]
-            hu = slabs.directions[held]
-            cut_b = sides * (slabs.centers[held] - hu @ self.origin) - slabs.widths[held]
-            assert np.all(sides * (hu @ x) + t >= cut_b - 1e-9 * (1.0 + np.abs(cut_b)))
+            cuts = np.vstack(held)
+            cut_b = cuts[:, -1]
+            assert np.all(cuts[:, :-1] @ x + t >= cut_b - 1e-9 * (1.0 + np.abs(cut_b)))
             assert t == pytest.approx(-self.highs.getObjectiveValue(), rel=1e-12, abs=1e-12)
-            checked.append(held.size)
+            checked.append(len(cuts))
             return sol
 
         monkeypatch.setattr(_CutState, "round", checked_round)
-        for _ in range(20):
+        for _ in range(40):
             d = int(rng.integers(1, 11))
             slabs = random_infeasible_system(rng, d, int(rng.integers(d + 1, 201)))
-            state = _CutState()
-            res = solve_center(slabs, state=state)
-            for _ in range(2):
-                slabs = append_violators(rng, slabs, res)
-                res = solve_center(slabs, v_init=res.v_star, state=state)
-            assert res.converged
+            held.clear()
+            assert solve_center(slabs).converged
         assert len(checked) >= 60
-
-    def test_resumed_solves_are_optimal_on_pruned_models(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            d = int(rng.integers(1, 11))
-            slabs = random_infeasible_system(rng, d, int(rng.integers(d + 1, 201)))
-            log = record_lp(monkeypatch)
-            state = _CutState()
-            res = solve_center(slabs, state=state)
-            for resolve in range(1, 4):
-                slabs = append_violators(rng, slabs, res)
-                res = solve_center(slabs, v_init=res.v_star, state=state)
-                optimum = dense_lp_optimum(slabs)
-                assert res.converged
-                assert abs(res.rho_star - optimum) <= TOL * (1.0 + optimum)
-                assert 0.0 <= res.final_gap <= TOL * (1.0 + res.rho_star)
-                assert slabs.max_violation(res.v_star) == res.rho_star
-                assert len(log.models) == 1 and len(log.prunes) == resolve
-                kept, model_cols = log.prunes[-1]
-                assert kept == model_cols <= d + 1
-                assert state.cuts.shape[1] == log.models[0].getNumCol()
-                # every cut the model holds is a distinct side of a current slab
-                sides = state.cuts.T.tolist()
-                assert len({tuple(side) for side in sides}) == len(sides)
-                assert state.cuts[1].max() < slabs.n_slabs
-
-    def test_resolve_never_adds_a_side_held_from_an_earlier_solve(self, monkeypatch):
-        # the slabs [-5, -4], [0, 1] and [0, 24] on the line: the first solve
-        # adds the upper sides of the first two and the lower sides of the
-        # last two, and ends at x = -2, slack 2, where only the upper side of
-        # [-5, -4] and the lower side of [0, 1] bind; the prune keeps those
-        log = record_lp(monkeypatch)
-        slabs = SlabSystem(np.ones((3, 1)), [-4.5, 0.5, 12.0], [0.5, 0.5, 12.0])
-        state = _CutState()
-        first = solve_center(slabs, state=state)
-        assert first.iterations == 2 and first.rho_star == pytest.approx(2.0, abs=1e-12)
-        # a copy of [0, 1] and the slab [30, 31] are appended, and the re-solve
-        # resumes from the stored point moved to x = 25.  HiGHS's 1e-10
-        # tolerances can leave a held cut violated a hair beyond the stored
-        # slack; here the held upper side of [-5, -4] is violated by 29, far
-        # beyond it, yet the active mask, built from the cuts held since the
-        # first solve, keeps it out: the one resumed round adds the pruned
-        # upper side of [0, 1], the copy's upper side and the lower side of
-        # [30, 31], and its optimum x = 13 at slack 17 ends the solve
-        slabs = slabs.extended(np.ones((2, 1)), [0.5, 30.5], [0.5, 0.5])
-        state.point = np.array([25.0])
-        res = solve_center(slabs, v_init=first.v_star, state=state)
-        assert log.prunes == [(2, 2)] and len(log.models) == 1
-        assert [slab_sides.tolist() for _, slab_sides, _ in log.rounds[2:]] == [[-1.0, -1.0, 1.0]]
-        assert {tuple(side) for side in state.cuts.T.tolist()} == {(1, 0), (0, 1), (1, 1), (1, 3), (0, 4)}
-        assert res.converged and res.iterations == 1
-        assert res.v_star[0] == pytest.approx(13.0, abs=1e-12)
-        assert res.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-12)
-        assert slabs.max_violation(res.v_star) == res.rho_star
-
-    def test_failed_round_mid_refine_restarts_cold(self, monkeypatch):
-        rng = np.random.default_rng(14)
-        slabs = random_infeasible_system(rng, 6, 150)
-        fail_at = set()
-        log = record_lp(monkeypatch, fail_at)
-        state = _CutState()
-        first = solve_center(slabs, state=state)
-        assert first.converged and len(log.models) == 1
-        slabs = append_violators(rng, slabs, first)
-        fail_at.add(len(log.rounds) + 1)  # the first round of the resumed solve
-        failed = solve_center(slabs, v_init=first.v_star, state=state)
-        assert not failed.converged and failed.iterations == 1 and state.highs is None
-        assert slabs.max_violation(failed.v_star) == failed.rho_star
-        assert failed.rho_star <= slabs.max_violation(first.v_star)
-        again = solve_center(slabs, v_init=failed.v_star, state=state)
-        assert len(log.models) == 2 and again.converged
-        assert again.rho_star == pytest.approx(dense_lp_optimum(slabs), rel=1e-9)
-        cold = solve_center(slabs, v_init=failed.v_star)
-        assert again.v_star.tobytes() == cold.v_star.tobytes()
-        assert again.iterations == cold.iterations
-
-    def test_capped_round_restarts_the_next_solve_cold(self, monkeypatch):
-        # real HiGHS stopped at d + 1 pivots per run: the model of a failed
-        # round is dropped, so the next re-solve builds a new one, not a prune
-        events = []
-        start, lp_round, prune = _CutState.start, _CutState.round, _CutState.prune
-
-        def logged_start(self, d, origin):
-            events.append("start")
-            start(self, d, origin)
-
-        def logged_round(self, *args):
-            sol = lp_round(self, *args)
-            events.append("round" if sol is not None else "fail")
-            return sol
-
-        def logged_prune(self):
-            events.append("prune")
-            prune(self)
-
-        monkeypatch.setattr(_CutState, "start", logged_start)
-        monkeypatch.setattr(_CutState, "round", logged_round)
-        monkeypatch.setattr(_CutState, "prune", logged_prune)
-        monkeypatch.setattr(mean_module, "_PIVOTS_PER_ROW", 1)
-        gt = gaussian_gt(np.geomspace(1.0, 1e-2, 8).tolist())
-        shrink_refine(monkeypatch, 32)
-        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05)
-        est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
-        failed = [i for i, event in enumerate(events) if event == "fail"]
-        assert failed and failed[0] + 1 < len(events)
-        assert all(events[i + 1] == "start" for i in failed if i + 1 < len(events))
-        assert est.slabs.max_violation(est.mu_hat) == est.rho_star
-
-    def test_one_model_per_estimate(self, monkeypatch):
-        log = record_lp(monkeypatch)
-        gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
-        # a small direction set leaves violators for the probes: 3 refine rounds
-        shrink_refine(monkeypatch, 16)
-        cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05)
-        est = estimate_mean(sample_dataset(gt, 3000, seed=3), 0.05, cfg, seed=5)
-        assert est.refinement_rounds == 3 and est.converged
-        assert len(log.models) == 1 and len(log.prunes) == est.refinement_rounds
-        assert all(kept == cols <= 5 for kept, cols in log.prunes)
-        optimum = dense_lp_optimum(est.slabs)
-        assert abs(est.rho_star - optimum) <= TOL * (1.0 + optimum)
 
 
 class TestSolveCenterProperties:
@@ -1258,9 +1068,6 @@ class TestHighsBinding:
                 "getModelStatus",
                 "getSolution",
                 "getObjectiveValue",
-                "getBasicVariables",
-                "getNumCol",
-                "deleteCols",
             )
         ] + [
             (HighsModelStatus, "kOptimal"),
@@ -1353,26 +1160,43 @@ class TestEstimateMean:
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
             estimate_mean(rows, 0.05, SMALL_CFG, seed=seed)
 
-    @pytest.mark.parametrize("refine_rounds", [1, 3])
-    def test_probe_violation_is_measured_at_mu_hat(self, monkeypatch, refine_rounds):
-        # a small direction set leaves violators for every round, so the
-        # rounds are spent; the reported value is that of the next probe set
-        # of the refine stream, measured at the returned point
+    def test_probe_violation_is_measured_at_mu_hat(self):
+        # the reported value is that of the first probe set of the seed's
+        # refine stream, drawn as one set and measured at the returned point
         gt = gaussian_gt([1.0, 0.5, 0.25, 0.1])
         rows = sample_dataset(gt, 3000, seed=3)
-        shrink_refine(monkeypatch, 16)
-        monkeypatch.setattr(mean_module, "_REFINE_ROUNDS", refine_rounds)
         cfg = PipelineConfig(m0=1, theta_var=0.125, C_prime=0.05)
         est = estimate_mean(rows, 0.05, cfg, seed=5)
-        assert est.refinement_rounds == refine_rounds
+        assert est.rho_star > 0.0
         marg_est = fit_marginal(rows[:1000], 0.05, cfg)
         var_est = fit_variance(rows[1000:], cfg)
-        rng = stream(5, "refine-probes")
-        for _ in range(refine_rounds + 1):
-            probes = random_unit_rows(rng, 64, 4)
+        probes = random_unit_rows(stream(5, "refine-probes"), mean_module._REFINE_PROBES, 4)
         widths = slab_width_profile(var_est, probes, 0.05, cfg.C_prime, 1000)
         viol = np.abs(nu_hat_profile(marg_est, probes) - probes @ est.mu_hat) - widths - est.rho_star
         assert est.probe_violation == float(np.max(viol))
+
+    def test_infeasible_estimate_is_one_solve_and_one_probe_set(self, monkeypatch):
+        # the probes measure the point only: no slab is appended and nothing
+        # is solved again, so the estimate is the solve on its direction set
+        calls = {"solve_center": 0, "_probe": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(mean_module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(mean_module, name, counted)
+        log = record_lp(monkeypatch)
+        d = 10
+        gt = gaussian_gt(np.geomspace(1.0, 1e-2, d).tolist())
+        est = estimate_mean(sample_dataset(gt, 30000, seed=3), 0.01, PipelineConfig(C_prime=0.05), seed=5)
+        assert est.rho_star > 0.0 and est.converged
+        assert calls == {"solve_center": 1, "_probe": 1} and len(log.models) == 1
+        assert est.directions_used == est.slabs.n_slabs == max(8 * d, 256)
+        again = solve_center(est.slabs, v_init=est.slabs.centers[:d])
+        assert est.mu_hat.tobytes() == again.v_star.tobytes()
+        assert np.float64(est.rho_star).tobytes() == np.float64(again.rho_star).tobytes()
+        assert (est.iterations, est.final_gap) == (again.iterations, again.final_gap)
+        optimum = dense_lp_optimum(est.slabs)
+        assert abs(est.rho_star - optimum) <= TOL * (1.0 + optimum)
 
     def test_replay_certificate(self):
         gt = gaussian_gt([1.0, 0.5, 0.25])
@@ -1415,13 +1239,13 @@ class TestEstimateMean:
             "mu_hat",
             "rho_star",
             "directions_used",
-            "refinement_rounds",
             "probe_violation",
             "converged",
             "block_plan_mean",
             "block_plan_var",
         ):
             assert key in doc
+        assert "refinement_rounds" not in doc
 
     def test_one_dimensional_data(self):
         rows = np.random.default_rng(15).standard_normal((15000, 1)) + 2.0

@@ -11,7 +11,7 @@ d = 1, 3N = 3e4, and runs nine CLI configs: one of them a d = 1 estimate, one
 an estimate whose config sets m0, both trim fractions and c_blocks away from
 their defaults, so that each block planner is seen to read its own config
 fields, and one an estimate with 300 variance blocks, whose projection panels
-step by 96 rows, which do not divide a 256-row refine probe panel (the
+step by 96 rows, which do not divide a 256-row probe panel (the
 1000-block runs step by 32 rows).
 Estimate fields and slab arrays are compared by their bytes, so a move in
 the last digit counts.  Every one that differs is printed, with the largest
