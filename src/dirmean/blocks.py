@@ -121,21 +121,30 @@ def block_sums(x3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def panel_rows(blocks: int) -> int:
+    """The directions of one panel of :func:`projection_panels` over ``blocks`` blocks.
+
+    The largest multiple of ``_BAND_ROWS`` (32) whose (rows, blocks)
+    float64 panel fits in ``_PROJECTION_BYTES`` (256 KiB), at least
+    ``_BAND_ROWS`` and at most ``_PANEL_ROWS``: 256 rows up to 128 blocks,
+    96 at 300 and 32 at 1000.
+    """
+    fit = _PROJECTION_BYTES // (8 * max(blocks, 1)) // _BAND_ROWS * _BAND_ROWS
+    return min(max(fit, _BAND_ROWS), _PANEL_ROWS)
+
+
 def projection_panels(u: np.ndarray, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(lo, u[lo:hi] @ x.T)`` over consecutive panels of directions.
 
-    A panel holds the largest multiple of ``_BAND_ROWS`` (32) directions
-    whose (rows, blocks) float64 panel fits in ``_PROJECTION_BYTES``
-    (256 KiB), at least ``_BAND_ROWS`` and at most ``_PANEL_ROWS``: 256 rows
-    up to 128 blocks, 96 at 300 and 32 at 1000.  Every panel is written by
-    ``np.matmul(..., out=...)`` into one reused buffer, directions-major, so
+    A panel holds :func:`panel_rows` directions (the last one fewer).
+    Every panel is written by ``np.matmul(..., out=...)`` into one reused
+    buffer, directions-major, so
     a caller must finish with a panel before it asks for the next; the
     working memory is one panel, not the whole (directions, blocks) product.
     A panel has the bytes of the same rows of the whole product on the
     shapes checked (see ``_PANEL_ROWS``), not on every shape.
     """
-    fit = _PROJECTION_BYTES // (8 * max(x.shape[0], 1)) // _BAND_ROWS * _BAND_ROWS
-    step = min(max(fit, _BAND_ROWS), _PANEL_ROWS)
+    step = panel_rows(x.shape[0])
     buf = np.empty((min(step, u.shape[0]), x.shape[0]))
     for lo in range(0, u.shape[0], step):
         rows = min(step, u.shape[0] - lo)

@@ -192,7 +192,7 @@ def _run_single_trial(
         if est_name == "dirmean":
             est = estimate_mean(ds, sc.delta, sc.config, seed=derive_seed(sc.seed, "trial-est", t))
             mu_hat = est.mu_hat
-            plans = (est.block_plan_mean, est.block_plan_var)  # not est: its slabs are large
+            plans = (est.block_plan_mean, est.block_plan_var)  # not est: it holds the fitted blocks
         elif est_name == "empirical-mean":
             mu_hat = baseline_empirical_mean(ds)
         else:

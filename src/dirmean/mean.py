@@ -7,19 +7,24 @@ final estimator is a point v minimizing the worst slab violation
     g(v) = max_i ( |c_i - <v, u_i>| - w_i ),
 
 a piecewise-linear convex minimax program over a finite direction set.
-Minimizing the slack max(g, 0) is a linear program in d + 1 variables,
-solved by cutting planes from a cheap warm start, with a certified
-optimality gap; a solve takes its first cuts at the least-squares point
-of the slab centers.  One unscaled HiGHS model holds the dual of the cut
-LP: each round adds a column for the violated side of each worst slab,
-primal simplex resumes from the (d + 1)-square basis, and the row duals
-give the restricted optimum.  The slab system is solved once; one set of
-fresh probe directions then bounds the finite-direction surrogate gap at
-the returned point empirically and reports it instead of hiding it.
+The warm start, the centers of the canonical directions, is checked
+against the slabs a panel of directions at a time, and is the estimate
+when it lies in every slab; the whole slab system is made only when a
+slab misses it, or when an estimate's ``slabs`` is read.  Minimizing the
+slack max(g, 0) is then a linear program in d + 1 variables, solved once
+by cutting planes with a certified optimality gap; a solve takes its
+first cuts at the least-squares point of the slab centers.  One unscaled
+HiGHS model holds the dual of the cut LP: each round adds a column for
+the violated side of each worst slab, primal simplex resumes from the
+(d + 1)-square basis, and the row duals give the restricted optimum.  One
+set of fresh probe directions then bounds the finite-direction surrogate
+gap at the returned point empirically and reports it instead of hiding
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import os
@@ -36,6 +41,7 @@ from .blocks import (
     SizingError,
     block_averages,
     nonfinite_error,
+    panel_rows,
     plan_mean_blocks,
     projection_panels,
 )
@@ -186,6 +192,25 @@ def slab_width_profile(
     return 2.0 * c_prime * np.sqrt(var * math.log(1.0 / delta) / n_samples)
 
 
+def _slab_fault(u: np.ndarray, c: np.ndarray, w: np.ndarray) -> str | None:
+    """Why the rows of ``u`` with centers ``c`` and half-widths ``w`` are not
+    slabs, or None; each check is written so that NaN fails it."""
+    if not np.all(np.abs(row_norms(u) - 1.0) <= 1e-12):
+        return "all slab directions must be unit vectors"
+    if not np.all(np.isfinite(c)):
+        return "slab centers must be finite"
+    if not np.all((w >= 0.0) & (w < np.inf)):
+        return "slab widths must be finite and nonnegative"
+    if not (c.size == w.size == u.shape[0]):
+        return "directions, centers and widths must have matching lengths"
+    return None
+
+
+def _worst_violation(u: np.ndarray, c: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """max_i ( |c_i - <v, u_i>| - w_i ) over the rows of ``u``."""
+    return float(np.max(np.abs(c - u @ np.asarray(v, dtype=float)) - w))
+
+
 @dataclass(frozen=True)
 class SlabSystem:
     """Finite family of slabs |<v, u_i> - c_i| <= w_i + rho."""
@@ -195,21 +220,15 @@ class SlabSystem:
     widths: np.ndarray
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
         u = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        if not np.all(np.abs(row_norms(u) - 1.0) <= 1e-12):
-            raise ValueError("all slab directions must be unit vectors")
         c = np.asarray(self.centers, dtype=float).reshape(-1)
         w = np.asarray(self.widths, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("slab centers must be finite")
-        if not np.all((w >= 0.0) & (w < np.inf)):
-            raise ValueError("slab widths must be finite and nonnegative")
+        fault = _slab_fault(u, c, w)
+        if fault is not None:
+            raise ValueError(fault)
         object.__setattr__(self, "directions", u)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "widths", w)
-        if not (c.size == w.size == u.shape[0]):
-            raise ValueError("directions, centers and widths must have matching lengths")
 
     @property
     def n_slabs(self) -> int:
@@ -217,8 +236,7 @@ class SlabSystem:
 
     def max_violation(self, v: np.ndarray) -> float:
         """Worst slab violation g(v); the replayable certificate."""
-        r = self.centers - self.directions @ np.asarray(v, dtype=float)
-        return float(np.max(np.abs(r) - self.widths))
+        return _worst_violation(self.directions, self.centers, self.widths, v)
 
 
 @dataclass(frozen=True)
@@ -407,6 +425,33 @@ def _eigendirections(z: np.ndarray, count: int) -> np.ndarray:
     return top * np.sign(lead)[:, np.newaxis]
 
 
+def _direction_plan(var_est: VarianceEstimator) -> tuple[int, np.ndarray]:
+    """The row count of the direction set on ``var_est`` and its learned rows."""
+    d = var_est.Z.shape[1]
+    if d == 1:
+        return 1, np.empty((0, 1))
+    return max(8 * d, 256), _eigendirections(var_est.Z, min(d, 8))
+
+
+def _direction_rows(learned: np.ndarray, rng, lo: int, out: np.ndarray) -> np.ndarray:
+    """Rows ``lo`` to ``lo + len(out)`` of a direction set, written into
+    ``out`` and returned: e1..ed, then the ``learned`` rows, then the fill,
+    drawn from ``rng``, which has drawn the fill rows before ``lo`` already."""
+    rows, d = out.shape
+    hi, count = lo + rows, d + learned.shape[0]
+    a, b = lo, min(hi, d)
+    if a < b:
+        out[: b - a] = 0.0
+        out[np.arange(b - a), np.arange(a, b)] = 1.0
+    a, b = max(lo, d), min(hi, count)
+    if a < b:
+        out[a - lo : b - lo] = learned[a - d : b - d]
+    a = max(lo, count)
+    if a < hi:
+        random_unit_rows(rng, hi - a, d, out=out[a - lo :])
+    return out
+
+
 def build_direction_set(seed: int, var_est: VarianceEstimator) -> np.ndarray:
     """Canonical basis + leading block-eigenvectors + random unit fill.
 
@@ -420,17 +465,20 @@ def build_direction_set(seed: int, var_est: VarianceEstimator) -> np.ndarray:
     changes neither g(v) nor the LP optimum.  Every unit vector of R^1 is
     +-e1, so in one dimension the set is [[1.0]].
     """
-    d = var_est.Z.shape[1]
-    if d == 1:
-        return np.ones((1, 1))
-    budget = max(8 * d, 256)
-    learned = _eigendirections(var_est.Z, min(d, 8))
-    count = d + learned.shape[0]
-    out = np.empty((budget, d))
-    out[:d] = np.eye(d)
-    out[d:count] = learned
-    random_unit_rows(stream(seed, "direction-fill"), budget - count, d, out=out[count:])
-    return out
+    budget, learned = _direction_plan(var_est)
+    out = np.empty((budget, var_est.Z.shape[1]))
+    return _direction_rows(learned, stream(seed, "direction-fill"), 0, out)
+
+
+def _slab_system(
+    seed: int, marg_est: MarginalMeanEstimator, var_est: VarianceEstimator, delta: float, c_prime: float,
+    n_samples: int,
+) -> SlabSystem:
+    """The slabs of :func:`build_direction_set`, profiled as one set."""
+    directions = build_direction_set(seed, var_est)
+    centers = nu_hat_profile(marg_est, directions)
+    widths = slab_width_profile(var_est, directions, delta, c_prime, n_samples)
+    return SlabSystem(directions, centers, widths)
 
 
 def _probe(
@@ -459,7 +507,13 @@ def _probe(
 
 @dataclass(frozen=True)
 class MeanEstimate:
-    """Estimated mean with its achieved slack and solver diagnostics."""
+    """Estimated mean with its achieved slack and solver diagnostics.
+
+    ``slabs`` is the estimate's slab system.  An estimate whose LP ran keeps
+    the system it solved; one whose warm start lay in every slab never held
+    the whole system, and rebuilds it from its seed and fitted stages
+    (``_slab_source``) on first read, then keeps it.
+    """
 
     mu_hat: np.ndarray
     rho_star: float
@@ -470,7 +524,15 @@ class MeanEstimate:
     directions_used: int
     block_plan_mean: BlockPlan
     block_plan_var: BlockPlan
-    slabs: SlabSystem = field(repr=False)  # left out of the JSON report
+    # left out of the JSON report
+    _slab_source: functools.partial = field(repr=False, compare=False)
+    _slabs: SlabSystem | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def slabs(self) -> SlabSystem:
+        if self._slabs is None:
+            object.__setattr__(self, "_slabs", self._slab_source())
+        return self._slabs
 
 
 def estimate_mean(
@@ -479,9 +541,22 @@ def estimate_mean(
     """Full pipeline on a dataset of 3N rows.
 
     The first third feeds the marginal mean estimates, the remaining two
-    thirds the directional variance estimates.  Slabs over max(8 d, 256)
-    directions are intersected by one minimax solve, warm-started at the
-    centers of the canonical directions, which come first in the set.
+    thirds the directional variance estimates.  The estimate is a point in
+    the slabs over the max(8 d, 256) directions of
+    :func:`build_direction_set`, warm-started at the centers of the
+    canonical directions, which come first in the set.
+
+    The set is drawn, profiled and checked at the warm start a panel of
+    rows at a time, into one reused buffer.  A panel is the least common
+    multiple of the two profiles' projection panel steps
+    (:func:`~dirmean.blocks.panel_rows`; 256 rows up to 128 blocks), so
+    every center and width has the bytes of a profile of the whole set.
+    If every slab holds the warm start, it is the estimate, with the
+    result :func:`solve_center` gives a feasible warm start (``rho_star =
+    0``, no LP round), and the whole system is never held.  At the first
+    panel with a violated slab the whole system is made: the earlier
+    panels are drawn again from a fresh stream, that panel and the rest
+    become its rows, and one minimax solve intersects the slabs.
 
     ``probe_violation`` is then the worst slab violation beyond rho_star
     over 512 fresh probe directions (``_REFINE_PROBES``) of the seed's
@@ -518,11 +593,41 @@ def estimate_mean(
     except NonFiniteRowError as exc:
         raise NonFiniteRowError(offset + exc.row) from None
 
-    directions = build_direction_set(seed, var_est)
-    centers = nu_hat_profile(marg_est, directions)
-    widths = slab_width_profile(var_est, directions, delta, config.C_prime, n)
-    slabs = SlabSystem(directions, centers, widths)
-    result = solve_center(slabs, v_init=centers[:d])
+    budget, learned = _direction_plan(var_est)
+    rng = stream(seed, "direction-fill")
+    step = math.lcm(panel_rows(marg_est.Y.shape[0]), panel_rows(var_est.Z.shape[0]))
+    centers, widths = np.empty(budget), np.empty(budget)
+    panel = np.empty((min(step, budget), d))
+    violated = False
+    for lo in range(0, budget, step):
+        hi = min(lo + step, budget)
+        u = _direction_rows(learned, rng, lo, panel[: hi - lo])
+        c, w = centers[lo:hi], widths[lo:hi]
+        c[:] = nu_hat_profile(marg_est, u)
+        w[:] = slab_width_profile(var_est, u, delta, config.C_prime, n)
+        # a canonical row's center is its warm start coordinate: a panel of
+        # canonical rows only is checked for faults, and holds the warm start
+        if _slab_fault(u, c, w) is not None or (hi > d and _worst_violation(u, c, w, centers[:d]) > 0.0):
+            violated = True
+            break
+
+    source = functools.partial(_slab_system, seed, marg_est, var_est, delta, config.C_prime, n)
+    slabs = None
+    if violated:
+        # the earlier panels, drawn again; this one and the rest become rows as they are
+        directions = np.empty((budget, d))
+        _direction_rows(learned, stream(seed, "direction-fill"), 0, directions[:lo])
+        directions[lo:hi] = u
+        del panel, u
+        rest = _direction_rows(learned, rng, hi, directions[hi:])
+        if hi < budget:
+            centers[hi:] = nu_hat_profile(marg_est, rest)
+            widths[hi:] = slab_width_profile(var_est, rest, delta, config.C_prime, n)
+        slabs = SlabSystem(directions, centers, widths)
+        result = solve_center(slabs, v_init=centers[:d])
+    else:
+        del panel, u
+        result = SolveResult(v_star=centers[:d].copy(), rho_star=0.0, iterations=0, converged=True, final_gap=0.0)
     probe_violation = _probe(stream(seed, "refine-probes"), marg_est, var_est, result, delta, config.C_prime, n)
 
     return MeanEstimate(
@@ -532,8 +637,9 @@ def estimate_mean(
         final_gap=result.final_gap,
         probe_violation=probe_violation,
         converged=result.converged,
-        directions_used=slabs.n_slabs,
+        directions_used=budget,
         block_plan_mean=marg_est.plan,
         block_plan_var=var_est.plan,
-        slabs=slabs,
+        _slab_source=source,
+        _slabs=slabs,
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tracemalloc
 import weakref
@@ -33,7 +34,7 @@ from dirmean import (
     write_report,
 )
 import dirmean.mean as mean_module
-from dirmean.blocks import _BAND_ROWS, _PANEL_ROWS, _PROJECTION_BYTES, projection_panels
+from dirmean.blocks import _BAND_ROWS, _PANEL_ROWS, _PROJECTION_BYTES, panel_rows, projection_panels
 from dirmean.mean import TOL, _CutState, _eigendirections
 from dirmean.rng import random_unit_rows, stream
 from naive_oracles import oracle_direction_fill, oracle_nu_hat_profile, oracle_probe, oracle_psi_profile
@@ -142,6 +143,29 @@ def record_lp(monkeypatch, fail_at=()):
     monkeypatch.setattr(_CutState, "start", logged_start)
     monkeypatch.setattr(_CutState, "round", logged_round)
     return log
+
+
+def student_rows(d, n_total, seed):
+    """``n_total`` rows of the benchmark's law: elliptical Student-t, 3
+    degrees of freedom, eigenvalues geomspace(1, 1e-3, d), mean zero."""
+    gt = make_ground_truth(DistributionSpec.from_json_dict({
+        "family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, d).tolist(),
+        "mean": [0.0] * d, "dof": 3.0}))
+    return sample_dataset(gt, n_total, seed=seed)
+
+
+def tagged_streams(monkeypatch):
+    """Patch ``dirmean.mean.stream`` to note the first label of each stream
+    it makes: returns {id(generator): label}."""
+    labels, make = {}, mean_module.stream
+
+    def tagged(seed, *names):
+        rng = make(seed, *names)
+        labels[id(rng)] = names[0]
+        return rng
+
+    monkeypatch.setattr(mean_module, "stream", tagged)
+    return labels
 
 
 def gaussian_gt(eigs, mean=None, rotation_seed=None):
@@ -393,39 +417,36 @@ class TestProbePanels:
 
     def test_one_panel_alive_in_an_estimate(self, monkeypatch):
         # an infeasible estimate at d = 50 draws its 512 probes as two panels
-        # into one buffer, after the direction set
-        gt = make_ground_truth(DistributionSpec.from_json_dict({
-            "family": "elliptical-student", "eigenvalues": np.geomspace(1.0, 1e-3, 50).tolist(),
-            "mean": [0.0] * 50, "dof": 3.0}))
-        rows = sample_dataset(gt, 30000, seed=1)
-        panels, direction_sets = [], []
-        draw, build = mean_module.random_unit_rows, mean_module.build_direction_set
+        # into one buffer, after the direction set, whose panel buffer is
+        # freed by then (the slab system it solved stays with the estimate)
+        rows = student_rows(50, 30000, seed=1)
+        labels = tagged_streams(monkeypatch)
+        panels, fills = [], []
+        draw = mean_module.random_unit_rows
 
         def owner(a):
             return a if a.base is None else a.base
 
         def recorded_draw(rng, count, d, out=None):
-            if not direction_sets:  # build_direction_set's fill
-                return draw(rng, count, d, out=out)
-            into = None if out is None else owner(out)
-            alive = [ref() for ref in panels if ref() is not None]
-            assert all(a is into for a in alive), "a probe panel outlives the next draw"
             got = draw(rng, count, d, out=out)
+            if labels[id(rng)] == "direction-fill":
+                fills.append(weakref.ref(owner(got)))
+                return got
+            alive = [ref().shape for ref in fills if ref() is not None]
+            assert alive == [(400, 50)], "a direction panel outlives the first probe draw"
+            alive = [ref() for ref in panels if ref() is not None]
+            assert all(a is owner(got) for a in alive), "a probe panel outlives the next draw"
             assert owner(got).shape[0] <= _PANEL_ROWS  # a probe panel is one projection panel of the most rows
             panels.append(weakref.ref(owner(got)))
             return got
 
-        def recorded_build(*args, **kwargs):
-            out = build(*args, **kwargs)
-            direction_sets.append(weakref.ref(out))
-            return out
-
         monkeypatch.setattr(mean_module, "random_unit_rows", recorded_draw)
-        monkeypatch.setattr(mean_module, "build_direction_set", recorded_build)
         est = estimate_mean(rows, 0.01, PipelineConfig(C_prime=0.05), seed=1)
         assert est.rho_star > 0.0
         assert len(panels) == -(-mean_module._REFINE_PROBES // _PANEL_ROWS) > 1
-        assert len(direction_sets) == 1 and all(ref() is None for ref in panels)
+        assert all(ref() is None for ref in panels)
+        # the first panel's fill went into the 256-row buffer, the rest into the system kept
+        assert [ref() is None for ref in fills] == [True, False] and fills[1]() is est.slabs.directions
 
 
 class TestNuHat:
@@ -608,8 +629,7 @@ class TestDirectionSet:
         x[:, 4] = np.random.default_rng(1).standard_normal(3 * 10**4)
         kept = estimate_mean(x, 0.01, seed=3)
         assert np.array_equal(kept.slabs.directions[20], np.eye(20)[4])
-        plain = build_direction_set
-        monkeypatch.setattr(mean_module, "build_direction_set", lambda seed, var_est: plain(seed, zero_blocks(20)))
+        monkeypatch.setattr(mean_module, "_eigendirections", lambda z, count: np.empty((0, z.shape[1])))
         without = estimate_mean(x, 0.01, seed=3)
         assert np.array_equal(kept.slabs.directions[21:256], without.slabs.directions[20:255])
         assert kept.mu_hat.tobytes() == without.mu_hat.tobytes()
@@ -1335,6 +1355,107 @@ class TestEstimateMean:
         assert np.array_equal(est.mu_hat, ref.mu_hat * 2.0**k)
         assert est.rho_star == ref.rho_star * 2.0**k
         assert est.converged and ref.converged
+
+
+class TestPanelWalk:
+    """``estimate_mean`` draws, profiles and checks its directions a panel at
+    a time, and builds the whole slab system only for the LP or on a read
+    of ``slabs``.  Every estimate keeps the bytes of the whole-set path:
+    ``build_direction_set``, both profiles of the whole set, ``solve_center``
+    from the canonical centers and ``_probe``."""
+
+    @staticmethod
+    def whole_set(rows, config, seed):
+        n = rows.shape[0] // 3
+        marg, var = fit_marginal(rows[:n], 0.01, config), fit_variance(rows[n : 3 * n], config)
+        dirs = build_direction_set(seed, var)
+        widths = slab_width_profile(var, dirs, 0.01, config.C_prime, n)
+        slabs = SlabSystem(dirs, nu_hat_profile(marg, dirs), widths)
+        res = solve_center(slabs, v_init=slabs.centers[: rows.shape[1]])
+        return slabs, res, mean_module._probe(stream(seed, "refine-probes"), marg, var, res, 0.01, config.C_prime, n)
+
+    def check_whole_set_bytes(self, rows, config, seed):
+        """The estimate, and whether it kept the system of its LP."""
+        est = estimate_mean(rows, 0.01, config, seed=seed)
+        kept = est._slabs is not None
+        slabs, res, probe = self.whole_set(rows, config, seed)
+        for part in ("directions", "centers", "widths"):
+            assert getattr(est.slabs, part).tobytes() == getattr(slabs, part).tobytes()
+        assert max(est.slabs.max_violation(est.mu_hat), 0.0) == est.rho_star
+        assert est.mu_hat.tobytes() == res.v_star.tobytes()
+        assert (est.rho_star, est.iterations, est.converged, est.final_gap) == (
+            res.rho_star, res.iterations, res.converged, res.final_gap)
+        assert np.float64(est.probe_violation).tobytes() == np.float64(probe).tobytes()
+        assert est.directions_used == slabs.n_slabs
+        return est, kept
+
+    @pytest.mark.parametrize("c_prime", [1.0, 0.05])
+    @pytest.mark.parametrize("d, n_total, panel", [
+        (200, 30000, 256),  # feasible-d200's shape
+        (50, 300000, 256),  # 1000 variance blocks: projection panels of 32 rows
+        (20, 90000, 768),  # 300 variance blocks: 96-row projection panels, lcm(256, 96) = 768
+        (300, 30000, 256),  # the 300 canonical rows span two panels
+    ])
+    def test_same_bytes_as_the_whole_set(self, d, n_total, panel, c_prime):
+        est, kept = self.check_whole_set_bytes(student_rows(d, n_total, seed=1), PipelineConfig(C_prime=c_prime), 2)
+        assert math.lcm(panel_rows(est.block_plan_mean.n), panel_rows(est.block_plan_var.n)) == panel
+        # the warm start lies in every slab at C_prime = 1; the LP's system is kept
+        assert (kept, est.rho_star > 0.0) == (c_prime < 1.0, c_prime < 1.0)
+
+    def test_a_later_first_violation_draws_the_earlier_panels_again(self):
+        # d = 40: 320 directions, panels of 256 and 64 rows.  Slab i misses the
+        # warm start for C_prime below need_i; at C_prime = 0.2 every slab of
+        # panel 0 holds it and one of panel 1 does not
+        rows = student_rows(40, 30000, seed=3)
+        slabs = self.whole_set(rows, PipelineConfig(), 2)[0]
+        need = np.abs(slabs.centers - slabs.directions @ slabs.centers[:40]) / slabs.widths
+        assert need[:256].max() < 0.2 < need[256:].max()
+        assert self.check_whole_set_bytes(rows, PipelineConfig(C_prime=0.2), 2)[1]
+
+    def test_feasible_estimate_holds_one_panel_and_no_slab_system(self, monkeypatch):
+        # d = 200, 3N = 3e4 (feasible-d200): the whole system is 2.56 MB of
+        # directions, and peaked at 3.30 MiB with them
+        rows = student_rows(200, 30000, seed=1)
+        estimate_mean(rows, 0.01, seed=2)  # warm: first-call allocations stay out
+        systems = []
+        check = SlabSystem.__post_init__
+        monkeypatch.setattr(SlabSystem, "__post_init__", lambda self: systems.append(check(self)))
+        tracemalloc.start()
+        try:
+            est = estimate_mean(rows, 0.01, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.iterations == 0 and systems == []
+        assert peak < 1.2 * 2**20
+        assert est.slabs is est.slabs and len(systems) == 1  # built on first read, then kept
+
+    def test_first_violation_in_panel_zero_draws_each_fill_row_once(self, monkeypatch):
+        # infeasible-d50's shape: 400 directions, 50 canonical, 8 learned and
+        # 342 fill rows; the first violated slab is in panel 0, so the system
+        # keeps that panel, and neither a row nor a profile is made twice
+        rows = student_rows(50, 30000, seed=1)
+        labels = tagged_streams(monkeypatch)
+        fills, profiled = [], []
+        draw, profile = mean_module.random_unit_rows, mean_module.nu_hat_profile
+
+        def recorded_draw(rng, count, d, out=None):
+            if labels[id(rng)] == "direction-fill":
+                fills.append((count, (out if out.base is None else out.base).shape))
+            return draw(rng, count, d, out=out)
+
+        def recorded_profile(est, directions):
+            profiled.append(directions.shape[0])
+            return profile(est, directions)
+
+        monkeypatch.setattr(mean_module, "random_unit_rows", recorded_draw)
+        monkeypatch.setattr(mean_module, "nu_hat_profile", recorded_profile)
+        est = estimate_mean(rows, 0.01, PipelineConfig(C_prime=0.05), seed=1)
+        assert est.rho_star > 0.0 and est.slabs.n_slabs == 400
+        # panel 0 draws its 198 fill rows into the 256-row buffer, the rest go into the system
+        assert fills == [(198, (256, 50)), (144, (400, 50))]
+        assert profiled == [256, 144, 256, 256]  # two direction panels, then two probe panels
+        assert np.array_equal(est.slabs.directions, build_direction_set(1, fit_variance(rows[10000:])))
 
 
 class TestEstimateMeanProperties:

@@ -5,9 +5,11 @@
 Each tree runs in a subprocess with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``.  It estimates the 18 entries of the benchmark's
 library pools (every ``perfbench.workloads.LIBRARY`` workload, pool seeds 1
-and 2, built as ``LibraryWorkload.setup`` builds them, one dataset at a time)
-and the 6 of a ``d1`` pool built the same way from the benchmark's law at
-d = 1, 3N = 3e4, and runs nine CLI configs: one of them a d = 1 estimate, one
+and 2, built as ``LibraryWorkload.setup`` builds them, one dataset at a time),
+the 6 of a ``d1`` pool built the same way from the benchmark's law at d = 1,
+3N = 3e4, and the 2 of a ``d300`` pool at d = 300, 3N = 3e4, whose 300
+canonical directions span two 256-row panels of the direction set, and runs
+nine CLI configs: one of them a d = 1 estimate, one
 an estimate whose config sets m0, both trim fractions and c_blocks away from
 their defaults, so that each block planner is seen to read its own config
 fields, and one an estimate with 300 variance blocks, whose projection panels
@@ -75,7 +77,8 @@ def child(out: str) -> None:
     from dirmean import DistributionSpec, PipelineConfig, cli, distributions, mean
 
     values, peaks = {}, {}
-    pools = {**wl.LIBRARY, "d1": (1, 30_000, 3, {})}  # d = 1 profiles one direction at a time
+    # d = 1 profiles one direction at a time; d = 300 checks a canonical head of two panels
+    pools = {**wl.LIBRARY, "d1": (1, 30_000, 3, {}), "d300": (300, 30_000, 1, {})}
     for name, (d, n_total, pool, config) in pools.items():
         gt = distributions.make_ground_truth(DistributionSpec.from_json_dict(wl.distribution_doc(d)))
         for pool_seed in (1, 2):
