@@ -35,7 +35,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .blocks import (
-    _PANEL_ROWS,
     BlockPlan,
     NonFiniteRowError,
     SizingError,
@@ -76,11 +75,6 @@ _HIGHS_OPTIONS = {
 # reaches the limit fails its round (the most seen: 4.8 (d + 1) in one run)
 _PIVOTS_PER_ROW = 100
 _REFINE_PROBES = 512  # the probe directions that measure probe_violation
-# the probes drawn and measured at a time: one projection panel of the most
-# rows, so the profiles split a probe panel into the panels they form on the
-# whole probe set wherever the panel step (32, 64, 128 or 256 rows) divides it.
-# At d = 200 it holds 0.41 MB, against 0.82 MB for all 512 probes.
-_PROBE_PANEL = _PANEL_ROWS
 
 
 def _load_extension(name: str, directory: str):
@@ -481,28 +475,40 @@ def _slab_system(
     return SlabSystem(directions, centers, widths)
 
 
+def _slab_panels(
+    marg_est: MarginalMeanEstimator, var_est: VarianceEstimator, count: int, draw,
+    delta: float, c_prime: float, n_samples: int,
+):
+    """Yield ``(lo, u, centers, widths)`` over ``count`` directions, a panel at a time.
+
+    ``draw(lo, out)`` writes the directions from ``lo`` on into ``out``, one
+    buffer for every panel, and returns them.  A panel is the least common
+    multiple of the profiles' projection panel steps (256 rows up to 128
+    blocks, 768 at 300 variance blocks; :func:`~dirmean.blocks.panel_rows`),
+    so its profiles keep the bytes of a profile of all ``count`` directions.
+    """
+    step = math.lcm(panel_rows(marg_est.Y.shape[0]), panel_rows(var_est.Z.shape[0]))
+    buf = np.empty((min(step, count), marg_est.Y.shape[1]))
+    for lo in range(0, count, step):
+        u = draw(lo, buf[: min(step, count - lo)])
+        yield lo, u, nu_hat_profile(marg_est, u), slab_width_profile(var_est, u, delta, c_prime, n_samples)
+
+
 def _probe(
     rng, marg_est: MarginalMeanEstimator, var_est: VarianceEstimator, result: SolveResult,
     delta: float, c_prime: float, n_samples: int,
 ) -> float:
-    """Draw ``_REFINE_PROBES`` probe directions and return the worst slab
-    violation beyond ``rho_star`` over them at ``v_star`` of ``result``.
-
-    The probes are drawn from ``rng`` into one reused buffer of
-    ``_PROBE_PANEL`` rows and measured a panel at a time; consecutive draws
-    continue the stream, so each probe and its violation keep the bytes of
-    one draw of the whole set.
+    """Draw ``_REFINE_PROBES`` probe directions from ``rng`` and return the
+    worst slab violation beyond ``rho_star`` over them at ``v_star`` of
+    ``result``.  The probes are drawn and measured a panel at a time
+    (:func:`_slab_panels`), each panel continuing the stream, so the result
+    keeps the bytes of one draw of the whole set.
     """
-    d = marg_est.Y.shape[1]
-    viol = np.empty(_REFINE_PROBES)
-    buf = np.empty((min(_PROBE_PANEL, _REFINE_PROBES), d))
-    for lo in range(0, _REFINE_PROBES, _PROBE_PANEL):
-        count = min(_PROBE_PANEL, _REFINE_PROBES - lo)
-        probes = random_unit_rows(rng, count, d, out=buf[:count])
-        p_centers = nu_hat_profile(marg_est, probes)
-        p_widths = slab_width_profile(var_est, probes, delta, c_prime, n_samples)
-        viol[lo : lo + count] = np.abs(p_centers - probes @ result.v_star) - p_widths - result.rho_star
-    return float(np.max(viol))
+    panels = _slab_panels(
+        marg_est, var_est, _REFINE_PROBES, lambda lo, out: random_unit_rows(rng, *out.shape, out=out),
+        delta, c_prime, n_samples,
+    )
+    return float(np.max([_worst_violation(u, c, w, result.v_star) for _, u, c, w in panels]) - result.rho_star)
 
 
 @dataclass(frozen=True)
@@ -547,24 +553,20 @@ def estimate_mean(
     canonical directions, which come first in the set.
 
     The set is drawn, profiled and checked at the warm start a panel of
-    rows at a time, into one reused buffer.  A panel is the least common
-    multiple of the two profiles' projection panel steps
-    (:func:`~dirmean.blocks.panel_rows`; 256 rows up to 128 blocks), so
-    every center and width has the bytes of a profile of the whole set.
-    If every slab holds the warm start, it is the estimate, with the
-    result :func:`solve_center` gives a feasible warm start (``rho_star =
-    0``, no LP round), and the whole system is never held.  At the first
-    panel with a violated slab the whole system is made: the earlier
-    panels are drawn again from a fresh stream, that panel and the rest
-    become its rows, and one minimax solve intersects the slabs.
+    rows at a time (:func:`_slab_panels`).  If every slab holds the warm
+    start, it is the estimate, with the result :func:`solve_center` gives
+    a feasible warm start (``rho_star = 0``, no LP round), and the whole
+    system is never held.  At the first panel with a violated slab the
+    whole system is made: the earlier panels are drawn again from a fresh
+    stream, that panel and the rest become its rows, and one minimax solve
+    intersects the slabs.
 
     ``probe_violation`` is then the worst slab violation beyond rho_star
     over 512 fresh probe directions (``_REFINE_PROBES``) of the seed's
-    "refine-probes" stream, drawn and measured 256 at a time
-    (``_PROBE_PANEL``) at ``mu_hat``: a lower bound on the sup over the
-    sphere.  The probes are only measured, not appended and solved again:
-    where the slabs do not meet, the paper's bound says nothing about which
-    point to return.
+    "refine-probes" stream, drawn and measured in panels of the same rule
+    at ``mu_hat``: a lower bound on the sup over the sphere.  The probes
+    are only measured, not appended and solved again: where the slabs do
+    not meet, the paper's bound says nothing about which point to return.
 
     ``iterations``, ``converged`` and ``final_gap`` are those of the solve
     (see :func:`solve_center`; ``iterations`` is 0 when the warm start, or
@@ -595,20 +597,16 @@ def estimate_mean(
 
     budget, learned = _direction_plan(var_est)
     rng = stream(seed, "direction-fill")
-    step = math.lcm(panel_rows(marg_est.Y.shape[0]), panel_rows(var_est.Z.shape[0]))
     centers, widths = np.empty(budget), np.empty(budget)
-    panel = np.empty((min(step, budget), d))
-    violated = False
-    for lo in range(0, budget, step):
-        hi = min(lo + step, budget)
-        u = _direction_rows(learned, rng, lo, panel[: hi - lo])
-        c, w = centers[lo:hi], widths[lo:hi]
-        c[:] = nu_hat_profile(marg_est, u)
-        w[:] = slab_width_profile(var_est, u, delta, config.C_prime, n)
+    draw = functools.partial(_direction_rows, learned, rng)
+    panels = _slab_panels(marg_est, var_est, budget, draw, delta, config.C_prime, n)
+    for lo, u, c, w in panels:
+        hi = lo + u.shape[0]
+        centers[lo:hi], widths[lo:hi] = c, w
         # a canonical row's center is its warm start coordinate: a panel of
         # canonical rows only is checked for faults, and holds the warm start
-        if _slab_fault(u, c, w) is not None or (hi > d and _worst_violation(u, c, w, centers[:d]) > 0.0):
-            violated = True
+        violated = _slab_fault(u, c, w) is not None or (hi > d and _worst_violation(u, c, w, centers[:d]) > 0.0)
+        if violated:
             break
 
     source = functools.partial(_slab_system, seed, marg_est, var_est, delta, config.C_prime, n)
@@ -618,7 +616,7 @@ def estimate_mean(
         directions = np.empty((budget, d))
         _direction_rows(learned, stream(seed, "direction-fill"), 0, directions[:lo])
         directions[lo:hi] = u
-        del panel, u
+        del panels, u, c, w
         rest = _direction_rows(learned, rng, hi, directions[hi:])
         if hi < budget:
             centers[hi:] = nu_hat_profile(marg_est, rest)
@@ -626,7 +624,7 @@ def estimate_mean(
         slabs = SlabSystem(directions, centers, widths)
         result = solve_center(slabs, v_init=centers[:d])
     else:
-        del panel, u
+        del panels, u, c, w
         result = SolveResult(v_star=centers[:d].copy(), rho_star=0.0, iterations=0, converged=True, final_gap=0.0)
     probe_violation = _probe(stream(seed, "refine-probes"), marg_est, var_est, result, delta, config.C_prime, n)
 

@@ -371,28 +371,51 @@ class TestProjectionPanels:
 
 
 class TestProbePanels:
-    """``_probe`` measures its probes a panel at a time and returns the bytes
-    of one draw of the whole set."""
+    """``_probe`` measures its probes a panel at a time, by the panel rule of
+    the direction set's walk, and returns the bytes of one draw of the whole
+    set."""
 
     @staticmethod
-    def _estimators(d):
-        rows = sample_dataset(gaussian_gt(np.geomspace(1.0, 1e-3, d)), 30000, 4)
-        return fit_marginal(rows[:10000], 0.01), fit_variance(rows[10000:])
+    def _estimators(d, n_total=30000):
+        rows = sample_dataset(gaussian_gt(np.geomspace(1.0, 1e-3, d)), n_total, 4)
+        n = n_total // 3
+        return fit_marginal(rows[:n], 0.01), fit_variance(rows[n:])
 
-    @pytest.mark.parametrize("probes", [512, 64, 300])  # the default, a fraction of a panel, not a whole number of panels
-    @pytest.mark.parametrize("case", ["many", "some", "none"])
-    def test_same_bytes_as_the_whole_set(self, monkeypatch, probes, case):
-        d = 10
-        marg, var = self._estimators(d)
+    @staticmethod
+    def walk_step(mean_blocks, var_blocks):
+        """The panel step of the direction set's walk: the least common
+        multiple of the two profiles' projection panel steps."""
+        return math.lcm(panel_rows(mean_blocks), panel_rows(var_blocks))
+
+    @pytest.mark.parametrize("d, n_total, probes, case", [
+        *(pytest.param(10, 30000, probes, case, id=f"{case}-{probes}")
+          # the default, a fraction of a panel, not a whole number of panels
+          for case in ("many", "some", "none") for probes in (512, 64, 300)),
+        # estimate-300-blocks' shape: 96-row projection panels of Z, one 512-probe panel
+        *(pytest.param(20, 90000, 512, case, id=f"300-blocks-{case}") for case in ("many", "some", "none")),
+    ])
+    def test_same_bytes_as_the_whole_set(self, monkeypatch, d, n_total, probes, case):
+        marg, var = self._estimators(d, n_total)
+        n = n_total // 3
         # most probes violate their slab beyond rho_star, a few of them, or none
-        v_star = np.full(d, {"many": 3.0, "some": 0.007, "none": 0.0}[case])
+        v_star = np.full(d, {"many": 3.0, "some": 0.007 if d == 10 else 0.004, "none": 0.0}[case])
         result = SimpleNamespace(v_star=v_star, rho_star=0.0)
         monkeypatch.setattr(mean_module, "_REFINE_PROBES", probes)
+        drawn, draw = [], mean_module.random_unit_rows
+
+        def recorded_draw(rng, count, d, out=None):
+            drawn.append(count)
+            return draw(rng, count, d, out=out)
+
+        monkeypatch.setattr(mean_module, "random_unit_rows", recorded_draw)
         rng, ref_rng = stream(1, "probe"), stream(1, "probe")
-        worst = mean_module._probe(rng, marg, var, result, 0.01, 1.0, 10000)
-        ref_viol = oracle_probe(ref_rng, marg, var, result.v_star, result.rho_star, 0.01, 1.0, 10000, probes)
+        worst = mean_module._probe(rng, marg, var, result, 0.01, 1.0, n)
+        ref_viol = oracle_probe(ref_rng, marg, var, result.v_star, result.rho_star, 0.01, 1.0, n, probes)
         assert np.float64(worst).tobytes() == ref_viol.max().tobytes()
         assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))  # the stream moved as far
+        step = self.walk_step(marg.Y.shape[0], var.Z.shape[0])
+        assert step == (768 if d == 20 else 256)
+        assert drawn == [min(step, probes - lo) for lo in range(0, probes, step)]
         count = np.count_nonzero(ref_viol > 0.0)
         assert {"many": count > probes // 2, "some": 0 < count < 64, "none": count == 0}[case]
 
@@ -408,12 +431,13 @@ class TestProbePanels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        panel = _PANEL_ROWS * d * 8  # 0.41 MB; all 512 probes take 0.82 MB
-        projection = _PANEL_ROWS * var.Z.shape[0] * 8  # one psi_profile panel, 0.2 MB
+        rows = min(self.walk_step(marg.Y.shape[0], var.Z.shape[0]), mean_module._REFINE_PROBES)  # 256
+        panel = rows * d * 8  # 0.41 MB; all 512 probes take 0.82 MB
+        projection = panel_rows(var.Z.shape[0]) * var.Z.shape[0] * 8  # one psi_profile panel, 0.2 MB
         # at most 16 (256,) vectors of one panel, 2 KB each: the centers,
         # widths and violations and the profiles' temporaries
-        vectors = 16 * _PANEL_ROWS * 8
-        assert peak < panel + projection + vectors + 8 * mean_module._REFINE_PROBES
+        vectors = 16 * rows * 8
+        assert peak < panel + projection + vectors
 
     def test_one_panel_alive_in_an_estimate(self, monkeypatch):
         # an infeasible estimate at d = 50 draws its 512 probes as two panels
@@ -421,7 +445,7 @@ class TestProbePanels:
         # freed by then (the slab system it solved stays with the estimate)
         rows = student_rows(50, 30000, seed=1)
         labels = tagged_streams(monkeypatch)
-        panels, fills = [], []
+        panels, fills, sizes = [], [], []
         draw = mean_module.random_unit_rows
 
         def owner(a):
@@ -436,14 +460,16 @@ class TestProbePanels:
             assert alive == [(400, 50)], "a direction panel outlives the first probe draw"
             alive = [ref() for ref in panels if ref() is not None]
             assert all(a is owner(got) for a in alive), "a probe panel outlives the next draw"
-            assert owner(got).shape[0] <= _PANEL_ROWS  # a probe panel is one projection panel of the most rows
             panels.append(weakref.ref(owner(got)))
+            sizes.append(owner(got).shape[0])
             return got
 
         monkeypatch.setattr(mean_module, "random_unit_rows", recorded_draw)
         est = estimate_mean(rows, 0.01, PipelineConfig(C_prime=0.05), seed=1)
         assert est.rho_star > 0.0
-        assert len(panels) == -(-mean_module._REFINE_PROBES // _PANEL_ROWS) > 1
+        # the probe buffer is one panel of the direction set's walk
+        step, probes = self.walk_step(est.block_plan_mean.n, est.block_plan_var.n), mean_module._REFINE_PROBES
+        assert sizes == [min(step, probes)] * len(panels) and len(panels) == -(-probes // step) > 1
         assert all(ref() is None for ref in panels)
         # the first panel's fill went into the 256-row buffer, the rest into the system kept
         assert [ref() is None for ref in fills] == [True, False] and fills[1]() is est.slabs.directions
